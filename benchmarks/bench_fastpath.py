@@ -1,11 +1,11 @@
 """Fast path — wall-clock speedup with bit-identical observables.
 
-Not a paper claim: the fast execution path (precompiled VM dispatch,
-interned dependence records, paged shadow memory) only changes how fast
-the *host* runs the simulation.  This benchmark times the E1 ONTRAC
-workload suite with the fast-path flags off vs on, asserts the record
-streams and modeled cycles match, and requires the >=2x speedup the
-fast path was built for.
+Not a paper claim: the fast-path flags only change how fast the *host*
+runs the simulation.  This benchmark times the E1 ONTRAC workload suite
+with the flags off vs on — on a traced run that is the precompiled VM
+dispatch; ONTRAC runs its compiled hook into the packed store either
+way — asserts the record streams and modeled cycles match, and
+requires the >=2x speedup the fast path was built for.
 """
 
 from conftest import report
@@ -19,8 +19,8 @@ def test_fastpath_speedup(benchmark):
     assert result.headline["bit_identical"] == 1.0
     assert result.headline["traced_suite_speedup"] >= 2.0
     # The introspection counters prove the fast paths actually engaged
-    # (the packed columnar store subsumes record interning, so its chunk
-    # gauge is the tracer-side engagement signal).
+    # (the chunk gauge is the tracer-side signal: rows reached the
+    # packed store).
     assert result.metrics["fastpath.dispatch_hits"] > 0
     assert result.metrics["ontrac.store.chunks"] > 0
     assert result.metrics["shadow.pages_allocated"] > 0

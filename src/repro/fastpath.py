@@ -17,25 +17,11 @@ Flags (all default **on**):
     a dispatch-table closure at machine construction, hoisting the
     opcode ``if/elif`` chain, operand decoding and cost lookup out of
     the per-instruction step.
-``intern_records``
-    Intern :class:`~repro.ontrac.records.DepRecord` templates per
-    static instruction and delta-encode the per-instance fields, so the
-    tracer stops re-allocating six-field frozen dataclasses for every
-    repeated dynamic dependence.
 ``paged_shadow``
     Back shadow memory with 4 KiB label pages (and a shared notion of
     the all-clear page: absent pages read as untainted) instead of one
     flat per-address dict, so ``clear_range``/``snapshot`` work per
     page instead of per cell.
-``packed_store``
-    Store dependence records in the columnar packed trace buffer
-    (:class:`~repro.ontrac.packed.PackedTraceBuffer`): fixed-width
-    array columns appended into a ring of preallocated chunk arrays
-    instead of one Python object per record, with the indexed slicing
-    engine (:mod:`repro.slicing.engine`) answering queries straight
-    off the packed columns.  Subsumes ``intern_records`` when on (no
-    record objects exist to intern); turn it off to exercise the
-    legacy object-deque store.
 ``parallel_batch``
     Batch the out-of-process DIFT helper's shared-memory channel
     (:class:`repro.multicore.parallel.ParallelHelperDIFT`): flush
@@ -58,9 +44,8 @@ Flags (all default **on**):
 
 Resolution order: explicit argument > process-wide override
 (:func:`configure` / :func:`overridden`) > environment
-(``REPRO_FASTPATH=0`` kills everything; ``REPRO_FASTPATH_VM``,
-``REPRO_FASTPATH_ONTRAC``, ``REPRO_FASTPATH_SHADOW``,
-``REPRO_FASTPATH_PACKED`` toggle one;
+(``REPRO_FASTPATH=0`` kills everything; ``REPRO_FASTPATH_VM`` and
+``REPRO_FASTPATH_SHADOW`` toggle one;
 ``REPRO_FASTPATH_KERNEL=reference|array`` picks the propagation
 kernel and ``REPRO_FASTPATH_KERNEL_BATCH`` the records-per-batch;
 ``REPRO_FASTPATH_PARALLEL`` opts in to channel batching and
@@ -89,10 +74,7 @@ class FastPathConfig:
     """Which fast-path implementations to use; see the module docstring."""
 
     vm_dispatch: bool = True
-    intern_records: bool = True
     paged_shadow: bool = True
-    #: columnar packed dependence store + indexed slicing engine.
-    packed_store: bool = True
     #: batch the parallel helper's shared-memory channel (default off).
     parallel_batch: bool = False
     #: vectorized batch propagation kernel (numpy; auto-falls back).
@@ -105,9 +87,7 @@ class FastPathConfig:
     def all_on(cls) -> "FastPathConfig":
         return cls(
             vm_dispatch=True,
-            intern_records=True,
             paged_shadow=True,
-            packed_store=True,
             parallel_batch=True,
             array_kernel=True,
             summaries=True,
@@ -117,9 +97,7 @@ class FastPathConfig:
     def all_off(cls) -> "FastPathConfig":
         return cls(
             vm_dispatch=False,
-            intern_records=False,
             paged_shadow=False,
-            packed_store=False,
             parallel_batch=False,
             array_kernel=False,
             summaries=False,
@@ -153,9 +131,7 @@ def from_env() -> FastPathConfig:
     master = _env_bool("REPRO_FASTPATH", True)
     return FastPathConfig(
         vm_dispatch=_env_bool("REPRO_FASTPATH_VM", master),
-        intern_records=_env_bool("REPRO_FASTPATH_ONTRAC", master),
         paged_shadow=_env_bool("REPRO_FASTPATH_SHADOW", master),
-        packed_store=_env_bool("REPRO_FASTPATH_PACKED", master),
         # Unlike the implementation flags, batching is opt-in: the master
         # switch can only force it off, never on.
         parallel_batch=master and _env_bool("REPRO_FASTPATH_PARALLEL", False),

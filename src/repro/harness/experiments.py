@@ -21,7 +21,7 @@ from ..apps.security import AttackMonitor, attack_corpus
 from ..dift.engine import DIFTEngine
 from ..dift.policy import BoolTaintPolicy
 from ..multicore import HelperCoreDIFT, hardware_interconnect, shared_memory_channel
-from ..ontrac import OfflineTracer, OnlineTracer, OntracConfig
+from ..ontrac import OfflineTracer, OnlineTracer, OntracConfig, build_ddg
 from ..races import RaceDetector, SyncAwareRaceDetector, SyncHistory, SyncRecognizer
 from ..reduction import CheckpointingLogger, ExecutionReducer
 from ..runner import ProgramRunner
@@ -639,10 +639,13 @@ def run_e12(scale: int = 1) -> ExperimentResult:
 # Fast path — wall-clock speedup of the implementation, not a paper claim
 # ---------------------------------------------------------------------------
 def run_fastpath(scale: int = 1, repeats: int = 5) -> ExperimentResult:
-    """Wall-clock cost of the E1 ONTRAC workload suite with the fast
-    execution path off vs on (``repro.fastpath`` flags).
+    """Wall-clock cost of the E1 ONTRAC workload suite with the
+    ``repro.fastpath`` flags all off vs all on.
 
-    The modeled cycle counts and the stored record stream are asserted
+    On a traced run the flags that act are the VM's precompiled
+    dispatch (``vm_dispatch``); the rest are DIFT-side.  ONTRAC itself
+    runs its compiled hook into the packed store on both sides.  The
+    modeled cycle counts and the stored record stream are asserted
     identical between the two configurations on every workload — the
     speedup is purely host-side implementation efficiency, never a
     change in what the simulation computes.  Per-side times are the min
@@ -655,7 +658,10 @@ def run_fastpath(scale: int = 1, repeats: int = 5) -> ExperimentResult:
 
     result = ExperimentResult(
         experiment="fastpath",
-        claim="fast execution path >=2x wall-clock on traced suite, bit-identical",
+        claim=(
+            "fast-path flags (precompiled VM dispatch) >=2x wall-clock on "
+            "traced suite, bit-identical"
+        ),
         headers=["workload", "off s", "on s", "speedup", "identical"],
     )
 
@@ -1010,26 +1016,24 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
 # Packed store + indexed slicing — query wall clock and real residency
 # ---------------------------------------------------------------------------
 def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
-    """Backward-slicing wall clock and trace-store residency with the
-    packed columnar store + indexed engine vs the legacy object-deque
-    DDG pipeline.
+    """Backward-slicing wall clock and measured trace-store residency of
+    the packed columnar store + indexed engine, against ``build_ddg``
+    plus the BFS slicer over the same records.
 
-    Both sides trace every suite workload with an identical
-    ``OntracConfig`` (only ``packed_store`` differs) and answer the same
+    Every suite workload is traced once; both sides answer the same
     deterministic criterion batch — a spread of dynamic instances, each
     queried twice, the fault-localization access pattern the closure
     memo exists for.  Every slice's (seqs, pcs, truncated) triple is
     asserted equal between the sides, so the speedup column can never
     hide a semantic difference.  The timed region is graph construction
     plus the query batch: that is what `slice`/fault-localization
-    callers actually pay, and it is where the legacy path loses (one
+    callers actually pay, and it is where the dict graph loses (one
     DDGNode + edge-list entry per record before the first query).
 
     Residency is measured, not modeled: tracemalloc's traced delta from
-    freeing the trace store after a run (records + interner templates on
-    the legacy side, column chunks on the packed side) at equal window
-    — the implementation-metric counterpart to the paper's modeled
-    ``bytes_per_instruction`` (see EXPERIMENTS.md).
+    freeing the column chunks after a run — the implementation-metric
+    counterpart to the paper's modeled ``bytes_per_instruction`` (see
+    EXPERIMENTS.md).
     """
     import gc
     import time
@@ -1038,18 +1042,13 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     result = ExperimentResult(
         experiment="slicing",
         claim=(
-            "packed columnar store: >=3x backward slicing and >=4x lower "
-            "measured trace-store residency, slices bit-identical"
+            "packed columnar store: >=3x backward slicing over build_ddg + "
+            "BFS on the same records, slices bit-identical"
         ),
-        headers=["workload", "legacy s", "packed s", "speedup", "identical"],
+        headers=["workload", "dict BFS s", "packed s", "speedup", "identical"],
     )
     workloads = suite(scale)
     n_criteria = 24
-
-    def traced(w, packed):
-        runner = w.runner()
-        _, tracer, _ = runner.run_traced(OntracConfig(packed_store=packed))
-        return tracer
 
     def criteria_of(ddg):
         seqs = sorted(s for s, _ in ddg.node_items())
@@ -1060,11 +1059,11 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
             picked = list(seqs)
         return picked + picked  # repeated criteria exercise the memo
 
-    def slice_pass(tracer, crits):
+    def slice_pass(make_graph, crits):
         """One timed graph-construction + query batch; returns the
-        elapsed time, the comparable slice states, and the DDG."""
+        elapsed time, the comparable slice states, and the graph."""
         t0 = time.perf_counter()
-        ddg = tracer.dependence_graph()
+        ddg = make_graph()
         slices = [backward_slice(ddg, c) for c in crits]
         elapsed = time.perf_counter() - t0
         states = [
@@ -1073,88 +1072,72 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
         ]
         return elapsed, states, ddg
 
-    def resident_store_bytes(w, packed):
+    def resident_store_bytes(w):
         """tracemalloc delta from freeing the trace store post-run."""
         gc.collect()
         tracemalloc.start()
-        tracer = traced(w, packed)
+        _, tracer, _ = w.runner().run_traced(OntracConfig())
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        if packed:
-            tracer.buffer.release()
-        else:
-            tracer.buffer.records.clear()
-            if tracer._interner is not None:
-                tracer._interner.templates.clear()
+        tracer.buffer.release()
         gc.collect()
         after = tracemalloc.get_traced_memory()[0]
         tracemalloc.stop()
         return max(before - after, 1), max(tracer.stats.instructions, 1)
 
     registry = MetricsRegistry()
-    legacy_total = packed_total = 0.0
-    legacy_resident = packed_resident = 0
+    dict_total = packed_total = 0.0
+    packed_resident = 0
     instructions_total = 0
     modeled_bytes = 0
     all_identical = True
     for w in workloads:
-        legacy_tracer = traced(w, packed=False)
-        packed_tracer = traced(w, packed=True)
+        _, tracer, _ = w.runner().run_traced(OntracConfig())
+        buf = tracer.buffer
+
+        def dict_graph():
+            return build_ddg(buf, complete=buf.stats.evicted == 0)
+
         # The criterion batch is picked outside the timed region (it is
-        # workload state, not slicing work) and must agree across sides.
-        crits = criteria_of(legacy_tracer.dependence_graph())
-        assert crits == criteria_of(packed_tracer.dependence_graph())
-        best_legacy = best_packed = float("inf")
-        legacy_states = packed_states = None
+        # workload state, not slicing work).
+        crits = criteria_of(tracer.dependence_graph())
+        best_dict = best_packed = float("inf")
+        dict_states = packed_states = None
         packed_ddg = None
         for _ in range(repeats):
-            elapsed, states, _ = slice_pass(legacy_tracer, crits)
-            if elapsed < best_legacy:
-                best_legacy, legacy_states = elapsed, states
-            elapsed, states, ddg = slice_pass(packed_tracer, crits)
+            elapsed, states, _ = slice_pass(dict_graph, crits)
+            if elapsed < best_dict:
+                best_dict, dict_states = elapsed, states
+            elapsed, states, ddg = slice_pass(tracer.dependence_graph, crits)
             if elapsed < best_packed:
                 best_packed, packed_states = elapsed, states
                 packed_ddg = ddg
-        identical = legacy_states == packed_states
+        identical = dict_states == packed_states
         all_identical = all_identical and identical
-        legacy_total += best_legacy
+        dict_total += best_dict
         packed_total += best_packed
         result.rows.append(
-            [w.name, best_legacy, best_packed, best_legacy / best_packed, identical]
+            [w.name, best_dict, best_packed, best_dict / best_packed, identical]
         )
         packed_ddg.publish_telemetry(registry)
-        packed_tracer.publish_telemetry(registry)
-        modeled_bytes += packed_tracer.stats.stored_bytes
-        lb, instrs = resident_store_bytes(w, packed=False)
-        pb, _ = resident_store_bytes(w, packed=True)
-        legacy_resident += lb
-        packed_resident += pb
+        tracer.publish_telemetry(registry)
+        modeled_bytes += tracer.stats.stored_bytes
+        resident, instrs = resident_store_bytes(w)
+        packed_resident += resident
         instructions_total += instrs
     result.rows.append(
-        ["suite pass", legacy_total, packed_total, legacy_total / packed_total, ""]
-    )
-    result.rows.append(
-        [
-            "resident B/instr",
-            legacy_resident / instructions_total,
-            packed_resident / instructions_total,
-            legacy_resident / packed_resident,
-            "",
-        ]
+        ["suite pass", dict_total, packed_total, dict_total / packed_total, ""]
     )
     if not all_identical:
-        result.notes = "SLICE MISMATCH — packed store diverged from legacy slices"
+        result.notes = "SLICE MISMATCH — indexed engine diverged from the BFS slicer"
     result.headline = {
-        "slice_speedup": legacy_total / packed_total,
+        "slice_speedup": dict_total / packed_total,
         "target_speedup": 3.0,
-        "residency_reduction": legacy_resident / packed_resident,
-        "target_residency_reduction": 4.0,
         "identical": float(all_identical),
         # paper metric (modeled wire bytes) vs implementation metric
         # (measured resident store bytes) at the same window.
         "modeled_bytes_per_instr": modeled_bytes / instructions_total,
         "measured_packed_bytes_per_instr": packed_resident / instructions_total,
-        "measured_legacy_bytes_per_instr": legacy_resident / instructions_total,
     }
     result.metrics = registry.flat()
     return result

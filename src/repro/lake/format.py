@@ -18,7 +18,7 @@ while the tracer runs, plus a JSON **footer index** written at close:
   out-of-column values the in-memory store keeps in a per-chunk dict).
 * *Footer*: JSON index with per-chunk seq/pc ranges, the live window at
   close (which sections survive, per-chunk eviction head), and the full
-  :class:`~repro.ontrac.buffer.BufferStats`/``monotone``/``last_cseq``
+  :class:`~repro.ontrac.packed.BufferStats`/``monotone``/``last_cseq``
   buffer state — restoring it makes the adopted buffer's ``epoch``,
   ``complete`` and index caches *bit-identical* to the live one, so
   stored-run slices equal in-memory slices by construction.
@@ -35,7 +35,10 @@ flushed as chunks seal, so a SIGKILLed writer leaves ``[header]
 [sections...][torn tail?]`` with no footer.  :func:`open_spill` then
 falls back to a forward scan — adopt every section whose magic, bounds
 and CRC check out, stop at the first that does not — and synthesizes
-buffer state for the readable prefix (``recovered=True``).
+buffer state for the readable prefix (``recovered=True``).  A footer
+whose CRC checks out is trusted for bytes, not for shape: every key,
+type and range it is read through is validated, and a footer that
+fails raises :class:`LakeFormatError` rather than adopting garbage.
 """
 
 from __future__ import annotations
@@ -78,6 +81,19 @@ _LAST_CSEQ_FLOOR = -(1 << 62)
 
 class LakeFormatError(ValueError):
     """The file is not a readable spill of a supported version."""
+
+
+def _footer_int(table, key: str, where: str, lo: int | None = None,
+                hi: int | None = None) -> int:
+    """``table[key]`` as an int within ``[lo, hi]``, or LakeFormatError."""
+    value = table.get(key) if isinstance(table, dict) else None
+    if (
+        type(value) is not int
+        or (lo is not None and value < lo)
+        or (hi is not None and value > hi)
+    ):
+        raise LakeFormatError(f"footer {where}.{key} is invalid: {value!r}")
+    return value
 
 
 def _pad4(n: int) -> int:
@@ -323,8 +339,6 @@ class StoredRun:
             footer = self._read_footer()
             if footer is not None:
                 self.recovered = False
-                self.index = footer["chunks"]
-                self.state = footer["buffer"]
                 self.buffer = self._adopt_footer(footer)
             else:
                 self.recovered = True
@@ -351,7 +365,7 @@ class StoredRun:
             return None
         try:
             footer = json.loads(raw)
-        except ValueError:
+        except (ValueError, RecursionError):
             return None
         if not isinstance(footer, dict) or footer.get("format") != FORMAT_VERSION:
             return None
@@ -390,20 +404,45 @@ class StoredRun:
         return c
 
     def _adopt_footer(self, footer: dict) -> PackedTraceBuffer:
-        index = footer["chunks"]
+        """Adopt the live sections a CRC-valid footer names, after
+        checking every key, type and range the adoption relies on."""
+        index = footer.get("chunks")
+        live = footer.get("live")
+        state = footer.get("buffer")
+        if not (isinstance(index, list) and isinstance(live, list)
+                and isinstance(state, dict)):
+            raise LakeFormatError(
+                f"{self.path}: footer needs 'chunks', 'live' and 'buffer'"
+            )
+        _check_state(state)
         size = len(self._mm)
         chunks = []
-        for entry in footer["live"]:
-            meta = index[entry["id"]]
-            off, n = meta["off"], meta["n"]
-            if off + _CHUNK_HEADER.size + _payload_len(n, meta["over"]) > size:
+        rows = 0
+        for entry in live:
+            cid = _footer_int(entry, "id", "live[]", 0, len(index) - 1)
+            meta = index[cid]
+            where = f"chunks[{cid}]"
+            off = _footer_int(meta, "off", where, _FILE_HEADER.size)
+            n = _footer_int(meta, "n", where, 1)
+            base = _footer_int(meta, "base", where)
+            over = _footer_int(meta, "over", where, 0)
+            head = _footer_int(entry, "head", "live[]", 0, n)
+            if off + _CHUNK_HEADER.size + _payload_len(n, over) > size:
                 raise LakeFormatError(
                     f"{self.path}: footer references bytes past end of file"
                 )
-            c = self._adopt_chunk(off, n, meta["base"], meta["over"])
-            c.head = entry["head"]
+            c = self._adopt_chunk(off, n, base, over)
+            c.head = head
             chunks.append(c)
-        return _restore_buffer(chunks, footer["buffer"])
+            rows += n - head
+        if state["rows"] != rows:
+            raise LakeFormatError(
+                f"{self.path}: footer counts {state['rows']} live rows,"
+                f" its chunks hold {rows}"
+            )
+        self.index = index
+        self.state = state
+        return _restore_buffer(chunks, state)
 
     def _adopt_recovered(self) -> PackedTraceBuffer:
         """No (valid) footer: adopt the readable prefix of sections."""
@@ -499,15 +538,29 @@ class StoredRun:
         self.close()
 
 
+def _check_state(state: dict) -> None:
+    """Validate a footer's :func:`buffer_state` snapshot."""
+    _footer_int(state, "capacity_bytes", "buffer", 1)
+    _footer_int(state, "current_bytes", "buffer", 0)
+    _footer_int(state, "last_cseq", "buffer")
+    _footer_int(state, "rows", "buffer", 0)
+    monotone = state.get("monotone")
+    if type(monotone) is not bool:
+        raise LakeFormatError(f"footer buffer.monotone is invalid: {monotone!r}")
+    stats = state.get("stats")
+    for name in _STATS_FIELDS:
+        _footer_int(stats, name, "buffer.stats", 0)
+
+
 def _restore_buffer(chunks: list[_Chunk], state: dict) -> PackedTraceBuffer:
-    buf = PackedTraceBuffer(capacity_bytes=max(int(state["capacity_bytes"]), 1))
-    buf.current_bytes = int(state["current_bytes"])
+    buf = PackedTraceBuffer(capacity_bytes=state["capacity_bytes"])
+    buf.current_bytes = state["current_bytes"]
     stats = buf.stats
     for name in _STATS_FIELDS:
-        setattr(stats, name, int(state["stats"][name]))
-    buf.monotone = bool(state["monotone"])
-    buf._last_cseq = int(state["last_cseq"])
-    buf._rows = int(state["rows"])
+        setattr(stats, name, state["stats"][name])
+    buf.monotone = state["monotone"]
+    buf._last_cseq = state["last_cseq"]
+    buf._rows = state["rows"]
     buf._chunks = chunks
     buf._tail = chunks[-1] if chunks else None
     firsts = []

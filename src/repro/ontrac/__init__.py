@@ -1,11 +1,11 @@
 """ONTRAC: online dependence tracing (§2.1) and its offline baseline."""
 
-from .buffer import BufferStats, TraceBuffer
 from .control_dep import ControlDependenceTracker, Region
 from .ddg import DDGNode, DynamicDependenceGraph, build_ddg
 from .offline import OfflineConfig, OfflineStats, OfflineTracer
 from .packed import (
     ROW_PAYLOAD_BYTES,
+    BufferStats,
     PackedDDG,
     PackedRecord,
     PackedTraceBuffer,
@@ -16,15 +16,11 @@ from .records import (
     TRACE_FORMATION_BYTES,
     DepKind,
     DepRecord,
-    InternedDepRecord,
-    RecordInterner,
-    RecordTemplate,
 )
 from .tracer import SUMMARY_FANIN_CAP, OnlineTracer, OntracConfig, OntracStats
 
 __all__ = [
     "BufferStats",
-    "TraceBuffer",
     "ControlDependenceTracker",
     "Region",
     "DDGNode",
@@ -42,9 +38,6 @@ __all__ = [
     "TRACE_FORMATION_BYTES",
     "DepKind",
     "DepRecord",
-    "InternedDepRecord",
-    "RecordInterner",
-    "RecordTemplate",
     "SUMMARY_FANIN_CAP",
     "OnlineTracer",
     "OntracConfig",

@@ -1,17 +1,22 @@
-"""Columnar packed dependence store (the tentpole of the packed-store
-fast path).
+"""ONTRAC's dependence store: a fixed-size circular buffer of packed
+columns.
 
-:class:`~repro.ontrac.buffer.TraceBuffer` keeps one Python object per
-dependence — ~56+ real bytes for a 3-slot :class:`InternedDepRecord`
-plus its boxed sequence number and deque cell, roughly 15x the modeled
-wire size the paper's figures are about.  This module stores the same
-stream as fixed-width **columns**: per row one kind byte, a 32-bit
-consumer-seq offset against the chunk base, 16-bit consumer/producer
-pcs (static instruction indices), a 32-bit producer-seq delta and a
-16-bit tid — 15 bytes of column payload per row, appended into a ring
-of preallocated chunk arrays that eviction recycles.  Real resident
-bytes per instruction land within a small factor of the modeled figure
-instead of ~15x it.
+ONTRAC "make[s] the design decision of not outputting the dependences
+to a file, instead storing them in memory in a specially allocated
+fixed size circular buffer".  The buffer's byte capacity therefore
+bounds the *execution history window*: a fault is debuggable with
+dynamic slicing only if it is exercised within the window — which is
+why the optimizations that shrink bytes/instruction directly grow the
+reachable history (E3).  Eviction is oldest-first by modeled record
+bytes (see :mod:`repro.ontrac.records`).
+
+The window is stored as fixed-width **columns** rather than one Python
+object per dependence: per row one kind byte, a 32-bit consumer-seq
+offset against the chunk base, 16-bit consumer/producer pcs (static
+instruction indices), a 32-bit producer-seq delta and a 16-bit tid —
+15 bytes of column payload per row, appended into a ring of
+preallocated chunk arrays that eviction recycles.  Real resident bytes
+per instruction land within a small factor of the modeled figure.
 
 Two structures make the packed stream *queryable* without ever
 materializing record objects:
@@ -25,21 +30,20 @@ materializing record objects:
   evictions invalidate it), as two parallel sorted arrays — 12 bytes
   per edge row, only for chunks that forward queries actually touch.
 
-:class:`PackedDDG` is the drop-in dependence-graph view over the
-packed buffer: O(1) to construct, serves the hot queries straight off
-the columns, and lazily materializes the exact legacy
-:class:`~repro.ontrac.ddg.DynamicDependenceGraph` (via the same
-``build_ddg``) for consumers that walk the raw ``nodes``/``backward``
-dicts — so every observable is bit-identical to the legacy store by
-construction.  The indexed slicing engine walking these columns lives
-in :mod:`repro.slicing.engine`.
+:class:`PackedDDG` is the dependence-graph view over the packed
+buffer: O(1) to construct, serves the hot queries straight off the
+columns, and lazily materializes the exact
+:class:`~repro.ontrac.ddg.DynamicDependenceGraph` (via ``build_ddg``
+over the buffer's records) for consumers that walk the raw
+``nodes``/``backward`` dicts.  The indexed slicing engine walking
+these columns lives in :mod:`repro.slicing.engine`.
 
 Values that do not fit their column (a pathological pc, a >4G-seq
 delta, a tid >= 0xFFFF) are stored as a sentinel plus a per-chunk
-side-dict entry, so the packed store accepts every record the legacy
-store does.  Out-of-order consumer seqs (possible only through direct
-``append`` calls, never from the tracer) clear :attr:`monotone` and
-the query layer falls back to the materialized graph.
+side-dict entry, so the store accepts every :class:`DepRecord`.
+Out-of-order consumer seqs (possible only through direct ``append``
+calls, never from the tracer) clear :attr:`monotone` and the query
+layer falls back to the materialized graph.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .buffer import BufferStats
 from .ddg import DynamicDependenceGraph, build_ddg
 from .records import (
     KIND_BY_CODE,
@@ -83,6 +86,22 @@ _F_CPC = 0
 _F_PSEQ = 1
 _F_PPC = 2
 _F_TID = 3
+
+
+@dataclass
+class BufferStats:
+    appended: int = 0
+    appended_bytes: int = 0
+    evicted: int = 0
+    evicted_bytes: int = 0
+    #: occupancy high-water mark in modeled bytes.
+    peak_bytes: int = 0
+    #: overflow passes that evicted at least one record.  Both eviction
+    #: entry points (:meth:`PackedTraceBuffer.append_row`'s inline check
+    #: and :meth:`PackedTraceBuffer.evict_overflow`) route through the
+    #: same helper, so the counter — like ``evicted`` and
+    #: ``evicted_bytes`` — cannot drift between the two paths.
+    eviction_passes: int = 0
 
 
 class _Chunk:
@@ -241,14 +260,13 @@ class _PackedRecordsView:
 
 
 class PackedTraceBuffer:
-    """Drop-in :class:`TraceBuffer` replacement over packed columns.
+    """The fixed-size circular dependence buffer, over packed columns.
 
-    Same capacity/eviction semantics (oldest-first by modeled record
-    bytes), same :class:`BufferStats` accounting record for record, and
-    a :attr:`records` view that reconstructs DepRecord-compatible rows
-    — plus the packed-only API the indexed slicing engine uses
-    (:meth:`append_row`, :meth:`consumer_spans`, chunk reverse
-    indexes).
+    Capacity is in modeled record bytes and eviction is oldest-first;
+    :class:`BufferStats` accounts every append and eviction.  The
+    :attr:`records` view reconstructs DepRecord-compatible rows; the
+    indexed slicing engine uses :meth:`append_row`,
+    :meth:`consumer_spans` and the chunk reverse indexes.
     """
 
     def __init__(self, capacity_bytes: int = 16 * 1024 * 1024):
@@ -335,7 +353,7 @@ class PackedTraceBuffer:
         return b
 
     def append(self, record: DepRecord) -> None:
-        """Legacy-signature append for direct (non-tracer) callers."""
+        """Record-object append for direct (non-tracer) callers."""
         self.append_row(
             KIND_CODES[record.kind],
             record.consumer_seq,
@@ -346,9 +364,19 @@ class PackedTraceBuffer:
         )
 
     def evict_overflow(self) -> None:
+        """Evict oldest-first until occupancy fits the capacity again
+        (after a caller lowered :attr:`capacity_bytes`)."""
         self.current_bytes = self._evict_from(self.current_bytes)
 
     def _grow(self, cseq: int) -> _Chunk:
+        tail = self._tail
+        if tail is not None and tail.head == tail.n:
+            # Eviction keeps a fully drained chunk listed only while it
+            # is the tail (a capacity below one record's size drains
+            # it); once a new tail takes over it must go.
+            self._chunks.pop()
+            self._firsts.pop()
+            self._retire(tail)
         pool = self._pool
         if pool:
             c = pool.pop()
@@ -371,8 +399,9 @@ class PackedTraceBuffer:
             self._pool.append(c)
 
     def _evict_from(self, cur: int) -> int:
-        """Oldest-first eviction, accounting exactly like the legacy
-        buffer's shared helper (evicted/evicted_bytes/eviction_passes)."""
+        """Oldest-first eviction loop shared by both overflow paths, so
+        ``evicted`` / ``evicted_bytes`` / ``eviction_passes`` are
+        accounted identically no matter which entry point ran."""
         stats = self.stats
         chunks = self._chunks
         firsts = self._firsts
@@ -520,7 +549,7 @@ class PackedTraceBuffer:
         *edge* rows (valid while :attr:`monotone` — rows of one
         consumer are adjacent, and filtering preserves contiguity), so
         a seq absent from ``ranges`` is exactly a node with no stored
-        dependence rows — the legacy slicer's truncation condition.
+        dependence rows — the BFS slicer's truncation condition.
         ``kinds`` is the edge kind-code bytes and ``pseqs``/``ppcs``
         the fully decoded producer seq/pc per edge row, so the slicing
         inner loop is one dict hit plus plain list reads per node and
@@ -595,8 +624,8 @@ class PackedDDG:
     lookups, producer/consumer lists, the slicing closures in
     :mod:`repro.slicing.engine`) run straight off the packed columns;
     ``nodes``/``backward``/``forward`` lazily materialize the exact
-    legacy graph via :func:`build_ddg` for consumers that walk the raw
-    dicts.  Unlike the legacy graph (a snapshot), this view follows the
+    materialized graph via :func:`build_ddg` for consumers that walk the
+    raw dicts.  Unlike that graph (a snapshot), this view follows the
     live buffer: mutating the buffer bumps its epoch, which drops every
     cache and the slice memo on the next query.
     """
@@ -631,7 +660,7 @@ class PackedDDG:
         in order — always true for tracer-produced streams)."""
         return self.buffer.monotone
 
-    # -- legacy-dict compatibility -------------------------------------------
+    # -- materialized-dict compatibility ---------------------------------------
     def _materialized(self) -> DynamicDependenceGraph:
         self.check_epoch()
         mat = self._mat
@@ -651,7 +680,7 @@ class PackedDDG:
     def forward(self):
         return self._materialized().forward
 
-    # -- node table (exact legacy node set/pcs/tids, no edge lists) ----------
+    # -- node table (exact materialized node set/pcs/tids, no edges) ---------
     def _node_tables(self) -> tuple[dict[int, int], dict[int, int]]:
         self.check_epoch()
         node_pc = self._node_pc
@@ -702,7 +731,7 @@ class PackedDDG:
     def has_node(self, seq: int) -> bool:
         self.check_epoch()
         if self._node_pc is None and self.buffer.monotone:
-            # The legacy node set is exactly (consumer seqs | producer
+            # The materialized node set is exactly (consumer seqs | producer
             # seqs); both sides are answerable from the column indexes.
             if self.buffer.consumer_spans(seq):
                 return True
@@ -726,12 +755,12 @@ class PackedDDG:
         return self._node_tables()[1][seq]
 
     def node_items(self) -> Iterable[tuple[int, int]]:
-        """(seq, pc) pairs in legacy node-insertion order."""
+        """(seq, pc) pairs in materialized node-insertion order."""
         return self._node_tables()[0].items()
 
     def seqs_of_pcs(self, pcs) -> list[int]:
         """Seqs of nodes whose pc is in ``pcs``, in node-insertion order
-        (matches iterating the legacy ``nodes`` dict)."""
+        (matches iterating the materialized ``nodes`` dict)."""
         return [seq for seq, pc in self._node_tables()[0].items() if pc in pcs]
 
     def _pc_map(self) -> dict[int, list[int]]:
@@ -746,7 +775,7 @@ class PackedDDG:
             self._pc_index = index
         return index
 
-    # -- legacy query API -----------------------------------------------------
+    # -- DynamicDependenceGraph query API -------------------------------------
     def instances_of_pc(self, pc: int) -> list[int]:
         return list(self._pc_map().get(pc, ()))
 

@@ -39,25 +39,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import fastpath as fastpath_config
 from ..isa.cfg import build_cfgs
 from ..isa.instructions import Opcode
 from ..isa.program import Program
 from ..vm.events import Hook, InstrEvent
 from ..vm.machine import Machine
-from .buffer import TraceBuffer
 from .control_dep import ControlDependenceTracker
-from .ddg import DynamicDependenceGraph, build_ddg
 from .packed import PackedDDG, PackedTraceBuffer
-from .records import (
-    KIND_CODES,
-    TRACE_FORMATION_BYTES,
-    DepKind,
-    DepRecord,
-    InternedDepRecord,
-    RecordInterner,
-    RecordTemplate,
-)
+from .records import KIND_CODES, TRACE_FORMATION_BYTES, DepKind
 
 #: cap on how many traced ancestors an untraced-code summary carries.
 SUMMARY_FANIN_CAP = 16
@@ -80,25 +69,12 @@ class OntracConfig:
     charge_overhead: bool = True
     stub_cycles: int = 25
     cycles_per_byte: int = 3
-    #: fast path: intern record templates per static dependence site.
-    #: None defers to the process-wide repro.fastpath config (default on).
-    #: Purely an allocation strategy — stored records, bytes and graphs
-    #: are identical either way.
-    intern_records: bool | None = None
-    #: fast path: store dependences in the columnar packed buffer
-    #: (:class:`~repro.ontrac.packed.PackedTraceBuffer`) and answer
-    #: queries via the indexed slicing engine.  None defers to the
-    #: process-wide repro.fastpath config (default on).  Subsumes
-    #: ``intern_records`` (no record objects exist to intern); again a
-    #: pure storage strategy — stored rows, modeled bytes and graphs
-    #: are identical to the legacy deque.
-    packed_store: bool | None = None
     #: spill sink (trace lake): when set, sealed packed chunks are
     #: appended to this file as the run executes so the full stream
     #: survives the process (even a SIGKILLed one — the readable
-    #: prefix recovers).  Requires the packed store; the hot emit path
-    #: is unchanged (spilling happens only when a chunk seals).  Seal
-    #: with :meth:`OnlineTracer.finish_spill` (the runner does this
+    #: prefix recovers).  The hot emit path is unchanged (spilling
+    #: happens only when a chunk seals).  Seal with
+    #: :meth:`OnlineTracer.finish_spill` (the runner does this
     #: automatically after a traced run).
     spill_path: str | None = None
 
@@ -155,38 +131,16 @@ class OnlineTracer(Hook):
         self.config = config or OntracConfig()
         self.stats = OntracStats()
         self.machine: Machine | None = None
-        # Storage strategy: the packed columnar store subsumes record
-        # interning (there are no record objects left to intern); the
-        # legacy deque picks between the interner and plain DepRecords.
-        self._packed = fastpath_config.resolve(self.config.packed_store, "packed_store")
-        if self.config.spill_path and not self._packed:
-            raise ValueError("spill_path requires the packed store")
-        if self._packed:
-            if self.config.spill_path:
-                # Local import: repro.lake sits above ontrac in the
-                # layering and is only needed when spilling is on.
-                from ..lake.format import SpillingPackedTraceBuffer
+        if self.config.spill_path:
+            # Local import: repro.lake sits above ontrac in the
+            # layering and is only needed when spilling is on.
+            from ..lake.format import SpillingPackedTraceBuffer
 
-                self.buffer: TraceBuffer | PackedTraceBuffer = (
-                    SpillingPackedTraceBuffer(
-                        self.config.buffer_bytes, self.config.spill_path
-                    )
-                )
-            else:
-                self.buffer = PackedTraceBuffer(self.config.buffer_bytes)
-            self._interner: RecordInterner | None = None
-            self._rec = DepRecord
-            self._emit = self._emit_packed
+            self.buffer: PackedTraceBuffer = SpillingPackedTraceBuffer(
+                self.config.buffer_bytes, self.config.spill_path
+            )
         else:
-            self.buffer = TraceBuffer(self.config.buffer_bytes)
-            if fastpath_config.resolve(self.config.intern_records, "intern_records"):
-                self._interner = RecordInterner()
-                self._rec = self._interner
-                self._emit = self._emit_fast
-            else:
-                self._interner = None
-                self._rec = DepRecord
-                self._emit = self._emit_slow
+            self.buffer = PackedTraceBuffer(self.config.buffer_bytes)
         # Static structure: block leaders per global pc.
         self._leaders: set[int] = set()
         for cfg in build_cfgs(program).values():
@@ -206,8 +160,7 @@ class OnlineTracer(Hook):
         self._derived_reg: set[tuple[int, int]] = set()
         self._derived_mem: set[int] = set()
         self._last_readers: dict[int, list[tuple[int, int, int]]] = {}
-        if self._packed or self._interner is not None:
-            self._install_fast_hook()
+        self._install_fast_hook()
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, machine: Machine) -> "OnlineTracer":
@@ -224,87 +177,13 @@ class OnlineTracer(Hook):
             return close()
         return None
 
-    def dependence_graph(self) -> DynamicDependenceGraph | PackedDDG:
-        """DDG over the records currently in the buffer.
-
-        Packed store: an O(1) :class:`PackedDDG` view whose queries run
-        straight off the columns (and which materializes the legacy
-        dicts lazily).  Legacy store: the materialized graph.
-        """
-        if self._packed:
-            return PackedDDG(self.buffer)
-        return build_ddg(self.buffer, complete=self.buffer.stats.evicted == 0)
+    def dependence_graph(self) -> PackedDDG:
+        """DDG over the records currently in the buffer: an O(1)
+        :class:`PackedDDG` view whose queries run straight off the
+        columns (and which materializes the dict graph lazily)."""
+        return PackedDDG(self.buffer)
 
     # -- helpers -------------------------------------------------------------
-    def _store(self, record: DepRecord) -> int:
-        self.buffer.append(record)
-        stats = self.stats
-        stored = stats.stored
-        key = record.kind.value
-        stored[key] = stored.get(key, 0) + 1
-        b = record.bytes
-        stats.stored_bytes += b
-        return b
-
-    def _emit_slow(
-        self,
-        kind: DepKind,
-        consumer_seq: int,
-        consumer_pc: int,
-        producer_seq: int = -1,
-        producer_pc: int = -1,
-        tid: int = 0,
-    ) -> int:
-        """Reference path: a fresh :class:`DepRecord` per dependence."""
-        record = DepRecord(kind, consumer_seq, consumer_pc, producer_seq, producer_pc, tid)
-        self.buffer.append(record)
-        stats = self.stats
-        stored = stats.stored
-        key = kind.value
-        stored[key] = stored.get(key, 0) + 1
-        b = record.bytes
-        stats.stored_bytes += b
-        return b
-
-    def _emit_fast(
-        self,
-        kind: DepKind,
-        consumer_seq: int,
-        consumer_pc: int,
-        producer_seq: int = -1,
-        producer_pc: int = -1,
-        tid: int = 0,
-    ) -> int:
-        """Fast path: intern the static template and fuse the buffer
-        append + byte accounting into one call (same observable effect
-        as :meth:`_emit_slow`, record for record)."""
-        interner = self._interner
-        key = (kind, consumer_pc, producer_pc, tid)
-        template = interner.templates.get(key)
-        if template is None:
-            template = interner.templates[key] = RecordTemplate(kind, consumer_pc, producer_pc, tid)
-        else:
-            interner.hits += 1
-        record = InternedDepRecord(template, consumer_seq, consumer_seq - producer_seq)
-        b = template.bytes
-        buf = self.buffer
-        buf.records.append(record)
-        cur = buf.current_bytes + b
-        bstats = buf.stats
-        bstats.appended += 1
-        bstats.appended_bytes += b
-        if cur > bstats.peak_bytes:
-            bstats.peak_bytes = cur
-        buf.current_bytes = cur
-        if cur > buf.capacity_bytes:
-            buf.evict_overflow()
-        stats = self.stats
-        stored = stats.stored
-        kv = template.kind_value
-        stored[kv] = stored.get(kv, 0) + 1
-        stats.stored_bytes += b
-        return b
-
     def _emit_packed(
         self,
         kind: DepKind,
@@ -314,9 +193,8 @@ class OnlineTracer(Hook):
         producer_pc: int = -1,
         tid: int = 0,
     ) -> int:
-        """Packed path: append one columnar row (the buffer does the
-        byte/eviction accounting); same observable stats as the other
-        emit paths, record for record."""
+        """Append one columnar row (the buffer does the byte/eviction
+        accounting) and count it in the tracer's per-kind stats."""
         b = self.buffer.append_row(
             KIND_CODES[kind], consumer_seq, consumer_pc, producer_seq, producer_pc, tid
         )
@@ -331,14 +209,14 @@ class OnlineTracer(Hook):
         """Compile a specialized ``on_instruction`` for this tracer.
 
         The closure mirrors :meth:`on_instruction` statement for
-        statement but captures the config flags, the dependence maps,
-        the buffer internals and the template cache as locals, and fuses
-        record construction with buffer accounting — removing the
-        per-instruction attribute-chasing and per-record call overhead
+        statement but captures the config flags, the dependence maps
+        and the buffer's ``append_row`` as locals — removing the
+        per-instruction attribute-chasing and per-record method call
         the generic hook pays.  Installed as an instance attribute so
-        the hook bus dispatches straight to it.  Observable behavior is
-        identical to the generic hook (the differential suite holds the
-        two paths to bit-identical outputs); config flags are frozen at
+        the hook bus dispatches straight to it; the class-level
+        :meth:`on_instruction` stays as the reference it is tested
+        against (the differential suite holds the two to bit-identical
+        records, stats and graphs).  Config flags are frozen at
         construction, which the generic hook only nominally re-reads.
         """
         cfg = self.config
@@ -357,7 +235,6 @@ class OnlineTracer(Hook):
         stats = self.stats
         stored = stats.stored
         skipped = stats.skipped
-        buffer = self.buffer
         maintain = self._maintain_blocks
         block_instance = self._block_instance
         last_reg = self._last_reg
@@ -373,64 +250,22 @@ class OnlineTracer(Hook):
         K_MEM, K_IMEM, K_SUMMARY = DepKind.MEM, DepKind.IMEM, DepKind.SUMMARY
         K_CONTROL, K_BRANCH = DepKind.CONTROL, DepKind.BRANCH
         K_WAR, K_WAW = DepKind.WAR, DepKind.WAW
+        append_row = self.buffer.append_row
+        kind_codes = KIND_CODES
 
-        if self._packed:
-            append_row = buffer.append_row
-            kind_codes = KIND_CODES
+        def emit(kind, consumer_seq, consumer_pc, producer_seq, producer_pc, tid):
+            # The buffer fuses the append with every byte / peak /
+            # eviction counter (see append_row); only the tracer-level
+            # per-kind accounting lives here.
+            b = append_row(
+                kind_codes[kind], consumer_seq, consumer_pc, producer_seq, producer_pc, tid
+            )
+            kv = kind.value
+            stored[kv] = stored.get(kv, 0) + 1
+            if b:
+                stats.stored_bytes += b
+            return b
 
-            def emit(kind, consumer_seq, consumer_pc, producer_seq, producer_pc, tid):
-                # The packed buffer fuses the append with every byte /
-                # peak / eviction counter (see append_row); only the
-                # tracer-level per-kind accounting lives here.
-                b = append_row(
-                    kind_codes[kind], consumer_seq, consumer_pc, producer_seq, producer_pc, tid
-                )
-                kv = kind.value
-                stored[kv] = stored.get(kv, 0) + 1
-                if b:
-                    stats.stored_bytes += b
-                return b
-
-        else:
-            buf_append = buffer.records.append
-            bstats = buffer.stats
-            capacity = buffer.capacity_bytes
-            interner = self._interner
-            templates = interner.templates
-            make_template = RecordTemplate
-            make_record = InternedDepRecord
-            rec_new = object.__new__
-
-            def emit(kind, consumer_seq, consumer_pc, producer_seq, producer_pc, tid):
-                key = (kind, consumer_pc, producer_pc, tid)
-                template = templates.get(key)
-                if template is None:
-                    template = templates[key] = make_template(kind, consumer_pc, producer_pc, tid)
-                else:
-                    interner.hits += 1
-                # Record construction inlined (three slot stores, no ctor frame).
-                rec = rec_new(make_record)
-                rec.template = template
-                rec.consumer_seq = consumer_seq
-                rec.producer_delta = consumer_seq - producer_seq
-                buf_append(rec)
-                bstats.appended += 1
-                kv = template.kind_value
-                stored[kv] = stored.get(kv, 0) + 1
-                b = template.bytes
-                if b:
-                    # Zero-byte kinds (CONTROL/IREG/IMEM — the majority under
-                    # full optimization) skip all byte bookkeeping: += 0 and the
-                    # capacity check cannot change any counter or evict.
-                    cur = buffer.current_bytes + b
-                    bstats.appended_bytes += b
-                    if cur > bstats.peak_bytes:
-                        bstats.peak_bytes = cur
-                    buffer.current_bytes = cur
-                    if cur > capacity:
-                        buffer.evict_overflow()
-                    stats.stored_bytes += b
-                return b
 
         def fast_on_instruction(ev):
             stats.instructions += 1
@@ -650,7 +485,7 @@ class OnlineTracer(Hook):
         pc = ev.pc
         instr = ev.instr
         op = instr.opcode
-        _emit = self._emit
+        _emit = self._emit_packed
 
         bytes_stored = self._maintain_blocks(ev)
         instance = self._block_instance.get(tid, 0)
@@ -831,9 +666,6 @@ class OnlineTracer(Hook):
         registry.counter("ontrac.instructions").inc(stats.instructions)
         registry.counter("ontrac.stored_bytes").inc(stats.stored_bytes)
         registry.counter("ontrac.hot_traces").inc(stats.hot_traces)
-        if self._interner is not None:
-            registry.counter("ontrac.records_interned").inc(self._interner.hits)
-            registry.gauge("ontrac.record_templates").set(len(self._interner.templates))
         for kind, count in sorted(stats.stored.items()):
             registry.counter(f"ontrac.records.stored.{kind}").inc(count)
         for reason, count in sorted(stats.skipped.items()):
@@ -844,13 +676,12 @@ class OnlineTracer(Hook):
         registry.gauge("ontrac.buffer.peak_bytes").set_max(buf.stats.peak_bytes)
         registry.gauge("ontrac.buffer.window_instructions").set(buf.window_instructions())
         registry.counter("ontrac.buffer.evicted_records").inc(buf.stats.evicted)
-        if self._packed:
-            # Deterministic column-payload figure (allocated chunk bytes),
-            # NOT process residency — tracemalloc-measured residency lives
-            # in benchmarks/bench_slicing.py where determinism is not
-            # required for golden comparisons.
-            registry.gauge("ontrac.store.resident_bytes").set(buf.resident_bytes())
-            registry.gauge("ontrac.store.chunks").set(buf.chunk_count)
+        # Deterministic column-payload figure (allocated chunk bytes),
+        # NOT process residency — tracemalloc-measured residency lives
+        # in benchmarks/bench_slicing.py where determinism is not
+        # required for golden comparisons.
+        registry.gauge("ontrac.store.resident_bytes").set(buf.resident_bytes())
+        registry.gauge("ontrac.store.chunks").set(buf.chunk_count)
 
     def _was_fused(self, instance: int) -> bool:
         """Attribution only: whether this inference region spans a trace.

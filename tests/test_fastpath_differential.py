@@ -6,8 +6,13 @@ must be bit-identical: the RunResult (status, instruction count,
 modeled base and overhead cycles, failure info, schedule), the final
 VM state (per-thread registers, memory cells, io streams), the full
 ONTRAC record stream with its byte accounting and stats tables, the
-dependence graph built from it, and DIFT taint state.  The fast path
-is allowed to be faster; it is never allowed to be different.
+dependence graph built from it, and DIFT taint state.  Traced runs
+also switch ONTRAC's hook: the flags-on side runs the compiled
+closure into the packed store and slices with the indexed engine, the
+flags-off side runs the class-level ``OnlineTracer.on_instruction``
+(see :class:`ReferenceTracer`) and slices with the BFS slicer over
+``build_ddg``.  The fast path is allowed to be faster; it is never
+allowed to be different.
 """
 
 import pytest
@@ -15,7 +20,7 @@ import pytest
 from repro import fastpath
 from repro.dift import BoolTaintPolicy, DIFTEngine, SinkRule
 from repro.fastpath import FastPathConfig
-from repro.ontrac import OntracConfig
+from repro.ontrac import OnlineTracer, OntracConfig, build_ddg
 from repro.tm import Resolution, TMConfig, TransactionalMonitor
 from repro.workloads import (
     GeneratorConfig,
@@ -82,14 +87,36 @@ def _ddg_state(ddg):
     return nodes, edges, ddg.complete
 
 
+class ReferenceTracer(OnlineTracer):
+    """ONTRAC's reference side: the class-level ``on_instruction`` stays
+    the hook (no compiled closure) and the dependence graph is
+    ``build_ddg`` over the stored records, so queries take the BFS
+    slicer instead of the indexed engine."""
+
+    def _install_fast_hook(self):
+        pass
+
+    def dependence_graph(self):
+        buf = self.buffer
+        return build_ddg(buf.records, complete=buf.stats.evicted == 0)
+
+
+def _run_traced(runner, tracer_cls, config=None):
+    m = runner.machine()
+    tracer = tracer_cls(runner.program, config).attach(m)
+    res = m.run(max_instructions=runner.max_instructions)
+    return m, tracer, res
+
+
 def _plain_state(runner):
     m, res = runner.run()
     return _vm_state(m, res)
 
 
-def _traced_state(runner, config=None):
-    m, tracer, res = runner.run_traced(config or OntracConfig())
+def _traced_state(runner, tracer_cls, config=None):
+    m, tracer, res = _run_traced(runner, tracer_cls, config)
     stats = tracer.stats
+    bstats = tracer.buffer.stats
     records = tuple(
         (r.kind, r.consumer_seq, r.consumer_pc, r.producer_seq, r.producer_pc, r.tid, r.bytes)
         for r in tracer.buffer.records
@@ -101,6 +128,8 @@ def _traced_state(runner, config=None):
         dict(stats.stored),
         dict(stats.skipped),
         stats.stored_bytes,
+        (bstats.appended, bstats.appended_bytes, bstats.evicted,
+         bstats.evicted_bytes, bstats.peak_bytes, bstats.eviction_passes),
         _ddg_state(tracer.dependence_graph()),
     )
 
@@ -131,6 +160,24 @@ def assert_differential(make_runner, state_fn):
     assert fast == slow
 
 
+def assert_traced_differential(make_runner, state_fn=_traced_state, **kwargs):
+    """Like :func:`assert_differential`, with ONTRAC's compiled closure
+    on the flags-on side and :class:`ReferenceTracer` on the other."""
+    with fastpath.overridden(ON):
+        fast = state_fn(make_runner(), OnlineTracer, **kwargs)
+    with fastpath.overridden(OFF):
+        slow = state_fn(make_runner(), ReferenceTracer, **kwargs)
+    assert fast == slow
+
+
+def test_reference_tracer_keeps_class_hook():
+    # Guards the comparison itself: the flags-on side must dispatch to
+    # the compiled closure and the reference side to the class method.
+    program = SPEC[0].runner().program
+    assert "on_instruction" in vars(OnlineTracer(program))
+    assert "on_instruction" not in vars(ReferenceTracer(program))
+
+
 # --- SPEC-like suite --------------------------------------------------------
 @pytest.mark.parametrize("w", SPEC, ids=_name)
 def test_spec_plain(w):
@@ -139,15 +186,13 @@ def test_spec_plain(w):
 
 @pytest.mark.parametrize("w", SPEC, ids=_name)
 def test_spec_traced(w):
-    assert_differential(w.runner, _traced_state)
+    assert_traced_differential(w.runner)
 
 
 @pytest.mark.parametrize("w", SPEC, ids=_name)
 def test_spec_traced_naive(w):
     # Naive mode exercises the INSTR-record path the optimized config skips.
-    assert_differential(
-        w.runner, lambda r: _traced_state(r, OntracConfig.unoptimized())
-    )
+    assert_traced_differential(w.runner, config=OntracConfig.unoptimized())
 
 
 @pytest.mark.parametrize("w", SPEC, ids=_name)
@@ -159,6 +204,11 @@ def test_spec_dift(w):
 @pytest.mark.parametrize("w", CALLS, ids=_name)
 def test_calls_plain(w):
     assert_differential(w.runner, _plain_state)
+
+
+@pytest.mark.parametrize("w", CALLS, ids=_name)
+def test_calls_traced(w):
+    assert_traced_differential(w.runner)
 
 
 @pytest.mark.parametrize("w", CALLS, ids=_name)
@@ -179,7 +229,7 @@ def test_buggy_passing(b):
 
 @pytest.mark.parametrize("b", BUGGY, ids=_name)
 def test_buggy_failing_traced(b):
-    assert_differential(lambda: b.runner(failing=True), _traced_state)
+    assert_traced_differential(lambda: b.runner(failing=True))
 
 
 # --- SPLASH-like race kernels ----------------------------------------------
@@ -191,15 +241,18 @@ def test_race_kernel_plain(k):
 @pytest.mark.parametrize("k", RACES, ids=_name)
 def test_race_kernel_traced(k):
     # WAR/WAW records are the multithreaded-slicing extension's path.
-    assert_differential(
-        k.runner, lambda r: _traced_state(r, OntracConfig(record_war_waw=True))
-    )
+    assert_traced_differential(k.runner, config=OntracConfig(record_war_waw=True))
 
 
 # --- scientific lineage workloads ------------------------------------------
 @pytest.mark.parametrize("w", LINEAGE, ids=_name)
 def test_lineage_plain(w):
     assert_differential(w.runner, _plain_state)
+
+
+@pytest.mark.parametrize("w", LINEAGE, ids=_name)
+def test_lineage_traced(w):
+    assert_traced_differential(w.runner)
 
 
 @pytest.mark.parametrize("w", LINEAGE, ids=_name)
@@ -218,7 +271,7 @@ def test_server_plain():
 
 
 def test_server_traced():
-    assert_differential(_server_runner, _traced_state)
+    assert_traced_differential(_server_runner)
 
 
 def test_server_dift():
@@ -235,7 +288,7 @@ def test_generated_plain(seed):
 @pytest.mark.parametrize("seed", GEN_SEEDS)
 def test_generated_traced(seed):
     g = generate(seed, GeneratorConfig(use_inputs=True))
-    assert_differential(g.runner, _traced_state)
+    assert_traced_differential(g.runner)
 
 
 # --- TM kernels -------------------------------------------------------------
@@ -330,12 +383,12 @@ def test_server_dift_three_way():
     assert inline == parallel
 
 
-# --- slice equality: packed indexed engine vs legacy BFS ---------------------
+# --- slice equality: packed indexed engine vs BFS over build_ddg --------------
 # The tests above prove the record stream and the materialized DDG are
 # identical; these prove the *query layer* is too — every backward and
 # forward slice must produce the same (seqs, pcs, truncated) under the
-# packed store's indexed engine (flags on) as under the legacy
-# dict-walking slicer (flags off).
+# packed store's indexed engine (flags on) as under the dict-walking
+# BFS slicer over build_ddg (ReferenceTracer, flags off).
 from repro.slicing import (  # noqa: E402
     backward_slice,
     forward_slice,
@@ -343,8 +396,8 @@ from repro.slicing import (  # noqa: E402
 )
 
 
-def _slice_state(runner, config=None, n_criteria=8, multithreaded=False):
-    _, tracer, _ = runner.run_traced(config or OntracConfig())
+def _slice_state(runner, tracer_cls, config=None, n_criteria=8, multithreaded=False):
+    _, tracer, _ = _run_traced(runner, tracer_cls, config)
     ddg = tracer.dependence_graph()
     seqs = sorted(seq for seq, _ in ddg.node_items())
     crits = seqs[:: max(1, len(seqs) // n_criteria)][:n_criteria]
@@ -363,44 +416,41 @@ def _slice_state(runner, config=None, n_criteria=8, multithreaded=False):
 
 @pytest.mark.parametrize("w", SPEC, ids=_name)
 def test_spec_slices(w):
-    assert_differential(w.runner, _slice_state)
+    assert_traced_differential(w.runner, _slice_state)
 
 
 @pytest.mark.parametrize("w", SPEC, ids=_name)
 def test_spec_slices_evicting_window(w):
     # A window small enough to evict exercises the truncation rule and
     # the packed store's head-offset eviction path on both sides.
-    assert_differential(
-        w.runner,
-        lambda r: _slice_state(r, OntracConfig(buffer_bytes=4096)),
+    assert_traced_differential(
+        w.runner, _slice_state, config=OntracConfig(buffer_bytes=4096)
     )
 
 
 @pytest.mark.parametrize("b", BUGGY, ids=_name)
 def test_buggy_failing_slices(b):
-    assert_differential(lambda: b.runner(failing=True), _slice_state)
+    assert_traced_differential(lambda: b.runner(failing=True), _slice_state)
 
 
 @pytest.mark.parametrize("k", RACES, ids=_name)
 def test_race_kernel_multithreaded_slices(k):
-    assert_differential(
-        k.runner,
-        lambda r: _slice_state(
-            r, OntracConfig(record_war_waw=True), multithreaded=True
-        ),
+    assert_traced_differential(
+        k.runner, _slice_state,
+        config=OntracConfig(record_war_waw=True), multithreaded=True,
     )
 
 
 @pytest.mark.parametrize("w", LINEAGE, ids=_name)
 def test_lineage_slices(w):
-    assert_differential(w.runner, _slice_state)
+    assert_traced_differential(w.runner, _slice_state)
 
 
 def test_server_slices():
-    assert_differential(_server_runner, _slice_state)
+    assert_traced_differential(_server_runner, _slice_state)
 
 
 @pytest.mark.parametrize("seed", GEN_SEEDS)
 def test_generated_slices(seed):
     g = generate(seed, GeneratorConfig(use_inputs=True))
-    assert_differential(g.runner, _slice_state)
+    assert_traced_differential(g.runner, _slice_state)

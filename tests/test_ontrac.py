@@ -13,7 +13,7 @@ from repro.ontrac import (
     OfflineTracer,
     OnlineTracer,
     OntracConfig,
-    TraceBuffer,
+    PackedTraceBuffer,
     build_ddg,
 )
 from repro.runner import ProgramRunner
@@ -59,7 +59,7 @@ class TestRecordsAndBuffer:
         assert RECORD_BYTES[DepKind.REG] > 0
 
     def test_buffer_eviction_by_bytes(self):
-        buf = TraceBuffer(capacity_bytes=20)
+        buf = PackedTraceBuffer(capacity_bytes=20)
         for i in range(10):
             buf.append(DepRecord(DepKind.REG, i, i, i - 1, i - 1))  # 6 bytes each
         assert buf.current_bytes <= 20
@@ -67,7 +67,7 @@ class TestRecordsAndBuffer:
         assert buf.oldest_seq > 0
 
     def test_buffer_window(self):
-        buf = TraceBuffer(capacity_bytes=1000)
+        buf = PackedTraceBuffer(capacity_bytes=1000)
         buf.append(DepRecord(DepKind.REG, 5, 0, 1, 0))
         buf.append(DepRecord(DepKind.REG, 17, 0, 2, 0))
         assert buf.window_instructions() == 13
@@ -76,7 +76,7 @@ class TestRecordsAndBuffer:
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
-            TraceBuffer(capacity_bytes=0)
+            PackedTraceBuffer(capacity_bytes=0)
 
     def test_bigger_buffer_longer_window(self):
         # The core scaling claim behind E3.

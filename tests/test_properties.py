@@ -17,7 +17,6 @@ from repro.ontrac import (
     OntracConfig,
     PackedDDG,
     PackedTraceBuffer,
-    TraceBuffer,
     build_ddg,
 )
 from repro.runner import ProgramRunner
@@ -94,7 +93,7 @@ class TestBufferProperties:
            capacity=st.integers(min_value=1, max_value=500))
     @settings(max_examples=50, deadline=None)
     def test_capacity_never_exceeded(self, records, capacity):
-        buf = TraceBuffer(capacity_bytes=capacity)
+        buf = PackedTraceBuffer(capacity_bytes=capacity)
         for rec in records:
             buf.append(rec)
             assert buf.current_bytes <= capacity or all(
@@ -104,7 +103,7 @@ class TestBufferProperties:
     @given(records=st.lists(record_strategy, max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_byte_accounting_consistent(self, records):
-        buf = TraceBuffer(capacity_bytes=10_000_000)
+        buf = PackedTraceBuffer(capacity_bytes=10_000_000)
         for rec in records:
             buf.append(rec)
         assert buf.current_bytes == sum(r.bytes for r in buf.records)
@@ -115,11 +114,19 @@ class TestBufferProperties:
            capacity=st.integers(min_value=6, max_value=100))
     @settings(max_examples=50, deadline=None)
     def test_eviction_is_oldest_first(self, records, capacity):
-        buf = TraceBuffer(capacity_bytes=capacity)
+        buf = PackedTraceBuffer(capacity_bytes=capacity)
         for rec in records:
             buf.append(rec)
-        survivors = list(buf.records)
-        assert survivors == records[len(records) - len(survivors):]
+        survivors = [
+            DepRecord(r.kind, r.consumer_seq, r.consumer_pc,
+                      r.producer_seq, r.producer_pc, r.tid)
+            for r in buf.records
+        ]
+        assert survivors == [
+            r if r.kind is not DepKind.BRANCH
+            else DepRecord(r.kind, r.consumer_seq, r.consumer_pc, tid=r.tid)
+            for r in records[len(records) - len(survivors):]
+        ]
 
 
 # --- DDG / slicing ------------------------------------------------------------------
@@ -159,12 +166,13 @@ class TestSliceProperties:
         assert (b in forward_slice(ddg, a).seqs) == (a in backward_slice(ddg, b).seqs)
 
 
-# --- packed store vs legacy slicer equivalence --------------------------------------
+# --- indexed engine vs dict-walking BFS equivalence --------------------------------
 class TestPackedSliceEquivalence:
-    """100 seeded random dependence streams through both stores; random
-    criteria and random kinds sets must slice identically under the
-    packed indexed engine and the legacy dict-walking BFS — including
-    truncation under small, evicting windows."""
+    """100 seeded random dependence streams through the packed store;
+    random criteria and random kinds sets must slice identically under
+    the indexed engine and the dict-walking BFS over ``build_ddg`` of
+    the same stored records — including truncation under small,
+    evicting windows."""
 
     EDGE_KINDS = [DepKind.REG, DepKind.MEM, DepKind.IREG, DepKind.IMEM,
                   DepKind.CONTROL, DepKind.SUMMARY, DepKind.WAR, DepKind.WAW]
@@ -173,7 +181,6 @@ class TestPackedSliceEquivalence:
         for seed in range(100):
             rng = DeterministicRng(seed)
             capacity = (512, 4096, 1 << 20)[seed % 3]
-            legacy = TraceBuffer(capacity_bytes=capacity)
             packed = PackedTraceBuffer(capacity_bytes=capacity)
             n = 40 + (seed % 4) * 40
             for consumer in range(n):
@@ -188,9 +195,8 @@ class TestPackedSliceEquivalence:
                                       producer, producer % 13, tid=consumer % 3)
                         )
                 for rec in recs:
-                    legacy.append(rec)
                     packed.append(rec)
-            ref = build_ddg(legacy, complete=legacy.stats.evicted == 0)
+            ref = build_ddg(packed.records, complete=packed.stats.evicted == 0)
             ddg = PackedDDG(packed)
             assert ddg.indexable
             nodes = sorted(ref.nodes)

@@ -9,8 +9,8 @@ Commands:
   instance of source line N; print the slice as source lines
 * ``attack FILE``       — execute under the DIFT attack monitor
 * ``experiments [IDS]`` — run paper experiments (default: all of E1..E12)
-* ``serve``             — run the analysis service daemon (``--async``
-  for the event-loop front door with streamed partial results)
+* ``serve``             — run the analysis service daemon (one event
+  loop, coroutine per connection, streamed partial results)
 * ``route``             — run the consistent-hash router over N daemons
 * ``submit KIND``       — submit one job (or stats/health/shutdown, or
   the router's drain/undrain) to a running daemon/router and print the
@@ -281,7 +281,7 @@ def cmd_experiments(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .service import ServiceConfig, make_server
+    from .service import AsyncAnalysisServer, ServiceConfig
 
     if (args.socket is None) == (args.port is None):
         print("error: serve needs exactly one of --socket or --port", file=sys.stderr)
@@ -300,14 +300,11 @@ def cmd_serve(args) -> int:
         obs_dir=args.obs_dir,
         sample_interval_s=args.sample_interval,
     )
-    # --async / --sync win; neither defers to REPRO_SERVICE_ASYNC.
-    use_async = True if args.use_async else (False if args.sync else None)
-    server = make_server(config, use_async=use_async)
+    server = AsyncAnalysisServer(config)
     server.start()
-    flavor = "async" if type(server).__name__ == "AsyncAnalysisServer" else "threaded"
     # Printed after bind so an ephemeral --port 0 shows the real port.
     print(f"serving on {config.address()} "
-          f"({flavor}, workers={config.workers}, capacity={config.queue_capacity})",
+          f"(workers={config.workers}, capacity={config.queue_capacity})",
           flush=True)
     try:
         server.serve_forever()
@@ -676,14 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="S",
                          help="metrics time-series sampling period in "
                               "seconds (default: 1.0)")
-    flavor = p_serve.add_mutually_exclusive_group()
-    flavor.add_argument("--async", dest="use_async", action="store_true",
-                        help="run the asyncio front door (coroutine per "
-                             "connection, streamed partial results)")
-    flavor.add_argument("--sync", action="store_true",
-                        help="force the thread-per-connection daemon even if "
-                             "REPRO_SERVICE_ASYNC is set")
-    p_serve.set_defaults(func=cmd_serve, use_async=False, sync=False)
+    p_serve.set_defaults(func=cmd_serve)
 
     p_route = sub.add_parser(
         "route", help="run the consistent-hash router over N daemons"

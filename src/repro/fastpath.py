@@ -269,23 +269,6 @@ def service_degrade_enabled(explicit: bool | None = None) -> bool:
     return _env_bool("REPRO_SERVICE_DEGRADE", True)
 
 
-def service_async_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the service's asyncio front-door switch.
-
-    When on, ``repro serve`` runs the :mod:`repro.service.aserver`
-    event-loop server (coroutine per connection, streamed partial
-    results) instead of the thread-per-connection daemon.  Both speak
-    the identical frame protocol against the identical pool, so this is
-    a deployment-shape lever, not a semantic one: an explicit argument
-    (the ``--async`` / ``--sync`` CLI flags) wins, otherwise
-    ``REPRO_SERVICE_ASYNC`` decides (default off — the threaded daemon
-    remains the conservative default).
-    """
-    if explicit is not None:
-        return explicit
-    return _env_bool("REPRO_SERVICE_ASYNC", False)
-
-
 #: rows per streamed partial frame (slice pcs/lines chunking).
 DEFAULT_STREAM_CHUNK_ROWS = 64
 
@@ -409,7 +392,6 @@ __all__ = [
     "replace",
     "resolve",
     "resolve_config",
-    "service_async_enabled",
     "service_degrade_enabled",
     "service_lake_enabled",
     "service_observe_enabled",

@@ -1358,7 +1358,6 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
     *worker* pinned to the reference kernel, isolating what the array
     kernel buys the offloaded pipeline end to end.
     """
-    import os
     import time
 
     from ..dift.policy import BoolTaintPolicy as _Bool
@@ -1525,10 +1524,7 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
     # Extrapolate the >=2-CPU end-to-end speedup from the measured work
     # split: parent CPU and worker busy time overlap on a multicore host,
     # so the wall clock there is their max rather than their sum.
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        cpus = os.cpu_count() or 1
+    cpus = _usable_cpus()
     projected = inline_cpu_total / max(parent_cpu_total, worker_busy_total, 1e-9)
 
     result.headline = {
@@ -1576,7 +1572,7 @@ def run_service(
     import threading
     import time
 
-    from ..service import AnalysisServer, ServiceClient, ServiceConfig
+    from ..service import AsyncAnalysisServer, ServiceClient, ServiceConfig
     from ..telemetry.obs import latency_summary
 
     result = ExperimentResult(
@@ -1628,7 +1624,7 @@ def run_service(
             queue_capacity=max(16, 2 * jobs),
             degrade=False,  # uniform full-fidelity work for a fair ratio
         )
-        with AnalysisServer(config):
+        with AsyncAnalysisServer(config):
             statuses, elapsed, hangs = submit_burst(
                 config.address(), jobs, tag=f"w{workers}"
             )
@@ -1649,7 +1645,7 @@ def run_service(
         workers=1,
         queue_capacity=4,
     )
-    with AnalysisServer(config) as server:
+    with AsyncAnalysisServer(config) as server:
         statuses, elapsed, hangs = submit_burst(config.address(), burst, tag="burst")
         slo = latency_summary(server.registry)
     from collections import Counter
@@ -1675,7 +1671,7 @@ def run_service(
     config = ServiceConfig(
         socket_path=os.path.join(tmp, "cache.sock"), workers=1, queue_capacity=8
     )
-    with AnalysisServer(config):
+    with AsyncAnalysisServer(config):
         with ServiceClient(config.address()) as client:
             t0 = time.perf_counter()
             cold = client.submit("slice", workload="sort", scale=scale)
@@ -1715,7 +1711,7 @@ def run_service(
             queue_capacity=max(16, 2 * n),
             degrade=False,
         )
-        with AnalysisServer(config):
+        with AsyncAnalysisServer(config):
             with ServiceClient(config.address()) as client:
                 t0 = time.perf_counter()
                 for i in range(n):
@@ -1740,10 +1736,7 @@ def run_service(
          f"reference {ref_burst_s:.2f}s -> array {arr_burst_s:.2f}s, 6 jobs"]
     )
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        cpus = os.cpu_count() or 1
+    cpus = _usable_cpus()
     result.headline = {
         "worker_scaling": scaling,
         "scaled_workers": float(scaled_workers),
@@ -1794,7 +1787,7 @@ def run_router(
     from collections import Counter
 
     from ..service import (
-        AnalysisServer,
+        AsyncAnalysisServer,
         RouterConfig,
         RouterServer,
         ServiceClient,
@@ -1817,7 +1810,7 @@ def run_router(
     workloads = ("matmul", "sort", "hashloop", "rle", "bfs", "fsm")
 
     servers = [
-        AnalysisServer(
+        AsyncAnalysisServer(
             ServiceConfig(
                 socket_path=os.path.join(tmp, f"backend-{i}.sock"),
                 workers=workers,
@@ -1951,6 +1944,7 @@ def run_router(
         "stream_identical": float(stream_identical),
         "stream_frames": float(len(ops)),
         "router_cache_hit": float(cache_hit),
+        "usable_cpus": float(_usable_cpus()),
     }
     return result
 
@@ -1993,6 +1987,16 @@ def run_experiment(name: str) -> ExperimentResult:
     result = runner()
     result.wall_time_s = time.perf_counter() - t0
     return result
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the regime wall-clock ratios need)."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux hosts
+        return os.cpu_count() or 1
 
 
 def _default_selection() -> list[str]:

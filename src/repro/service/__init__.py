@@ -19,12 +19,13 @@ require:
 * :mod:`pool` — the sharded worker-process pool: affinity routing by
   program hash with idle-steal, per-job deadlines with cancellation,
   crash detection and bounded respawn/backoff with one retry.
-* :mod:`server` / :mod:`client` — the accept loop + blocking client
-  (also reachable as ``repro serve`` / ``repro submit``).
-* :mod:`aserver` — the :mod:`asyncio` front door: one event loop,
-  coroutine per connection, streamed ``partial`` result frames
-  (``repro serve --async``); same :class:`~repro.service.server.ServiceCore`,
-  byte-identical terminal responses.
+* :mod:`server` — the daemon configuration and the transport-free
+  :class:`~repro.service.server.ServiceCore` (admission -> cache ->
+  pool dispatch, introspection).
+* :mod:`aserver` — the daemon itself, :mod:`asyncio`-based: one event
+  loop, coroutine per connection, streamed ``partial`` result frames
+  (``repro serve``).
+* :mod:`client` — the blocking client (``repro submit``).
 * :mod:`router` — the scale-out tier: consistent-hash sharding of job
   requests across N daemons by program identity, health mark-down/up,
   draining, crash rerouting with exactly-once partial relay, and a
@@ -36,7 +37,7 @@ and ``HEALTH`` requests expose the same snapshot over the wire.
 """
 
 from .admission import AdmissionController, AdmissionDecision
-from .aserver import AsyncAnalysisServer, make_server
+from .aserver import AsyncAnalysisServer
 from .cache import ResultCache
 from .client import (
     ServiceClient,
@@ -72,12 +73,11 @@ from .protocol import (
     send_frame,
 )
 from .router import HashRing, RouterConfig, RouterServer, routing_key
-from .server import AnalysisServer, ServiceConfig, ServiceCore
+from .server import ServiceConfig, ServiceCore
 
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "AnalysisServer",
     "AsyncAnalysisServer",
     "FIDELITY_LADDER",
     "FrameAssembler",
@@ -107,7 +107,6 @@ __all__ = [
     "execute_job",
     "execute_job_stream",
     "execute_job_traced",
-    "make_server",
     "program_key",
     "reassemble",
     "recv_frame",

@@ -1,17 +1,20 @@
-"""The asyncio front door: coroutine-per-connection, streamed results.
+"""The analysis daemon's front door: coroutine per connection, streamed results.
 
-:class:`AsyncAnalysisServer` is the second face of the daemon.  It
-wraps the same :class:`~repro.service.server.ServiceCore` (admission ->
-cache -> pool) as the threaded :class:`~repro.service.server.AnalysisServer`
-and speaks the identical length-prefixed frame protocol, but the accept
-side is one event loop instead of a thread per connection: a coroutine
-reads frames through a :class:`~repro.service.protocol.FrameAssembler`,
-control requests answer inline, and job requests hand off to the
-blocking :class:`~repro.service.pool.WorkerPool` and *await* completion
-without holding a thread.  The completion path is callback-shaped —
+:class:`AsyncAnalysisServer` is the DIFT-as-a-service daemon.  It owns
+a listening socket (Unix-domain by default, TCP when given a port) and
+wraps one :class:`~repro.service.server.ServiceCore` (admission ->
+cache -> pool).  The accept side is one event loop: a coroutine per
+connection reads length-prefixed frames through a
+:class:`~repro.service.protocol.FrameAssembler`, control requests
+(``stats`` / ``health`` / ``metrics`` / ``shutdown``) answer inline
+from live state, and job requests hand off to the blocking
+:class:`~repro.service.pool.WorkerPool` and *await* completion without
+holding a thread.  The completion path is callback-shaped —
 ``Job.done_cb`` pokes an :class:`asyncio.Event` through
 ``loop.call_soon_threadsafe`` — so hundreds of concurrent waiters cost
-hundreds of suspended coroutines, not hundreds of parked threads.
+hundreds of suspended coroutines, not hundreds of parked threads.  The
+wait is bounded by the job deadline plus a grace period, so a client
+is *never* left hanging even if the pool misbehaves.
 
 **Streaming.**  A job request carrying ``"stream": true`` receives
 incremental ``partial`` frames (``{"status": "partial", "seq": n,
@@ -29,9 +32,8 @@ exactly-once op stream.  A streamed exchange may legitimately carry
 ``status`` alone.
 
 The event loop runs in a daemon thread behind a synchronous
-``start()`` / ``stop()`` / context-manager facade, so the CLI, tests
-and the router drive both server flavors through one interface (the
-sync/async adapter seam).
+``start()`` / ``stop()`` / ``serve_forever()`` / context-manager
+facade, which is how the CLI, the tests and the experiments drive it.
 """
 
 from __future__ import annotations
@@ -273,8 +275,7 @@ class AsyncAnalysisServer:
                 loop.call_soon_threadsafe(queue.put_nowait, (seq, op))
 
         job = self.core.make_job(
-            prepared, trace_id, stream=stream,
-            partial_cb=partial_cb, done_cb=done_cb,
+            prepared, done_cb, trace_id, partial_cb=partial_cb
         )
         self.pool.submit(job)
 
@@ -321,7 +322,7 @@ class AsyncAnalysisServer:
             writer.write(encode({"status": STATUS_PARTIAL, "seq": seq, "op": op}))
             await writer.drain()
 
-    # -- introspection (parity with AnalysisServer) --------------------------
+    # -- introspection -------------------------------------------------------
     def health(self) -> dict:
         return self.core.health()
 
@@ -332,19 +333,4 @@ class AsyncAnalysisServer:
         return self.core.metrics(dump=dump)
 
 
-def make_server(config: ServiceConfig, registry: MetricsRegistry | None = None,
-                use_async: bool | None = None):
-    """Build the configured server flavor (the CLI's one switch).
-
-    ``use_async=None`` defers to :func:`repro.fastpath.service_async_enabled`
-    (the ``REPRO_SERVICE_ASYNC`` environment switch, default off).
-    """
-    from .. import fastpath
-    from .server import AnalysisServer
-
-    if fastpath.service_async_enabled(use_async):
-        return AsyncAnalysisServer(config, registry=registry)
-    return AnalysisServer(config, registry=registry)
-
-
-__all__ = ["AsyncAnalysisServer", "make_server"]
+__all__ = ["AsyncAnalysisServer"]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -75,6 +76,12 @@ WORKLOAD_FACTORIES = {
     "calls-p50": lambda s: call_heavy(2, iterations=48 * s, name="calls-p50"),
 }
 
+#: deepest container nesting accepted in ``params``.  Real params are
+#: at most three levels deep (``{"inputs": {"0": [1]}}``); a payload
+#: nested a few hundred levels deep still decodes, but cannot be
+#: pickled to a worker process.
+MAX_PARAMS_DEPTH = 16
+
 #: test-only kind that crashes/misbehaves inside the worker process so
 #: the pool's crash-recovery machinery can be exercised deterministically.
 #: Only admitted when the server was started with ``allow_chaos=True``.
@@ -106,6 +113,23 @@ class JobSpec:
         }
 
 
+def _nesting_depth(value) -> int:
+    """Container nesting depth of a decoded JSON value, measured level by
+    level (no recursion, so no recursion limit), stopping once it passes
+    :data:`MAX_PARAMS_DEPTH`."""
+    depth, level = 0, [value]
+    while depth <= MAX_PARAMS_DEPTH:
+        level = [v for v in level if isinstance(v, (dict, list))]
+        if not level:
+            break
+        depth += 1
+        level = [
+            child for node in level
+            for child in (node.values() if isinstance(node, dict) else node)
+        ]
+    return depth
+
+
 def resolve_spec(payload: dict, allow_chaos: bool = False) -> JobSpec:
     """Validate a request payload into a :class:`JobSpec`.
 
@@ -126,6 +150,9 @@ def resolve_spec(payload: dict, allow_chaos: bool = False) -> JobSpec:
         raise ProtocolError(f"kind {kind!r} has no fidelity {fidelity!r} (ladder {ladder})")
     workload = payload.get("workload")
     source = payload.get("source")
+    for name, value in (("workload", workload), ("source", source)):
+        if value is not None and not isinstance(value, str):
+            raise ProtocolError(f"{name!r} must be a string")
     if kind != CHAOS_KIND:
         if (workload is None) == (source is None):
             raise ProtocolError("exactly one of 'workload' or 'source' is required")
@@ -140,9 +167,13 @@ def resolve_spec(payload: dict, allow_chaos: bool = False) -> JobSpec:
     params = payload.get("params") or {}
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be a JSON object")
+    if _nesting_depth(params) > MAX_PARAMS_DEPTH:
+        raise ProtocolError(f"'params' nested deeper than {MAX_PARAMS_DEPTH} levels")
     deadline = payload.get("deadline_s")
-    if deadline is not None and (not isinstance(deadline, (int, float)) or deadline <= 0):
-        raise ProtocolError("'deadline_s' must be a positive number")
+    if deadline is not None and (
+        not isinstance(deadline, (int, float)) or not 0 < deadline < math.inf
+    ):
+        raise ProtocolError("'deadline_s' must be a positive finite number")
     return JobSpec(
         kind=kind,
         fidelity=fidelity,

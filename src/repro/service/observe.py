@@ -1,7 +1,7 @@
 """Per-daemon observability: trace spans, flight ring, metrics sampler.
 
-One :class:`ServiceObservability` is owned by one
-:class:`~repro.service.server.AnalysisServer` and shared (by reference)
+One :class:`ServiceObservability` is owned by one daemon's
+:class:`~repro.service.server.ServiceCore` and shared (by reference)
 with its :class:`~repro.service.pool.WorkerPool`.  It bundles the three
 tentpole pieces behind a single seam:
 

@@ -22,7 +22,7 @@ server-side *slot thread* that feeds it jobs and babysits it:
   deaths is declared dead and its queue re-routed; the counter resets
   on any successful job.
 
-The pool never hangs a caller: every submitted job's ``event`` is set
+The pool never hangs a caller: every submitted job's ``done_cb`` fires
 exactly once, with ``ok`` / ``error`` / ``timeout``, even across
 worker death and pool shutdown.
 """
@@ -101,7 +101,7 @@ def _worker_main(conn) -> None:
 
 
 class Job:
-    """One admitted job: spec + completion state the server waits on."""
+    """One admitted job: spec + completion state the server awaits."""
 
     _ids = itertools.count(1)
 
@@ -127,8 +127,8 @@ class Job:
         self.partial_cb = None
         self.partial_seq = 0
         self.partials_delivered = 0
-        #: invoked (on the finishing thread) right after ``event`` is
-        #: set — the async server's loop-wakeup seam.
+        #: invoked (on the finishing thread) once the job is finished —
+        #: the single completion signal, the server's loop-wakeup seam.
         self.done_cb = None
         now = time.monotonic()
         self.t_submit = now
@@ -141,14 +141,12 @@ class Job:
         self.status: str | None = None
         self.result: dict | None = None
         self.error = ""
-        self.event = threading.Event()
 
     def finish(self, status: str, result: dict | None = None, error: str = "") -> None:
         self.t_done = time.monotonic()
         self.status = status
         self.result = result
         self.error = error
-        self.event.set()
         callback = self.done_cb
         if callback is not None:
             try:

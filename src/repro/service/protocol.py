@@ -23,8 +23,8 @@ Response ``status`` values:
 ``error``       the job failed (bad spec, compile error, worker crash
                 after retry); ``error`` holds a one-line message
 ``partial``     one incremental frame of a streamed job (``stream:
-                true`` requests against the async server); carries an
-                ``op`` to fold into the result under construction.
+                true`` requests); carries an ``op`` to fold into
+                the result under construction.
                 The terminal frame of a streamed job is a normal
                 ``ok``/``degraded``/... frame, byte-identical to the
                 blocking response
@@ -80,6 +80,27 @@ def encode(obj) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
+def _decode_payload(payload: bytes):
+    """Decode one frame's payload: the one place both parsers turn bytes
+    into objects, so every malformed payload is a :class:`ProtocolError`.
+
+    ``json.loads`` recurses once per nesting level, so a payload such
+    as ``b"[" * 200000`` exhausts the interpreter's recursion limit
+    before it can be rejected as JSON; that is a malformed frame too.
+    So is ``null``: both parsers return None for "no frame" (clean EOF,
+    incomplete buffer), and no request or response is ever null.
+    """
+    try:
+        obj = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"undecodable frame: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("undecodable frame: JSON nested too deeply") from None
+    if obj is None:
+        raise ProtocolError("null frame")
+    return obj
+
+
 def send_frame(sock: socket.socket, obj) -> None:
     sock.sendall(encode(obj))
 
@@ -113,21 +134,19 @@ def recv_frame(sock: socket.socket):
     payload = _recv_exact(sock, length)
     if payload is None:
         raise ProtocolError("connection closed between header and payload")
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame: {exc}") from None
+    return _decode_payload(payload)
 
 
 class FrameAssembler:
     """Transport-free incremental frame parser.
 
-    Feed it raw bytes from *any* source — a socket the threaded server
-    polls, an :mod:`asyncio` stream the async front door reads, a
-    router's backend connection — and pull decoded frames out.  This is
-    the single place header parsing and payload decoding happen, so
-    every transport shares one set of :class:`ProtocolError` messages
-    (a corrupt header can never surface as a raw ``struct.error``).
+    Feed it raw bytes from *any* source — an :mod:`asyncio` stream the
+    daemon or the router reads, a router's backend connection — and
+    pull decoded frames out.  It shares :func:`_decode_payload` with
+    :func:`recv_frame`, so every transport raises one set of
+    :class:`ProtocolError` messages (a corrupt header can never surface
+    as a raw ``struct.error``, nor a deeply nested payload as a
+    ``RecursionError``).
     """
 
     def __init__(self):
@@ -159,53 +178,8 @@ class FrameAssembler:
             return None
         payload = bytes(buf[_LEN.size : end])
         del buf[:end]
-        try:
-            return json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"undecodable frame: {exc}") from None
+        return _decode_payload(payload)
 
-
-#: FrameReader.poll verdicts.
-FRAME = "frame"
-PENDING = "pending"
-EOF = "eof"
-
-
-class FrameReader:
-    """Incremental frame reader that survives read timeouts.
-
-    The server polls client sockets with a short timeout so handler
-    threads can notice shutdown; a plain blocking ``recv_frame`` would
-    lose already-consumed bytes when that timeout fires mid-frame.
-    This reader buffers partial frames across polls instead.
-    """
-
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self._assembler = FrameAssembler()
-
-    def poll(self, timeout_s: float):
-        """Try to read one frame; returns (FRAME, obj) | (PENDING, None)
-        | (EOF, None).  Raises ProtocolError on malformed input."""
-        frame = self._assembler.next_frame()
-        if frame is not None:
-            return FRAME, frame
-        self._sock.settimeout(timeout_s)
-        try:
-            chunk = self._sock.recv(1 << 16)
-        except socket.timeout:
-            return PENDING, None
-        finally:
-            self._sock.settimeout(None)
-        if not chunk:
-            if self._assembler.pending_bytes:
-                raise ProtocolError("connection closed mid-frame")
-            return EOF, None
-        self._assembler.feed(chunk)
-        frame = self._assembler.next_frame()
-        if frame is None:
-            return PENDING, None
-        return FRAME, frame
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +226,7 @@ def apply_stream_op(result: dict, op: dict) -> dict:
 def reassemble(ops: list) -> dict:
     """Fold a streamed job's partial ops into the full result dict.
 
-    The async server guarantees the reassembly of every partial op
+    The daemon guarantees the reassembly of every partial op
     equals the terminal frame's ``result`` byte for byte.
     """
     result: dict = {}
@@ -262,12 +236,8 @@ def reassemble(ops: list) -> dict:
 
 
 __all__ = [
-    "EOF",
-    "FRAME",
     "FrameAssembler",
-    "FrameReader",
     "MAX_FRAME_BYTES",
-    "PENDING",
     "ProtocolError",
     "RESULT_STATUSES",
     "STATUS_DEGRADED",

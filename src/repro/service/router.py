@@ -539,7 +539,7 @@ class RouterServer:
 
     def _set_drain(self, request: dict, draining: bool) -> dict:
         address = request.get("backend")
-        backend = self.backends.get(address)
+        backend = self.backends.get(address) if isinstance(address, str) else None
         if backend is None:
             return {
                 "status": STATUS_ERROR,

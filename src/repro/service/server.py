@@ -1,65 +1,41 @@
-"""The analysis daemon: accept loop, admission, dispatch, responses.
+"""The analysis daemon's core: configuration, admission, dispatch.
 
-The transport-independent heart of the daemon lives in
-:class:`ServiceCore`: admission -> cache -> pool dispatch, plus the
-health/stats/metrics introspection bodies.  Two front doors wrap one
-core — the threaded :class:`AnalysisServer` here (handler thread per
-connection, blocking waits) and the event-loop
-:class:`~repro.service.aserver.AsyncAnalysisServer` (coroutine per
-connection, streamed partial results).  Both speak the identical frame
-protocol against the identical pool; the core is the seam that keeps
-their responses byte-identical.
+:class:`ServiceCore` is the transport-independent heart of the daemon:
+admission -> cache -> pool dispatch, plus the health/stats/metrics
+introspection bodies.  The front door,
+:class:`~repro.service.aserver.AsyncAnalysisServer`, owns the listening
+socket and one coroutine per connection; it calls the core around its
+own waiting primitive, so the job pipeline stays apart from the
+transport.
 
-One :class:`AnalysisServer` owns a listening socket (Unix-domain by
-default, TCP when given a port), an :class:`~repro.service.admission.AdmissionController`,
-a :class:`~repro.service.cache.ResultCache` and a
-:class:`~repro.service.pool.WorkerPool`.  Each client connection gets
-a handler thread that reads framed requests in lockstep:
-
-* control requests (``stats`` / ``health`` / ``shutdown``) are
-  answered inline from live state;
-* job requests flow admission -> cache -> pool, and the handler blocks
-  on the job's completion event (bounded by the job deadline plus a
-  grace period, so a client is *never* left hanging even if the pool
-  misbehaves).
-
-Every stage stamps ``service.*`` telemetry into the server's live
+Every stage stamps ``service.*`` telemetry into the core's live
 :class:`~repro.telemetry.MetricsRegistry`; ``stats`` serializes the
 same snapshot a ``--report`` run would.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import socket
-import threading
 import time
 from dataclasses import dataclass, field
 
 from .. import fastpath
 from ..telemetry import MetricsRegistry
-from ..telemetry.obs import latency_summary, new_trace_id, render_prometheus, wall_now_us
+from ..telemetry.obs import latency_summary, render_prometheus, wall_now_us
 from .admission import ACTION_ADMIT, AdmissionController
 from .cache import ResultCache
 from .jobs import JobSpec, cache_key, resolve_spec
 from .observe import NULL_OBSERVABILITY, ServiceObservability
 from .pool import Job, WorkerPool
 from .protocol import (
-    EOF,
-    FRAME,
-    FrameReader,
-    ProtocolError,
     STATUS_DEGRADED,
     STATUS_ERROR,
     STATUS_OK,
-    STATUS_PARTIAL,
     STATUS_REJECTED,
-    send_frame,
 )
 
-#: extra seconds a handler waits past a job's deadline before declaring
-#: the pool lost (belt and braces: the pool itself enforces deadlines).
+#: extra seconds the front door waits past a job's deadline before
+#: declaring the pool lost (belt and braces: the pool itself enforces
+#: deadlines).
 _GRACE_S = 10.0
 
 #: fallback deadline for jobs that don't carry one.
@@ -109,7 +85,7 @@ class PreparedJob:
 
     @property
     def grace_deadline_s(self) -> float:
-        """How long a front door may wait before declaring the job lost."""
+        """How long the front door may wait before declaring the job lost."""
         return self.deadline_s + _GRACE_S
 
 
@@ -123,17 +99,15 @@ class ServiceCore:
     ``prepare(request)``
         runs admission and the cache probe; returns either a finished
         response (rejected, or cache hit) or a :class:`PreparedJob`.
-    ``make_job(prepared, ...)``
-        builds the pool :class:`~repro.service.pool.Job`, wiring
-        streaming/completion callbacks for async callers.
+    ``make_job(prepared, done_cb, ...)``
+        builds the pool :class:`~repro.service.pool.Job`, wiring the
+        completion callback and, for streamed jobs, the partial callback.
     ``finish(prepared, job)`` / ``lost_response()``
         folds the completed (or lost) job into the wire response,
         populating the cache on success.
 
-    The threaded server blocks on ``job.event`` between steps two and
-    three; the async server awaits an ``asyncio`` event poked by the
-    job's ``done_cb``.  Everything else — and therefore every response
-    byte — is shared.
+    The front door awaits an ``asyncio`` event poked by the job's
+    ``done_cb`` between steps two and three.
     """
 
     def __init__(self, config: ServiceConfig, registry: MetricsRegistry | None = None):
@@ -229,17 +203,16 @@ class ServiceCore:
         return None, PreparedJob(spec, key, degraded, decision.reason, deadline, t0)
 
     def make_job(
-        self, prepared: PreparedJob, trace_id: str = "",
-        stream: bool = False, partial_cb=None, done_cb=None,
+        self, prepared: PreparedJob, done_cb, trace_id: str = "", partial_cb=None,
     ) -> Job:
-        """Build the pool job, wiring streaming/completion callbacks."""
+        """Build the pool job; ``partial_cb`` set means a streamed job."""
         job = Job(prepared.spec, prepared.key, deadline_s=prepared.deadline_s)
         job.degraded = prepared.degraded
         job.degrade_reason = prepared.reason
         if trace_id:
             job.trace_id = trace_id
             job.payload["_trace"] = trace_id
-        if stream:
+        if partial_cb is not None:
             job.stream = True
             job.partial_cb = partial_cb
         job.done_cb = done_cb
@@ -323,209 +296,7 @@ class ServiceCore:
         return payload
 
 
-class AnalysisServer:
-    """The threaded DIFT-as-a-service daemon; see the module docstring."""
-
-    def __init__(self, config: ServiceConfig, registry: MetricsRegistry | None = None):
-        if (config.socket_path is None) == (config.port is None):
-            raise ValueError("configure exactly one of socket_path or port")
-        self.config = config
-        self.core = ServiceCore(config, registry=registry)
-        # Component attributes stay addressable on the server itself
-        # (tests and the CLI reach for server.pool / server.obs / ...).
-        self.registry = self.core.registry
-        self.admission = self.core.admission
-        self.cache = self.core.cache
-        self.obs = self.core.obs
-        self.pool = self.core.pool
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._conn_threads: list[threading.Thread] = []
-        self._running = False
-        self._shutdown_requested = threading.Event()
-
-    # -- lifecycle -----------------------------------------------------------
-    def start(self) -> "AnalysisServer":
-        """Bind, start the pool, and begin accepting (non-blocking)."""
-        config = self.config
-        if config.port is not None:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((config.host, config.port))
-            if config.port == 0:  # ephemeral: record what the OS picked
-                config.port = listener.getsockname()[1]
-        else:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(config.socket_path)
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(config.socket_path)
-        listener.listen(64)
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._running = True
-        self.core.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="service-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Block until :meth:`stop` or a ``shutdown`` request."""
-        if not self._running:
-            self.start()
-        try:
-            while self._running and not self._shutdown_requested.wait(timeout=0.2):
-                pass
-        finally:
-            self.stop()
-
-    def stop(self) -> None:
-        """Graceful shutdown: stop accepting, stop the pool, unlink."""
-        if not self._running:
-            return
-        self._running = False
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-        for thread in list(self._conn_threads):
-            thread.join(timeout=2.0)
-        self.core.stop()
-        if self.config.socket_path:
-            with contextlib.suppress(OSError):
-                os.unlink(self.config.socket_path)
-
-    def __enter__(self) -> "AnalysisServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- accept/handler threads ----------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            thread = threading.Thread(
-                target=self._handle_connection, args=(conn,), daemon=True
-            )
-            self._conn_threads.append(thread)
-            thread.start()
-            self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
-
-    def _handle_connection(self, conn: socket.socket) -> None:
-        reader = FrameReader(conn)
-        with contextlib.closing(conn):
-            while self._running:
-                try:
-                    state, request = reader.poll(timeout_s=0.5)
-                    if state == EOF:
-                        return  # client closed cleanly
-                    if state != FRAME:
-                        continue  # idle poll tick; partial frames are buffered
-                    response = self._dispatch(request, conn)
-                    send_frame(conn, response)
-                    if isinstance(request, dict) and request.get("kind") == "shutdown":
-                        self._shutdown_requested.set()
-                        return
-                except ProtocolError as exc:
-                    with contextlib.suppress(OSError):
-                        send_frame(conn, {"status": STATUS_ERROR, "error": str(exc)})
-                    return
-                except OSError:
-                    return
-
-    # -- request dispatch ----------------------------------------------------
-    def _dispatch(self, request, conn: socket.socket | None = None) -> dict:
-        if not isinstance(request, dict):
-            raise ProtocolError("request must be a JSON object")
-        kind = request.get("kind")
-        if kind == "stats":
-            return {"status": STATUS_OK, "stats": self.stats()}
-        if kind == "health":
-            return {"status": STATUS_OK, "health": self.health()}
-        if kind == "metrics":
-            return {
-                "status": STATUS_OK,
-                "metrics": self.metrics(dump=bool(request.get("dump"))),
-            }
-        if kind == "shutdown":
-            return {"status": STATUS_OK, "shutting_down": True}
-        return self._dispatch_job(request, conn)
-
-    def _dispatch_job(self, request: dict, conn: socket.socket | None = None) -> dict:
-        w0 = wall_now_us()
-        # Per-job tracing is request opt-in ("trace": true) *and* gated
-        # on the daemon's observability seam; trace keys are transport
-        # metadata resolve_spec ignores, so cache keys never see them.
-        want_trace = bool(request.get("trace")) and self.obs.enabled
-        trace_id = ""
-        if want_trace:
-            trace_id = str(request.get("trace_id") or "") or new_trace_id()
-        stream = bool(request.get("stream")) and conn is not None
-        response, worker_events = self._admit_and_run(request, trace_id, stream, conn)
-        if want_trace:
-            self.obs.span_at(
-                "server.handle", w0, wall_now_us() - w0,
-                trace_id=trace_id, status=response.get("status"),
-            )
-            response["trace"] = {
-                "trace_id": trace_id,
-                "events": self.obs.trace_events(trace_id) + list(worker_events),
-            }
-        return response
-
-    def _admit_and_run(
-        self, request: dict, trace_id: str,
-        stream: bool = False, conn: socket.socket | None = None,
-    ) -> tuple[dict, list]:
-        response, prepared = self.core.prepare(request, trace_id)
-        if response is not None:
-            return response, []
-        # Streamed partials are written by the pool slot thread, which
-        # emits every partial strictly before it sets the completion
-        # event the handler thread is parked on — so partial frames and
-        # the terminal frame never interleave on the socket.  seq
-        # restarts per crash-retry attempt; dropping seq <= last-seen
-        # keeps the client's op stream exactly-once (the retried prefix
-        # is a byte-identical replay).
-        partial_cb = None
-        if stream:
-            state = {"last_seq": 0}
-
-            def partial_cb(seq: int, op: dict) -> None:
-                if seq <= state["last_seq"]:
-                    return
-                state["last_seq"] = seq
-                send_frame(conn, {"status": STATUS_PARTIAL, "seq": seq, "op": op})
-
-        job = self.core.make_job(prepared, trace_id, stream=stream, partial_cb=partial_cb)
-        self.pool.submit(job)
-        if not job.event.wait(timeout=prepared.grace_deadline_s):
-            # The pool should have timed the job out itself; this is the
-            # handler's own never-hang guarantee.
-            return self.core.lost_response(), []
-        return self.core.finish(prepared, job), job.worker_events
-
-    # -- introspection -------------------------------------------------------
-    def health(self) -> dict:
-        return self.core.health()
-
-    def stats(self) -> dict:
-        return self.core.stats()
-
-    def metrics(self, dump: bool = False) -> dict:
-        return self.core.metrics(dump=dump)
-
-
 __all__ = [
-    "AnalysisServer",
     "DEFAULT_DEADLINE_S",
     "PreparedJob",
     "ServiceConfig",

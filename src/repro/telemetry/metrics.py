@@ -18,11 +18,11 @@ pays one attribute load, no allocation, and never perturbs the
 deterministic cycle model (telemetry never calls ``add_overhead``).
 
 **Thread safety.**  The analysis service mutates one live registry from
-many handler threads at once, so every *mutator* is atomic: each
-instrument owns a private lock taken around its read-modify-write
-(``inc`` / ``set_max`` / ``observe``; plain ``set`` is a single store
-but takes it too for uniformity), and the registry takes a registry-wide
-lock around instrument creation, so two threads racing
+its event loop and many pool threads at once, so every *mutator* is
+atomic: each instrument owns a private lock taken around its
+read-modify-write (``inc`` / ``set_max`` / ``observe``; plain ``set``
+is a single store but takes it too for uniformity), and the registry
+takes a registry-wide lock around instrument creation, so two threads racing
 ``registry.counter(name)`` always receive the same object.  *Reads* are
 deliberately lock-free: ``value`` is one attribute load (atomic in
 CPython), and snapshot methods (``as_dict`` / ``flat``) hold only the

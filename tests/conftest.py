@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import itertools
+
 import pytest
 
 from repro.lang import compile_source
@@ -34,3 +36,29 @@ def runner_for(src, inputs=None, scheduler_factory=None, max_instructions=2_000_
 @pytest.fixture
 def minic():
     return compile_and_run
+
+
+@pytest.fixture
+def server_factory(tmp_path):
+    """Start analysis daemons, all stopped at teardown.
+
+    ``server_factory(**config)`` takes :class:`~repro.service.ServiceConfig`
+    fields; without a ``port`` it binds a fresh Unix socket under
+    ``tmp_path``, and flight-recorder dumps land in ``tmp_path / "obs"``.
+    """
+    from repro.service import AsyncAnalysisServer, ServiceConfig
+
+    servers = []
+    counter = itertools.count(1)
+
+    def start(**kwargs) -> AsyncAnalysisServer:
+        if "port" not in kwargs:
+            kwargs.setdefault("socket_path", str(tmp_path / f"svc{next(counter)}.sock"))
+        kwargs.setdefault("obs_dir", str(tmp_path / "obs"))
+        server = AsyncAnalysisServer(ServiceConfig(**kwargs)).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.stop()

@@ -18,12 +18,9 @@ import threading
 import pytest
 
 from repro.service import (
-    AsyncAnalysisServer,
     ServiceClient,
-    ServiceConfig,
     ServiceError,
     ServiceProtocolError,
-    make_server,
     wait_until_ready,
 )
 from repro.service.protocol import (
@@ -41,25 +38,6 @@ from repro.service.protocol import (
 
 def canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-@pytest.fixture
-def aserver_factory(tmp_path):
-    """Start async servers on tmp Unix sockets; all stopped at teardown."""
-    servers = []
-    counter = [0]
-
-    def start(**kwargs) -> AsyncAnalysisServer:
-        counter[0] += 1
-        if "port" not in kwargs:
-            kwargs.setdefault("socket_path", str(tmp_path / f"async{counter[0]}.sock"))
-        server = AsyncAnalysisServer(ServiceConfig(**kwargs)).start()
-        servers.append(server)
-        return server
-
-    yield start
-    for server in servers:
-        server.stop()
 
 
 def stream_exchange(address: str, request: dict) -> tuple[list, dict]:
@@ -168,8 +146,8 @@ ALL_COMBOS = [
 
 
 class TestAsyncServer:
-    def test_control_verbs_and_ready(self, aserver_factory):
-        server = aserver_factory(workers=1)
+    def test_control_verbs_and_ready(self, server_factory):
+        server = server_factory(workers=1)
         health = wait_until_ready(server.config.socket_path)
         assert health["ok"] and health["workers_alive"] == 1
         with ServiceClient(server.config.socket_path) as client:
@@ -180,8 +158,8 @@ class TestAsyncServer:
             assert metrics["summary"]["reject_rate"] == 0.0
 
     @pytest.mark.parametrize("kind,fidelity", ALL_COMBOS)
-    def test_streamed_equals_blocking_bit_for_bit(self, aserver_factory, kind, fidelity):
-        server = aserver_factory(workers=1)
+    def test_streamed_equals_blocking_bit_for_bit(self, server_factory, kind, fidelity):
+        server = server_factory(workers=1)
         address = server.config.socket_path
         request = {"kind": kind, "fidelity": fidelity, "workload": "matmul",
                    "cache": False}
@@ -198,8 +176,8 @@ class TestAsyncServer:
         rebuilt = reassemble([p["op"] for p in partials])
         assert canonical(rebuilt) == canonical(terminal["result"])
 
-    def test_streamed_cache_hit_has_no_partials(self, aserver_factory):
-        server = aserver_factory(workers=1)
+    def test_streamed_cache_hit_has_no_partials(self, server_factory):
+        server = server_factory(workers=1)
         address = server.config.socket_path
         request = {"kind": "slice", "workload": "sort"}
         _, cold = stream_exchange(address, request)
@@ -207,8 +185,8 @@ class TestAsyncServer:
         assert warm["cached"] and not partials
         assert canonical(warm["result"]) == canonical(cold["result"])
 
-    def test_submit_stream_client_api(self, aserver_factory):
-        server = aserver_factory(workers=1)
+    def test_submit_stream_client_api(self, server_factory):
+        server = server_factory(workers=1)
         seen = []
         with ServiceClient(server.config.socket_path) as client:
             response, ops = client.submit_stream(
@@ -219,12 +197,12 @@ class TestAsyncServer:
         assert seen == list(range(1, len(ops) + 1))
         assert canonical(reassemble(ops)) == canonical(response["result"])
 
-    def test_crash_retry_stream_is_exactly_once(self, aserver_factory, tmp_path):
+    def test_crash_retry_stream_is_exactly_once(self, server_factory, tmp_path):
         """A worker crash mid-stream must not duplicate or reorder ops:
         the retry replays seq from 1 and the server drops the replayed
         prefix, so the client still sees a contiguous exactly-once
         stream whose reassembly equals the terminal result."""
-        server = aserver_factory(workers=1, allow_chaos=True)
+        server = server_factory(workers=1, allow_chaos=True)
         flag = str(tmp_path / "crash.flag")
         partials, terminal = stream_exchange(
             server.config.socket_path,
@@ -240,8 +218,8 @@ class TestAsyncServer:
         )
         assert server.registry.flat().get("aserver.stream.duplicates_dropped", 0) >= 1
 
-    def test_many_concurrent_blocking_clients(self, aserver_factory):
-        server = aserver_factory(workers=2, queue_capacity=64)
+    def test_many_concurrent_blocking_clients(self, server_factory):
+        server = server_factory(workers=2, queue_capacity=64)
         address = server.config.socket_path
         results, errors = [], []
 
@@ -264,8 +242,8 @@ class TestAsyncServer:
         flat = server.registry.flat()
         assert flat["aserver.connections"] >= 32
 
-    def test_tcp_transport(self, aserver_factory):
-        server = aserver_factory(port=0, workers=1)
+    def test_tcp_transport(self, server_factory):
+        server = server_factory(port=0, workers=1)
         address = f"tcp://127.0.0.1:{server.config.port}"
         wait_until_ready(address)
         with ServiceClient(address) as client:
@@ -273,28 +251,14 @@ class TestAsyncServer:
                                      cache=False)
         assert response["status"] == "ok"
 
-    def test_shutdown_verb_stops_serve_forever(self, aserver_factory):
-        server = aserver_factory(workers=1)
+    def test_shutdown_verb_stops_serve_forever(self, server_factory):
+        server = server_factory(workers=1)
         waiter = threading.Thread(target=server.serve_forever, daemon=True)
         waiter.start()
         with ServiceClient(server.config.socket_path) as client:
             assert client.shutdown()["shutting_down"] is True
         waiter.join(timeout=15.0)
         assert not waiter.is_alive()
-
-
-class TestMakeServer:
-    def test_explicit_flag_wins(self, tmp_path):
-        config = ServiceConfig(socket_path=str(tmp_path / "a.sock"))
-        assert isinstance(make_server(config, use_async=True), AsyncAnalysisServer)
-        assert not isinstance(make_server(config, use_async=False), AsyncAnalysisServer)
-
-    def test_env_default(self, tmp_path, monkeypatch):
-        config = ServiceConfig(socket_path=str(tmp_path / "b.sock"))
-        monkeypatch.delenv("REPRO_SERVICE_ASYNC", raising=False)
-        assert not isinstance(make_server(config), AsyncAnalysisServer)
-        monkeypatch.setenv("REPRO_SERVICE_ASYNC", "1")
-        assert isinstance(make_server(config), AsyncAnalysisServer)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +309,15 @@ class TestProtocolErrorNormalization:
         _BrokenServer(path, b"").start()
         client = ServiceClient(path, timeout_s=5.0)
         with pytest.raises(ServiceProtocolError, match="mid-request"):
+            client.submit("trace", workload="matmul")
+
+    def test_deeply_nested_response_is_typed(self, tmp_path):
+        # Used to escape the client as a bare RecursionError.
+        path = str(tmp_path / "deep.sock")
+        nested = b"[" * 200_000
+        _BrokenServer(path, struct.pack(">I", len(nested)) + nested).start()
+        client = ServiceClient(path, timeout_s=5.0)
+        with pytest.raises(ServiceProtocolError, match="nested too deeply"):
             client.submit("trace", workload="matmul")
 
     def test_typed_error_is_still_a_service_error(self):

@@ -190,17 +190,14 @@ class TestServiceVerbs:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot connect")
 
-    def test_serve_submit_roundtrip(self, tmp_path, capsys):
+    def test_serve_submit_roundtrip(self, server_factory, capsys):
         """In-process daemon + CLI submit: the CI smoke job's core path."""
         import json
 
-        from repro.service import AnalysisServer, ServiceConfig
-
-        config = ServiceConfig(socket_path=str(tmp_path / "cli.sock"), workers=1)
-        with AnalysisServer(config):
-            code = main(["submit", "trace", "--connect", config.address(),
-                         "--workload", "matmul", "--fidelity", "log"])
-            out = capsys.readouterr().out
+        server = server_factory(workers=1)
+        code = main(["submit", "trace", "--connect", server.config.address(),
+                     "--workload", "matmul", "--fidelity", "log"])
+        out = capsys.readouterr().out
         assert code == 0
         response = json.loads(out)
         assert response["status"] == "ok"

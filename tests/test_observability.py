@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.service import AnalysisServer, ServiceClient, ServiceConfig
+from repro.service import ServiceClient
 from repro.service.observe import NULL_OBSERVABILITY, ServiceObservability
 from repro.telemetry import MetricsRegistry, validate_chrome_trace
 from repro.telemetry.obs import (
@@ -33,25 +33,6 @@ from repro.telemetry.obs import (
     span_event,
     wall_now_us,
 )
-
-
-@pytest.fixture
-def server_factory(tmp_path):
-    """Start servers on tmp Unix sockets; all stopped at teardown."""
-    servers = []
-    counter = [0]
-
-    def start(**kwargs) -> AnalysisServer:
-        counter[0] += 1
-        kwargs.setdefault("socket_path", str(tmp_path / f"svc{counter[0]}.sock"))
-        kwargs.setdefault("obs_dir", str(tmp_path / "obs"))
-        server = AnalysisServer(ServiceConfig(**kwargs)).start()
-        servers.append(server)
-        return server
-
-    yield start
-    for server in servers:
-        server.stop()
 
 
 # ---------------------------------------------------------------------------

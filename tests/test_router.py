@@ -22,12 +22,10 @@ import time
 import pytest
 
 from repro.service import (
-    AnalysisServer,
     HashRing,
     RouterConfig,
     RouterServer,
     ServiceClient,
-    ServiceConfig,
     execute_job_stream,
     reassemble,
     recv_frame,
@@ -139,24 +137,6 @@ class TestHashRing:
 # ---------------------------------------------------------------------------
 # Fixtures: real backends, fake backends, routers
 # ---------------------------------------------------------------------------
-@pytest.fixture
-def backend_factory(tmp_path):
-    servers = []
-    counter = [0]
-
-    def start(**kwargs) -> str:
-        counter[0] += 1
-        kwargs.setdefault("socket_path", str(tmp_path / f"be{counter[0]}.sock"))
-        kwargs.setdefault("workers", 1)
-        server = AnalysisServer(ServiceConfig(**kwargs)).start()
-        servers.append(server)
-        return server
-
-    yield start
-    for server in servers:
-        server.stop()
-
-
 @pytest.fixture
 def router_factory(tmp_path):
     routers = []
@@ -272,8 +252,8 @@ class TestRouterIntegration:
             RouterServer(RouterConfig(backends=["x.sock"],
                                       socket_path=str(tmp_path / "r.sock"), port=0))
 
-    def test_relays_jobs_and_health_reports_role(self, backend_factory, router_factory):
-        backends = [backend_factory().config.socket_path for _ in range(2)]
+    def test_relays_jobs_and_health_reports_role(self, server_factory, router_factory):
+        backends = [server_factory(workers=1).config.socket_path for _ in range(2)]
         router = router_factory(backends)
         address = router.config.socket_path
         health = wait_until_ready(address)
@@ -289,8 +269,8 @@ class TestRouterIntegration:
             summary = client.metrics()["summary"]
             assert summary["jobs_received"] >= 2
 
-    def test_placement_sticks_to_one_backend(self, backend_factory, router_factory):
-        backends = [backend_factory().config.socket_path for _ in range(3)]
+    def test_placement_sticks_to_one_backend(self, server_factory, router_factory):
+        backends = [server_factory(workers=1).config.socket_path for _ in range(3)]
         router = router_factory(backends)
         with ServiceClient(router.config.socket_path) as client:
             for _ in range(4):
@@ -302,8 +282,8 @@ class TestRouterIntegration:
             }
         assert sorted(per_backend.values()) == [0, 0, 4], per_backend
 
-    def test_streamed_relay_is_bit_identical(self, backend_factory, router_factory):
-        backend = backend_factory()
+    def test_streamed_relay_is_bit_identical(self, server_factory, router_factory):
+        backend = server_factory(workers=1)
         router = router_factory([backend.config.socket_path])
         with ServiceClient(backend.config.socket_path) as direct:
             blocking = direct.submit("slice", workload="matmul", cache=False)
@@ -316,8 +296,8 @@ class TestRouterIntegration:
         assert canonical(reassemble(ops)) == canonical(response["result"])
         assert router.registry.flat()["router.stream.frames"] == len(ops)
 
-    def test_router_cache_skips_the_backend(self, backend_factory, router_factory):
-        backend = backend_factory()
+    def test_router_cache_skips_the_backend(self, server_factory, router_factory):
+        backend = server_factory(workers=1)
         router = router_factory([backend.config.socket_path])
         with ServiceClient(router.config.socket_path) as client:
             cold = client.submit("attack", workload="fsm")
@@ -332,9 +312,9 @@ class TestRouterIntegration:
         assert router.registry.flat()["router.cache.hits"] == 1
 
     def test_drain_diverts_new_jobs_and_undrain_restores(
-        self, backend_factory, router_factory
+        self, server_factory, router_factory
     ):
-        backends = [backend_factory().config.socket_path for _ in range(2)]
+        backends = [server_factory(workers=1).config.socket_path for _ in range(2)]
         router = router_factory(backends)
         with ServiceClient(router.config.socket_path) as client:
             workload = pick_workload_for(backends, backends[0],
@@ -358,9 +338,9 @@ class TestRouterIntegration:
         assert "router.backend.undrain" in events
 
     def test_all_backends_drained_means_unroutable(
-        self, backend_factory, router_factory
+        self, server_factory, router_factory
     ):
-        backend = backend_factory()
+        backend = server_factory(workers=1)
         router = router_factory([backend.config.socket_path])
         with ServiceClient(router.config.socket_path) as client:
             client.request({"kind": "drain",
@@ -371,12 +351,12 @@ class TestRouterIntegration:
         assert "no healthy backend" in response["error"]
         assert router.registry.flat()["router.jobs.unroutable"] == 1
 
-    def test_markdown_markup_cycle(self, backend_factory, router_factory, tmp_path):
+    def test_markdown_markup_cycle(self, server_factory, router_factory):
         """Stopping a backend flips it down (flight event, probes) and
         jobs reroute; a fresh daemon on the same socket flips it up."""
-        victim = backend_factory()
+        victim = server_factory(workers=1)
         victim_path = victim.config.socket_path
-        survivor = backend_factory()
+        survivor = server_factory(workers=1)
         router = router_factory([victim_path, survivor.config.socket_path],
                                 down_after=2)
         victim.stop()
@@ -394,21 +374,17 @@ class TestRouterIntegration:
             response = client.submit("trace", workload="bfs",
                                      fidelity="log", cache=False)
             assert response["status"] == "ok", response
-        AnalysisServer(ServiceConfig(socket_path=victim_path, workers=1)).start()
-        try:
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if router.health()["backends_routable"] == 2:
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("restarted backend never marked back up")
-            assert "router.backend.up" in [
-                e["kind"] for e in router.obs.flight.snapshot()
-            ]
-        finally:
-            with ServiceClient(victim_path) as client:
-                client.shutdown()
+        server_factory(socket_path=victim_path, workers=1)
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            if router.health()["backends_routable"] == 2:
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("restarted backend never marked back up")
+        assert "router.backend.up" in [
+            e["kind"] for e in router.obs.flight.snapshot()
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +392,14 @@ class TestRouterIntegration:
 # ---------------------------------------------------------------------------
 class TestRouterChaos:
     def test_crash_mid_stream_reroutes_exactly_once(
-        self, backend_factory, router_factory, tmp_path
+        self, server_factory, router_factory, tmp_path
     ):
         """The flaky backend streams the TRUE first 3 ops, then dies.
         The replacement replays from seq 1; the router's monotone relay
         cursor drops the replayed prefix, so the client's op stream is
         gap-free, duplicate-free, and reassembles to the terminal
         result byte for byte."""
-        real = backend_factory()
+        real = server_factory(workers=1)
         flaky_path = str(tmp_path / "flaky.sock")
 
         def crash_after_three(conn, request):
@@ -496,11 +472,11 @@ class TestRouterChaos:
         assert router.registry.flat()["router.backpressure.signals"] >= 1
 
     def test_hung_backend_is_never_routable(
-        self, backend_factory, router_factory, tmp_path
+        self, server_factory, router_factory, tmp_path
     ):
         """The hang variant: a backend that accepts but never answers
         must fail its probes by timeout and never attract jobs."""
-        real = backend_factory()
+        real = server_factory(workers=1)
         hung_path = str(tmp_path / "hung.sock")
         hung = FakeBackend(hung_path, silent=True)
         router = router_factory([hung_path, real.config.socket_path],

@@ -2,7 +2,7 @@
 
 Unit layers (protocol framing, admission policy, result cache, job
 specs) are tested in-process; the integration layers stand up a real
-:class:`~repro.service.AnalysisServer` on a Unix socket (one test uses
+:class:`~repro.service.AsyncAnalysisServer` on a Unix socket (one test uses
 TCP) with real worker processes, exercising every job kind, concurrent
 clients, queue-full shedding, worker crash recovery, deadlines and
 cache idempotency.  Chaos jobs (crash/hang injection, gated behind
@@ -18,7 +18,7 @@ import pytest
 
 from repro.service import (
     AdmissionController,
-    AnalysisServer,
+    AsyncAnalysisServer,
     ResultCache,
     ServiceClient,
     ServiceConfig,
@@ -30,10 +30,6 @@ from repro.service import (
     wait_until_ready,
 )
 from repro.service.protocol import (
-    EOF,
-    FRAME,
-    PENDING,
-    FrameReader,
     MAX_FRAME_BYTES,
     ProtocolError,
     encode,
@@ -50,24 +46,6 @@ VULN_SOURCE = (
     "    icall(fp[0], 0);\n"
     "}\n"
 )
-
-
-@pytest.fixture
-def server_factory(tmp_path):
-    """Start servers on tmp Unix sockets; all stopped at teardown."""
-    servers = []
-    counter = [0]
-
-    def start(**kwargs) -> AnalysisServer:
-        counter[0] += 1
-        kwargs.setdefault("socket_path", str(tmp_path / f"svc{counter[0]}.sock"))
-        server = AnalysisServer(ServiceConfig(**kwargs)).start()
-        servers.append(server)
-        return server
-
-    yield start
-    for server in servers:
-        server.stop()
 
 
 def canonical(obj) -> str:
@@ -126,47 +104,6 @@ class TestProtocol:
             a.sendall(struct.pack(">I", 3) + b"\xff\xfe\xfd")
             with pytest.raises(ProtocolError, match="undecodable"):
                 recv_frame(b)
-        finally:
-            a.close()
-            b.close()
-
-    def test_frame_reader_survives_split_frames(self):
-        """Bytes arriving one at a time across polls must still decode."""
-        a, b = socket.socketpair()
-        try:
-            reader = FrameReader(b)
-            wire = encode({"k": "v"})
-            for byte in wire[:-1]:
-                a.sendall(bytes([byte]))
-                state, frame = reader.poll(timeout_s=0.5)
-                assert state == PENDING and frame is None
-            a.sendall(wire[-1:])
-            state, frame = reader.poll(timeout_s=0.5)
-            assert state == FRAME
-            assert frame == {"k": "v"}
-        finally:
-            a.close()
-            b.close()
-
-    def test_frame_reader_two_frames_one_chunk(self):
-        a, b = socket.socketpair()
-        try:
-            reader = FrameReader(b)
-            a.sendall(encode({"n": 1}) + encode({"n": 2}))
-            assert reader.poll(0.5) == (FRAME, {"n": 1})
-            assert reader.poll(0.5) == (FRAME, {"n": 2})
-            a.close()
-            assert reader.poll(0.5) == (EOF, None)
-        finally:
-            b.close()
-
-    def test_frame_reader_timeout_is_pending(self):
-        a, b = socket.socketpair()
-        try:
-            reader = FrameReader(b)
-            t0 = time.monotonic()
-            assert reader.poll(0.05) == (PENDING, None)
-            assert time.monotonic() - t0 < 2.0
         finally:
             a.close()
             b.close()
@@ -277,6 +214,27 @@ class TestJobs:
         with pytest.raises(ProtocolError, match="deadline"):
             resolve_spec({"kind": "trace", "workload": "matmul", "deadline_s": -1})
 
+    def test_resolve_rejects_non_string_program(self):
+        # A list or object workload used to raise TypeError (unhashable).
+        for field, value in (("workload", ["x"]), ("workload", {}), ("source", 5)):
+            with pytest.raises(ProtocolError, match="must be a string"):
+                resolve_spec({"kind": "trace", field: value})
+
+    def test_resolve_rejects_non_finite_deadline(self):
+        # NaN and Infinity decode from JSON and used to pass as deadlines.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ProtocolError, match="finite"):
+                resolve_spec({"kind": "trace", "workload": "matmul", "deadline_s": value})
+
+    def test_resolve_rejects_deeply_nested_params(self):
+        # Params this deep killed the pool thread that pickles the job.
+        deep = {"x": json.loads("[" * 500 + "]" * 500)}
+        with pytest.raises(ProtocolError, match="nested deeper"):
+            resolve_spec({"kind": "trace", "workload": "matmul", "params": deep})
+        shallow = {"inputs": {"0": [1]}}
+        assert resolve_spec({"kind": "trace", "workload": "matmul",
+                             "params": shallow}).params == shallow
+
     def test_cache_key_separates_fidelity_and_params(self):
         base = {"kind": "trace", "workload": "matmul"}
         full = resolve_spec(dict(base))
@@ -358,7 +316,7 @@ class TestServiceIntegration:
 
     def test_tcp_transport(self):
         config = ServiceConfig(port=0, workers=1)  # ephemeral port
-        with AnalysisServer(config):
+        with AsyncAnalysisServer(config):
             health = wait_until_ready(config.address(), timeout_s=10.0)
             assert health["workers_alive"] == 1
             with ServiceClient(config.address()) as client:
@@ -543,7 +501,7 @@ class TestServiceIntegration:
 
     def test_shutdown_request_stops_daemon(self, tmp_path):
         config = ServiceConfig(socket_path=str(tmp_path / "down.sock"), workers=1)
-        server = AnalysisServer(config)
+        server = AsyncAnalysisServer(config)
         server.start()
         done = threading.Event()
 
@@ -570,9 +528,9 @@ class TestServiceIntegration:
 class TestServiceConfig:
     def test_exactly_one_transport(self, tmp_path):
         with pytest.raises(ValueError):
-            AnalysisServer(ServiceConfig())
+            AsyncAnalysisServer(ServiceConfig())
         with pytest.raises(ValueError):
-            AnalysisServer(ServiceConfig(socket_path="x", port=1))
+            AsyncAnalysisServer(ServiceConfig(socket_path="x", port=1))
 
     def test_address_forms(self):
         assert ServiceConfig(socket_path="/x/y.sock").address() == "unix:///x/y.sock"

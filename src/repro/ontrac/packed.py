@@ -52,6 +52,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import gt, mul, sub
 from typing import Iterable, Iterator
 
 from .ddg import DynamicDependenceGraph, build_ddg
@@ -80,6 +82,22 @@ ROW_PAYLOAD_BYTES = 1 + 4 + 2 + 4 + 2 + 2
 
 _C_INSTR = KIND_CODES[DepKind.INSTR]
 _C_BRANCH = KIND_CODES[DepKind.BRANCH]
+
+# bytes.translate tables over a batch's kind codes (extend_rows):
+# modeled bytes per row, and 1 for edge rows / 0 for node rows.
+_MBYTES_XLAT = bytes(KIND_MBYTES).ljust(256, b"\0")
+_EDGE_XLAT = bytes(
+    0 if code in (_C_INSTR, _C_BRANCH) else 1 for code in range(len(KIND_MBYTES))
+).ljust(256, b"\0")
+
+
+def _holds_sentinel(col: array) -> bool:
+    """Whether a column holds its all-ones sentinel value.  A byte
+    search rules it out at C speed; only a hit (a sentinel, or a pair of
+    neighbours whose bytes line up like one) pays the exact scan."""
+    ones = b"\xff" * col.itemsize
+    return ones in col.tobytes() and (1 << 8 * col.itemsize) - 1 in col
+
 
 # side-dict field tags for out-of-range values.
 _F_CPC = 0
@@ -351,6 +369,90 @@ class PackedTraceBuffer:
                 cur = self._evict_from(cur)
             self.current_bytes = cur
         return b
+
+    def extend_rows(self, kinds, cseqs, cpcs, pseqs, ppcs, tids) -> int:
+        """Append a batch of rows given as columns; returns their modeled
+        bytes.
+
+        Row ``i`` is ``append_row(kinds[i], cseqs[i], cpcs[i], pseqs[i],
+        ppcs[i], tids[i])`` and the result is exactly that of one
+        :meth:`append_row` per row: the same chunk boundaries (new chunks
+        come from :meth:`_grow`, so a spilling subclass seals and spills
+        the same chunks), columns, side-dicts, ``_firsts``, epoch and
+        :class:`BufferStats`.  The columns are converted and range-checked
+        at C speed and each chunk's share is written as one slice per
+        column.  A batch that could overflow the capacity (eviction is
+        per row) or holds a value outside its column (a pc or tid
+        >= 0xFFFF, a seq delta that is negative or >= 0xFFFFFFFF, a
+        consumer seq below its predecessor) takes the per-row path
+        instead.
+        """
+        total = len(cseqs)
+        if not total:
+            return 0
+        kinds = bytes(kinds)
+        mbytes = sum(kinds.translate(_MBYTES_XLAT))
+        cur = self.current_bytes + mbytes
+        first = cseqs[0]
+        tail = self._tail
+        lowest_base = first if tail is None else tail.cseq_base
+        cols = None
+        if (
+            cur <= self.capacity_bytes
+            and self.monotone
+            and first >= self._last_cseq
+            and cseqs[-1] - lowest_base <= _MAX32
+            and not any(map(gt, cseqs, islice(cseqs, 1, None)))
+        ):
+            # Node rows store a zero delta and pc whatever they were given.
+            edge = kinds.translate(_EDGE_XLAT)
+            try:
+                cols = (
+                    array("H", cpcs),
+                    array("I", map(mul, map(sub, cseqs, pseqs), edge)),
+                    array("H", map(mul, ppcs, edge)),
+                    array("H", tids),
+                )
+            except OverflowError:  # a negative or too wide value
+                pass
+            if cols is not None and any(map(_holds_sentinel, cols)):
+                cols = None
+        if cols is None:
+            append_row = self.append_row
+            for row in zip(kinds, cseqs, cpcs, pseqs, ppcs, tids):
+                append_row(*row)
+            return mbytes
+        cpc_col, pdelta_col, ppc_col, tid_col = cols
+        i = 0
+        while i < total:
+            c = self._tail
+            if c is None or c.n == c.cap:
+                c = self._grow(cseqs[i])
+            n = c.n
+            j = min(total, i + c.cap - n)
+            end = n + j - i
+            c.kind[n:end] = array("B", kinds[i:j])
+            c.cseq_off[n:end] = array("I", map(sub, cseqs[i:j], repeat(c.cseq_base)))
+            c.cpc[n:end] = cpc_col[i:j]
+            c.pdelta[n:end] = pdelta_col[i:j]
+            c.ppc[n:end] = ppc_col[i:j]
+            c.tid[n:end] = tid_col[i:j]
+            if c.head == n:  # first live row of this chunk
+                self._firsts[-1] = cseqs[i]
+            c.n = end
+            c.rindex = None
+            i = j
+        self._rows += total
+        self._last_cseq = cseqs[-1]
+        stats = self.stats
+        stats.appended += total
+        stats.appended_bytes += mbytes
+        if mbytes:
+            # No row evicted, so occupancy only rose: its peak is now.
+            if cur > stats.peak_bytes:
+                stats.peak_bytes = cur
+            self.current_bytes = cur
+        return mbytes
 
     def append(self, record: DepRecord) -> None:
         """Record-object append for direct (non-tracer) callers."""

@@ -33,11 +33,19 @@ Targeted (debugging-specific)
 Overhead model: every observed instruction costs ``stub_cycles``
 (DBT dispatch + inline stubs) plus ``cycles_per_byte`` for each stored
 byte, charged to the machine's overhead counter.
+
+Host implementation: like the paper's DBT, the tracer runs a stub per
+static instruction, translated on the pc's first execution with that
+pc's static facts bound in; stubs stage rows that are sealed into the
+packed store a chunk at a time (see :meth:`OnlineTracer._install_stubs`
+and :meth:`OnlineTracer._seal`).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 
 from ..isa.cfg import build_cfgs
 from ..isa.instructions import Opcode
@@ -45,11 +53,39 @@ from ..isa.program import Program
 from ..vm.events import Hook, InstrEvent
 from ..vm.machine import Machine
 from .control_dep import ControlDependenceTracker
-from .packed import PackedDDG, PackedTraceBuffer
-from .records import KIND_CODES, TRACE_FORMATION_BYTES, DepKind
+from .packed import _MAX_CHUNK_ROWS, PackedDDG, PackedTraceBuffer
+from .records import (
+    KIND_BY_CODE,
+    KIND_CODES,
+    RECORD_BYTES,
+    TRACE_FORMATION_BYTES,
+    DepKind,
+)
 
 #: cap on how many traced ancestors an untraced-code summary carries.
 SUMMARY_FANIN_CAP = 16
+
+#: staged rows that trigger a seal into the buffer: one full chunk.
+SEAL_ROWS = _MAX_CHUNK_ROWS
+#: ints per staged row: code, cseq, cpc, pseq, ppc, tid.
+_ROW = 6
+
+# Kind codes and modeled bytes the stubs stage rows with.
+_C_INSTR = KIND_CODES[DepKind.INSTR]
+_C_REG = KIND_CODES[DepKind.REG]
+_C_IREG = KIND_CODES[DepKind.IREG]
+_C_MEM = KIND_CODES[DepKind.MEM]
+_C_IMEM = KIND_CODES[DepKind.IMEM]
+_C_SUMMARY = KIND_CODES[DepKind.SUMMARY]
+_C_CONTROL = KIND_CODES[DepKind.CONTROL]
+_C_BRANCH = KIND_CODES[DepKind.BRANCH]
+_C_WAR = KIND_CODES[DepKind.WAR]
+_C_WAW = KIND_CODES[DepKind.WAW]
+_B_REG = RECORD_BYTES[DepKind.REG]
+_B_MEM = RECORD_BYTES[DepKind.MEM]
+_B_SUMMARY = RECORD_BYTES[DepKind.SUMMARY]
+_B_WAR = RECORD_BYTES[DepKind.WAR]
+_B_WAW = RECORD_BYTES[DepKind.WAW]
 
 
 @dataclass
@@ -123,24 +159,52 @@ _NODE = "n"
 _SUMMARY = "s"
 
 
+def _summarize(tid: int, ev: InstrEvent, last_reg: dict, last_mem: dict) -> tuple:
+    """Last-writer entry of an untraced instruction: the traced
+    ancestors of every input it reads, so chains are not broken."""
+    ancestors: set[tuple[int, int]] = set()
+    for reg, _ in ev.reg_reads:
+        producer = last_reg.get((tid, reg))
+        if producer is None:
+            continue
+        if producer[0] == _NODE:
+            ancestors.add((producer[1], producer[2]))
+        else:
+            ancestors.update(producer[1])
+    for addr, _ in ev.mem_reads:
+        producer = last_mem.get(addr)
+        if producer is None:
+            continue
+        if producer[0] == _NODE:
+            ancestors.add((producer[1], producer[2]))
+        else:
+            ancestors.update(producer[1])
+    if len(ancestors) > SUMMARY_FANIN_CAP:
+        ancestors = set(sorted(ancestors)[-SUMMARY_FANIN_CAP:])
+    return (_SUMMARY, frozenset(ancestors))
+
+
 class OnlineTracer(Hook):
     """ONTRAC attached to one machine run."""
 
     def __init__(self, program: Program, config: OntracConfig | None = None):
         self.program = program
         self.config = config or OntracConfig()
-        self.stats = OntracStats()
+        self._stats = OntracStats()
         self.machine: Machine | None = None
         if self.config.spill_path:
             # Local import: repro.lake sits above ontrac in the
             # layering and is only needed when spilling is on.
             from ..lake.format import SpillingPackedTraceBuffer
 
-            self.buffer: PackedTraceBuffer = SpillingPackedTraceBuffer(
+            self._buffer: PackedTraceBuffer = SpillingPackedTraceBuffer(
                 self.config.buffer_bytes, self.config.spill_path
             )
         else:
-            self.buffer = PackedTraceBuffer(self.config.buffer_bytes)
+            self._buffer = PackedTraceBuffer(self.config.buffer_bytes)
+        #: rows the stubs staged since the last seal, flat: ``_ROW``
+        #: ints per row (see :meth:`_seal`).
+        self._staged: list[int] = []
         # Static structure: block leaders per global pc.
         self._leaders: set[int] = set()
         for cfg in build_cfgs(program).values():
@@ -151,7 +215,7 @@ class OnlineTracer(Hook):
         self._last_reg: dict[tuple[int, int], tuple] = {}
         self._last_mem: dict[int, tuple] = {}
         self._block_instance: dict[int, int] = {}
-        self._next_instance = 0
+        self._instances = count(1)
         self._prev_call_ret: dict[int, bool] = {}
         self._prev_leader: dict[int, int] = {}
         self._transition_counts: dict[tuple[int, int], int] = {}
@@ -160,11 +224,20 @@ class OnlineTracer(Hook):
         self._derived_reg: set[tuple[int, int]] = set()
         self._derived_mem: set[int] = set()
         self._last_readers: dict[int, list[tuple[int, int, int]]] = {}
-        self._install_fast_hook()
+        # The stubs' open-region stacks and call depths per thread (the
+        # reference hook keeps its own in ``self._control``).
+        self._regions: defaultdict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
+        self._depths: dict[int, int] = {}
+        self._stubs: list | None = None
+        self._install_stubs()
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, machine: Machine) -> "OnlineTracer":
         self.machine = machine
+        # Stubs bind the machine's cycle counters: reinstall the table
+        # so none translated before the machine was known survives.
+        if self._stubs is not None:
+            self._install_stubs()
         machine.hooks.subscribe(self)
         return self
 
@@ -172,8 +245,9 @@ class OnlineTracer(Hook):
         """Seal the spill file (tail chunk + footer index) if this
         tracer is spilling; no-op otherwise.  Idempotent; returns the
         spill path when spilling."""
-        close = getattr(self.buffer, "close", None)
-        if close is not None and getattr(self.buffer, "spill_path", None):
+        buffer = self.buffer
+        close = getattr(buffer, "close", None)
+        if close is not None and getattr(buffer, "spill_path", None):
             return close()
         return None
 
@@ -183,7 +257,63 @@ class OnlineTracer(Hook):
         columns (and which materializes the dict graph lazily)."""
         return PackedDDG(self.buffer)
 
-    # -- helpers -------------------------------------------------------------
+    # -- staged rows -----------------------------------------------------------
+    @property
+    def buffer(self) -> PackedTraceBuffer:
+        """The dependence store, with every staged row sealed into it."""
+        self._seal()
+        return self._buffer
+
+    @property
+    def stats(self) -> OntracStats:
+        """Tracer statistics, with the staged rows' kinds counted in."""
+        self._seal()
+        return self._stats
+
+    def _seal(self) -> None:
+        """Write the staged rows into the buffer with one bulk
+        :meth:`~PackedTraceBuffer.extend_rows` and count their kinds.
+
+        The stubs call this once a chunk's worth of rows is staged; the
+        run's end, :meth:`dependence_graph`, :meth:`finish_spill` and the
+        :attr:`buffer` / :attr:`stats` accessors call it too, so no
+        reader sees a partial store.  ``extend_rows`` is exact, which
+        makes the store's state independent of when sealing happens.
+        """
+        staged = self._staged
+        if not staged:
+            return
+        kinds = bytes(staged[0::_ROW])
+        self._buffer.extend_rows(
+            kinds, staged[1::_ROW], staged[2::_ROW], staged[3::_ROW],
+            staged[4::_ROW], staged[5::_ROW],
+        )
+        staged.clear()
+        stats = self._stats
+        stored = stats.stored
+        for code in sorted(set(kinds), key=kinds.find):  # first-seen order
+            key = KIND_BY_CODE[code].value
+            stored[key] = stored.get(key, 0) + kinds.count(code)
+        skipped = stats.skipped
+        # IREG rows are the statically inferred register dependences and
+        # IMEM rows the elided redundant loads.  The stub that forms the
+        # first hot trace seals before it, so one attribution holds for
+        # every row staged since the last seal.
+        inferred = kinds.count(_C_IREG)
+        if inferred:
+            key = (
+                "static_trace"
+                if self.config.infer_traces and self._hot_transitions
+                else "static_block"
+            )
+            skipped[key] = skipped.get(key, 0) + inferred
+        elided = kinds.count(_C_IMEM)
+        if elided:
+            skipped["redundant_load"] = skipped.get("redundant_load", 0) + elided
+
+    def on_run_end(self) -> None:
+        self._seal()
+
     def _emit_packed(
         self,
         kind: DepKind,
@@ -194,250 +324,313 @@ class OnlineTracer(Hook):
         tid: int = 0,
     ) -> int:
         """Append one columnar row (the buffer does the byte/eviction
-        accounting) and count it in the tracer's per-kind stats."""
-        b = self.buffer.append_row(
+        accounting) and count it in the tracer's per-kind stats; the
+        class-level :meth:`on_instruction` emits through this."""
+        b = self._buffer.append_row(
             KIND_CODES[kind], consumer_seq, consumer_pc, producer_seq, producer_pc, tid
         )
-        stats = self.stats
+        stats = self._stats
         stored = stats.stored
         key = kind.value
         stored[key] = stored.get(key, 0) + 1
         stats.stored_bytes += b
         return b
 
-    def _install_fast_hook(self) -> None:
-        """Compile a specialized ``on_instruction`` for this tracer.
+    # -- per-pc tracing stubs ----------------------------------------------------
+    def _install_stubs(self) -> None:
+        """Dispatch each event to a tracing stub translated for its pc.
 
-        The closure mirrors :meth:`on_instruction` statement for
-        statement but captures the config flags, the dependence maps
-        and the buffer's ``append_row`` as locals — removing the
-        per-instruction attribute-chasing and per-record method call
-        the generic hook pays.  Installed as an instance attribute so
-        the hook bus dispatches straight to it; the class-level
-        :meth:`on_instruction` stays as the reference it is tested
-        against (the differential suite holds the two to bit-identical
-        records, stats and graphs).  Config flags are frozen at
-        construction, which the generic hook only nominally re-reads.
+        The table starts filled with a translate trampoline, as a DBT's
+        code cache does: the first execution of a pc translates its stub
+        (``translate``), stores it in the table and runs it.  The
+        instance attribute ``on_instruction`` shadows the class-level
+        :meth:`on_instruction`, which stays the reference the stubs are
+        held to (the differential suite checks records, stats, buffer
+        stats and graphs bit for bit).  Stubs read the config flags and
+        the machine when the table is installed; the reference re-reads
+        them every event.
         """
         cfg = self.config
+        code = self.program.code
+        leaders = self._leaders
+        control = self._control is not None
+        ipdoms = self._control.ipdom_pc if control else None
         naive = cfg.naive
-        infer_intra_block = cfg.infer_intra_block
+        sel = cfg.selective_functions
+        infer_intra = not naive and cfg.infer_intra_block
+        elide_loads = not naive and cfg.elide_redundant_loads
         infer_traces = cfg.infer_traces
-        elide_redundant_loads = cfg.elide_redundant_loads
+        threshold = cfg.hot_trace_threshold
         input_forward_slice = cfg.input_forward_slice
         record_war_waw = cfg.record_war_waw
-        sel = cfg.selective_functions
-        charge_overhead = cfg.charge_overhead
+        machine = self.machine
+        cycles = machine.cycles if cfg.charge_overhead and machine is not None else None
         stub_cycles = cfg.stub_cycles
         cycles_per_byte = cfg.cycles_per_byte
-        control = self._control
-        observe = control.observe if control is not None else None
-        stats = self.stats
-        stored = stats.stored
+        stats = self._stats
         skipped = stats.skipped
-        maintain = self._maintain_blocks
+        staged = self._staged
+        stage = staged.extend
+        seal_len = SEAL_ROWS * _ROW
+        seal = self._seal
+        instances = self._instances
         block_instance = self._block_instance
+        prev_call_ret = self._prev_call_ret
+        prev_leader = self._prev_leader
+        transition_counts = self._transition_counts
+        hot_transitions = self._hot_transitions
+        regions = self._regions
+        depths = self._depths
         last_reg = self._last_reg
         last_mem = self._last_mem
         last_readers = self._last_readers
-        redundant_load = self._redundant_load
         derived_reg = self._derived_reg
         derived_mem = self._derived_mem
-        hot_transitions = self._hot_transitions
-        IN, LOAD, POP = Opcode.IN, Opcode.LOAD, Opcode.POP
-        BR, BRZ, SPAWN = Opcode.BR, Opcode.BRZ, Opcode.SPAWN
-        K_INSTR, K_REG, K_IREG = DepKind.INSTR, DepKind.REG, DepKind.IREG
-        K_MEM, K_IMEM, K_SUMMARY = DepKind.MEM, DepKind.IMEM, DepKind.SUMMARY
-        K_CONTROL, K_BRANCH = DepKind.CONTROL, DepKind.BRANCH
-        K_WAR, K_WAW = DepKind.WAR, DepKind.WAW
-        append_row = self.buffer.append_row
-        kind_codes = KIND_CODES
 
-        def emit(kind, consumer_seq, consumer_pc, producer_seq, producer_pc, tid):
-            # The buffer fuses the append with every byte / peak /
-            # eviction counter (see append_row); only the tracer-level
-            # per-kind accounting lives here.
-            b = append_row(
-                kind_codes[kind], consumer_seq, consumer_pc, producer_seq, producer_pc, tid
-            )
-            kv = kind.value
-            stored[kv] = stored.get(kv, 0) + 1
-            if b:
-                stats.stored_bytes += b
-            return b
+        def translate(pc):
+            """The stub of static instruction ``pc``.
 
-
-        def fast_on_instruction(ev):
-            stats.instructions += 1
-            tid = ev.tid
-            seq = ev.seq
-            pc = ev.pc
-            instr = ev.instr
+            Everything static about the pc is decided here and bound
+            into the stub: whether it leads a block or is a call/ret,
+            the branch's immediate post-dominator, whether its function
+            is traced, whether it is a LOAD/POP eligible for
+            redundant-load elision, SPAWN.  The stub walks the
+            control-dependence regions inline (regions are
+            ``(branch_seq, branch_pc, ipdom_pc, depth)`` tuples, the
+            fields of :class:`~repro.ontrac.control_dep.Region`) and
+            stages its rows as ``code, cseq, cpc, pseq, ppc, tid`` runs;
+            modeled bytes are summed once per instruction.
+            """
+            instr = code[pc]
             op = instr.opcode
-
-            bytes_stored = maintain(ev)
-            instance = block_instance.get(tid, 0)
-
-            parent = observe(ev) if observe is not None else None
+            leader = pc in leaders
+            callret = op is Opcode.CALL or op is Opcode.ICALL or op is Opcode.RET
             traced = sel is None or instr.function in sel
+            elide = elide_loads and (op is Opcode.LOAD or op is Opcode.POP)
+            spawn = op is Opcode.SPAWN
+            is_in = op is Opcode.IN
+            branch = control and (op is Opcode.BR or op is Opcode.BRZ)
+            ipdom = ipdoms.get(pc, -1) if branch else -1
+            depth_step = (
+                1 if op is Opcode.CALL or op is Opcode.ICALL else -1 if op is Opcode.RET else 0
+            )
+            walk_always = branch or (control and depth_step != 0)
+            naive_row = naive and traced
+            branch_row = branch and traced
+            node_bytes = (RECORD_BYTES[DepKind.INSTR] if naive_row else 0) + (
+                RECORD_BYTES[DepKind.BRANCH] if branch_row else 0
+            )
+            # this pc's redundant-load cache: the last (address, producer seq).
+            load_addr = load_pseq = None
 
-            if input_forward_slice:
-                derived = op is IN
-                if not derived:
+            def stub(ev):
+                nonlocal load_addr, load_pseq
+                stats.instructions += 1
+                tid = ev.tid
+                seq = ev.seq
+                b = node_bytes
+
+                # --- dynamic block (inference region) instance ---------------
+                if prev_call_ret.get(tid, True):
+                    # After call/ret (or thread start): always a new region,
+                    # the callee may have clobbered registers.
+                    prev_call_ret[tid] = callret
+                    instance = block_instance[tid] = next(instances)
+                    if leader:
+                        prev_leader[tid] = pc
+                elif leader:
+                    if callret:
+                        prev_call_ret[tid] = True
+                    fused = False
+                    if infer_traces:
+                        prev = prev_leader.get(tid, -1)
+                        if prev >= 0:
+                            key = (prev, pc)
+                            times = transition_counts.get(key, 0) + 1
+                            transition_counts[key] = times
+                            if key in hot_transitions:
+                                fused = True
+                            elif times >= threshold:
+                                if not hot_transitions:
+                                    seal()  # IREG attribution turns to traces
+                                hot_transitions.add(key)
+                                stats.hot_traces += 1
+                                b += TRACE_FORMATION_BYTES
+                                fused = True
+                    if fused:
+                        instance = block_instance.get(tid, 0)
+                    else:
+                        instance = block_instance[tid] = next(instances)
+                    prev_leader[tid] = pc
+                else:
+                    if callret:
+                        prev_call_ret[tid] = True
+                    instance = block_instance.get(tid, 0)
+
+                # --- control dependence: the open-region walk ----------------
+                parent = None
+                if control:
+                    stack = regions[tid]
+                    if stack or walk_always:
+                        depth = depths.get(tid, 0)
+                        while stack:
+                            top = stack[-1]
+                            top_depth = top[3]
+                            if top_depth > depth or (top_depth == depth and top[2] == pc):
+                                stack.pop()
+                            else:
+                                parent = top
+                                break
+                        if branch:
+                            # A re-executed loop branch replaces its own stale
+                            # region, so the stack stays bounded.
+                            if parent is not None and parent[1] == pc and parent[3] == depth:
+                                stack.pop()
+                            stack.append((seq, pc, ipdom, depth))
+                        elif depth_step:
+                            depths[tid] = depth + depth_step
+
+                # --- input-derived flag --------------------------------------
+                derived = True
+                if input_forward_slice and not is_in:
+                    derived = False
                     for reg, _ in ev.reg_reads:
                         if (tid, reg) in derived_reg:
                             derived = True
                             break
-                if not derived:
-                    for addr, _ in ev.mem_reads:
-                        if addr in derived_mem:
-                            derived = True
-                            break
-            else:
-                derived = True
+                    else:
+                        for addr, _ in ev.mem_reads:
+                            if addr in derived_mem:
+                                derived = True
+                                break
+                store = traced and derived
+                if traced and not derived:
+                    skipped["input_filter"] = skipped.get("input_filter", 0) + 1
 
-            store_deps = traced and derived
-            if traced and not derived:
-                skipped["input_filter"] = skipped.get("input_filter", 0) + 1
+                if naive_row:
+                    stage((_C_INSTR, seq, pc, -1, -1, tid))
 
-            if naive and traced:
-                bytes_stored += emit(K_INSTR, seq, pc, -1, -1, tid)
-
-            reg_reads = ev.reg_reads
-            if reg_reads:
-                seen_regs = set()
-                for reg, _ in reg_reads:
-                    if reg in seen_regs:
-                        continue
-                    seen_regs.add(reg)
-                    producer = last_reg.get((tid, reg))
-                    if producer is None:
-                        continue
-                    if not store_deps:
-                        continue
-                    if producer[0] == _SUMMARY:
-                        for pseq, ppc in producer[1]:
-                            bytes_stored += emit(K_SUMMARY, seq, pc, pseq, ppc, tid)
-                        continue
-                    _, pseq, ppc, pinstance, ptid = producer
-                    if (
-                        not naive
-                        and infer_intra_block
-                        and ptid == tid
-                        and pinstance == instance
-                    ):
-                        key = (
-                            "static_block"
-                            if not (infer_traces and hot_transitions)
-                            else "static_trace"
-                        )
-                        skipped[key] = skipped.get(key, 0) + 1
-                        bytes_stored += emit(K_IREG, seq, pc, pseq, ppc, tid)
-                        continue
-                    bytes_stored += emit(K_REG, seq, pc, pseq, ppc, tid)
-
-            mem_reads = ev.mem_reads
-            if mem_reads:
-                for addr, _ in mem_reads:
-                    producer = last_mem.get(addr)
-                    if record_war_waw:
-                        readers = last_readers.setdefault(addr, [])
-                        if len(readers) < 8:
-                            readers.append((seq, pc, tid))
-                    if producer is None or not store_deps:
-                        continue
-                    if producer[0] == _SUMMARY:
-                        for pseq, ppc in producer[1]:
-                            bytes_stored += emit(K_SUMMARY, seq, pc, pseq, ppc, tid)
-                        continue
-                    _, pseq, ppc, _, ptid = producer
-                    if not naive and elide_redundant_loads and (op is LOAD or op is POP):
-                        cached = redundant_load.get(pc)
-                        if cached == (addr, pseq):
-                            skipped["redundant_load"] = skipped.get("redundant_load", 0) + 1
-                            bytes_stored += emit(K_IMEM, seq, pc, pseq, ppc, tid)
+                # --- register dependences ------------------------------------
+                reg_reads = ev.reg_reads
+                if reg_reads and store:
+                    if len(reg_reads) > 1:
+                        reg_reads = dict(reg_reads).items()  # first read of each reg
+                    for reg, _ in reg_reads:
+                        producer = last_reg.get((tid, reg))
+                        if producer is None:
                             continue
-                        redundant_load[pc] = (addr, pseq)
-                    bytes_stored += emit(K_MEM, seq, pc, pseq, ppc, tid)
+                        if producer[0] == _SUMMARY:
+                            for pseq, ppc in producer[1]:
+                                stage((_C_SUMMARY, seq, pc, pseq, ppc, tid))
+                                b += _B_SUMMARY
+                            continue
+                        _, pseq, ppc, pinstance, ptid = producer
+                        if infer_intra and ptid == tid and pinstance == instance:
+                            stage((_C_IREG, seq, pc, pseq, ppc, tid))
+                        else:
+                            stage((_C_REG, seq, pc, pseq, ppc, tid))
+                            b += _B_REG
 
-            if parent is not None and store_deps:
-                bytes_stored += emit(
-                    K_CONTROL, seq, pc, parent.branch_seq, parent.branch_pc, tid
-                )
-            if (op is BR or op is BRZ) and observe is not None and traced:
-                bytes_stored += emit(K_BRANCH, seq, pc, -1, -1, tid)
+                # --- memory dependences --------------------------------------
+                mem_reads = ev.mem_reads
+                if mem_reads:
+                    for addr, _ in mem_reads:
+                        producer = last_mem.get(addr)
+                        if record_war_waw:
+                            readers = last_readers.setdefault(addr, [])
+                            if len(readers) < 8:
+                                readers.append((seq, pc, tid))
+                        if producer is None or not store:
+                            continue
+                        if producer[0] == _SUMMARY:
+                            for pseq, ppc in producer[1]:
+                                stage((_C_SUMMARY, seq, pc, pseq, ppc, tid))
+                                b += _B_SUMMARY
+                            continue
+                        pseq = producer[1]
+                        if elide:
+                            if addr == load_addr and pseq == load_pseq:
+                                stage((_C_IMEM, seq, pc, pseq, producer[2], tid))
+                                continue
+                            load_addr = addr
+                            load_pseq = pseq
+                        stage((_C_MEM, seq, pc, pseq, producer[2], tid))
+                        b += _B_MEM
 
-            if record_war_waw and ev.mem_writes:
-                for addr, _ in ev.mem_writes:
-                    prev_writer = last_mem.get(addr)
-                    if prev_writer is not None and prev_writer[0] == _NODE:
-                        _, pseq, ppc, _, ptid = prev_writer
-                        if ptid != tid:
-                            bytes_stored += emit(K_WAW, seq, pc, pseq, ppc, tid)
-                    for rseq, rpc, rtid in last_readers.pop(addr, []):
-                        if rtid != tid:
-                            bytes_stored += emit(K_WAR, seq, pc, rseq, rpc, tid)
+                # --- control dependence rows ---------------------------------
+                if parent is not None and store:
+                    stage((_C_CONTROL, seq, pc, parent[0], parent[1], tid))
+                if branch_row:
+                    stage((_C_BRANCH, seq, pc, -1, -1, tid))
 
-            if traced:
-                entry = (_NODE, seq, pc, instance, tid)
-            else:
-                ancestors = set()
-                for reg, _ in ev.reg_reads:
-                    producer = last_reg.get((tid, reg))
-                    if producer is None:
-                        continue
-                    if producer[0] == _NODE:
-                        ancestors.add((producer[1], producer[2]))
+                # --- WAR/WAW (multithreaded slicing extension) ---------------
+                mem_writes = ev.mem_writes
+                if record_war_waw and mem_writes:
+                    for addr, _ in mem_writes:
+                        prev_writer = last_mem.get(addr)
+                        if prev_writer is not None and prev_writer[0] == _NODE:
+                            if prev_writer[4] != tid:
+                                stage((_C_WAW, seq, pc, prev_writer[1], prev_writer[2], tid))
+                                b += _B_WAW
+                        for rseq, rpc, rtid in last_readers.pop(addr, ()):
+                            if rtid != tid:
+                                stage((_C_WAR, seq, pc, rseq, rpc, tid))
+                                b += _B_WAR
+
+                # --- last-writer metadata ------------------------------------
+                reg_writes = ev.reg_writes
+                if reg_writes or mem_writes:
+                    if traced:
+                        entry = (_NODE, seq, pc, instance, tid)
                     else:
-                        ancestors.update(producer[1])
-                for addr, _ in ev.mem_reads:
-                    producer = last_mem.get(addr)
-                    if producer is None:
-                        continue
-                    if producer[0] == _NODE:
-                        ancestors.add((producer[1], producer[2]))
-                    else:
-                        ancestors.update(producer[1])
-                if len(ancestors) > SUMMARY_FANIN_CAP:
-                    ancestors = set(sorted(ancestors)[-SUMMARY_FANIN_CAP:])
-                entry = (_SUMMARY, frozenset(ancestors))
+                        entry = _summarize(tid, ev, last_reg, last_mem)
+                    for reg, _ in reg_writes:
+                        last_reg[(tid, reg)] = entry
+                        if input_forward_slice:
+                            if derived:
+                                derived_reg.add((tid, reg))
+                            else:
+                                derived_reg.discard((tid, reg))
+                    for addr, _ in mem_writes:
+                        last_mem[addr] = entry
+                        if input_forward_slice:
+                            if derived:
+                                derived_mem.add(addr)
+                            else:
+                                derived_mem.discard(addr)
+                    if spawn:
+                        # The child's r0 is defined by the spawn's argument flow.
+                        child = reg_writes[0][1]
+                        last_reg[(child, 0)] = entry
+                        if input_forward_slice and derived:
+                            derived_reg.add((child, 0))
 
-            for reg, _ in ev.reg_writes:
-                last_reg[(tid, reg)] = entry
-                if input_forward_slice:
-                    if derived:
-                        derived_reg.add((tid, reg))
-                    else:
-                        derived_reg.discard((tid, reg))
-            for addr, _ in ev.mem_writes:
-                last_mem[addr] = entry
-                if input_forward_slice:
-                    if derived:
-                        derived_mem.add(addr)
-                    else:
-                        derived_mem.discard(addr)
+                if b:
+                    stats.stored_bytes += b
+                if cycles is not None:
+                    cycles.overhead += stub_cycles + b * cycles_per_byte
+                if len(staged) >= seal_len:
+                    seal()
 
-            if op is SPAWN:
-                # The child's r0 is defined by the spawn's argument flow.
-                child = ev.reg_writes[0][1]
-                last_reg[(child, 0)] = entry
-                if input_forward_slice and derived:
-                    derived_reg.add((child, 0))
+            return stub
 
-            if charge_overhead:
-                machine = self.machine
-                if machine is not None:
-                    machine.add_overhead(stub_cycles + bytes_stored * cycles_per_byte)
+        stubs: list = []
 
-        self.on_instruction = fast_on_instruction
+        def trampoline(ev):
+            pc = ev.pc
+            stub = stubs[pc] = translate(pc)
+            stub(ev)
 
-    def _is_traced(self, ev: InstrEvent) -> bool:
-        sel = self.config.selective_functions
-        return sel is None or ev.instr.function in sel
+        stubs.extend([trampoline] * len(code))
+
+        def on_instruction(ev):
+            stubs[ev.pc](ev)
+
+        self._stubs = stubs
+        self.on_instruction = on_instruction
 
     def _bump_instance(self, tid: int) -> None:
-        self._next_instance += 1
-        self._block_instance[tid] = self._next_instance
+        self._block_instance[tid] = next(self._instances)
 
     def _maintain_blocks(self, ev: InstrEvent) -> int:
         """Track dynamic basic-block (or hot-trace) instances; returns the
@@ -462,9 +655,9 @@ class OnlineTracer(Hook):
                         fused = True
                     elif count >= self.config.hot_trace_threshold:
                         self._hot_transitions.add(key)
-                        self.stats.hot_traces += 1
+                        self._stats.hot_traces += 1
                         extra = TRACE_FORMATION_BYTES
-                        self.stats.stored_bytes += extra
+                        self._stats.stored_bytes += extra
                         fused = True
             if not fused:
                 self._bump_instance(tid)
@@ -478,7 +671,7 @@ class OnlineTracer(Hook):
     # -- the hook --------------------------------------------------------------
     def on_instruction(self, ev: InstrEvent) -> None:
         cfg = self.config
-        stats = self.stats
+        stats = self._stats
         stats.instructions += 1
         tid = ev.tid
         seq = ev.seq
@@ -610,28 +803,7 @@ class OnlineTracer(Hook):
         if traced:
             entry = (_NODE, seq, pc, instance, tid)
         else:
-            # Summarize through untraced code: inherit the traced
-            # ancestors of every input so chains are not broken.
-            ancestors: set[tuple[int, int]] = set()
-            for reg, _ in ev.reg_reads:
-                producer = self._last_reg.get((tid, reg))
-                if producer is None:
-                    continue
-                if producer[0] == _NODE:
-                    ancestors.add((producer[1], producer[2]))
-                else:
-                    ancestors.update(producer[1])
-            for addr, _ in ev.mem_reads:
-                producer = self._last_mem.get(addr)
-                if producer is None:
-                    continue
-                if producer[0] == _NODE:
-                    ancestors.add((producer[1], producer[2]))
-                else:
-                    ancestors.update(producer[1])
-            if len(ancestors) > SUMMARY_FANIN_CAP:
-                ancestors = set(sorted(ancestors)[-SUMMARY_FANIN_CAP:])
-            entry = (_SUMMARY, frozenset(ancestors))
+            entry = _summarize(tid, ev, self._last_reg, self._last_mem)
 
         for reg, _ in ev.reg_writes:
             self._last_reg[(tid, reg)] = entry

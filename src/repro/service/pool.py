@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import threading
 import time
 from collections import deque
@@ -54,13 +55,26 @@ _CTX = multiprocessing.get_context(
 
 #: pipe poll tick: bounds deadline/crash detection latency.
 _POLL_S = 0.02
+#: how often an idle worker checks that the daemon that spawned it lives.
+_PARENT_CHECK_S = 0.5
 
 
-def _worker_main(conn) -> None:
-    """Worker process loop: recv payload -> execute -> send verdict."""
+def _worker_main(conn, daemon_end, daemon_pid: int) -> None:
+    """Worker process loop: recv payload -> execute -> send verdict.
+
+    A killed daemon never closes its pipe ends in a way the worker can
+    see: forked sibling workers inherited them too, so ``recv`` would
+    block forever.  The worker closes its own inherited copy of the
+    daemon's end and, while idle, exits once its parent is no longer
+    ``daemon_pid`` (an orphan is reparented).
+    """
+    daemon_end.close()
     try:
         while True:
             try:
+                while not conn.poll(_PARENT_CHECK_S):
+                    if os.getppid() != daemon_pid:
+                        return
                 payload = conn.recv()
             except (EOFError, OSError):
                 break
@@ -230,7 +244,9 @@ class WorkerPool:
 
     def _spawn(self, slot: _Slot) -> None:
         parent_conn, child_conn = _CTX.Pipe(duplex=True)
-        proc = _CTX.Process(target=_worker_main, args=(child_conn,), daemon=True)
+        proc = _CTX.Process(
+            target=_worker_main, args=(child_conn, parent_conn, os.getpid()), daemon=True
+        )
         proc.start()
         child_conn.close()
         slot.proc, slot.conn = proc, parent_conn

@@ -7,8 +7,8 @@ modeled base and overhead cycles, failure info, schedule), the final
 VM state (per-thread registers, memory cells, io streams), the full
 ONTRAC record stream with its byte accounting and stats tables, the
 dependence graph built from it, and DIFT taint state.  Traced runs
-also switch ONTRAC's hook: the flags-on side runs the compiled
-closure into the packed store and slices with the indexed engine, the
+also switch ONTRAC's hook: the flags-on side runs the per-pc tracing
+stubs into the packed store and slices with the indexed engine, the
 flags-off side runs the class-level ``OnlineTracer.on_instruction``
 (see :class:`ReferenceTracer`) and slices with the BFS slicer over
 ``build_ddg``.  The fast path is allowed to be faster; it is never
@@ -20,6 +20,7 @@ import pytest
 from repro import fastpath
 from repro.dift import BoolTaintPolicy, DIFTEngine, SinkRule
 from repro.fastpath import FastPathConfig
+from repro.lang import compile_source
 from repro.ontrac import OnlineTracer, OntracConfig, build_ddg
 from repro.tm import Resolution, TMConfig, TransactionalMonitor
 from repro.workloads import (
@@ -32,6 +33,7 @@ from repro.workloads import (
     race_kernels,
     suite,
 )
+from repro.workloads.spec_like import Workload
 from repro.workloads.splash_like import tm_kernels
 
 ON = FastPathConfig.all_on()
@@ -89,11 +91,11 @@ def _ddg_state(ddg):
 
 class ReferenceTracer(OnlineTracer):
     """ONTRAC's reference side: the class-level ``on_instruction`` stays
-    the hook (no compiled closure) and the dependence graph is
+    the hook (no tracing stubs) and the dependence graph is
     ``build_ddg`` over the stored records, so queries take the BFS
     slicer instead of the indexed engine."""
 
-    def _install_fast_hook(self):
+    def _install_stubs(self):
         pass
 
     def dependence_graph(self):
@@ -161,7 +163,7 @@ def assert_differential(make_runner, state_fn):
 
 
 def assert_traced_differential(make_runner, state_fn=_traced_state, **kwargs):
-    """Like :func:`assert_differential`, with ONTRAC's compiled closure
+    """Like :func:`assert_differential`, with ONTRAC's tracing stubs
     on the flags-on side and :class:`ReferenceTracer` on the other."""
     with fastpath.overridden(ON):
         fast = state_fn(make_runner(), OnlineTracer, **kwargs)
@@ -172,10 +174,14 @@ def assert_traced_differential(make_runner, state_fn=_traced_state, **kwargs):
 
 def test_reference_tracer_keeps_class_hook():
     # Guards the comparison itself: the flags-on side must dispatch to
-    # the compiled closure and the reference side to the class method.
-    program = SPEC[0].runner().program
-    assert "on_instruction" in vars(OnlineTracer(program))
-    assert "on_instruction" not in vars(ReferenceTracer(program))
+    # the per-pc stubs and the reference side to the class method.
+    runner = SPEC[0].runner()
+    _, fast, _ = _run_traced(runner, OnlineTracer)
+    assert "on_instruction" in vars(fast)
+    assert any(stub.__name__ == "stub" for stub in fast._stubs)  # translated
+    _, ref, _ = _run_traced(SPEC[0].runner(), ReferenceTracer)
+    assert "on_instruction" not in vars(ref)
+    assert ref._stubs is None
 
 
 # --- SPEC-like suite --------------------------------------------------------
@@ -214,6 +220,67 @@ def test_calls_traced(w):
 @pytest.mark.parametrize("w", CALLS, ids=_name)
 def test_calls_dift(w):
     assert_differential(w.runner, _dift_state)
+
+
+# --- ONTRAC stubs under every specialised config and window size -----------
+# Branches whose region ends at a function's exit, under a caller's open
+# region and in recursion: the stubs' call-depth bookkeeping.
+EARLY_RETURN = Workload(
+    "early-return",
+    compile_source("""
+    fn sign(x) {
+        if (x < 0) { return 0 - 1; }
+        return 1;
+    }
+    fn fact(n) {
+        if (n < 2) { return 1; }
+        return n * fact(n - 1);
+    }
+    fn main() {
+        var i = 0;
+        var s = 0;
+        while (i < 12) {
+            var v = in(0);
+            if (v > 3) { s = s + sign(v - 6) * fact(i % 5); }
+            s = s + i;
+            i = i + 1;
+        }
+        out(s, 1);
+    }
+    """),
+    {0: [1, 5, 9, 2, 7, 8, 3, 6, 4, 10, 0, 11]},
+    "calls into branchy and recursive functions",
+)
+STUB_WORKLOADS = SPEC + CALLS + RACES[:1] + [EARLY_RETURN]
+
+
+def _selected(runner):
+    """Every other function, so traced and untraced code both run (the
+    single-function suite programs trace nothing: all summaries)."""
+    return frozenset(sorted(runner.program.functions)[1::2])
+
+
+STUB_CONFIGS = {
+    "selective": lambda runner, size: OntracConfig(
+        buffer_bytes=size, selective_functions=_selected(runner)),
+    "input_forward_slice": lambda runner, size: OntracConfig(
+        buffer_bytes=size, input_forward_slice=True),
+    "war_waw": lambda runner, size: OntracConfig(
+        buffer_bytes=size, record_war_waw=True),
+    "naive": lambda runner, size: OntracConfig.unoptimized(buffer_bytes=size),
+}
+
+
+# Each config drives a different statically specialised part of the
+# per-pc stubs.  64 bytes evicts on nearly every row (the store's per-row
+# fallback), 4000 bytes evicts within a seal, and 1 << 16 holds most runs
+# whole (bulk seals).
+@pytest.mark.parametrize("w", STUB_WORKLOADS, ids=_name)
+@pytest.mark.parametrize("config", sorted(STUB_CONFIGS))
+@pytest.mark.parametrize("size", [64, 4000, 1 << 16])
+def test_stubs_traced(w, config, size):
+    config = STUB_CONFIGS[config](w.runner(), size)
+    assert_traced_differential(w.runner, config=config)
 
 
 # --- seeded-bug corpus ------------------------------------------------------

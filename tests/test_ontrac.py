@@ -417,3 +417,43 @@ class TestOffline:
         off = OfflineTracer(cp.program).attach(m)
         m.run()
         assert off.stats.trace_bytes == off.stats.instructions * 16
+
+
+def test_trace_slice_and_lake_paths_never_import_numpy(tmp_path):
+    """numpy takes ~0.1 s to import; a traced run, a slice and a lake
+    spill with a stored-run slice must not pull it in, or every traced
+    command and lake query pays for it at start-up."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    child = textwrap.dedent(f"""
+        import sys
+        import repro.runner, repro.ontrac, repro.slicing, repro.lake
+        from repro.lake import (TraceLake, input_hash, program_hash,
+                                resolve_criterion, slice_stored)
+        from repro.ontrac import OntracConfig
+        from repro.slicing import backward_slice
+        from repro.workloads import matmul
+
+        w = matmul(4)
+        _, tracer, _ = w.runner().run_traced()
+        ddg = tracer.dependence_graph()
+        assert backward_slice(ddg, max(seq for seq, _ in ddg.node_items())).seqs
+        lake = TraceLake({str(tmp_path)!r})
+        pending = lake.begin_run(program=program_hash(w.compiled.source),
+                                 input_hash=input_hash(w.inputs), seed=0)
+        _, tracer, _ = w.runner().run_traced(OntracConfig(spill_path=pending.spill_path))
+        with lake.open(pending.finish(tracer=tracer, compiled=w.compiled)) as stored:
+            assert slice_stored(stored, resolve_criterion(stored)).seqs
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+        print(loaded[:5])
+    """)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]", f"numpy imported: {out.stdout.strip()}"

@@ -10,10 +10,12 @@ accounting) are checked directly, and every indexed query against
 ``build_ddg`` over the same records.
 """
 
+import random
 from collections import deque
 
 import pytest
 
+from repro.lake.format import SpillingPackedTraceBuffer
 from repro.ontrac import (
     BufferStats,
     DepKind,
@@ -260,3 +262,112 @@ def test_capacity_below_one_record_drains_cleanly():
     assert stats_tuple(packed.stats) == stats_tuple(stats)
     assert len(packed) == 0 and packed.current_bytes == 0
     assert packed.chunk_count == 1
+
+
+# --- bulk extend_rows == one append_row per row -------------------------------
+_NODE_CODES = (KIND_CODES[DepKind.INSTR], KIND_CODES[DepKind.BRANCH])
+_EDGE_CODES = tuple(c for c in range(len(KIND_CODES)) if c not in _NODE_CODES)
+
+
+def _odd_row(rng, seq):
+    """One row holding a value outside its column, or a node row with
+    junk producer fields (which the store ignores)."""
+    code = rng.choice(_EDGE_CODES)
+    pc, pseq, ppc, tid = rng.randrange(200), seq - rng.randrange(50), rng.randrange(200), 0
+    case = rng.randrange(8)
+    if case == 0:
+        pc = rng.choice((0xFFFF, 0xFFFF + 1, 1 << 20, -1))
+    elif case == 1:
+        ppc = rng.choice((0xFFFF, 1 << 18, -3))
+    elif case == 2:
+        tid = rng.choice((0xFFFF, 1 << 17))
+    elif case == 3:
+        pseq = seq - rng.choice(((1 << 32) + 5, 0xFFFFFFFF))  # delta > 2**32
+    elif case == 4:
+        pseq = seq + rng.randrange(1, 9)  # producer after consumer
+    else:
+        code = rng.choice(_NODE_CODES)
+        pseq, ppc = rng.choice(((-1, -1), (seq + 3, 0xFFFF), (-(1 << 40), 7)))
+    return (code, seq, pc, pseq, ppc, tid)
+
+
+def _row_stream(rng, batches, non_monotone):
+    """Random batches of ``append_row`` argument tuples.  Most batches
+    are clean (the bulk path); some carry one out-of-column value; with
+    ``non_monotone`` one batch steps a consumer seq backwards."""
+    seq = rng.randrange(1 << 34) if rng.random() < 0.2 else rng.randrange(100)
+    backwards_at = rng.randrange(batches) if non_monotone else -1
+    stream = []
+    for b in range(batches):
+        rows = []
+        for _ in range(rng.choice((0, 1, 5, 40, 300, 1500, 5000))):
+            seq += rng.choice((0, 0, 1, 1, 2, 9))
+            if rng.random() < 0.3:
+                code = rng.choice(_NODE_CODES)
+                rows.append((code, seq, rng.randrange(300), -1, -1, rng.randrange(3)))
+            else:
+                rows.append((rng.choice(_EDGE_CODES), seq, rng.randrange(300),
+                             seq - rng.randrange(60), rng.randrange(300),
+                             rng.randrange(3)))
+        if rows and rng.random() < 0.3:
+            i = rng.randrange(len(rows))
+            rows[i] = _odd_row(rng, rows[i][1])
+        if b == backwards_at and rows:
+            i = rng.randrange(len(rows))
+            code, s, pc, pseq, ppc, tid = rows[i]
+            rows[i] = (code, s - 5, pc, pseq - 5, ppc, tid)
+        stream.append(rows)
+    return stream
+
+
+def _store_state(buf):
+    chunks = [
+        (c.cap, c.cseq_base, c.n, c.head, c.over,
+         c.kind.tobytes(), c.cseq_off.tobytes(), c.cpc.tobytes(),
+         c.pdelta.tobytes(), c.ppc.tobytes(), c.tid.tobytes())
+        for c in buf._chunks
+    ]
+    return (chunks, list(buf._firsts), buf.epoch, stats_tuple(buf.stats),
+            buf.current_bytes, buf.monotone, buf._last_cseq, len(buf),
+            len(buf._pool), [record_tuple(r) for r in buf])
+
+
+@pytest.mark.parametrize("capacity", [1, 700, 1 << 40],
+                         ids=["below-one-row", "overflows-mid-batch", "never-overflows"])
+@pytest.mark.parametrize("seed", range(12))
+def test_extend_rows_matches_append_row(seed, capacity):
+    rng = random.Random(seed * 7919 + capacity)
+    stream = _row_stream(rng, batches=8, non_monotone=seed % 3 == 0)
+    bulk = PackedTraceBuffer(capacity_bytes=capacity)
+    rowwise = PackedTraceBuffer(capacity_bytes=capacity)
+    for rows in stream:
+        got = bulk.extend_rows(*zip(*rows)) if rows else bulk.extend_rows((), (), (), (), (), ())
+        want = sum(rowwise.append_row(*row) for row in rows)
+        assert got == want
+        assert _store_state(bulk) == _store_state(rowwise)
+    if capacity == 1 << 40:
+        assert bulk.stats.evicted == 0
+    else:
+        assert bulk.stats.eviction_passes > 0
+
+
+@pytest.mark.parametrize("capacity", [1, 700, 1 << 40],
+                         ids=["below-one-row", "overflows-mid-batch", "never-overflows"])
+@pytest.mark.parametrize("seed", range(4))
+def test_extend_rows_spills_identical_files(tmp_path, seed, capacity):
+    rng = random.Random(seed)
+    stream = _row_stream(rng, batches=6, non_monotone=seed == 3)
+    paths = [str(tmp_path / "bulk.rlk"), str(tmp_path / "rowwise.rlk")]
+    bulk, rowwise = (SpillingPackedTraceBuffer(capacity, p) for p in paths)
+    for rows in stream:
+        if rows:
+            bulk.extend_rows(*zip(*rows))
+        for row in rows:
+            rowwise.append_row(*row)
+        assert _store_state(bulk) == _store_state(rowwise)
+        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+            assert a.read() == b.read()  # the same chunks sealed and spilled
+    bulk.close()
+    rowwise.close()
+    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+        assert a.read() == b.read()

@@ -14,6 +14,7 @@ Three layers, cheapest first:
   kill-one-real-backend-mid-burst run asserting zero hung clients.
 """
 
+import os
 import random
 import socket
 import threading
@@ -37,6 +38,32 @@ from repro.service import (
 from repro.service.protocol import ProtocolError, STATUS_PARTIAL
 
 from tests.test_aserver import canonical
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """Fields of ``/proc/<pid>/stat`` after the command name (state,
+    ppid, ...), or None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid: int) -> list[int]:
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _proc_stat(int(entry))
+            if fields is not None and int(fields[1]) == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def _alive(pid: int) -> bool:
+    """Running, as opposed to gone or a zombie nobody reaped yet."""
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
 
 WORKLOADS = ("matmul", "sort", "hashloop", "rle", "bfs", "fsm")
 
@@ -543,7 +570,9 @@ class TestRouterChaos:
         for i, t in enumerate(threads):
             t.start()
             if i == 8:
+                orphans = _children(procs[0].pid)  # the pool's workers
                 procs[0].kill()  # the kill, mid-burst (SIGKILL, no drain)
+                killed_at = time.monotonic()
         for t in threads:
             t.join(timeout=150.0)
         hung = [t for t in threads if t.is_alive()]
@@ -564,3 +593,11 @@ class TestRouterChaos:
             time.sleep(0.1)
         else:
             pytest.fail("killed backend never marked down")
+        # The killed daemon's workers notice they were orphaned and exit.
+        assert orphans, "the killed backend had no pool workers"
+        while time.monotonic() < killed_at + 10.0:
+            if not any(map(_alive, orphans)):
+                break
+            time.sleep(0.1)
+        alive = [pid for pid in orphans if _alive(pid)]
+        assert not alive, f"workers {alive} outlived their killed daemon by 10 s"

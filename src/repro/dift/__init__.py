@@ -22,7 +22,7 @@ from .kernel import (
     select_kernel,
 )
 from .policy import BoolTaintPolicy, PCTaintPolicy, TaintPolicy
-from .shadow import ArrayLabelStore, PagedLabelStore, ShadowState
+from .shadow import ShadowState
 
 __all__ = [
     "DIFTEngine",
@@ -32,8 +32,6 @@ __all__ = [
     "BoolTaintPolicy",
     "PCTaintPolicy",
     "TaintPolicy",
-    "ArrayLabelStore",
-    "PagedLabelStore",
     "ShadowState",
     "ArrayKernel",
     "BatchEffects",

@@ -25,6 +25,7 @@ engine on a helper core instead and charges those cycles there.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, replace
 
 from .. import fastpath
@@ -112,7 +113,6 @@ class DIFTEngine(Hook):
         sinks: list[SinkRule] | None = None,
         propagate_addresses: bool = False,
         charge_overhead: bool = True,
-        paged_shadow: bool | None = None,
         kernel: str | None = None,
         kernel_batch: int | None = None,
         summaries: bool | None = None,
@@ -142,7 +142,7 @@ class DIFTEngine(Hook):
             policy
         ) in (BoolTaintPolicy, PCTaintPolicy)
         self._summary_cache = summary_cache
-        self._shadow = ShadowState(policy, paged=paged_shadow, array=name == "array")
+        self._shadow = ShadowState(policy)
         self.source_channels = source_channels
         self.sinks = sinks if sinks is not None else [SinkRule(kind="icall")]
         self.propagate_addresses = propagate_addresses
@@ -249,7 +249,9 @@ class DIFTEngine(Hook):
             },
         }
 
-    def _enable_batching(self) -> None:
+    def _enable_batching(self, kernel=None) -> None:
+        """Install the record packer; flushes feed ``kernel`` when given
+        (the record capture passes itself), else a resolved kernel."""
         from .kernel import (
             K_ALLOC,
             K_CALL,
@@ -263,26 +265,30 @@ class DIFTEngine(Hook):
             K_STORE,
             RECORD,
             _fit,
+            _I64_MAX,
             _IO_NONE,
             build_kernel,
+            wide_record,
         )
 
-        kern = build_kernel(
-            self.kernel_name,
-            self.policy,
-            source_channels=self.source_channels,
-            sinks=self.sinks,
-            propagate_addresses=self.propagate_addresses,
-            shadow=self._shadow,
-            stats=self._stats,
-            alerts=self._alerts,
-        )
         summaries_on = self._summaries
-        if summaries_on:
-            from .summaries import SummaryKernel
+        kern = kernel
+        if kern is None:
+            kern = build_kernel(
+                self.kernel_name,
+                self.policy,
+                source_channels=self.source_channels,
+                sinks=self.sinks,
+                propagate_addresses=self.propagate_addresses,
+                shadow=self._shadow,
+                stats=self._stats,
+                alerts=self._alerts,
+            )
+            if summaries_on:
+                from .summaries import SummaryKernel
 
-            kern = SummaryKernel(kern, cache=self._summary_cache)
-            self._summary_cache = kern.cache
+                kern = SummaryKernel(kern, cache=self._summary_cache)
+                self._summary_cache = kern.cache
         self._kernel = kern
         # Pseudo-kinds for call-boundary instructions (summary mode):
         # negative so no packed kind collides.
@@ -300,6 +306,7 @@ class DIFTEngine(Hook):
         kget = kinds.get
         register = kern.register_template
         flush = self._flush_batch
+        put_wide = kern.wide.__setitem__
 
         def on_instruction(ev: InstrEvent) -> None:
             pc = ev.pc
@@ -360,9 +367,17 @@ class DIFTEngine(Hook):
             if kind == K_GENERIC:
                 extend(pack(K_GENERIC, tid, pc, 0, 0))
             elif kind == K_LOAD:
-                extend(pack(K_LOAD, tid, pc, ev.mem_reads[0][0], 0))
+                addr = ev.mem_reads[0][0]
+                try:
+                    extend(pack(K_LOAD, tid, pc, addr, 0))
+                except struct.error:
+                    extend(wide_record(K_LOAD, tid, pc, ev.seq, addr, put_wide))
             elif kind == K_STORE:
-                extend(pack(K_STORE, tid, pc, ev.mem_writes[0][0], 0))
+                addr = ev.mem_writes[0][0]
+                try:
+                    extend(pack(K_STORE, tid, pc, addr, 0))
+                except struct.error:
+                    extend(wide_record(K_STORE, tid, pc, ev.seq, addr, put_wide))
             elif kind == K_SINK:
                 value = ev.reg_reads[0][1]
                 io = ev.io_value
@@ -381,7 +396,10 @@ class DIFTEngine(Hook):
                 extend(pack(K_IN, tid, pc, _fit(ev.io_value), ev.input_index))
             elif kind == K_ALLOC:
                 alloc_base, alloc_size = ev.alloc
-                extend(pack(K_ALLOC, tid, pc, alloc_base, alloc_size))
+                if alloc_base + alloc_size <= _I64_MAX:
+                    extend(pack(K_ALLOC, tid, pc, alloc_base, alloc_size))
+                else:
+                    extend(wide_record(K_ALLOC, tid, pc, ev.seq, ev.alloc, put_wide))
             else:  # K_SPAWN
                 extend(pack(K_SPAWN, tid, pc, ev.reg_writes[0][1], 0))
             if len(batch) >= flush_bytes:
@@ -554,7 +572,6 @@ class DIFTEngine(Hook):
             self.shadow.tainted_cells + self.shadow.tainted_regs
         )
         registry.gauge("dift.shadow_bytes").set(self.shadow.shadow_bytes)
-        registry.counter("shadow.pages_allocated").inc(self.shadow.pages_allocated)
         if self._kernel is not None:
             # Emitted only when the micro-batcher actually engaged, so
             # per-event runs (telemetry machines included) keep their

@@ -44,10 +44,9 @@ from dataclasses import dataclass, replace
 from .. import fastpath
 from ..isa.instructions import Opcode
 from ..vm.errors import AttackDetected
-from ..vm.events import Hook, InstrEvent
+from ..vm.events import InstrEvent
 from .engine import DIFTEngine, TaintAlert
 from .policy import BoolTaintPolicy, COPY_OPS, PCTaintPolicy, TaintPolicy
-from .shadow import ShadowState
 
 #: one packed record: kind u8, tid u16, pc u32, a i64, b i64, pad -> 24 B.
 #: (Canonical here; :mod:`repro.multicore.parallel` re-exports it.)
@@ -75,6 +74,13 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 #: ``b`` sentinel for "io_value is None" on K_SINK records.
 _IO_NONE = _I64_MIN
+#: ``b`` flag on a K_LOAD/K_STORE/K_ALLOC record whose operands do not
+#: fit the i64 fields.  Guest values are unbounded ints and memory does
+#: no bounds checks, so an address may not fit; it is never clamped
+#: (that would alias cells).  The true payload — the address, or the
+#: ``(base, size)`` block — travels beside the stream instead, keyed by
+#: the record's seq (:attr:`PropagationKernel.wide`).
+_WIDE = _I64_MIN
 
 #: reg-key shift: key = tid << REG_SHIFT | reg (regs are < 64 per thread).
 REG_SHIFT = 6
@@ -120,6 +126,13 @@ def _fit(v: int) -> int:
     if v <= _I64_MIN:
         return _I64_MIN + 1
     return v
+
+
+def wide_record(kind: int, tid: int, pc: int, seq: int, payload, put) -> bytes:
+    """Pack a record whose operands overflow the i64 fields: ``put(seq,
+    payload)`` hands the true payload to the consumer's side table."""
+    put(seq, payload)
+    return RECORD.pack(kind, tid, pc, 0, _WIDE)
 
 
 def classify_opcode(instr, reg_writes) -> int:
@@ -208,14 +221,10 @@ class PropagationKernel:
             sinks=sinks,
             propagate_addresses=propagate_addresses,
             charge_overhead=False,
-            paged_shadow=False,
             kernel="reference",
         )
-        # A standalone kernel owns its shadow (the store variant that
-        # matches its backend); adopted shadows are used as-is.
-        self.engine._shadow = (
-            shadow if shadow is not None else self._default_shadow(policy)
-        )
+        if shadow is not None:
+            self.engine._shadow = shadow
         if stats is not None:
             self.engine._stats = stats
         if alerts is not None:
@@ -230,6 +239,10 @@ class PropagationKernel:
         self.rules_for_pc: dict[int, tuple] = {}
         #: called with an unregistered pc; must register it (or raise).
         self.template_provider = None
+        #: seq -> true payload of a wide record (see :data:`_WIDE`).
+        self.wide: dict[int, object] = {}
+        #: called with a seq missing from :attr:`wide`; must deliver it.
+        self.wide_provider = None
         #: global dynamic instruction number of the next record.
         self.seq = 0
         #: effects of a batch that raised (stats were applied; the
@@ -238,9 +251,6 @@ class PropagationKernel:
         self.batches = 0
         self.records_consumed = 0
         self.records_replayed = 0
-
-    def _default_shadow(self, policy: TaintPolicy) -> ShadowState:
-        return ShadowState(policy)
 
     # -- substrate views ----------------------------------------------------
     @property
@@ -295,6 +305,14 @@ class PropagationKernel:
             provider(pc)
         return self.templates[pc]
 
+    def _wide_payload(self, seq: int):
+        wide = self.wide
+        while seq not in wide:
+            if self.wide_provider is None:
+                raise KeyError(f"no wide payload for the record at seq {seq}")
+            self.wide_provider(seq)
+        return wide.pop(seq)
+
     # -- the batch interface -------------------------------------------------
     def propagate_batch(self, records: bytes, shadow=None, policy=None) -> BatchEffects:
         """Propagate one batch of packed records; returns its effects.
@@ -326,6 +344,7 @@ class PropagationKernel:
         templates_get = self.templates.get
         on_instruction = engine.on_instruction
         io_none = _IO_NONE
+        wide = _WIDE
         SKIP, GENERIC, LOAD, STORE = K_SKIP, K_GENERIC, K_LOAD, K_STORE
         ALLOC, IN, SINK, CALL_M = K_ALLOC, K_IN, K_SINK, K_CALL
         check = engine.check_cycles
@@ -351,8 +370,12 @@ class PropagationKernel:
                 if kind == GENERIC:
                     pass
                 elif kind == LOAD:
+                    if b == wide:
+                        a = self._wide_payload(ev.seq)
                     ev.mem_reads = ((a, 0),)
                 elif kind == STORE:
+                    if b == wide:
+                        a = self._wide_payload(ev.seq)
                     ev.mem_writes = ((a, 0),)
                 elif kind == SINK:
                     ev.reg_reads = ((ev.reg_reads[0][0], a),)
@@ -361,7 +384,7 @@ class PropagationKernel:
                     ev.io_value = a
                     ev.input_index = b
                 elif kind == ALLOC:
-                    ev.alloc = (a, b)
+                    ev.alloc = self._wide_payload(ev.seq) if b == wide else (a, b)
                 else:  # K_SPAWN
                     ev.reg_writes = ((ev.reg_writes[0][0], a),)
                 on_instruction(ev)
@@ -464,14 +487,6 @@ class ArrayKernel(PropagationKernel):
         #: batches left before the next selection probe (0 = probe now).
         self._probe_countdown = 0
 
-    def _default_shadow(self, policy: TaintPolicy) -> ShadowState:
-        # Plain-dict cells: the replay loop's per-record get/set is the
-        # hot path, where dict wins; the columnar ArrayLabelStore (the
-        # engine's default when it engages this kernel inline) pays off
-        # for bulk export/clear on dense-taint heaps and is adopted
-        # as-is when a consumer passes such a shadow.
-        return ShadowState(policy, paged=False)
-
     # -- template columns ---------------------------------------------------
     def _grow(self, need: int) -> None:
         np = self._np
@@ -549,11 +564,16 @@ class ArrayKernel(PropagationKernel):
         else:
             t_reg = np.empty(0, dtype=np.int64)
         mem = shadow.mem
-        tainted_addrs = getattr(mem, "tainted_addresses", None)
-        if tainted_addrs is not None:
-            t_mem = tainted_addrs()  # ArrayLabelStore: vectorized export
-        elif mem:
-            t_mem = np.fromiter(iter(mem.keys()), dtype=np.int64, count=len(mem))
+        if mem:
+            try:
+                t_mem = np.fromiter(iter(mem.keys()), dtype=np.int64, count=len(mem))
+            except OverflowError:
+                # Cells beyond the i64 range are reachable only through
+                # wide records, whose batches never reach selection, and
+                # no packed ALLOC range can cover them: leave them out.
+                t_mem = np.fromiter(
+                    (k for k in mem if _I64_MIN <= k <= _I64_MAX), dtype=np.int64
+                )
             t_mem.sort()
         else:
             t_mem = np.empty(0, dtype=np.int64)
@@ -580,6 +600,10 @@ class ArrayKernel(PropagationKernel):
             # A pc with >3 effective read regs (none in the current ISA,
             # but soundness first): replay the whole batch per-record.
             self.fixpoint_fallbacks += 1
+            return self._replay_all(records)
+        if ((kind >= K_LOAD) & (kind <= K_ALLOC) & (arr["b"] == _WIDE)).any():
+            # A wide record's operand is not in the columns; these
+            # batches replay per record.
             return self._replay_all(records)
 
         a = arr["a"]
@@ -919,128 +943,80 @@ def build_kernel(name: str, policy: TaintPolicy, **kw) -> PropagationKernel:
     raise ValueError(f"unknown propagation kernel {name!r}")
 
 
-class RecordStreamCapture(Hook):
+class RecordStreamCapture:
     """Capture a run's packed record stream (bench/test aid).
 
     Attach to a machine like an engine; after the run, :attr:`chunks`
     holds the packed record bytes (skip-compressed, same wire format
     the ring ships), :attr:`templates` the per-pc operand templates in
-    first-use order, and :attr:`fixups` the seq -> true-value patches
-    for clamped sink payloads.  :meth:`prime` registers the templates
-    into a kernel so the stream can be replayed through it.
-    """
+    first-use order, :attr:`fixups` the seq -> true-value patches for
+    clamped sink payloads and :attr:`wide` the seq -> payload side
+    table of wide records.  :meth:`prime` registers the templates and
+    wide payloads into a kernel so the stream can be replayed through
+    it.
 
-    #: pseudo-kinds (marker capture only, never hit the wire as-is)
-    _SK_CALL = -1
-    _SK_RET = -2
-    _SK_ISINK = -3
+    The records come from the inline engine's own packer, run with
+    this object standing in for its kernel: each flushed batch is kept
+    instead of propagated.  ``markers=True`` cuts the summary-mode
+    call-boundary markers into the stream.
+    """
 
     def __init__(self, flush_records: int = 4096, markers: bool = False):
         self.chunks: list[bytes] = []
         self.templates: list[tuple] = []
-        self.fixups: dict[int, int] = {}
-        self._kinds: dict[int, int] = {}
-        self._batch = bytearray()
-        self._flush_bytes = flush_records * RECORD_SIZE
-        self._skip = 0
-        self._markers = markers
-        self.instructions = 0
+        self.wide: dict[int, object] = {}
+        self.seq = 0  # set by the packer per flush, like a kernel's
+        self._packer = DIFTEngine(
+            BoolTaintPolicy(),
+            charge_overhead=False,
+            kernel="reference",
+            kernel_batch=flush_records,
+            summaries=markers,
+        )
+
+    @property
+    def fixups(self) -> dict[int, int]:
+        return self._packer._fixups
+
+    @property
+    def instructions(self) -> int:
+        """Guest instructions the captured stream stands for."""
+        return sum(
+            a if kind == K_SKIP else kind < K_CALL
+            for chunk in self.chunks
+            for kind, _tid, _pc, a, _b in RECORD.iter_unpack(chunk)
+        )
 
     def attach(self, machine) -> "RecordStreamCapture":
-        machine.hooks.subscribe(self)
+        packer = self._packer
+        packer.machine = machine
+        packer._enable_batching(kernel=self)
+        machine.hooks.subscribe(packer)
         return self
 
-    def on_instruction(self, ev: InstrEvent) -> None:
-        pc = ev.pc
-        kind = self._kinds.get(pc)
-        if kind is None:
-            kind = classify_opcode(ev.instr, ev.reg_writes)
-            if self._markers:
-                op = ev.instr.opcode
-                if op is Opcode.CALL:
-                    kind = self._SK_CALL
-                elif op is Opcode.RET:
-                    kind = self._SK_RET
-                elif op is Opcode.ICALL:
-                    kind = self._SK_ISINK
-            self._kinds[pc] = kind
-            if kind != K_SKIP and kind not in (self._SK_CALL, self._SK_RET):
-                self.templates.append(
-                    (pc, ev.instr, ev.reg_reads, ev.reg_writes, ev.channel)
-                )
-        self.instructions += 1
-        batch = self._batch
-        if kind < 0:
-            # Summary-mode call boundaries, mirroring the engine closure:
-            # CALL/RET fold their own skip weight into the run, cut it,
-            # then append the zero-weight marker (so CALL's weight lands
-            # before — outside — the region and RET's weight inside it).
-            # ICALL cuts the run and puts its K_CALL(a=1) marker just
-            # before its own sink record.
-            if kind == self._SK_ISINK:
-                if self._skip:
-                    batch.extend(RECORD.pack(K_SKIP, 0, 0, self._skip, 0))
-                    self._skip = 0
-                batch.extend(RECORD.pack(K_CALL, ev.tid, pc, 1, 0))
-                kind = K_SINK
-            else:
-                self._skip += 1
-                batch.extend(RECORD.pack(K_SKIP, 0, 0, self._skip, 0))
-                self._skip = 0
-                batch.extend(
-                    RECORD.pack(
-                        K_CALL if kind == self._SK_CALL else K_RET, ev.tid, pc, 0, 0
-                    )
-                )
-                if len(batch) >= self._flush_bytes:
-                    self.chunks.append(bytes(batch))
-                    del batch[:]
-                return
-        if kind == K_SKIP:
-            self._skip += 1
-            return
-        if self._skip:
-            batch.extend(RECORD.pack(K_SKIP, 0, 0, self._skip, 0))
-            self._skip = 0
-        tid = ev.tid
-        if kind == K_GENERIC:
-            batch.extend(RECORD.pack(K_GENERIC, tid, pc, 0, 0))
-        elif kind == K_LOAD:
-            batch.extend(RECORD.pack(K_LOAD, tid, pc, ev.mem_reads[0][0], 0))
-        elif kind == K_STORE:
-            batch.extend(RECORD.pack(K_STORE, tid, pc, ev.mem_writes[0][0], 0))
-        elif kind == K_SINK:
-            value = ev.reg_reads[0][1]
-            io = ev.io_value
-            a = _fit(value)
-            b = _IO_NONE if io is None else _fit(io)
-            if a != value or (io is not None and b != io):
-                self.fixups[ev.seq] = io if io is not None else value
-            batch.extend(RECORD.pack(K_SINK, tid, pc, a, b))
-        elif kind == K_IN:
-            batch.extend(RECORD.pack(K_IN, tid, pc, _fit(ev.io_value), ev.input_index))
-        elif kind == K_ALLOC:
-            base, size = ev.alloc
-            batch.extend(RECORD.pack(K_ALLOC, tid, pc, base, size))
-        else:  # K_SPAWN
-            batch.extend(RECORD.pack(K_SPAWN, tid, pc, ev.reg_writes[0][1], 0))
-        if len(batch) >= self._flush_bytes:
-            self.chunks.append(bytes(batch))
-            del batch[:]
+    # -- the kernel surface the packer drives --------------------------------
+    def register_template(self, pc, instr, reg_reads, reg_writes, channel):
+        kind = classify_opcode(instr, reg_writes)
+        if kind != K_SKIP:
+            self.templates.append((pc, instr, reg_reads, reg_writes, channel))
+        return kind, False
+
+    def propagate_batch(self, records: bytes) -> BatchEffects:
+        self.chunks.append(records)
+        return BatchEffects()
+
+    def settle(self) -> int:
+        return 0
 
     def finish(self) -> "RecordStreamCapture":
-        if self._skip:
-            self._batch.extend(RECORD.pack(K_SKIP, 0, 0, self._skip, 0))
-            self._skip = 0
-        if self._batch:
-            self.chunks.append(bytes(self._batch))
-            del self._batch[:]
+        self._packer._drain()
         return self
 
     def prime(self, kernel: PropagationKernel) -> PropagationKernel:
-        """Register the captured templates into ``kernel``."""
+        """Register the captured templates and wide payloads into ``kernel``."""
         for pc, instr, reg_reads, reg_writes, channel in self.templates:
             kernel.register_template(pc, instr, reg_reads, reg_writes, channel)
+        kernel.wide.update(self.wide)
         return kernel
 
     def patch_alerts(self, alerts: list[TaintAlert]) -> list[TaintAlert]:
@@ -1076,4 +1052,5 @@ __all__ = [
     "build_kernel",
     "classify_opcode",
     "select_kernel",
+    "wide_record",
 ]

@@ -51,8 +51,10 @@ dispatch as the inline reference).
 
 Regions containing ALLOC or SPAWN records are never summarized
 (``clear_range`` and cross-thread seeding have effects outside the
-byte-determined footprint); their sites are blacklisted on first
-sight and their inner calls summarize independently.
+byte-determined footprint), nor are regions with a wide LOAD/STORE
+(its address travels beside the stream, not in the bytes); their
+sites are blacklisted on first sight and their inner calls summarize
+independently.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from .kernel import (
     PropagationKernel,
     RECORD,
     RECORD_SIZE,
+    _WIDE,
 )
 from .policy import BoolTaintPolicy, PCTaintPolicy, TaintPolicy
 
@@ -347,6 +350,10 @@ class SummaryKernel:
     @property
     def templates(self):
         return self.inner.templates
+
+    @property
+    def wide(self):
+        return self.inner.wide
 
     @property
     def rules_for_pc(self):
@@ -624,7 +631,8 @@ class SummaryKernel:
         # Decode the footprint *before* the records execute: a location
         # not yet touched still carries its pre-region label.
         if not self._decode_footprint(data, f):
-            # ALLOC/SPAWN inside the region: not summarizable, ever.
+            # ALLOC/SPAWN or a wide record inside the region: not
+            # summarizable, ever.
             self._abort_frame(blacklist=True)
             self._feed(data, agg)
             return
@@ -662,6 +670,8 @@ class SummaryKernel:
             tkind, reads, wr = info
             if tkind == K_ALLOC or tkind == K_SPAWN:
                 return False
+            if b == _WIDE and (tkind == K_LOAD or tkind == K_STORE):
+                return False  # the address is not in the record bytes
             if tkind == K_LOAD and a not in touched_m:
                 touched_m.add(a)
                 fmem[a] = mg(a)

@@ -17,11 +17,6 @@ Flags (all default **on**):
     a dispatch-table closure at machine construction, hoisting the
     opcode ``if/elif`` chain, operand decoding and cost lookup out of
     the per-instruction step.
-``paged_shadow``
-    Back shadow memory with 4 KiB label pages (and a shared notion of
-    the all-clear page: absent pages read as untainted) instead of one
-    flat per-address dict, so ``clear_range``/``snapshot`` work per
-    page instead of per cell.
 ``parallel_batch``
     Batch the out-of-process DIFT helper's shared-memory channel
     (:class:`repro.multicore.parallel.ParallelHelperDIFT`): flush
@@ -42,10 +37,13 @@ Flags (all default **on**):
     or the policy is not array-encodable (see
     :func:`propagation_kernel`).
 
+Shadow memory has no flag: every engine and kernel keeps its labels
+in one plain dict (:mod:`repro.dift.shadow`).
+
 Resolution order: explicit argument > process-wide override
 (:func:`configure` / :func:`overridden`) > environment
-(``REPRO_FASTPATH=0`` kills everything; ``REPRO_FASTPATH_VM`` and
-``REPRO_FASTPATH_SHADOW`` toggle one;
+(``REPRO_FASTPATH=0`` kills everything; ``REPRO_FASTPATH_VM`` toggles
+the dispatch table;
 ``REPRO_FASTPATH_KERNEL=reference|array`` picks the propagation
 kernel and ``REPRO_FASTPATH_KERNEL_BATCH`` the records-per-batch;
 ``REPRO_FASTPATH_PARALLEL`` opts in to channel batching and
@@ -74,7 +72,6 @@ class FastPathConfig:
     """Which fast-path implementations to use; see the module docstring."""
 
     vm_dispatch: bool = True
-    paged_shadow: bool = True
     #: batch the parallel helper's shared-memory channel (default off).
     parallel_batch: bool = False
     #: vectorized batch propagation kernel (numpy; auto-falls back).
@@ -87,7 +84,6 @@ class FastPathConfig:
     def all_on(cls) -> "FastPathConfig":
         return cls(
             vm_dispatch=True,
-            paged_shadow=True,
             parallel_batch=True,
             array_kernel=True,
             summaries=True,
@@ -97,7 +93,6 @@ class FastPathConfig:
     def all_off(cls) -> "FastPathConfig":
         return cls(
             vm_dispatch=False,
-            paged_shadow=False,
             parallel_batch=False,
             array_kernel=False,
             summaries=False,
@@ -131,7 +126,6 @@ def from_env() -> FastPathConfig:
     master = _env_bool("REPRO_FASTPATH", True)
     return FastPathConfig(
         vm_dispatch=_env_bool("REPRO_FASTPATH_VM", master),
-        paged_shadow=_env_bool("REPRO_FASTPATH_SHADOW", master),
         # Unlike the implementation flags, batching is opt-in: the master
         # switch can only force it off, never on.
         parallel_batch=master and _env_bool("REPRO_FASTPATH_PARALLEL", False),

@@ -717,7 +717,7 @@ def run_fastpath(scale: int = 1, repeats: int = 5) -> ExperimentResult:
         tracer.publish_telemetry(registry)
 
     # One instrumented run so the introspection counters land in metrics
-    # (dispatch hits from the VM, page counts from a paged DIFT shadow).
+    # (dispatch hits from the VM).
     with fastpath.overridden(FastPathConfig.all_on()):
         from ..telemetry import Telemetry
 

@@ -31,6 +31,11 @@ K_IN        input value, input index
 K_SINK      sink operand value, io value (ICALL/OUT)
 ==========  ========================================================
 
+An address (or ALLOC block) too wide for the i64 fields is never
+clamped: its record carries the ``_WIDE`` flag and the true payload
+rides the template pipe as a ``(seq, payload)`` message, again strictly
+before the ring record that needs it.
+
 The worker feeds drained ring chunks straight to a pluggable
 :class:`~repro.dift.kernel.PropagationKernel` — no per-record Python
 loop in the worker: the reference kernel reconstructs per-pc template
@@ -75,9 +80,12 @@ from ..dift.kernel import (
     RECORD,
     RECORD_SIZE,
     _fit,
+    _I64_MAX,
     _IO_NONE,
     build_kernel,
+    classify_opcode,
     select_kernel,
+    wide_record,
 )
 from ..dift.summaries import SummaryKernel, summarizable
 from ..dift.policy import TaintPolicy
@@ -167,18 +175,22 @@ def _worker_main(
     """
     shm = shared_memory.SharedMemory(name=shm_name)
     buf = shm.buf
-    kern = build_kernel(
+    base = build_kernel(
         kernel_name,
         policy,
         source_channels=source_channels,
         sinks=sinks,
         propagate_addresses=propagate_addresses,
     )
-    if summaries:
-        kern = SummaryKernel(kern)
+    kern = SummaryKernel(base) if summaries else base
+    wide = base.wide
 
     def register_def() -> None:
-        tpc, instr, reg_reads, reg_writes, channel = conn.recv()
+        msg = conn.recv()
+        if len(msg) == 2:  # (seq, payload) of a wide record
+            wide[msg[0]] = msg[1]
+            return
+        tpc, instr, reg_reads, reg_writes, channel = msg
         kern.register_template(tpc, instr, reg_reads, reg_writes, channel)
 
     def template_provider(pc: int) -> None:
@@ -190,7 +202,13 @@ def _worker_main(
         while pc not in templates:
             register_def()
 
+    def wide_provider(seq: int) -> None:
+        # Same ordering contract as template defs.
+        while seq not in wide:
+            register_def()
+
     kern.template_provider = template_provider
+    base.wide_provider = wide_provider
     stats = kern.stats
     attack: str | None = None
     culprit = -1
@@ -277,7 +295,6 @@ def _worker_main(
                 "regs": dict(shadow.regs),
                 "mem": shadow.mem_items(),
                 "peak_locations": shadow.peak_locations,
-                "pages_allocated": shadow.pages_allocated,
                 "attack": attack,
                 "culprit_pc": culprit,
                 "busy_s": busy,
@@ -353,7 +370,6 @@ class ParallelHelperDIFT(Hook):
         self._stats: DIFTStats | None = None
         self._alerts: list[TaintAlert] = []
         self._shadow: ShadowState | None = None
-        self._pages_allocated = 0
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, machine: Machine) -> "ParallelHelperDIFT":
@@ -402,6 +418,11 @@ class ParallelHelperDIFT(Hook):
         flush_bytes = self._flush_bytes
         publish = self._publish
         define = self._define
+        send = self._conn.send
+
+        def ship_wide(seq: int, payload) -> None:
+            send((seq, payload))
+
         fit = _fit
         io_none = _IO_NONE
         SKIP, GENERIC, LOAD, STORE = K_SKIP, K_GENERIC, K_LOAD, K_STORE
@@ -462,9 +483,17 @@ class ParallelHelperDIFT(Hook):
                     generic[key] = rec
                 extend(rec)
             elif kind == LOAD:
-                extend(pack(LOAD, tid, pc, ev.mem_reads[0][0], 0))
+                addr = ev.mem_reads[0][0]
+                try:
+                    extend(pack(LOAD, tid, pc, addr, 0))
+                except struct.error:
+                    extend(wide_record(LOAD, tid, pc, ev.seq, addr, ship_wide))
             elif kind == STORE:
-                extend(pack(STORE, tid, pc, ev.mem_writes[0][0], 0))
+                addr = ev.mem_writes[0][0]
+                try:
+                    extend(pack(STORE, tid, pc, addr, 0))
+                except struct.error:
+                    extend(wide_record(STORE, tid, pc, ev.seq, addr, ship_wide))
             elif kind == SINK:
                 value = ev.reg_reads[0][1]
                 io = ev.io_value
@@ -479,7 +508,10 @@ class ParallelHelperDIFT(Hook):
                 extend(pack(IN, tid, pc, fit(ev.io_value), ev.input_index))
             elif kind == ALLOC:
                 base, size = ev.alloc
-                extend(pack(ALLOC, tid, pc, base, size))
+                if base + size <= _I64_MAX:
+                    extend(pack(ALLOC, tid, pc, base, size))
+                else:
+                    extend(wide_record(ALLOC, tid, pc, ev.seq, ev.alloc, ship_wide))
             else:  # K_SPAWN
                 extend(pack(SPAWN, tid, pc, ev.reg_writes[0][1], 0))
             if len(batch) >= flush_bytes:
@@ -489,24 +521,7 @@ class ParallelHelperDIFT(Hook):
 
     def _define(self, ev: InstrEvent) -> int:
         op = ev.instr.opcode
-        # Must mirror DIFTEngine.on_instruction's dispatch chain so each
-        # pc's record kind matches the branch the worker's engine takes.
-        if op is Opcode.IN:
-            kind = K_IN
-        elif op is Opcode.LOAD or op is Opcode.POP:
-            kind = K_LOAD
-        elif op is Opcode.STORE or op is Opcode.PUSH:
-            kind = K_STORE
-        elif op is Opcode.ALLOC:
-            kind = K_ALLOC
-        elif op is Opcode.SPAWN:
-            kind = K_SPAWN
-        elif ev.reg_writes:
-            kind = K_GENERIC
-        elif op is Opcode.ICALL or op is Opcode.OUT:
-            kind = K_SINK
-        else:
-            kind = K_SKIP
+        kind = classify_opcode(ev.instr, ev.reg_writes)
         if kind != K_SKIP:
             # Ship the static operand template before any ring record
             # can reference this pc.
@@ -622,7 +637,6 @@ class ParallelHelperDIFT(Hook):
         shadow = ShadowState(self.policy, regs=payload["regs"], mem=payload["mem"])
         shadow.peak_locations = payload["peak_locations"]
         self._shadow = shadow
-        self._pages_allocated = payload["pages_allocated"]
         # Counters are derived at completion rather than maintained per
         # event: every record is RECORD_SIZE bytes, so the shipped byte
         # count gives the record total, and each skip record carries its
@@ -722,7 +736,6 @@ class ParallelHelperDIFT(Hook):
             shadow.tainted_cells + shadow.tainted_regs
         )
         registry.gauge("dift.shadow_bytes").set(shadow.shadow_bytes)
-        registry.counter("shadow.pages_allocated").inc(self._pages_allocated)
         registry.counter("multicore.parallel.messages").inc(rep.messages)
         registry.counter("multicore.parallel.instructions").inc(rep.instructions)
         registry.counter("multicore.parallel.skipped").inc(rep.skipped)

@@ -9,8 +9,8 @@ names, span timestamps) fails the diff.
 
 Runs are pinned to ``FastPathConfig.all_on()`` because the fast-path
 introspection counters (``fastpath.dispatch_hits``,
-``ontrac.store.chunks``, ``ontrac.store.resident_bytes``,
-``shadow.pages_allocated``) are part of the report; everything else in
+``ontrac.store.chunks``, ``ontrac.store.resident_bytes``) are part
+of the report; everything else in
 the fixtures is flag-independent by the bit-identity contract.
 ``ontrac.store.resident_bytes`` stays golden-stable because it is the
 deterministic column-payload figure, not a ``getsizeof``/tracemalloc

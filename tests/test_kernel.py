@@ -4,7 +4,8 @@ The differential suite proves the kernels agree on whole workloads;
 these tests pin down the boundaries where a vectorized batch could
 plausibly diverge: empty batches, batches split exactly at a sink
 record, an ``AttackDetected`` raised mid-batch, overflow-clamped sink
-payloads, fallback resolution, and an adopted array-backed shadow.
+payloads, addresses beyond the i64 payload, fallback resolution, and
+an adopted shadow.
 """
 
 import warnings
@@ -13,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro import fastpath
-from repro.dift import BoolTaintPolicy, DIFTEngine, ShadowState, SinkRule
+from repro.dift import BoolTaintPolicy, DIFTEngine, PCTaintPolicy, ShadowState, SinkRule
 from repro.dift.kernel import (
     K_SINK,
     K_SKIP,
@@ -23,6 +24,7 @@ from repro.dift.kernel import (
     RecordStreamCapture,
     build_kernel,
 )
+from repro.dift.summaries import SummaryKernel
 from repro.lang import compile_source
 from repro.vm import Machine, RunStatus
 from repro.vm.errors import AttackDetected
@@ -207,6 +209,119 @@ def test_overflow_sink_fixup_round_trip(name):
     assert [al.seq for al in patched] == [al.seq for al in inline_eng.alerts]
 
 
+# Guest addresses are unbounded ints and memory does no bounds checks:
+# cells at 2**64 and below -2**63, a block whose size is past the i64
+# payload and the blocks allocated after it.  ``poke`` sometimes writes
+# through the wide pointer, so a summarized call site meets a wide
+# record; the loop keeps in-range traffic flowing around wide taint.
+WIDE_SRC = """
+fn poke(p, v) {
+    p[1] = v;
+    return p[1] + 1;
+}
+
+fn main() {
+    var buf = alloc(8);
+    var big = 4611686018427387904;
+    big = big * 4;
+    var neg = 0 - big - 5;
+    big[0] = in(0);
+    neg[1] = in(0);
+    var huge = alloc(big);
+    var far = alloc(4);
+    far[2] = in(0);
+    var s = 0;
+    var i = 0;
+    while (i < 90) {
+        buf[i % 8] = in(0) + i;
+        s = s + buf[(i + 3) % 8];
+        var p = buf;
+        if (i % 15 == 7) { p = big; }
+        s = s + poke(p, in(0));
+        i = i + 1;
+    }
+    out(big[0] + neg[1], 1);
+    out(far[2], 1);
+    out(s, 1);
+}
+"""
+WIDE_INPUTS = {0: list(range(300))}
+
+
+def wide_state(m, res, eng):
+    return (
+        res.status,
+        m.cycles,
+        [(str(al), al.value) for al in eng.alerts],
+        eng.shadow.mem_items(),
+        dict(eng.shadow.regs),
+        eng.shadow.peak_locations,
+        eng.stats,
+    )
+
+
+def wide_run(**engine_kw):
+    m = Machine(compile_source(WIDE_SRC).program)
+    m.io.provide(0, WIDE_INPUTS[0])
+    eng = DIFTEngine(PCTaintPolicy(), sinks=RECORD_SINKS, **engine_kw).attach(m)
+    return wide_state(m, m.run(), eng)
+
+
+KERNELS = [
+    "reference",
+    pytest.param(
+        "array",
+        marks=pytest.mark.skipif(
+            not fastpath.numpy_available(), reason="requires numpy"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("summaries", [False, True], ids=["plain", "summaries"])
+@pytest.mark.parametrize("name", KERNELS)
+def test_wide_addresses_match_per_event_engine(name, summaries):
+    truth = wide_run(kernel="reference", summaries=False)
+    status, _, alerts, mem, *_ = truth
+    assert status is RunStatus.EXITED
+    assert len(alerts) == 3
+    # ``alloc(big)`` cleared big[0]; poke's big[1] and neg[1] stay tainted.
+    assert {2**64 + 1, -(2**64) - 4} <= set(mem)  # nothing clamped or aliased
+    # Small batches put wide cells in the shadow while the array kernel
+    # selects over in-range batches.
+    got = wide_run(kernel=name, summaries=summaries, kernel_batch=64)
+    assert got == truth
+
+
+@pytest.mark.parametrize("summaries", [False, True], ids=["plain", "summaries"])
+@pytest.mark.parametrize("name", KERNELS)
+def test_wide_addresses_replay_from_capture(name, summaries):
+    cp = compile_source(WIDE_SRC)
+    m = Machine(cp.program)
+    m.io.provide(0, WIDE_INPUTS[0])
+    cap = RecordStreamCapture(flush_records=64, markers=summaries).attach(m)
+    m.run()
+    cap.finish()
+    assert cap.wide  # the side table actually carried payloads
+    kern = build_kernel(name, PCTaintPolicy(), sinks=RECORD_SINKS)
+    if summaries:
+        kern = SummaryKernel(kern)
+    cap.prime(kern)
+    for chunk in cap.chunks:
+        kern.propagate_batch(chunk)
+    if summaries:
+        kern.settle()
+    assert not kern.wide  # every payload was consumed exactly once
+    truth = wide_run(kernel="reference", summaries=False)
+    assert (
+        [(str(al), al.value) for al in cap.patch_alerts(kern.alerts)],
+        kern.shadow.mem_items(),
+        dict(kern.shadow.regs),
+        kern.shadow.peak_locations,
+        kern.stats,
+    ) == truth[2:]
+
+
 def test_explicit_array_request_without_numpy_warns_once(monkeypatch):
     monkeypatch.setattr(fastpath, "_numpy_available", False)
     monkeypatch.setattr(fastpath, "_fallback_warned", False)
@@ -244,11 +359,11 @@ def test_policy_fallback_is_silent_when_implicit():
 def test_adopted_array_shadow_matches_reference():
     _, _, cap = capture_stream(TAINT_SRC, inputs={0: list(range(16))})
     policy = BoolTaintPolicy()
-    adopted = ShadowState(policy, array=True)
+    adopted = ShadowState(policy)
     arr = cap.prime(build_kernel("array", policy, sinks=RECORD_SINKS, shadow=adopted))
     ref = cap.prime(build_kernel("reference", BoolTaintPolicy(), sinks=RECORD_SINKS))
     for chunk in cap.chunks:
         arr.propagate_batch(chunk)
         ref.propagate_batch(chunk)
-    assert arr.shadow is adopted  # the columnar store was used in place
+    assert arr.shadow is adopted  # the caller's store was used in place
     assert kernel_state(arr) == kernel_state(ref)

@@ -1,7 +1,8 @@
 """Unit tests for the out-of-process DIFT helper (`repro.multicore.parallel`):
 ring-buffer wraparound and batching, attack parity with the inline
-engine, the i64 sink-value fixup path, batch-size flag resolution, the
-experiment fan-out, and the telemetry surface."""
+engine, the i64 sink-value fixup path, addresses beyond the i64
+payload, batch-size flag resolution, the experiment fan-out, and the
+telemetry surface."""
 
 from dataclasses import replace
 
@@ -17,6 +18,8 @@ from repro.telemetry import MetricsRegistry
 from repro.vm import Machine, RunStatus
 from repro.workloads import race_kernels
 from repro.workloads.spec_like import matmul
+
+from .test_kernel import WIDE_INPUTS, WIDE_SRC
 
 RECORD_SINKS = lambda: [SinkRule(kind="out", action="record")]  # noqa: E731
 
@@ -172,6 +175,28 @@ class TestSinkValueFixups:
         _, helper, _ = _parallel_run(factory)
         assert len(engine.alerts) == 1
         assert engine.alerts[0].value == 3**32
+        _assert_taint_equal(engine, helper)
+
+
+class TestWideAddresses:
+    @pytest.mark.parametrize("summaries", [False, True], ids=["plain", "summaries"])
+    @pytest.mark.parametrize("kernel", ["reference", "array"])
+    def test_addresses_beyond_i64_match_inline(self, kernel, summaries):
+        if kernel == "array" and not fastpath.numpy_available():
+            pytest.skip("requires numpy")
+
+        def factory():
+            m = Machine(compile_source(WIDE_SRC).program)
+            m.io.provide(0, WIDE_INPUTS[0])
+            return m
+
+        policy = PCTaintPolicy()
+        _, engine, _ = _inline_run(factory, policy=policy)
+        _, helper, res = _parallel_run(
+            factory, policy=policy, kernel=kernel, summaries=summaries, batch_size=64
+        )
+        assert res.status is RunStatus.EXITED
+        assert [a.value for a in engine.alerts] == [a.value for a in helper.alerts]
         _assert_taint_equal(engine, helper)
 
 

@@ -369,8 +369,76 @@ class TestKernelDifferentialFuzz:
         assert mismatched == []
 
 
-# --- shadow state backends ----------------------------------------------------------
+# --- shadow state ----------------------------------------------------------
+labels = st.one_of(st.none(), st.integers(min_value=0, max_value=40))
+#: clear_range sizes both narrower and far wider than the tainted set, so
+#: the per-address and the scan-the-keys branches both run.
+range_sizes = st.one_of(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=200, max_value=20_000),
+)
 shadow_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("cell"), st.integers(min_value=0, max_value=400), labels),
+        st.tuples(st.just("reg"), st.integers(min_value=0, max_value=7), labels),
+        st.tuples(
+            st.just("clear_range"), st.integers(min_value=-50, max_value=400), range_sizes
+        ),
+    ),
+    max_size=80,
+)
+
+
+class _NaiveShadow:
+    """The model: a dict of cells, a dict of regs, and a pop per address."""
+
+    def __init__(self):
+        self.mem, self.regs, self.peak = {}, {}, 0
+
+    def _store(self, table, key, label):
+        if label is None:
+            table.pop(key, None)
+        else:
+            table[key] = label
+            self.peak = max(self.peak, len(self.mem) + len(self.regs))
+
+    def apply(self, op, x, y):
+        if op == "cell":
+            self._store(self.mem, x, y)
+        elif op == "reg":
+            self._store(self.regs, (0, x), y)
+        else:
+            for addr in range(x, x + y):
+                self.mem.pop(addr, None)
+
+
+class TestShadowProperties:
+    @given(ops=shadow_ops)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_naive_model(self, ops):
+        shadow = ShadowState(BoolTaintPolicy())
+        model = _NaiveShadow()
+        for op, x, y in ops:
+            if op == "cell":
+                shadow.set_cell(x, y)
+            elif op == "reg":
+                shadow.set_reg(0, x, y)
+            else:
+                shadow.clear_range(x, y)
+            model.apply(op, x, y)
+            assert shadow.mem == model.mem
+        assert shadow.mem_items() == model.mem
+        assert shadow.regs == model.regs
+        assert shadow.tainted_cells == len(model.mem)
+        assert shadow.tainted_regs == len(model.regs)
+        assert shadow.peak_locations == model.peak
+        label_bytes = shadow.policy.label_bytes
+        assert shadow.shadow_bytes == (len(model.mem) + len(model.regs)) * label_bytes
+
+
+#: Page-scale streams: addresses across three 4096-cell pages and ranges
+#: up to 5000 cells, so clears cover whole pages and cross page boundaries.
+page_ops = st.lists(
     st.tuples(
         st.sampled_from(["set", "clear", "clear_range"]),
         st.integers(min_value=0, max_value=12_000),
@@ -378,58 +446,59 @@ shadow_ops = st.lists(
     ),
     max_size=60,
 )
-
-
-def _apply(shadow, ops):
-    for op, addr, arg in ops:
-        if op == "set":
-            shadow.set_cell(addr, True)
-        elif op == "clear":
-            shadow.set_cell(addr, None)
-        else:
-            shadow.clear_range(addr, arg)
+#: Cells on both sides of the signed 64-bit range the array kernel packs.
+wide_cells = st.one_of(
+    st.integers(min_value=-400, max_value=400),
+    st.integers(min_value=(1 << 63) - 3, max_value=(1 << 63) + 3),
+    st.integers(min_value=-(1 << 63) - 3, max_value=-(1 << 63) + 3),
+)
 
 
 class TestShadowBackendProperties:
-    @given(ops=shadow_ops)
+    @given(ops=page_ops)
     @settings(max_examples=60, deadline=None)
     def test_paged_matches_dict_backend(self, ops):
-        paged = ShadowState(BoolTaintPolicy(), paged=True)
-        plain = ShadowState(BoolTaintPolicy(), paged=False)
-        _apply(paged, ops)
-        _apply(plain, ops)
-        assert sorted(paged.mem_items().items()) == sorted(plain.mem_items().items())
-        assert paged.mem == plain.mem
-        assert paged.tainted_cells == plain.tainted_cells
-        assert paged.shadow_bytes == plain.shadow_bytes
+        shadow = ShadowState(BoolTaintPolicy())
+        model = _NaiveShadow()
+        for op, addr, arg in ops:
+            if op == "clear_range":
+                shadow.clear_range(addr, arg)
+                model.apply("clear_range", addr, arg)
+            else:
+                label = True if op == "set" else None
+                shadow.set_cell(addr, label)
+                model.apply("cell", addr, label)
+        assert shadow.mem_items() == model.mem
+        assert shadow.tainted_cells == len(model.mem)
+        assert shadow.shadow_bytes == len(model.mem) * shadow.policy.label_bytes
+        assert shadow.peak_locations == model.peak
 
     @pytest.mark.skipif(not fastpath.numpy_available(), reason="requires numpy")
-    @given(ops=shadow_ops)
+    @given(
+        cells=st.lists(st.tuples(wide_cells, labels), max_size=40),
+        regs=st.lists(st.tuples(st.integers(min_value=0, max_value=7), labels), max_size=8),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_array_store_matches_dict_backend(self, ops):
-        arr = ShadowState(BoolTaintPolicy(), array=True)
-        plain = ShadowState(BoolTaintPolicy(), paged=False)
-        _apply(arr, ops)
-        _apply(plain, ops)
-        assert sorted(arr.mem_items().items()) == sorted(plain.mem_items().items())
-        assert arr.tainted_cells == plain.tainted_cells
-        # The columnar export the array kernel probes agrees too.
-        assert list(arr.mem.tainted_addresses()) == sorted(plain.mem_items())
+    def test_array_store_matches_dict_backend(self, cells, regs):
+        # The array kernel adopts the dict store in place; the sorted key
+        # columns it probes must agree with the model, leaving out only
+        # the cells no i64 record payload can name.
+        from repro.dift.kernel import REG_SHIFT, build_kernel
 
-    @given(ops=shadow_ops, more=shadow_ops, paged=st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_snapshot_round_trip_is_isolated(self, ops, more, paged):
-        shadow = ShadowState(BoolTaintPolicy(), paged=paged)
-        _apply(shadow, ops)
-        before = sorted(shadow.mem_items().items())
-        snap = shadow.snapshot()
-        assert sorted(snap.mem_items().items()) == before
-        assert snap.tainted_cells == shadow.tainted_cells
-        # Mutating the original never leaks into the snapshot (or back).
-        _apply(shadow, more)
-        assert sorted(snap.mem_items().items()) == before
-        _apply(snap, more)
-        assert sorted(snap.mem_items().items()) == sorted(shadow.mem_items().items())
+        shadow = ShadowState(BoolTaintPolicy())
+        model = _NaiveShadow()
+        for addr, label in cells:
+            shadow.set_cell(addr, label)
+            model.apply("cell", addr, label)
+        for reg, label in regs:
+            shadow.set_reg(0, reg, label)
+            model.apply("reg", reg, label)
+        kernel = build_kernel("array", BoolTaintPolicy(), shadow=shadow)
+        assert kernel.shadow is shadow
+        t_reg, t_mem = kernel._tainted_keys()
+        assert t_reg.tolist() == sorted((t << REG_SHIFT) | r for t, r in model.regs)
+        in_i64 = [a for a in model.mem if -(1 << 63) <= a < (1 << 63)]
+        assert t_mem.tolist() == sorted(in_i64)
 
 
 # --- deterministic rng ------------------------------------------------------------

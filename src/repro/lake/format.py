@@ -27,8 +27,9 @@ while the tracer runs, plus a JSON **footer index** written at close:
 Reading never copies column data: :func:`open_spill` mmaps the file and
 adopts each section as a real :class:`~repro.ontrac.packed._Chunk`
 whose column slots are ``memoryview`` casts straight into the map, so
-the existing consumer-span bisects, reverse indexes and the flat edge
-view in :mod:`repro.slicing.engine` all run unchanged over the file.
+the consumer-span bisects, per-chunk decodes and reverse indexes in
+:mod:`repro.slicing.engine` all run unchanged over the file — a query
+decodes only the sections its closure touches, never the whole file.
 
 Crash story (the paper's "log cheap, analyze later"): sections are
 flushed as chunks seal, so a SIGKILLed writer leaves ``[header]
@@ -400,6 +401,7 @@ class StoredRun:
         c.n = n
         c.head = 0
         c.rindex = None
+        c.dec = None
         self._adopted.append(c)
         return c
 

@@ -18,21 +18,26 @@ instruction indices), a 32-bit producer-seq delta and a 16-bit tid —
 preallocated chunk arrays that eviction recycles.  Real resident bytes
 per instruction land within a small factor of the modeled figure.
 
-Two structures make the packed stream *queryable* without ever
-materializing record objects:
+The consumer-sorted columns *are* the query index; nothing is built
+over the whole window:
 
 * the consumer index is intrinsic — the tracer emits rows in
-  consumer-seq order, so the sorted consumer column is maintained
-  incrementally at append time and one ``bisect`` finds all rows of a
-  dynamic instruction;
+  consumer-seq order, so one ``bisect`` over the per-chunk first seqs
+  and the chunk's ``cseq_off`` column finds all rows of a dynamic
+  instruction;
+* a chunk a query touches is **decoded on first touch**
+  (:meth:`_Chunk.decoded`): a seq-offset -> first-row table plus the
+  producer seq and pc of every row, built at C speed and cached on the
+  chunk until it mutates.  A query pays only for the history it walks;
 * the per-chunk **reverse index** (producer seq -> rows) is built on
-  first forward-direction access and cached on the chunk (appends and
-  evictions invalidate it), as two parallel sorted arrays — 12 bytes
-  per edge row, only for chunks that forward queries actually touch.
+  first forward-direction access and cached the same way, as two
+  parallel sorted arrays — 12 bytes per edge row, only for chunks that
+  forward queries actually touch.
 
 :class:`PackedDDG` is the dependence-graph view over the packed
-buffer: O(1) to construct, serves the hot queries straight off the
-columns, and lazily materializes the exact
+buffer: O(1) to construct, serves the hot queries (the slicing
+criterion's last instance, ``has_node``/``pc_of``, producer/consumer
+lists) straight off the columns, and lazily materializes the exact
 :class:`~repro.ontrac.ddg.DynamicDependenceGraph` (via ``build_ddg``
 over the buffer's records) for consumers that walk the raw
 ``nodes``/``backward`` dicts.  The indexed slicing engine walking
@@ -43,17 +48,20 @@ delta, a tid >= 0xFFFF) are stored as a sentinel plus a per-chunk
 side-dict entry, so the store accepts every :class:`DepRecord`.
 Out-of-order consumer seqs (possible only through direct ``append``
 calls, never from the tracer) clear :attr:`monotone` and the query
-layer falls back to the materialized graph.
+layer falls back to the materialized graph.  The column queries also
+rely on the tracer's stream shape: a producer precedes its consumers
+and every row naming a seq agrees on its pc.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import gt, mul, sub
+from itertools import accumulate, islice, repeat
+from operator import add, gt, mul, sub
+from sys import byteorder
 from typing import Iterable, Iterator
 
 from .ddg import DynamicDependenceGraph, build_ddg
@@ -127,7 +135,7 @@ class _Chunk:
 
     __slots__ = (
         "cap", "cseq_base", "kind", "cseq_off", "cpc", "pdelta", "ppc",
-        "tid", "n", "head", "over", "rindex",
+        "tid", "n", "head", "over", "rindex", "dec",
     )
 
     def __init__(self, cseq_base: int, cap: int):
@@ -144,6 +152,8 @@ class _Chunk:
         self.over: dict[tuple[int, int], int] | None = None
         #: cached reverse index: (sorted producer seqs 'q', rows 'I').
         self.rindex: tuple[array, array] | None = None
+        #: cached decode (see :meth:`decoded`).
+        self.dec: tuple[list | None, list, list] | None = None
 
     def overflow(self) -> dict[tuple[int, int], int]:
         over = self.over
@@ -196,6 +206,57 @@ class _Chunk:
         if tid == _SENT16:
             tid = self.over[(r, _F_TID)]
         return PackedRecord(KIND_BY_CODE[code], cseq, cpc, pseq, ppc, tid, KIND_MBYTES[code])
+
+    def decoded(self) -> tuple[list[int] | None, list[int], list[int]]:
+        """``(starts, pseqs, ppcs)`` over rows ``[0, n)``, cached until
+        the chunk mutates.
+
+        ``starts[off]:starts[off + 1]`` are the rows of consumer seq
+        ``cseq_base + off``.  The table has an entry per seq offset, so
+        a chunk whose seqs are far sparser than its rows (possible only
+        through direct appends) gets None and is read through
+        :meth:`PackedTraceBuffer.consumer_spans` instead.
+        ``pseqs``/``ppcs`` hold each edge row's producer seq and pc,
+        side-dict values patched in; node rows carry junk there.
+        Everything but the patch runs at C speed.
+        """
+        dec = self.dec
+        if dec is None:
+            n = self.n
+            offs = self.cseq_off[:n].tolist()
+            span = offs[-1] + 1 if n else 0
+            starts = None
+            if span <= 4 * n + 64:
+                counts = Counter(offs).get
+                starts = list(accumulate(map(counts, range(span), repeat(0)), initial=0))
+            pseqs = list(map(sub, map(add, offs, repeat(self.cseq_base)), self.pdelta[:n]))
+            ppcs = self.ppc[:n].tolist()
+            if self.over:
+                for (r, field), value in self.over.items():
+                    if field == _F_PSEQ:
+                        pseqs[r] = value
+                    elif field == _F_PPC:
+                        ppcs[r] = value
+            dec = self.dec = (starts, pseqs, ppcs)
+        return dec
+
+    def rows_holding(self, col, value: int) -> list[int]:
+        """Live rows whose ``col`` column (one of this chunk's 16-bit
+        columns) stores ``value``, oldest first.  A byte search over the
+        column finds the candidates at C speed; only hits that line up
+        with a row boundary are kept."""
+        needle = value.to_bytes(2, byteorder)
+        raw = col[:self.n].tobytes()
+        end = 2 * self.n
+        rows = []
+        i = raw.find(needle, 2 * self.head, end)
+        while i >= 0:
+            if i & 1:
+                i = raw.find(needle, i + 1, end)
+            else:
+                rows.append(i >> 1)
+                i = raw.find(needle, i + 2, end)
+        return rows
 
     def reverse_index(self) -> tuple[array, array]:
         """Producer-seq -> row index, cached until the chunk mutates."""
@@ -283,8 +344,9 @@ class PackedTraceBuffer:
     Capacity is in modeled record bytes and eviction is oldest-first;
     :class:`BufferStats` accounts every append and eviction.  The
     :attr:`records` view reconstructs DepRecord-compatible rows; the
-    indexed slicing engine uses :meth:`append_row`,
-    :meth:`consumer_spans` and the chunk reverse indexes.
+    indexed slicing engine reads the chunks themselves (``_firsts``,
+    :meth:`consumer_spans`, :meth:`_Chunk.decoded` and the reverse
+    indexes).
     """
 
     def __init__(self, capacity_bytes: int = 16 * 1024 * 1024):
@@ -302,8 +364,6 @@ class PackedTraceBuffer:
         self._rows = 0
         self._next_cap = _SEED_CHUNK_ROWS
         self._last_cseq = -(1 << 62)
-        #: epoch-keyed flat edge view shared by every PackedDDG.
-        self._flat: tuple = (None, None)
         #: False once a consumer seq arrived out of order (direct
         #: appends only); the query layer then uses the materialized
         #: graph instead of the column indexes.
@@ -356,6 +416,7 @@ class PackedTraceBuffer:
             self._firsts[-1] = cseq
         c.n = n + 1
         c.rindex = None
+        c.dec = None
         self._rows += 1
         b = KIND_MBYTES[code]
         stats = self.stats
@@ -441,6 +502,7 @@ class PackedTraceBuffer:
                 self._firsts[-1] = cseqs[i]
             c.n = end
             c.rindex = None
+            c.dec = None
             i = j
         self._rows += total
         self._last_cseq = cseqs[-1]
@@ -498,6 +560,7 @@ class PackedTraceBuffer:
             c.head = 0
             c.over = None
             c.rindex = None
+            c.dec = None
             self._pool.append(c)
 
     def _evict_from(self, cur: int) -> int:
@@ -517,6 +580,7 @@ class PackedTraceBuffer:
             h += 1
             c.head = h
             c.rindex = None
+            c.dec = None
             self._rows -= 1
             cur -= b
             stats.evicted += 1
@@ -601,7 +665,6 @@ class PackedTraceBuffer:
         self._pool.clear()
         self._tail = None
         self._rows = 0
-        self._flat = (None, None)
         self.current_bytes = 0
 
     def consumer_spans(self, seq: int) -> list[tuple[_Chunk, int, int]]:
@@ -642,69 +705,6 @@ class PackedTraceBuffer:
     def live_chunks(self) -> list[_Chunk]:
         return [c for c in self._chunks if c.head < c.n]
 
-    def flat_edges(self) -> tuple[dict, bytes, list, list]:
-        """Flat decoded *edge-only* view of the live rows for the
-        backward walk: ``(ranges, kinds, pseqs, ppcs)``.
-
-        Node rows (INSTR/BRANCH) are dropped at build time: ``ranges``
-        maps a consumer seq to the contiguous ``(lo, hi)`` span of its
-        *edge* rows (valid while :attr:`monotone` — rows of one
-        consumer are adjacent, and filtering preserves contiguity), so
-        a seq absent from ``ranges`` is exactly a node with no stored
-        dependence rows — the BFS slicer's truncation condition.
-        ``kinds`` is the edge kind-code bytes and ``pseqs``/``ppcs``
-        the fully decoded producer seq/pc per edge row, so the slicing
-        inner loop is one dict hit plus plain list reads per node and
-        never touches a node row.  The view is built once per mutation
-        :attr:`epoch` and cached on the buffer, so every
-        :class:`PackedDDG` over a quiescent store — and every query
-        under it — shares the same index instead of rebuilding an
-        object graph per ``dependence_graph()`` call.
-        """
-        ep = self.epoch
-        cached_ep, flat = self._flat
-        if cached_ep == ep:
-            return flat
-        ranges: dict[int, tuple[int, int]] = {}
-        kinds = bytearray()
-        pseqs: list[int] = []
-        ppcs: list[int] = []
-        ap_k = kinds.append
-        ap_p = pseqs.append
-        ap_pc = ppcs.append
-        prev = None
-        start = 0
-        for c in self._chunks:
-            h, n = c.head, c.n
-            if h >= n:
-                continue
-            offs = c.cseq_off
-            kindcol = c.kind
-            pdelta = c.pdelta
-            ppccol = c.ppc
-            base = c.cseq_base
-            over = c.over
-            for r in range(h, n):
-                cseq = base + offs[r]
-                if cseq != prev:
-                    if prev is not None and len(pseqs) > start:
-                        ranges[prev] = (start, len(pseqs))
-                    prev = cseq
-                    start = len(pseqs)
-                code = kindcol[r]
-                if code == _C_INSTR or code == _C_BRANCH:
-                    continue
-                ap_k(code)
-                d = pdelta[r]
-                ap_p(over[(r, _F_PSEQ)] if d == _SENT32 else cseq - d)
-                v = ppccol[r]
-                ap_pc(over[(r, _F_PPC)] if v == _SENT16 else v)
-        if prev is not None and len(pseqs) > start:
-            ranges[prev] = (start, len(pseqs))
-        flat = (ranges, bytes(kinds), pseqs, ppcs)
-        self._flat = (ep, flat)
-        return flat
-
 
 @dataclass
 class SliceQueryStats:
@@ -722,9 +722,12 @@ MEMO_CAP = 1024
 class PackedDDG:
     """Dependence-graph view over a :class:`PackedTraceBuffer`.
 
-    Construction is O(1).  The hot queries (``pc_of``, instance
-    lookups, producer/consumer lists, the slicing closures in
-    :mod:`repro.slicing.engine`) run straight off the packed columns;
+    Construction is O(1).  The hot queries (``has_node``/``pc_of``,
+    :meth:`last_instance_of_pc`, producer/consumer lists, the slicing
+    closures in :mod:`repro.slicing.engine`) run straight off the packed
+    columns, decoding only the chunks they touch.  ``node_items``,
+    ``seqs_of_pcs``, ``instances_of_pc`` and ``tid_of`` build a node
+    table over the whole window on first use, and
     ``nodes``/``backward``/``forward`` lazily materialize the exact
     materialized graph via :func:`build_ddg` for consumers that walk the
     raw dicts.  Unlike that graph (a snapshot), this view follows the
@@ -740,6 +743,8 @@ class PackedDDG:
         self._node_pc: dict[int, int] | None = None
         self._node_tid: dict[int, int] | None = None
         self._pc_index: dict[int, list[int]] | None = None
+        #: pc -> last_instance_of_pc answer.
+        self._last: dict[int, int | None] = {}
         #: (is_forward, seq, kinds) -> (frozenset seqs, frozenset pcs, truncated)
         self.memo: OrderedDict = OrderedDict()
         self.query_stats = SliceQueryStats()
@@ -754,6 +759,7 @@ class PackedDDG:
             self._node_pc = None
             self._node_tid = None
             self._pc_index = None
+            self._last = {}
             self.memo.clear()
 
     @property
@@ -819,22 +825,34 @@ class PackedDDG:
         return self._node_pc, self._node_tid
 
     def _producer_row(self, seq: int):
-        """First live row whose producer is ``seq`` (chunk, row), or
-        None — resolves producer-only nodes without building tables."""
-        for c in self.buffer.live_chunks():
-            pseqs, rows = c.reverse_index()
-            if not pseqs or pseqs[0] > seq or pseqs[-1] < seq:
-                continue
-            i = bisect_left(pseqs, seq)
-            if i < len(pseqs) and pseqs[i] == seq:
-                return c, rows[i]
+        """Oldest live edge row naming ``seq`` as its producer, as
+        ``(chunk, row)``, or None.  A producer precedes its consumers,
+        so only the chunk holding ``seq``'s position and newer ones can
+        name it; each is screened by a C-speed search of its decoded
+        producer list."""
+        buf = self.buffer
+        start = max(bisect_right(buf._firsts, seq) - 1, 0)
+        for c in islice(buf._chunks, start, None):
+            n = c.n
+            pseqs = c.decoded()[1]
+            kind = c.kind
+            r = c.head
+            while r < n:
+                try:
+                    r = pseqs.index(seq, r, n)
+                except ValueError:
+                    break
+                code = kind[r]
+                if code != _C_INSTR and code != _C_BRANCH:
+                    return c, r
+                r += 1
         return None
 
     def has_node(self, seq: int) -> bool:
         self.check_epoch()
         if self._node_pc is None and self.buffer.monotone:
             # The materialized node set is exactly (consumer seqs | producer
-            # seqs); both sides are answerable from the column indexes.
+            # seqs); both sides are answerable from the columns.
             if self.buffer.consumer_spans(seq):
                 return True
             return self._producer_row(seq) is not None
@@ -882,8 +900,52 @@ class PackedDDG:
         return list(self._pc_map().get(pc, ()))
 
     def last_instance_of_pc(self, pc: int) -> int | None:
-        seqs = self._pc_map().get(pc)
-        return seqs[-1] if seqs else None
+        """Newest node at static ``pc`` (None if there is none),
+        memoized per epoch."""
+        self.check_epoch()
+        last = self._last
+        if pc in last:
+            return last[pc]
+        if self.buffer.monotone:
+            found = self._scan_last(pc)
+        else:
+            seqs = self._pc_map().get(pc)
+            found = seqs[-1] if seqs else None
+        last[pc] = found
+        return found
+
+    def _scan_last(self, pc: int) -> int | None:
+        """Newest-first chunk scan for :meth:`last_instance_of_pc`.
+
+        Every node is a consumer row or the producer of a later row, so
+        the first chunk holding a consumer row at ``pc`` ends the scan
+        (no older chunk holds a newer node), and so does a chunk whose
+        newest seq is below the best producer-only candidate.  A byte
+        search of the pc columns screens each chunk; only a chunk with a
+        producer hit is decoded.
+        """
+        key = pc if 0 <= pc < _SENT16 else _SENT16
+        best = None
+        for c in reversed(self.buffer._chunks):
+            n = c.n
+            if c.head >= n:
+                continue
+            if best is not None and c.cseq_at(n - 1) < best:
+                break
+            rows = c.rows_holding(c.ppc, key)
+            if rows:
+                kind = c.kind
+                _, pseqs, ppcs = c.decoded()
+                for r in rows:
+                    code = kind[r]
+                    if code != _C_INSTR and code != _C_BRANCH and ppcs[r] == pc:
+                        if best is None or pseqs[r] > best:
+                            best = pseqs[r]
+            for r in reversed(c.rows_holding(c.cpc, key)):
+                if c.cpc_at(r) == pc:
+                    seq = c.cseq_at(r)
+                    return seq if best is None or seq > best else best
+        return best
 
     def producers(self, seq: int, kinds: Iterable[DepKind] | None = None):
         self.check_epoch()

@@ -458,11 +458,11 @@ def _execute_slice(payload: dict, telemetry=None, emit=_no_emit) -> dict:
         if criterion is None:
             raise ProtocolError(f"line {line} never executed in the window")
     else:
-        # default criterion: the last dynamic instance in the window.
-        seqs = [s for s, _ in ddg.node_items()]
-        if not seqs:
+        # default criterion: the last dynamic instance in the window —
+        # the newest consumer seq, since producers precede consumers.
+        criterion = ddg.buffer.newest_seq
+        if criterion < 0:
             raise ProtocolError("empty trace window: nothing to slice")
-        criterion = max(seqs)
     sl = backward_slice(ddg, criterion)
     pcs = sorted(sl.pcs)
     lines = sorted(sl.statement_lines(compiled))

@@ -6,9 +6,12 @@ entry per record object.  This engine answers the same closures
 straight off :class:`~repro.ontrac.packed.PackedTraceBuffer` columns:
 
 * the frontier is a plain stack of seq integers — no node objects;
-* a consumer's dependence rows are one dict hit into the buffer's
-  epoch-cached flat edge view (:meth:`flat_edges`), with producer
-  seq/pc predecoded per row;
+* the consumer-sorted columns are the index: a bisect of the buffer's
+  per-chunk first seqs finds a seq's chunk, and while pops stay inside
+  that chunk's seq window its rows are one slice of the chunk's decoded
+  seq-offset table, with producer seq/pc read from per-chunk lists
+  decoded on first touch (:meth:`~repro.ontrac.packed._Chunk.decoded`)
+  — a cold query decodes only the chunks its closure reaches;
 * forward closures bisect the per-chunk reverse indexes (built lazily,
   cached on the chunk);
 * an LRU memo on the owning :class:`PackedDDG` caches the closure
@@ -29,21 +32,42 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from ..ontrac.packed import MEMO_CAP
-from ..ontrac.records import KIND_BY_CODE
+from ..ontrac.records import KIND_BY_CODE, NODE_KIND_CODES
 
 _SENT16 = 0xFFFF
 _F_CPC = 0
 
-#: kinds frozenset -> per-code wanted flags (10 entries, indexed by code).
+#: per-code flag: the row is a dependence edge (not an INSTR/BRANCH node row).
+_IS_EDGE = [code not in NODE_KIND_CODES for code in range(len(KIND_BY_CODE))]
+
+#: kinds frozenset -> per-code wanted flags (indexed by code; node rows
+#: are never followed).
 _WANTED_CACHE: dict[frozenset, list[bool]] = {}
 
 
 def _wanted(kinds: frozenset) -> list[bool]:
     flags = _WANTED_CACHE.get(kinds)
     if flags is None:
-        flags = [KIND_BY_CODE[code] in kinds for code in range(len(KIND_BY_CODE))]
+        flags = [_IS_EDGE[code] and KIND_BY_CODE[code] in kinds
+                 for code in range(len(KIND_BY_CODE))]
         _WANTED_CACHE[kinds] = flags
     return flags
+
+
+def _gather(spans) -> tuple[bytes, list, list, int, int]:
+    """A seq's rows from its ``consumer_spans`` (a chunk's first or last
+    seq, whose rows may straddle a chunk seam, or a seq in a sparse
+    chunk) copied out as ``(kinds, pseqs, ppcs, 0, count)`` — the shape
+    the walk reads a chunk's rows in."""
+    kinds = b""
+    pseqs: list[int] = []
+    ppcs: list[int] = []
+    for c, lo, hi in spans:
+        _, cpseqs, cppcs = c.decoded()
+        kinds += bytes(c.kind[lo:hi])
+        pseqs += cpseqs[lo:hi]
+        ppcs += cppcs[lo:hi]
+    return kinds, pseqs, ppcs, 0, len(pseqs)
 
 
 def backward_closure(ddg, criterion: int, kinds) -> tuple[frozenset, frozenset, bool]:
@@ -65,13 +89,15 @@ def backward_closure(ddg, criterion: int, kinds) -> tuple[frozenset, frozenset, 
         return cached
     if not ddg.has_node(criterion):
         raise KeyError(f"criterion seq {criterion} is not in the DDG (outside the window?)")
-    complete = ddg.complete
+    check_truncation = not ddg.complete
     wanted = _wanted(kinds)
-    # Producer seq/pc come predecoded from the flat view, so the inner
-    # loop is one range-map hit plus list reads — a node's pc is
-    # recorded when it is *pushed* (the edge row carries it), which
-    # yields the same pc set as the legacy pop-time add.
-    ranges, kindrow, pseqs, ppcs = ddg.buffer.flat_edges()
+    # Producer seq/pc come decoded per chunk, so a node's pc is recorded
+    # when it is *pushed* (the edge row carries it), which yields the
+    # same pc set as the legacy pop-time add.
+    buffer = ddg.buffer
+    firsts = buffer._firsts
+    chunks = buffer._chunks
+    consumer_spans = buffer.consumer_spans
     # Memo keys present for this direction+kinds; probing this set per
     # pop is far cheaper than building a (False, seq, kinds) tuple and
     # touching the LRU for the common miss.
@@ -85,7 +111,12 @@ def backward_closure(ddg, criterion: int, kinds) -> tuple[frozenset, frozenset, 
     seqs_add = seqs.add
     pcs_add = pcs.add
     seen_add = seen.add
-    ranges_get = ranges.get
+    # The chunk the walk is in.  A seq strictly between its first live
+    # seq and its last seq has all its rows there, at
+    # starts[off]:starts[off + 1]; the chunk's first and last seq may
+    # straddle a chunk seam and go through consumer_spans instead.
+    lo_seq = hi_seq = base = 0
+    starts = kindcol = pseqs = ppcs = None
     rows_scanned = 0
     while stack:
         seq = stack.pop()
@@ -104,24 +135,45 @@ def backward_closure(ddg, criterion: int, kinds) -> tuple[frozenset, frozenset, 
             truncated = truncated or ftrunc
             continue
         seqs_add(seq)
-        span = ranges_get(seq)
-        if span is None:
+        if lo_seq < seq < hi_seq:
+            off = seq - base
+            kcol = kindcol
+            ps = pseqs
+            pp = ppcs
+            lo = starts[off]
+            hi = starts[off + 1]
+        else:
+            i = bisect_right(firsts, seq) - 1
+            if i >= 0:
+                c = chunks[i]
+                if c.head < c.n:
+                    dec = c.decoded()
+                    if dec[0] is not None:
+                        starts, pseqs, ppcs = dec
+                        kindcol = c.kind
+                        base = c.cseq_base
+                        lo_seq = firsts[i]
+                        hi_seq = base + c.cseq_off[c.n - 1]
+            if lo_seq < seq < hi_seq:
+                off = seq - base
+                kcol, ps, pp, lo, hi = kindcol, pseqs, ppcs, starts[off], starts[off + 1]
+            else:
+                kcol, ps, pp, lo, hi = _gather(consumer_spans(seq))
+        if check_truncation and not any(map(_IS_EDGE.__getitem__, kcol[lo:hi])):
             # Same rule as the legacy BFS: no dependence rows at all
-            # for this node (the edge-only flat view has no span) in an
-            # evicting window means its history may be gone.
-            if not complete:
-                truncated = True
-            continue
-        lo, hi = span
+            # for this node in an evicting window means its history may
+            # be gone.
+            truncated = True
+            check_truncation = False
         rows_scanned += hi - lo
         for r in range(lo, hi):
-            if not wanted[kindrow[r]]:
+            if not wanted[kcol[r]]:
                 continue
-            producer = pseqs[r]
+            producer = ps[r]
             if producer in seen:
                 continue
             seen_add(producer)
-            pcs_add(ppcs[r])
+            pcs_add(pp[r])
             push(producer)
     stats.rows_scanned += rows_scanned
     result = (frozenset(seqs), frozenset(pcs), truncated)

@@ -15,6 +15,7 @@ from collections import deque
 
 import pytest
 
+from repro.lake import open_spill
 from repro.lake.format import SpillingPackedTraceBuffer
 from repro.ontrac import (
     BufferStats,
@@ -156,10 +157,13 @@ def test_sentinel_overflow_roundtrip():
         (DepKind.INSTR, 1, 3, -1, -1, 1, 4),
         (DepKind.MEM, 2, big_pc + 1, 50, big_pc + 2, big_tid, 8),
     ]
-    # The flat edge view decodes the same overflow values.
-    ranges, kinds, pseqs, ppcs = packed.flat_edges()
-    lo, hi = ranges[2]
-    assert pseqs[lo] == 50 and ppcs[lo] == big_pc + 2
+    # The decoded chunk and the walk read the same overflow values.
+    (chunk,) = packed.live_chunks()
+    starts, pseqs, ppcs = chunk.decoded()
+    assert starts[2:4] == [2, 3]  # consumer 2 owns row 2 alone
+    assert pseqs[2] == 50 and ppcs[2] == big_pc + 2
+    sl = backward_slice(PackedDDG(packed), 2)
+    assert (sl.seqs, sl.pcs) == ({2, 50}, {big_pc + 1, big_pc + 2})
 
 
 def test_monotone_fallback_still_answers_queries():
@@ -178,20 +182,186 @@ def test_monotone_fallback_still_answers_queries():
     assert (sl.seqs, sl.pcs, sl.truncated) == (sl_ref.seqs, sl_ref.pcs, sl_ref.truncated)
 
 
-def test_epoch_invalidates_ddg_caches_and_flat_view():
+def test_epoch_invalidates_ddg_caches_and_chunk_decode():
     packed = fill(make_records(100))
     ddg = PackedDDG(packed)
-    flat1 = packed.flat_edges()
-    assert packed.flat_edges() is flat1  # cached while quiescent
+    (chunk,) = packed.live_chunks()
+    dec1 = chunk.decoded()
+    assert chunk.decoded() is dec1  # cached while quiescent
     before = backward_slice(ddg, 99)
+    assert ddg.last_instance_of_pc(7) == 7
     packed.append(DepRecord(DepKind.REG, 100, 7, producer_seq=40, producer_pc=40 % 97))
-    assert packed.flat_edges() is not flat1
+    assert chunk.dec is None and chunk.decoded() is not dec1
+    assert ddg.last_instance_of_pc(7) == 100  # the per-epoch memo dropped
     after = backward_slice(ddg, 100)  # same DDG object follows the buffer
     assert 100 in after.seqs and 40 in after.seqs  # new edge is visible
     assert after.seqs == {100} | backward_slice(ddg, 40).seqs
     # Prior results are unaffected by the append.
     again = backward_slice(ddg, 99)
     assert (again.seqs, again.pcs) == (before.seqs, before.pcs)
+
+
+# --- the column walk: chunk seams, mid-chunk heads, sentinels, mmap ---------
+def _fanin_records(n, base=0, node_only_every=10, big_pc_every=0):
+    """A tracer-shaped stream: an INSTR row per seq plus REG edges back
+    1, 3 and 7 seqs, except every ``node_only_every``-th seq, which has
+    only its node row.  With ``big_pc_every`` some seqs get a pc beyond
+    the 16-bit column (stored as a sentinel; every row naming the seq
+    agrees on it)."""
+    def pc(s):
+        if big_pc_every and s % big_pc_every == 0:
+            return 0x10000 + s % 97
+        return s % 97
+
+    records = []
+    for s in range(base, base + n):
+        records.append(DepRecord(DepKind.INSTR, s, pc(s)))
+        if s % node_only_every == 0:
+            continue
+        for d in (1, 3, 7):
+            if s - d >= base:
+                records.append(DepRecord(DepKind.REG, s, pc(s), s - d, pc(s - d)))
+    return records
+
+
+def assert_matches_reference(packed, crits=None):
+    """Every column query equals build_ddg + the BFS slicer over the
+    same stored records: slices from a shared (memo-splicing) view and
+    from a fresh view per criterion, last instances of every pc, and
+    has_node/pc_of of every seq in and around the window."""
+    ref = build_ddg(packed.records, complete=packed.stats.evicted == 0)
+    shared = PackedDDG(packed)
+    assert shared.indexable
+    nodes = sorted(ref.nodes)
+    for crit in nodes if crits is None else crits:
+        b = backward_slice(ref, crit)
+        for ddg in (shared, PackedDDG(packed)):
+            a = backward_slice(ddg, crit)
+            assert (a.seqs, a.pcs, a.truncated) == (b.seqs, b.pcs, b.truncated), crit
+    ddg = PackedDDG(packed)
+    for pc in {node.pc for node in ref.nodes.values()} | {-1, 0xFFFF, 12345}:
+        assert ddg.last_instance_of_pc(pc) == ref.last_instance_of_pc(pc), pc
+    for seq in {s + d for s in nodes for d in (-1, 0, 1)}:
+        assert ddg.has_node(seq) == (seq in ref.nodes), seq
+        if seq in ref.nodes:
+            assert ddg.pc_of(seq) == ref.pc_of(seq), seq
+    return ref
+
+
+def test_consumer_rows_straddling_a_chunk_seam():
+    packed = fill(_fanin_records(400))
+    straddling = [seq for seq in range(400) if len(packed.consumer_spans(seq)) > 1]
+    assert straddling  # a seed (256-row) chunk sealed mid-instruction
+    for seq in straddling:
+        (first, _, hi), (second, lo, _) = packed.consumer_spans(seq)
+        assert hi == first.n and lo == 0 and second is not first
+    ref = assert_matches_reference(packed)
+    for seq in straddling:
+        assert {p for p, _ in ref.backward[seq]} <= backward_slice(PackedDDG(packed), seq).seqs
+
+
+@pytest.mark.parametrize("capacity", [2000, 5000, 9000])
+def test_evicting_window_with_head_mid_chunk(capacity):
+    packed = fill(_fanin_records(2000), capacity=capacity)
+    oldest = packed.live_chunks()[0]
+    assert 0 < oldest.head < oldest.n  # the window starts mid-chunk
+    ref = assert_matches_reference(packed)
+    # A reached node with only its INSTR row (or none at all: a producer
+    # whose own rows were evicted) truncates the slice; the walk agrees.
+    node_only = [s for s in ref.nodes if s % 10 == 0 and s not in ref.backward]
+    assert node_only
+    ddg = PackedDDG(packed)
+    assert backward_slice(ddg, node_only[-1]).truncated
+    assert backward_slice(ddg, node_only[-1] + 1).truncated
+    assert not PackedDDG(fill(_fanin_records(60))).complete is False
+
+
+def test_sentinel_rows_in_the_walk():
+    base = 1 << 33
+    records = _fanin_records(600, base=base, big_pc_every=5)
+    # Producers more than 2**32 seqs back (a sentinel pdelta): nodes
+    # that exist only as producers.
+    for s in range(base + 50, base + 600, 50):
+        records.append(DepRecord(DepKind.MEM, s, s % 97, s - (1 << 32) - 5, 0x20000 + s % 7))
+    records.sort(key=lambda r: r.consumer_seq)
+    packed = fill(records)
+    over = [c.over for c in packed.live_chunks() if c.over]
+    assert over and any(field == 1 for o in over for _, field in o)  # _F_PSEQ
+    assert any(field == 2 for o in over for _, field in o)  # _F_PPC
+    assert_matches_reference(packed, crits=range(base + 590, base + 600))
+    far = base + 550 - (1 << 32) - 5
+    ddg = PackedDDG(packed)
+    assert ddg.has_node(far) and ddg.pc_of(far) == 0x20000 + (base + 550) % 7
+    assert far in backward_slice(ddg, base + 599).seqs
+
+
+def test_memoryview_backed_stored_chunks(tmp_path):
+    path = str(tmp_path / "walk.rlk")
+    buf = SpillingPackedTraceBuffer(6000, path)
+    for r in _fanin_records(1500, big_pc_every=11):
+        buf.append(r)
+    buf.close()
+    with open_spill(path) as stored:
+        chunks = stored.buffer.live_chunks()
+        assert len(chunks) > 1
+        assert all(isinstance(c.cseq_off, memoryview) for c in chunks)
+        assert 0 < chunks[0].head < chunks[0].n
+        assert_matches_reference(stored.buffer)
+        live = PackedDDG(buf)
+        ddg = stored.ddg()
+        for crit in (stored.buffer.newest_seq, stored.buffer.oldest_seq + 40):
+            a, b = backward_slice(ddg, crit), backward_slice(live, crit)
+            assert (a.seqs, a.pcs, a.truncated) == (b.seqs, b.pcs, b.truncated)
+
+
+def test_walk_switches_chunks_both_ways():
+    records = make_records(1200)  # a chain: every seq depends on seq - 1
+    # The newest seq also reads two old seqs; the walk pops them (and
+    # their chains) before returning to its own chunk's chain.
+    newest = 1200
+    records.append(DepRecord(DepKind.INSTR, newest, 5))
+    for producer in (600, 100):
+        records.append(DepRecord(DepKind.REG, newest, 5, producer, producer % 97))
+    records.append(DepRecord(DepKind.REG, newest, 5, newest - 1, (newest - 1) % 97))
+    packed = fill(records)
+    chunks = packed.live_chunks()
+    assert len(chunks) >= 3
+    ddg = PackedDDG(packed)
+    # A criterion in the oldest chunk decodes that chunk alone.
+    backward_slice(ddg, 50)
+    assert chunks[0].dec is not None
+    assert all(c.dec is None for c in chunks[1:])
+    assert_matches_reference(packed, crits=[newest, 700, 50])
+    assert all(c.dec is not None for c in chunks)
+
+
+def test_last_instance_across_chunks_with_producer_only_nodes():
+    rare_x, rare_y = 999, 998
+
+    def pc(seq):
+        return {120: rare_x, 100: rare_x, 50: rare_y, 650: rare_y}.get(seq, 1 + seq % 50)
+
+    records = []
+    for seq in range(720):
+        if seq in (100, 650):
+            continue  # producer-only nodes: named by later rows only
+        records.append(DepRecord(DepKind.INSTR, seq, pc(seq)))
+        producer = {700: 100, 660: 650}.get(seq, seq - 1)
+        if producer in (-1, 100, 650) and seq not in (700, 660):
+            continue  # only 700 and 660 name the producer-only nodes
+        records.append(DepRecord(DepKind.REG, seq, pc(seq), producer, pc(producer)))
+    packed = fill(records)
+    chunks = packed.live_chunks()
+    assert len(chunks) == 3 and chunks[0].cseq_at(chunks[0].n - 1) < 650
+    ddg = PackedDDG(packed)
+    # The newest chunk only names 100 as a producer; the older consumer
+    # 120 at the same pc is newer still.
+    assert ddg.last_instance_of_pc(rare_x) == 120
+    # 650 beats the oldest chunk's consumer 50, which the scan skips.
+    assert ddg.last_instance_of_pc(rare_y) == 650
+    assert ddg.has_node(100) and ddg.pc_of(100) == rare_x
+    assert not ddg.has_node(719 + 1)
+    assert_matches_reference(packed)
 
 
 def test_resident_bytes_is_deterministic_column_payload():

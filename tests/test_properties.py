@@ -215,6 +215,88 @@ class TestPackedSliceEquivalence:
                     (seed, crit, sorted(k.value for k in kinds))
 
 
+# --- column queries vs build_ddg ---------------------------------------------------
+class TestColumnQueryProperties:
+    """``last_instance_of_pc``, ``has_node`` and ``pc_of`` answered off
+    the packed columns equal ``build_ddg``'s answers on random
+    tracer-shaped streams (producers precede consumers, every row
+    naming a seq agrees on its pc) with producer-only nodes, eviction
+    and values outside their columns — live, and after spill/reopen."""
+
+    EDGE_KINDS = [DepKind.REG, DepKind.MEM, DepKind.IREG, DepKind.CONTROL,
+                  DepKind.SUMMARY, DepKind.WAW]
+
+    @staticmethod
+    def _stream(rng, n):
+        pcs = {}
+
+        def pc(seq):
+            if seq not in pcs:
+                roll = rng.randint(0, 39)
+                if roll < 3:
+                    pcs[seq] = (0xFFFF, 1 << 20, -2)[roll]
+                elif roll < 6:
+                    pcs[seq] = rng.randint(100, 130)  # rare: few chunks hold it
+                else:
+                    pcs[seq] = rng.randint(0, 24)
+            return pcs[seq]
+
+        base = (0, 1 << 33)[rng.randint(0, 1)]
+        seq = base
+        records = []
+        for _ in range(n):
+            seq += rng.randint(1, 3)  # skipped seqs can only be producers
+            tid = (1 << 17) if rng.randint(0, 29) == 0 else rng.randint(0, 2)
+            if rng.randint(0, 9):
+                kind = DepKind.INSTR if rng.randint(0, 3) else DepKind.BRANCH
+                records.append(DepRecord(kind, seq, pc(seq), tid=tid))
+            for _ in range(rng.randint(0, 3)):
+                if rng.randint(0, 24) == 0:
+                    producer = seq - (1 << 32) - rng.randint(1, 9)  # sentinel delta
+                else:
+                    producer = seq - rng.randint(0, 12)
+                kind = TestColumnQueryProperties.EDGE_KINDS[rng.randint(0, 5)]
+                records.append(DepRecord(kind, seq, pc(seq), producer, pc(producer), tid=tid))
+        return records, sorted(pcs)
+
+    @staticmethod
+    def _check(buf, pcs):
+        ref = build_ddg(buf.records, complete=buf.stats.evicted == 0)
+        ddg = PackedDDG(buf)
+        assert ddg.indexable
+        for pc in pcs + [-1, 0xFFFE, 99]:
+            assert ddg.last_instance_of_pc(pc) == ref.last_instance_of_pc(pc), pc
+        probes = {s + d for s in ref.nodes for d in (-1, 0, 1)}
+        for seq in sorted(probes):
+            assert ddg.has_node(seq) == (seq in ref.nodes), seq
+            if seq in ref.nodes:
+                assert ddg.pc_of(seq) == ref.pc_of(seq), seq
+
+    @given(seed=st.integers(min_value=0, max_value=2**20),
+           capacity=st.sampled_from([64, 700, 3000, 1 << 40]))
+    @settings(max_examples=40, deadline=None)
+    def test_last_instance_and_node_lookups_match_build_ddg(self, seed, capacity):
+        import os
+        import tempfile
+
+        from repro.lake import open_spill
+        from repro.lake.format import SpillingPackedTraceBuffer
+
+        rng = DeterministicRng(seed)
+        records, pcs = self._stream(rng, 40 + rng.randint(0, 400))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.rlk")
+            live = SpillingPackedTraceBuffer(capacity, path)
+            for rec in records:
+                live.append(rec)
+            live.close()
+            if not len(live):
+                return
+            self._check(live, pcs)
+            with open_spill(path) as stored:
+                self._check(stored.buffer, pcs)
+
+
 # --- VM determinism -----------------------------------------------------------------
 SUM_SRC = """
 fn main() {

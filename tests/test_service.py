@@ -29,6 +29,9 @@ from repro.service import (
     resolve_spec,
     wait_until_ready,
 )
+from repro.ontrac import OntracConfig
+from repro.runner import ProgramRunner
+from repro.service.jobs import WORKLOAD_FACTORIES
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -283,6 +286,20 @@ class TestJobs:
         )
         assert result["slice"]["instances"] > 0
         assert result["slice"]["lines"]
+
+    @pytest.mark.parametrize("workload", ["matmul", "sort", "hashloop", "rle", "bfs", "fsm"])
+    def test_slice_default_criterion_is_newest_node(self, workload):
+        # The job's default criterion (the buffer's newest seq) is the
+        # newest node of the traced window on every suite workload.
+        result = execute_job(
+            {"kind": "slice", "workload": workload, "scale": 1, "fidelity": "full",
+             "params": {}}
+        )
+        spec = WORKLOAD_FACTORIES[workload](1)
+        runner = ProgramRunner(spec.compiled.program, inputs=spec.inputs)
+        _, tracer, _ = runner.run_traced(OntracConfig(buffer_bytes=1 << 22))
+        newest = max(seq for seq, _ in tracer.dependence_graph().node_items())
+        assert result["slice"]["criterion_seq"] == newest
 
     def test_execute_lineage_reports_outputs(self):
         result = execute_job(

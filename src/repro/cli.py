@@ -624,14 +624,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "detection, identical alerts/taint)")
     p_attack.add_argument("--batch-size", type=int, default=None,
                           help="ring messages per flush for --parallel-helper "
-                               "(default: repro.fastpath resolution; 1 unless "
-                               "REPRO_FASTPATH_PARALLEL is set)")
+                               "(default: 256)")
     p_attack.set_defaults(func=cmd_attack)
 
     p_exp = sub.add_parser("experiments", help="run paper experiments")
     p_exp.add_argument("ids", nargs="*",
-                       help="experiment ids (E1..E12, fastpath, slicing, "
-                            "parallel, service, lake); "
+                       help="experiment ids (E1..E12, kernel, slicing, "
+                            "summaries, lake, parallel, service, router); "
                             "default E1..E12")
     p_exp.add_argument("--report", metavar="PATH",
                        help="write per-experiment results + metrics (JSON) to PATH")

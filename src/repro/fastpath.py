@@ -10,23 +10,15 @@ and a run with every flag on must be bit-identical — same modeled
 cycles, same dependence graphs, same taint sets — which is exactly what
 ``tests/test_fastpath_differential.py`` proves.
 
-Flags (all default **on**):
+Layers that have one implementation have no flag: the VM always runs
+its precompiled dispatch table (:mod:`repro.vm.dispatch`), ONTRAC its
+per-pc tracing stubs, shadow memory one plain dict
+(:mod:`repro.dift.shadow`), and the out-of-process DIFT helper always
+batches its channel (:func:`parallel_batch_size`).
 
-``vm_dispatch``
-    Precompile every :class:`~repro.isa.instructions.Instruction` into
-    a dispatch-table closure at machine construction, hoisting the
-    opcode ``if/elif`` chain, operand decoding and cost lookup out of
-    the per-instruction step.
-``parallel_batch``
-    Batch the out-of-process DIFT helper's shared-memory channel
-    (:class:`repro.multicore.parallel.ParallelHelperDIFT`): flush
-    :func:`parallel_batch_size` messages per ring publish instead of
-    one, amortizing the IPC cost.  **Default off** — the unbatched
-    channel publishes every message immediately, so nothing about the
-    modeled-cycle timelines or the per-message ordering ever depends
-    on a host-side batching knob, and bit-identity of the simulated
-    helper stays trivially preserved.
-``array_kernel``
+Flags:
+
+``array_kernel`` (default **on**)
     Run DIFT propagation through the vectorized batch kernel
     (:class:`repro.dift.kernel.ArrayKernel`): packed 24-byte records
     are decoded with numpy, a conservative location-key fixpoint
@@ -36,28 +28,19 @@ Flags (all default **on**):
     :class:`~repro.dift.kernel.ReferenceKernel` when numpy is missing
     or the policy is not array-encodable (see
     :func:`propagation_kernel`).
-
-Shadow memory has no flag: every engine and kernel keeps its labels
-in one plain dict (:mod:`repro.dift.shadow`).
-
-Resolution order: explicit argument > process-wide override
-(:func:`configure` / :func:`overridden`) > environment
-(``REPRO_FASTPATH=0`` kills everything; ``REPRO_FASTPATH_VM`` toggles
-the dispatch table;
-``REPRO_FASTPATH_KERNEL=reference|array`` picks the propagation
-kernel and ``REPRO_FASTPATH_KERNEL_BATCH`` the records-per-batch;
-``REPRO_FASTPATH_PARALLEL`` opts in to channel batching and
-``REPRO_FASTPATH_PARALLEL_BATCH`` sets the messages-per-flush;
-``REPRO_FASTPATH_SUMMARIES`` opts in to function-summary DIFT) >
-defaults (the implementation flags on, batching and summaries off).
-
-``summaries``
+``summaries`` (default **off** until proven)
     Function-summary DIFT (:mod:`repro.dift.summaries`): the first
     execution of a CALL-delimited region is distilled into a taint
     transfer summary; later calls with a matching footprint apply it
     in O(footprint) and skip instruction-level propagation, with
     automatic invalidation + bounded re-learning on divergence.
-    **Default off** (opt-in like ``parallel_batch``) until proven.
+
+Resolution order: explicit argument > process-wide override
+(:func:`configure` / :func:`overridden`) > environment
+(``REPRO_FASTPATH_KERNEL=reference|array`` picks the propagation
+kernel and ``REPRO_FASTPATH_KERNEL_BATCH`` the records-per-batch;
+``REPRO_FASTPATH_SUMMARIES`` opts in to function-summary DIFT) >
+defaults.
 """
 
 from __future__ import annotations
@@ -71,9 +54,6 @@ from dataclasses import dataclass, replace
 class FastPathConfig:
     """Which fast-path implementations to use; see the module docstring."""
 
-    vm_dispatch: bool = True
-    #: batch the parallel helper's shared-memory channel (default off).
-    parallel_batch: bool = False
     #: vectorized batch propagation kernel (numpy; auto-falls back).
     array_kernel: bool = True
     #: function-summary DIFT: learn per-call taint transfer functions
@@ -82,21 +62,11 @@ class FastPathConfig:
 
     @classmethod
     def all_on(cls) -> "FastPathConfig":
-        return cls(
-            vm_dispatch=True,
-            parallel_batch=True,
-            array_kernel=True,
-            summaries=True,
-        )
+        return cls(array_kernel=True, summaries=True)
 
     @classmethod
     def all_off(cls) -> "FastPathConfig":
-        return cls(
-            vm_dispatch=False,
-            parallel_batch=False,
-            array_kernel=False,
-            summaries=False,
-        )
+        return cls(array_kernel=False, summaries=False)
 
 
 def _env_bool(name: str, default: bool) -> bool:
@@ -106,14 +76,14 @@ def _env_bool(name: str, default: bool) -> bool:
     return raw.strip().lower() not in ("0", "false", "no", "off", "")
 
 
-def _env_kernel(master: bool) -> bool:
+def _env_kernel() -> bool:
     """``REPRO_FASTPATH_KERNEL=reference|array`` as the array-kernel bool."""
     raw = os.environ.get("REPRO_FASTPATH_KERNEL")
     if raw is None:
-        return master
+        return True
     value = raw.strip().lower()
     if value in ("array", "1", "true", "yes", "on"):
-        return master
+        return True
     if value in ("reference", "0", "false", "no", "off", ""):
         return False
     raise ValueError(
@@ -121,42 +91,42 @@ def _env_kernel(master: bool) -> bool:
     )
 
 
+def _env_positive_int(name: str, default: int) -> int:
+    """A positive integer from environment variable ``name``; a value
+    that is not one raises a ValueError naming the variable."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+        if value < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{name}={raw!r}: expected a positive integer") from None
+    return value
+
+
 def from_env() -> FastPathConfig:
     """Build the config the environment asks for."""
-    master = _env_bool("REPRO_FASTPATH", True)
     return FastPathConfig(
-        vm_dispatch=_env_bool("REPRO_FASTPATH_VM", master),
-        # Unlike the implementation flags, batching is opt-in: the master
-        # switch can only force it off, never on.
-        parallel_batch=master and _env_bool("REPRO_FASTPATH_PARALLEL", False),
-        array_kernel=_env_kernel(master),
-        # Summaries are opt-in the same way while they prove out.
-        summaries=master and _env_bool("REPRO_FASTPATH_SUMMARIES", False),
+        array_kernel=_env_kernel(),
+        summaries=_env_bool("REPRO_FASTPATH_SUMMARIES", False),
     )
 
 
-#: messages per ring flush when ``parallel_batch`` is enabled.
+#: messages per ring flush of the out-of-process DIFT helper.
 DEFAULT_PARALLEL_BATCH = 256
 
 
 def parallel_batch_size(explicit: int | None = None) -> int:
-    """Resolve the parallel helper's messages-per-flush.
-
-    An explicit positive argument wins; otherwise the ``parallel_batch``
-    flag selects between unbatched (1) and the environment's
-    ``REPRO_FASTPATH_PARALLEL_BATCH`` (default
-    :data:`DEFAULT_PARALLEL_BATCH`).
-    """
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError("batch size must be >= 1")
-        return explicit
-    if not current().parallel_batch:
-        return 1
-    raw = os.environ.get("REPRO_FASTPATH_PARALLEL_BATCH")
-    if raw is None:
+    """Resolve the parallel helper's messages-per-flush: an explicit
+    positive argument (``batch_size=`` / ``--batch-size``), else
+    :data:`DEFAULT_PARALLEL_BATCH`."""
+    if explicit is None:
         return DEFAULT_PARALLEL_BATCH
-    return max(1, int(raw))
+    if explicit < 1:
+        raise ValueError("batch size must be >= 1")
+    return explicit
 
 
 #: records per inline micro-batch when the array kernel is active.
@@ -238,10 +208,7 @@ def kernel_batch_size(explicit: int | None = None) -> int:
         if explicit < 1:
             raise ValueError("kernel batch size must be >= 1")
         return explicit
-    raw = os.environ.get("REPRO_FASTPATH_KERNEL_BATCH")
-    if raw is None:
-        return DEFAULT_KERNEL_BATCH
-    return max(1, int(raw))
+    return _env_positive_int("REPRO_FASTPATH_KERNEL_BATCH", DEFAULT_KERNEL_BATCH)
 
 
 def service_degrade_enabled(explicit: bool | None = None) -> bool:
@@ -280,10 +247,7 @@ def stream_chunk_rows(explicit: int | None = None) -> int:
         if explicit < 1:
             raise ValueError("stream chunk must be >= 1 row")
         return explicit
-    raw = os.environ.get("REPRO_SERVICE_STREAM_CHUNK")
-    if raw is None:
-        return DEFAULT_STREAM_CHUNK_ROWS
-    return max(1, int(raw))
+    return _env_positive_int("REPRO_SERVICE_STREAM_CHUNK", DEFAULT_STREAM_CHUNK_ROWS)
 
 
 def service_observe_enabled(explicit: bool | None = None) -> bool:
@@ -356,18 +320,6 @@ def resolve(flag: bool | None, name: str) -> bool:
     return flag
 
 
-def resolve_config(config: "FastPathConfig | bool | None") -> FastPathConfig:
-    """Resolve a whole-config override: True/False switch everything,
-    None falls back to the process-wide config."""
-    if config is None:
-        return current()
-    if config is True:
-        return FastPathConfig.all_on()
-    if config is False:
-        return FastPathConfig.all_off()
-    return config
-
-
 __all__ = [
     "DEFAULT_KERNEL_BATCH",
     "DEFAULT_PARALLEL_BATCH",
@@ -385,7 +337,6 @@ __all__ = [
     "propagation_kernel",
     "replace",
     "resolve",
-    "resolve_config",
     "service_degrade_enabled",
     "service_lake_enabled",
     "service_observe_enabled",

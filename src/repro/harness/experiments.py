@@ -636,109 +636,6 @@ def run_e12(scale: int = 1) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Fast path — wall-clock speedup of the implementation, not a paper claim
-# ---------------------------------------------------------------------------
-def run_fastpath(scale: int = 1, repeats: int = 5) -> ExperimentResult:
-    """Wall-clock cost of the E1 ONTRAC workload suite with the
-    ``repro.fastpath`` flags all off vs all on.
-
-    On a traced run the flags that act are the VM's precompiled
-    dispatch (``vm_dispatch``); the rest are DIFT-side.  ONTRAC itself
-    runs its compiled hook into the packed store on both sides.  The
-    modeled cycle counts and the stored record stream are asserted
-    identical between the two configurations on every workload — the
-    speedup is purely host-side implementation efficiency, never a
-    change in what the simulation computes.  Per-side times are the min
-    over ``repeats`` runs to suppress host timing noise.
-    """
-    import time
-
-    from .. import fastpath
-    from ..fastpath import FastPathConfig
-
-    result = ExperimentResult(
-        experiment="fastpath",
-        claim=(
-            "fast-path flags (precompiled VM dispatch) >=2x wall-clock on "
-            "traced suite, bit-identical"
-        ),
-        headers=["workload", "off s", "on s", "speedup", "identical"],
-    )
-
-    workloads = suite(scale)  # compiled once; timing covers execution only
-
-    def digest(tracer, res):
-        return (
-            res.cycles.total,
-            res.instructions,
-            tracer.stats.stored_bytes,
-            dict(tracer.stats.stored),
-            dict(tracer.stats.skipped),
-            [
-                (r.kind, r.consumer_seq, r.consumer_pc, r.producer_seq, r.producer_pc, r.tid)
-                for r in tracer.buffer.records
-            ],
-        )
-
-    def side(config):
-        """min-over-repeats time of one full traced pass over the suite."""
-        best_total, best_times, digests, tracers = float("inf"), None, None, None
-        with fastpath.overridden(config):
-            for _ in range(repeats):
-                pass_times, pass_digests, pass_tracers = [], [], []
-                for w in workloads:
-                    runner = w.runner()
-                    t0 = time.perf_counter()
-                    _, tracer, res = runner.run_traced(OntracConfig())
-                    pass_times.append(time.perf_counter() - t0)
-                    pass_digests.append(digest(tracer, res))
-                    pass_tracers.append(tracer)
-                total = sum(pass_times)
-                if total < best_total:
-                    best_total, best_times = total, pass_times
-                    digests, tracers = pass_digests, pass_tracers
-        return best_total, best_times, digests, tracers
-
-    off_total, off_times, off_digests, _ = side(FastPathConfig.all_off())
-    on_total, on_times, on_digests, tracers = side(FastPathConfig.all_on())
-    all_identical = True
-    for w, off_s, on_s, off_d, on_d in zip(
-        workloads, off_times, on_times, off_digests, on_digests
-    ):
-        identical = off_d == on_d
-        all_identical = all_identical and identical
-        result.rows.append([w.name, off_s, on_s, off_s / on_s, identical])
-    if not all_identical:
-        result.notes = "BIT-IDENTITY VIOLATED — fast path changed observables"
-    result.rows.append(["suite pass", off_total, on_total, off_total / on_total, ""])
-
-    registry = MetricsRegistry()
-    for tracer in tracers:
-        tracer.publish_telemetry(registry)
-
-    # One instrumented run so the introspection counters land in metrics
-    # (dispatch hits from the VM).
-    with fastpath.overridden(FastPathConfig.all_on()):
-        from ..telemetry import Telemetry
-
-        telemetry = Telemetry(registry=registry)
-        runner = workloads[0].runner()
-        runner.telemetry = telemetry
-        m = runner.machine()
-        engine = DIFTEngine(BoolTaintPolicy()).attach(m)
-        m.run(max_instructions=runner.max_instructions)
-        engine.publish_telemetry(registry)
-
-    result.headline = {
-        "traced_suite_speedup": off_total / on_total,
-        "target_speedup": 2.0,
-        "bit_identical": float(all_identical),
-    }
-    result.metrics = registry.flat()
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Batch propagation kernel — array vs reference throughput, bit-identical
 # ---------------------------------------------------------------------------
 def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
@@ -1967,7 +1864,6 @@ ALL_EXPERIMENTS = {
 #: named experiments outside the E1..E12 paper-claim set (selectable by
 #: id through the CLI and run_experiment, excluded from the default sweep).
 EXTRA_EXPERIMENTS = {
-    "fastpath": run_fastpath,
     "kernel": run_kernel,
     "slicing": run_slicing,
     "summaries": run_summaries,

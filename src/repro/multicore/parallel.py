@@ -44,9 +44,10 @@ kernel (the default when numpy is importable) propagates each chunk
 vectorized.  Either way the differential suite asserts the returned
 alerts, taint sets and stats equal an inline reference run.
 
-Batching (`repro.fastpath.parallel_batch` / ``--batch-size``) flushes N
-records per ring publish to amortize the position updates; default off
-(flush every record).  No modeled cycles are charged to the machine —
+The channel is always batched: it flushes ``batch_size`` records per
+ring publish to amortize the position updates (default 256, see
+:func:`repro.fastpath.parallel_batch_size`; ``--batch-size`` on the
+CLI).  No modeled cycles are charged to the machine —
 this helper trades *host* time, and its equivalence contract covers
 observables (alerts / taint / stats), not the cycle model, which is
 what :class:`HelperCoreDIFT` is for.

@@ -1,26 +1,24 @@
-"""Precompiled instruction dispatch — the VM's fast path.
+"""Precompiled instruction dispatch — the VM's interpreter for the hot
+opcodes.
 
-:meth:`~repro.vm.machine.Machine._execute` decodes every instruction on
-every dynamic execution: an opcode ``if/elif`` chain (whose early arms
-are IntEnum rich comparisons), operand tuple indexing, a fresh
-``write_reg`` closure per step, and a cost-table lookup.  For the hot
-opcodes all of that is static per *instruction*, so this module
-compiles each :class:`~repro.isa.instructions.Instruction` once, at
-machine construction, into a closure with the operands, cost, fall-through
-pc and branch target already bound.  ``Machine._step`` then dispatches
-``table[thread.pc](thread)``.
+Like a DBT translating each basic block once, this module compiles
+each :class:`~repro.isa.instructions.Instruction` once, at machine
+construction, into a closure with its operands, cost, fall-through pc
+and branch target already bound.  ``Machine._step`` dispatches
+``table[thread.pc](thread)``; nothing decodes an opcode per step.
 
-Only the hot, simple opcodes get closures (ALU, moves, loads/stores,
-stack ops, jumps and branches, NOP/ASSERT).  Everything that touches
-scheduler state, the heap, I/O or the call stack stays on the
-interpreter's slow path — the table entry for those pcs is the bound
-``Machine._execute`` itself, so the fallback costs nothing extra.
+The 31 hot opcodes — the ALU (16 three-register ops, ADDI, MULI,
+NOT, NEG, MOV, LI), LOAD/STORE/PUSH/POP, JMP/BR/BRZ, NOP and ASSERT —
+run only here.  The 15 cold opcodes touch the heap, the call stack,
+I/O or the scheduler: their table entry is the bound
+``Machine._execute`` itself, which handles nothing else.
 
-Bit-identity contract (enforced by ``tests/test_fastpath_differential.py``):
-a compiled step performs the same state transitions in the same order
-as ``_execute`` — including intervention transforms, occurrence
-counting, cycle accrual, telemetry op counts and the exact
-``InstrEvent`` tuples hooks observe.
+Each closure performs the instruction's state transitions in a fixed
+order: intervention transforms, occurrence counting, cycle accrual,
+telemetry op counts and the exact ``InstrEvent`` tuples hooks observe.
+The reference they are held to is the spec table in
+``tests/vm_oracle.py``, which the differential suite runs against
+this module.
 """
 
 from __future__ import annotations
@@ -92,8 +90,8 @@ def _unary_fns():
 
 
 def compile_program(m: "Machine") -> list[StepFn]:
-    """One step closure per static instruction; complex opcodes fall
-    back to the bound slow-path ``m._execute``."""
+    """One step closure per static instruction; the cold opcodes get
+    the bound ``m._execute``."""
     return [_compile_instr(m, pc, instr) for pc, instr in enumerate(m.program.code)]
 
 
@@ -128,7 +126,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -161,7 +158,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -193,7 +189,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -222,7 +217,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -256,7 +250,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -290,7 +283,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -324,7 +316,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -359,7 +350,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -389,7 +379,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -420,7 +409,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -447,7 +435,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -476,7 +463,6 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
             cycles.base += cost
             if tel:
                 op_counts[opi] += 1
-                m._dispatch_hits += 1
             if iv is not None:
                 m._occurrences[pc] = occ + 1
             if hooks:
@@ -490,6 +476,5 @@ def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
 
         return step_assert
 
-    # Everything touching the heap, scheduler, call stack or I/O stays on
-    # the decoded slow path.
+    # Everything touching the heap, scheduler, call stack or I/O is cold.
     return m._execute

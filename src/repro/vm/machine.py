@@ -14,6 +14,11 @@ Design constraints, in priority order:
    can flip branch outcomes and rewrite defined values at chosen dynamic
    occurrences, without the tools touching interpreter internals.
 
+Execution: the machine compiles its program once into a per-pc step
+table (:mod:`repro.vm.dispatch`).  The hot opcodes run only as those
+compiled closures; :meth:`Machine._execute` interprets the cold ones
+(heap, calls, I/O, threads and sync, HALT, FAIL).
+
 Cycle accounting: guest instructions accrue ``cycles.base`` via the
 cost model; tools add ``cycles.overhead`` through :meth:`Machine.add_overhead`.
 """
@@ -23,8 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .. import fastpath as fastpath_config
-from ..isa.instructions import SP, Instruction, Opcode
+from ..isa.instructions import Instruction, Opcode
 from ..isa.program import Program
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .cost import OPCODE_CLASSES, CostModel, CycleCounters
@@ -73,15 +77,6 @@ class RunResult:
         return self.status is RunStatus.FAILED
 
 
-def _trunc_div(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _trunc_mod(a: int, b: int) -> int:
-    return a - _trunc_div(a, b) * b
-
-
 class Machine:
     """One guest machine: program + memory + threads + I/O + hooks."""
 
@@ -92,14 +87,12 @@ class Machine:
         cost_model: CostModel | None = None,
         args: tuple[int, ...] = (),
         telemetry: Telemetry | None = None,
-        fastpath: "fastpath_config.FastPathConfig | bool | None" = None,
     ):
         program.validate()
         self.program = program
         self.scheduler = scheduler or RoundRobinScheduler()
         self.cost_model = cost_model or CostModel()
         self._cost_table = self.cost_model.table()
-        self.fastpath = fastpath_config.resolve_config(fastpath)
         self.telemetry = telemetry or NULL_TELEMETRY
         # One bool, checked like `hooks.active`: the no-op path costs a
         # single attribute load and never touches the cycle model.
@@ -109,7 +102,6 @@ class Machine:
             self._op_counts = [0] * len(self._cost_table)
             self._events_published = 0
             self._blocked_attempts = 0
-            self._dispatch_hits = 0
         self.memory = Memory()
         self.io = IOSystem()
         self.hooks = HookBus()
@@ -125,9 +117,9 @@ class Machine:
         self._occurrences: dict[int, int] = {}  # instr index -> executions
         entry = program.entry_function
         self.threads: list[ThreadContext] = [ThreadContext.create(0, entry.entry, tuple(args))]
-        # Fast path: one precompiled step closure per static instruction
-        # (see repro.vm.dispatch); None keeps the decoded slow path.
-        self._dispatch = compile_program(self) if self.fastpath.vm_dispatch else None
+        # One step per static instruction: a compiled closure for the hot
+        # opcodes, the bound _execute for the cold ones (repro.vm.dispatch).
+        self._dispatch = compile_program(self)
 
     # -- tool API -------------------------------------------------------
     def add_overhead(self, cycles: int) -> None:
@@ -229,15 +221,16 @@ class Machine:
         only completed instructions.
         """
         try:
-            table = self._dispatch
-            if table is not None:
-                return table[thread.pc](thread)
-            return self._execute(thread)
+            return self._dispatch[thread.pc](thread)
         except ProgramFailure as exc:
             self._fail(thread, exc)
             return True
 
     def _execute(self, thread: ThreadContext) -> bool:
+        """Interpret one *cold* instruction: the opcodes that touch the
+        heap, the call stack, I/O or the scheduler.  The hot opcodes run
+        only through their compiled closures (:mod:`repro.vm.dispatch`)
+        and are unhandled here."""
         pc = thread.pc
         instr = self.program.code[pc]
         op = instr.opcode
@@ -248,9 +241,6 @@ class Machine:
 
         reg_reads: tuple = ()
         reg_writes: tuple = ()
-        mem_reads: tuple = ()
-        mem_writes: tuple = ()
-        taken: bool | None = None
         callee: int | None = None
         alloc: tuple | None = None
         channel: int | None = None
@@ -272,121 +262,8 @@ class Machine:
                 reg_writes = ((reg, value),)
             return value
 
-        # --- ALU (three-register) ------------------------------------
-        if op <= Opcode.SGE:  # relies on enum declaration order
-            a, b = regs[ops[1]], regs[ops[2]]
-            if op is Opcode.ADD:
-                r = a + b
-            elif op is Opcode.SUB:
-                r = a - b
-            elif op is Opcode.MUL:
-                r = a * b
-            elif op is Opcode.DIV:
-                if b == 0:
-                    raise ProgramFailure("div_zero", f"at pc={pc}")
-                r = _trunc_div(a, b)
-            elif op is Opcode.MOD:
-                if b == 0:
-                    raise ProgramFailure("div_zero", f"mod at pc={pc}")
-                r = _trunc_mod(a, b)
-            elif op is Opcode.AND:
-                r = a & b
-            elif op is Opcode.OR:
-                r = a | b
-            elif op is Opcode.XOR:
-                r = a ^ b
-            elif op is Opcode.SHL:
-                if not 0 <= b <= 64:
-                    raise ProgramFailure("bad_shift", f"shift by {b}")
-                r = a << b
-            elif op is Opcode.SHR:
-                if not 0 <= b <= 64:
-                    raise ProgramFailure("bad_shift", f"shift by {b}")
-                r = a >> b
-            elif op is Opcode.SEQ:
-                r = 1 if a == b else 0
-            elif op is Opcode.SNE:
-                r = 1 if a != b else 0
-            elif op is Opcode.SLT:
-                r = 1 if a < b else 0
-            elif op is Opcode.SLE:
-                r = 1 if a <= b else 0
-            elif op is Opcode.SGT:
-                r = 1 if a > b else 0
-            else:  # SGE
-                r = 1 if a >= b else 0
-            if trace:
-                reg_reads = ((ops[1], a), (ops[2], b))
-            write_reg(ops[0], r)
-
-        elif op is Opcode.ADDI:
-            a = regs[ops[1]]
-            if trace:
-                reg_reads = ((ops[1], a),)
-            write_reg(ops[0], a + ops[2])
-        elif op is Opcode.MULI:
-            a = regs[ops[1]]
-            if trace:
-                reg_reads = ((ops[1], a),)
-            write_reg(ops[0], a * ops[2])
-        elif op is Opcode.NOT:
-            a = regs[ops[1]]
-            if trace:
-                reg_reads = ((ops[1], a),)
-            write_reg(ops[0], 1 if a == 0 else 0)
-        elif op is Opcode.NEG:
-            a = regs[ops[1]]
-            if trace:
-                reg_reads = ((ops[1], a),)
-            write_reg(ops[0], -a)
-        elif op is Opcode.MOV:
-            a = regs[ops[1]]
-            if trace:
-                reg_reads = ((ops[1], a),)
-            write_reg(ops[0], a)
-        elif op is Opcode.LI:
-            write_reg(ops[0], ops[1])
-
-        # --- memory ----------------------------------------------------
-        elif op is Opcode.LOAD:
-            base = regs[ops[1]]
-            addr = base + ops[2]
-            value = self.memory.load(addr)
-            if trace:
-                reg_reads = ((ops[1], base),)
-                mem_reads = ((addr, value),)
-            write_reg(ops[0], value)
-        elif op is Opcode.STORE:
-            value = regs[ops[0]]
-            base = regs[ops[1]]
-            addr = base + ops[2]
-            self.memory.store(addr, value)
-            if trace:
-                reg_reads = ((ops[0], value), (ops[1], base))
-                mem_writes = ((addr, value),)
-        elif op is Opcode.PUSH:
-            value = regs[ops[0]]
-            sp = regs[SP] - 1
-            regs[SP] = sp
-            self.memory.store(sp, value)
-            if trace:
-                reg_reads = ((ops[0], value), (SP, sp + 1))
-                reg_writes = ((SP, sp),)
-                mem_writes = ((sp, value),)
-        elif op is Opcode.POP:
-            sp = regs[SP]
-            value = self.memory.load(sp)
-            regs[SP] = sp + 1
-            if intervention is not None:
-                value = intervention.transform_def(instr, occurrence, value)
-            regs[ops[0]] = value
-            if trace:
-                reg_reads = ((SP, sp),)
-                reg_writes = ((ops[0], value), (SP, sp + 1))
-                mem_reads = ((sp, value),)
-
         # --- heap --------------------------------------------------------
-        elif op is Opcode.ALLOC:
+        if op is Opcode.ALLOC:
             size = regs[ops[1]]
             base = self.memory.alloc(size)
             if trace:
@@ -402,18 +279,6 @@ class Machine:
             self.hooks.free(thread.tid, base, self.seq)
 
         # --- control ------------------------------------------------------
-        elif op is Opcode.JMP:
-            next_pc = ops[0]
-        elif op is Opcode.BR or op is Opcode.BRZ:
-            cond = regs[ops[0]]
-            natural = (cond != 0) if op is Opcode.BR else (cond == 0)
-            taken = natural
-            if intervention is not None:
-                taken = intervention.branch_outcome(instr, occurrence, natural)
-            if taken:
-                next_pc = ops[1]
-            if trace:
-                reg_reads = ((ops[0], cond),)
         elif op is Opcode.CALL:
             fn = self.program.function_by_id(ops[0])
             assert fn is not None  # validated at link time
@@ -429,9 +294,7 @@ class Machine:
                 # Emit the event first so DIFT policies can attribute the
                 # wild target before the machine reports the crash.
                 if trace:
-                    self._emit(
-                        thread, pc, instr, reg_reads, (), (), (), None, None, None, None, None, -1
-                    )
+                    self._emit(thread, pc, instr, reg_reads)
                 raise ProgramFailure("bad_icall", f"indirect call to invalid target {fid}")
             thread.frames.append(Frame(pc + 1, fn.name))
             next_pc = fn.entry
@@ -447,8 +310,6 @@ class Machine:
                 next_pc = pc  # unused; thread is done
         elif op is Opcode.HALT:
             self.halted = True
-        elif op is Opcode.NOP:
-            pass
 
         # --- I/O --------------------------------------------------------
         elif op is Opcode.IN:
@@ -536,15 +397,9 @@ class Machine:
             self.hooks.barrier(thread.tid, bar_id, self.seq)
 
         # --- diagnostics ---------------------------------------------------
-        elif op is Opcode.ASSERT:
-            value = regs[ops[0]]
-            if trace:
-                reg_reads = ((ops[0], value),)
-            if value == 0:
-                raise ProgramFailure("assert", f"assertion failed at pc={pc}")
         elif op is Opcode.FAIL:
             raise ProgramFailure("fail", f"explicit failure code {ops[0]}")
-        else:  # pragma: no cover - exhaustive over OP_TABLE
+        else:  # a hot opcode: only its compiled closure interprets it
             raise VMError(f"unhandled opcode {op!r}")
 
         # --- bookkeeping ---------------------------------------------------
@@ -558,18 +413,7 @@ class Machine:
             self._occurrences[pc] = occurrence + 1
         if trace:
             self._emit(
-                thread,
-                pc,
-                instr,
-                reg_reads,
-                reg_writes,
-                mem_reads,
-                mem_writes,
-                taken,
-                callee,
-                alloc,
-                channel,
-                io_value,
+                thread, pc, instr, reg_reads, reg_writes, callee, alloc, channel, io_value,
                 input_index,
             )
         self.seq += 1
@@ -580,16 +424,13 @@ class Machine:
         thread: ThreadContext,
         pc: int,
         instr: Instruction,
-        reg_reads,
-        reg_writes,
-        mem_reads,
-        mem_writes,
-        taken,
-        callee,
-        alloc,
-        channel,
-        io_value,
-        input_index,
+        reg_reads: tuple,
+        reg_writes: tuple = (),
+        callee: int | None = None,
+        alloc: tuple | None = None,
+        channel: int | None = None,
+        io_value: int | None = None,
+        input_index: int = -1,
     ) -> None:
         ev = InstrEvent(
             seq=self.seq,
@@ -598,9 +439,6 @@ class Machine:
             instr=instr,
             reg_reads=reg_reads,
             reg_writes=reg_writes,
-            mem_reads=mem_reads,
-            mem_writes=mem_writes,
-            taken=taken,
             callee=callee,
             alloc=alloc,
             channel=channel,
@@ -624,7 +462,6 @@ class Machine:
         for cls, count in sorted(class_totals.items()):
             reg.counter(f"vm.instructions.{cls}").inc(count)
         reg.counter("vm.events.published").inc(self._events_published)
-        reg.counter("fastpath.dispatch_hits").inc(self._dispatch_hits)
         reg.counter("vm.scheduler.segments").inc(len(self.schedule_trace))
         reg.counter("vm.scheduler.blocked_attempts").inc(self._blocked_attempts)
         reg.gauge("vm.threads.total").set(len(self.threads))

@@ -1,18 +1,25 @@
-"""Differential proof that the fast path is implementation-only.
+"""Differential proof that the fast paths are implementation-only.
 
-Every workload family in :mod:`repro.workloads` runs twice — all
-fast-path flags forced on, then all forced off — and every observable
-must be bit-identical: the RunResult (status, instruction count,
-modeled base and overhead cycles, failure info, schedule), the final
-VM state (per-thread registers, memory cells, io streams), the full
-ONTRAC record stream with its byte accounting and stats tables, the
-dependence graph built from it, and DIFT taint state.  Traced runs
-also switch ONTRAC's hook: the flags-on side runs the per-pc tracing
-stubs into the packed store and slices with the indexed engine, the
-flags-off side runs the class-level ``OnlineTracer.on_instruction``
-(see :class:`ReferenceTracer`) and slices with the BFS slicer over
-``build_ddg``.  The fast path is allowed to be faster; it is never
-allowed to be different.
+Every workload family in :mod:`repro.workloads` runs under two
+implementations and every observable must be bit-identical: the
+RunResult (status, instruction count, modeled base and overhead cycles,
+failure info, schedule), the final VM state (per-thread registers,
+memory cells, io streams), the full ONTRAC record stream with its byte
+accounting and stats tables, the dependence graph built from it, and
+DIFT taint state.
+
+- Plain runs pair the VM's compiled dispatch table with the test-side
+  spec oracle (``tests/vm_oracle.py``), once without hooks and once
+  with every ``InstrEvent`` recorded.
+- Traced runs pair ONTRAC's per-pc tracing stubs into the packed store,
+  sliced with the indexed engine, with the class-level
+  ``OnlineTracer.on_instruction`` (see :class:`ReferenceTracer`),
+  sliced with the BFS slicer over ``build_ddg``.
+- DIFT runs pair all fast-path flags on (array kernel, summaries) with
+  all flags off (reference kernel).
+
+The fast path is allowed to be faster; it is never allowed to be
+different.
 """
 
 import pytest
@@ -23,6 +30,7 @@ from repro.fastpath import FastPathConfig
 from repro.lang import compile_source
 from repro.ontrac import OnlineTracer, OntracConfig, build_ddg
 from repro.tm import Resolution, TMConfig, TransactionalMonitor
+from repro.vm import Hook
 from repro.workloads import (
     GeneratorConfig,
     build_server,
@@ -35,6 +43,8 @@ from repro.workloads import (
 )
 from repro.workloads.spec_like import Workload
 from repro.workloads.splash_like import tm_kernels
+
+from .vm_oracle import install_oracle
 
 ON = FastPathConfig.all_on()
 OFF = FastPathConfig.all_off()
@@ -110,9 +120,27 @@ def _run_traced(runner, tracer_cls, config=None):
     return m, tracer, res
 
 
-def _plain_state(runner):
-    m, res = runner.run()
-    return _vm_state(m, res)
+class EventLog(Hook):
+    """Records every published InstrEvent as comparable data."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_instruction(self, ev):
+        self.events.append(
+            (ev.seq, ev.tid, ev.pc, ev.reg_reads, ev.reg_writes, ev.mem_reads,
+             ev.mem_writes, ev.taken, ev.callee, ev.alloc, ev.channel, ev.io_value,
+             ev.input_index)
+        )
+
+
+def _plain_state(runner, oracle=False, log_events=False):
+    m = runner.machine()
+    if oracle:
+        install_oracle(m)
+    log = m.hooks.subscribe(EventLog()) if log_events else None
+    res = m.run(max_instructions=runner.max_instructions)
+    return _vm_state(m, res), log.events if log_events else None
 
 
 def _traced_state(runner, tracer_cls, config=None):
@@ -153,6 +181,14 @@ def _dift_state(runner):
     )
 
 
+def assert_oracle_differential(make_runner):
+    """The dispatch table against the spec oracle, without hooks (the
+    native path) and with every event recorded; states must match."""
+    for log_events in (False, True):
+        fast = _plain_state(make_runner(), log_events=log_events)
+        assert fast == _plain_state(make_runner(), oracle=True, log_events=log_events)
+
+
 def assert_differential(make_runner, state_fn):
     """Run fresh runners under all-on and all-off flags; states must match."""
     with fastpath.overridden(ON):
@@ -187,7 +223,7 @@ def test_reference_tracer_keeps_class_hook():
 # --- SPEC-like suite --------------------------------------------------------
 @pytest.mark.parametrize("w", SPEC, ids=_name)
 def test_spec_plain(w):
-    assert_differential(w.runner, _plain_state)
+    assert_oracle_differential(w.runner)
 
 
 @pytest.mark.parametrize("w", SPEC, ids=_name)
@@ -209,7 +245,7 @@ def test_spec_dift(w):
 # --- call-heavy trio (function-summary coverage) ----------------------------
 @pytest.mark.parametrize("w", CALLS, ids=_name)
 def test_calls_plain(w):
-    assert_differential(w.runner, _plain_state)
+    assert_oracle_differential(w.runner)
 
 
 @pytest.mark.parametrize("w", CALLS, ids=_name)
@@ -286,12 +322,12 @@ def test_stubs_traced(w, config, size):
 # --- seeded-bug corpus ------------------------------------------------------
 @pytest.mark.parametrize("b", BUGGY, ids=_name)
 def test_buggy_failing(b):
-    assert_differential(lambda: b.runner(failing=True), _plain_state)
+    assert_oracle_differential(lambda: b.runner(failing=True))
 
 
 @pytest.mark.parametrize("b", BUGGY, ids=_name)
 def test_buggy_passing(b):
-    assert_differential(lambda: b.runner(failing=False), _plain_state)
+    assert_oracle_differential(lambda: b.runner(failing=False))
 
 
 @pytest.mark.parametrize("b", BUGGY, ids=_name)
@@ -302,7 +338,7 @@ def test_buggy_failing_traced(b):
 # --- SPLASH-like race kernels ----------------------------------------------
 @pytest.mark.parametrize("k", RACES, ids=_name)
 def test_race_kernel_plain(k):
-    assert_differential(k.runner, _plain_state)
+    assert_oracle_differential(k.runner)
 
 
 @pytest.mark.parametrize("k", RACES, ids=_name)
@@ -314,7 +350,7 @@ def test_race_kernel_traced(k):
 # --- scientific lineage workloads ------------------------------------------
 @pytest.mark.parametrize("w", LINEAGE, ids=_name)
 def test_lineage_plain(w):
-    assert_differential(w.runner, _plain_state)
+    assert_oracle_differential(w.runner)
 
 
 @pytest.mark.parametrize("w", LINEAGE, ids=_name)
@@ -334,7 +370,7 @@ def _server_runner():
 
 
 def test_server_plain():
-    assert_differential(_server_runner, _plain_state)
+    assert_oracle_differential(_server_runner)
 
 
 def test_server_traced():
@@ -349,7 +385,7 @@ def test_server_dift():
 @pytest.mark.parametrize("seed", GEN_SEEDS)
 def test_generated_plain(seed):
     g = generate(seed, GeneratorConfig(use_inputs=True))
-    assert_differential(g.runner, _plain_state)
+    assert_oracle_differential(g.runner)
 
 
 @pytest.mark.parametrize("seed", GEN_SEEDS)

@@ -7,14 +7,14 @@ nondeterministic — ``wall_time_s`` on reports, ``wall_ns`` in span
 args — so any other drift (cycle model, record accounting, metric
 names, span timestamps) fails the diff.
 
-Runs are pinned to ``FastPathConfig.all_on()`` because the fast-path
-introspection counters (``fastpath.dispatch_hits``,
-``ontrac.store.chunks``, ``ontrac.store.resident_bytes``) are part
-of the report; everything else in
-the fixtures is flag-independent by the bit-identity contract.
-``ontrac.store.resident_bytes`` stays golden-stable because it is the
-deterministic column-payload figure, not a ``getsizeof``/tracemalloc
-measurement.
+Runs are pinned to ``FastPathConfig.all_on()`` so the fixtures never
+depend on the process-wide flag resolution (CI re-runs the suite with
+the reference kernel or summaries forced); by the bit-identity
+contract nothing in them is flag-dependent.  The VM's dispatch table
+is not a flag and publishes no counter of its own.  The packed-store
+counters (``ontrac.store.chunks``, ``ontrac.store.resident_bytes``)
+stay golden-stable because ``resident_bytes`` is the deterministic
+column-payload figure, not a ``getsizeof``/tracemalloc measurement.
 
 Regenerate after an intentional change with::
 

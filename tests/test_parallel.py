@@ -1,10 +1,8 @@
 """Unit tests for the out-of-process DIFT helper (`repro.multicore.parallel`):
 ring-buffer wraparound and batching, attack parity with the inline
 engine, the i64 sink-value fixup path, addresses beyond the i64
-payload, batch-size flag resolution, the experiment fan-out, and the
+payload, batch-size resolution, the experiment fan-out, and the
 telemetry surface."""
-
-from dataclasses import replace
 
 import pytest
 
@@ -210,46 +208,28 @@ class TestMultithreaded:
 
 
 class TestBatchSizeFlag:
+    """``batch_size=`` / ``--batch-size`` resolution: batching is the only
+    channel mode, so it is an explicit size or else the default."""
+
     def test_explicit_wins_over_flags(self):
         assert parallel_batch_size(7) == 7
+        assert parallel_batch_size(1) == 1  # unbatched stays reachable
 
     def test_explicit_must_be_positive(self):
         with pytest.raises(ValueError):
             parallel_batch_size(0)
 
-    def test_flag_off_means_unbatched(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH_PARALLEL_BATCH", raising=False)
-        with fastpath.overridden(FastPathConfig.all_off()):
-            assert parallel_batch_size() == 1
+    def test_default_is_batched(self):
+        assert parallel_batch_size() == DEFAULT_PARALLEL_BATCH == 256
 
-    def test_flag_on_uses_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH_PARALLEL_BATCH", raising=False)
-        cfg = replace(FastPathConfig.all_off(), parallel_batch=True)
-        with fastpath.overridden(cfg):
-            assert parallel_batch_size() == DEFAULT_PARALLEL_BATCH
+    def test_default_ignores_fastpath_config(self):
+        for config in (FastPathConfig.all_off(), FastPathConfig.all_on()):
+            with fastpath.overridden(config):
+                assert parallel_batch_size() == DEFAULT_PARALLEL_BATCH
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH_PARALLEL_BATCH", "37")
-        cfg = replace(FastPathConfig.all_off(), parallel_batch=True)
-        with fastpath.overridden(cfg):
-            assert parallel_batch_size() == 37
-
-    def test_batching_is_opt_in_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        monkeypatch.delenv("REPRO_FASTPATH_PARALLEL", raising=False)
-        assert fastpath.from_env().parallel_batch is False
-        monkeypatch.setenv("REPRO_FASTPATH_PARALLEL", "1")
-        assert fastpath.from_env().parallel_batch is True
-        # The master switch can only force batching off, never on.
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert fastpath.from_env().parallel_batch is False
-
-    def test_helper_resolves_batch_from_flags(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH_PARALLEL_BATCH", raising=False)
-        cfg = replace(FastPathConfig.all_off(), parallel_batch=True)
-        with fastpath.overridden(cfg):
-            helper = ParallelHelperDIFT(BoolTaintPolicy())
-        assert helper.batch_size == DEFAULT_PARALLEL_BATCH
+    def test_helper_resolves_batch(self):
+        assert ParallelHelperDIFT(BoolTaintPolicy()).batch_size == DEFAULT_PARALLEL_BATCH
+        assert ParallelHelperDIFT(BoolTaintPolicy(), batch_size=5).batch_size == 5
 
 
 class TestExperimentFanOut:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro import fastpath
 from repro.apps.lineage import BDDManager
 from repro.dift import BoolTaintPolicy, DIFTEngine, ShadowState, SinkRule
-from repro.fastpath import FastPathConfig
 from repro.lang import compile_source
 from repro.ontrac import (
     DepKind,
@@ -24,6 +23,8 @@ from repro.slicing import backward_slice, forward_slice
 from repro.util.rng import DeterministicRng
 from repro.vm import Machine, RandomScheduler
 from repro.workloads import GeneratorConfig, generate
+
+from .vm_oracle import install_oracle
 
 BITS = 8
 small_sets = st.sets(st.integers(min_value=0, max_value=(1 << BITS) - 1), max_size=24)
@@ -391,7 +392,8 @@ def _final_state(machine, result):
 
 
 class TestFastPathDifferentialFuzz:
-    """200 exhaustively-seeded generated programs through both paths.
+    """200 exhaustively-seeded generated programs through the VM's
+    dispatch table and through the spec oracle (``tests/vm_oracle.py``).
 
     Deliberately a seed sweep rather than a hypothesis strategy: the
     generator is its own fuzzer, and fixed seeds make a mismatch
@@ -400,15 +402,19 @@ class TestFastPathDifferentialFuzz:
 
     N_SEEDS = 200
 
+    @staticmethod
+    def _run(g, oracle):
+        runner = g.runner()
+        m = runner.machine()
+        if oracle:
+            install_oracle(m)
+        return _final_state(m, m.run(max_instructions=runner.max_instructions))
+
     def test_generated_programs_bit_identical(self):
         mismatched = []
         for seed in range(self.N_SEEDS):
             g = generate(seed, GeneratorConfig(use_inputs=seed % 2 == 0))
-            with fastpath.overridden(FastPathConfig.all_on()):
-                fast = _final_state(*g.runner().run())
-            with fastpath.overridden(FastPathConfig.all_off()):
-                slow = _final_state(*g.runner().run())
-            if fast != slow:
+            if self._run(g, oracle=False) != self._run(g, oracle=True):
                 mismatched.append(seed)
         assert mismatched == []
 

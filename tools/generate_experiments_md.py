@@ -282,14 +282,13 @@ cycles* from the deterministic cost model — the currency in which the
 paper's slowdowns and ratios are reproduced. Host wall-clock time is
 *not* part of those claims: the fast execution path (`repro.fastpath`,
 on by default) makes the simulator itself faster without moving a
-single modeled number, and the differential suite holds the two
-implementations to bit-identical cycle counts, record streams and
-taint sets. Each section's **Wall-clock** line reports how long the
+single modeled number, and the differential suite holds each fast
+implementation to its reference (bit-identical cycle counts, record
+streams and taint sets). Each section's **Wall-clock** line reports how long the
 host took to run that experiment (also serialized as `wall_time_s` in
 `--report` output) so the modeled and host costs sit side by side.
 Seven benchmarks deal in wall-clock (and real bytes) on purpose:
-`bench_fastpath.py` (>=2x host speedup target, zero change in
-observables), the `slicing` experiment below (packed columnar
+the `slicing` experiment below (packed columnar
 dependence store: >=3x faster queries than `build_ddg` + BFS over the
 same records, and *measured* store residency — tracemalloc bytes, not
 the modeled `bytes_per_instruction` — held at ~42.6 B/instr), the

@@ -5,19 +5,24 @@ The framework the paper's §3 applications instantiate:
 (root-cause location), and the lineage policy in
 :mod:`repro.apps.lineage` (data validation).
 
-Propagation runs through a pluggable batch kernel
-(:mod:`repro.dift.kernel`): :class:`ReferenceKernel` is the pure-python
-per-record logic, :class:`ArrayKernel` the vectorized numpy backend
-(default when numpy is importable; ``REPRO_FASTPATH_KERNEL`` selects).
+Propagation runs through a pluggable kernel (:mod:`repro.dift.kernel`),
+which owns the one copy of the per-record taint rules:
+:class:`ReferenceKernel` is the pure-python per-record logic,
+:class:`ArrayKernel` the vectorized numpy backend (default when numpy
+is importable; ``REPRO_FASTPATH_KERNEL`` selects).
 """
 
-from .engine import DIFTEngine, DIFTStats, SinkRule, TaintAlert
+from .engine import DIFTEngine
 from .kernel import (
     ArrayKernel,
     BatchEffects,
+    DIFTStats,
     PropagationKernel,
+    RecordEncoder,
     RecordStreamCapture,
     ReferenceKernel,
+    SinkRule,
+    TaintAlert,
     build_kernel,
     select_kernel,
 )
@@ -36,6 +41,7 @@ __all__ = [
     "ArrayKernel",
     "BatchEffects",
     "PropagationKernel",
+    "RecordEncoder",
     "RecordStreamCapture",
     "ReferenceKernel",
     "build_kernel",

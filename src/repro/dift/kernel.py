@@ -1,19 +1,25 @@
-"""Pluggable batch propagation kernels over packed 24-byte records.
+"""The DIFT record format, its one encoder and the propagation kernels.
 
 The paper's helper core works because propagation consumes a *compact
 stream* instead of re-executing the app (§2.1); the DIFT-coprocessor
-line (PAPERS.md, arXiv 1812.01541) pushes the same decoupling into a
-dedicated engine.  This module is that seam in software: DIFT
-propagation runs over **batches** of the ring's packed 24-byte records
-(:data:`RECORD`, PR 3's wire format) through a kernel interface, so the
-inline engine, the out-of-process worker and the service all feed the
-same stream to an interchangeable backend:
+line (PAPERS.md, arXiv 1812.01541) keeps one producer-side encoding in
+front of a dedicated tag engine.  This module is that seam in software.
+Each instruction event becomes a packed 24-byte record (:data:`RECORD`,
+the ring's wire format), and propagation consumes batches of records
+through a kernel interface:
 
-* :class:`ReferenceKernel` — the per-record reference: each record
-  rebuilds its pc's template :class:`~repro.vm.events.InstrEvent` and
-  runs through the unmodified :class:`~repro.dift.engine.DIFTEngine`
-  logic, byte for byte (this is the worker loop PR 3 shipped, extracted
-  behind the interface).
+* :class:`RecordEncoder` — the one producer: packs ``InstrEvent``s into
+  records, owning skip runs, the summary-mode call markers, wide
+  payloads, clamped-sink fixups and the GENERIC-record cache.  The
+  inline engine's micro-batcher, the parallel helper's ring producer
+  and :class:`RecordStreamCapture` all run it.
+* :class:`PropagationKernel` — owns the shadow, stats and alerts and
+  the one copy of the per-record taint rules, :meth:`~PropagationKernel.step`.
+  Per-event consumers (lineage, the reference kernel without
+  summaries, telemetry-on machines, the simulated helper core) call it
+  per ``InstrEvent``.  Batch replay calls it per record, on the pc's
+  template event.
+* :class:`ReferenceKernel` — replays every record through ``step``.
 * :class:`ArrayKernel` — the vectorized backend: numpy decodes the
   batch into columns, a conservative *location-key fixpoint* computes
   an over-approximation of every register/cell that can carry taint,
@@ -21,12 +27,13 @@ same stream to an interchangeable backend:
   policy-specialized per-record logic; the provably-untainted bulk is
   accounted in O(1) (instruction counts, check-cycle overhead, seq
   advance via prefix sums).  Sink records split the batch at pack time
-  (the producer flushes before a raise-capable sink), so alert
+  (the producer flushes after a raise-capable sink), so alert
   seq/ordering and ``AttackDetected`` raise points are byte-identical
   to the reference — proven by the differential suite and the 200-seed
   fuzz.
 
-Kernel selection is :func:`repro.fastpath.propagation_kernel`
+Kernel selection is :func:`select_kernel` over
+:func:`repro.fastpath.propagation_kernel`
 (``REPRO_FASTPATH_KERNEL=reference|array``; default array when numpy
 imports, automatic fallback otherwise).  The array kernel only
 specializes the two label-sized policies
@@ -44,9 +51,9 @@ from dataclasses import dataclass, replace
 from .. import fastpath
 from ..isa.instructions import Opcode
 from ..vm.errors import AttackDetected
-from ..vm.events import InstrEvent
-from .engine import DIFTEngine, TaintAlert
+from ..vm.events import Hook, InstrEvent
 from .policy import BoolTaintPolicy, COPY_OPS, PCTaintPolicy, TaintPolicy
+from .shadow import ShadowState
 
 #: one packed record: kind u8, tid u16, pc u32, a i64, b i64, pad -> 24 B.
 #: (Canonical here; :mod:`repro.multicore.parallel` re-exports it.)
@@ -138,8 +145,8 @@ def wide_record(kind: int, tid: int, pc: int, seq: int, payload, put) -> bytes:
 def classify_opcode(instr, reg_writes) -> int:
     """Record kind for one static instruction.
 
-    Must mirror ``DIFTEngine.on_instruction``'s dispatch chain so each
-    pc's record kind matches the branch the engine takes.
+    Must mirror :meth:`PropagationKernel.step`'s dispatch chain so each
+    pc's record kind matches the branch the taint rules take.
     """
     op = instr.opcode
     if op is Opcode.IN:
@@ -159,6 +166,241 @@ def classify_opcode(instr, reg_writes) -> int:
     return K_SKIP
 
 
+@dataclass(frozen=True)
+class TaintAlert:
+    """A tainted value reached a sink."""
+
+    seq: int
+    tid: int
+    pc: int  # the sink instruction
+    sink: str  # "icall" | "out"
+    label: object
+    description: str
+    #: the value that reached the sink (out value / icall target).
+    value: int = 0
+    #: output channel for "out" sinks (-1 otherwise).
+    channel: int = -1
+
+    def __str__(self) -> str:
+        return f"[seq {self.seq}] tainted {self.sink} at pc={self.pc}: {self.description}"
+
+
+@dataclass
+class SinkRule:
+    """What counts as a sink and what to do when taint reaches it."""
+
+    kind: str  # "icall" | "out"
+    channels: frozenset[int] | None = None  # for "out": which channels (None = all)
+    action: str = "raise"  # "raise" -> AttackDetected, "record" -> alert list
+
+    def matches(self, ev: InstrEvent) -> bool:
+        if self.kind == "icall":
+            return ev.instr.opcode is Opcode.ICALL
+        if self.kind == "out":
+            return ev.instr.opcode is Opcode.OUT and (
+                self.channels is None or ev.channel in self.channels
+            )
+        return False
+
+
+@dataclass
+class DIFTStats:
+    instructions: int = 0
+    tainted_instructions: int = 0
+    sources: int = 0
+    sink_checks: int = 0
+
+    @property
+    def taint_rate(self) -> float:
+        return self.tainted_instructions / self.instructions if self.instructions else 0.0
+
+
+def publish_taint_metrics(registry, stats: DIFTStats, alerts, shadow: ShadowState) -> None:
+    """The ``dift.*`` propagation/alert metrics every DIFT front end
+    reports into a :class:`~repro.telemetry.MetricsRegistry`."""
+    registry.counter("dift.instructions").inc(stats.instructions)
+    registry.counter("dift.propagations").inc(stats.tainted_instructions)
+    registry.counter("dift.sources").inc(stats.sources)
+    registry.counter("dift.sink_checks").inc(stats.sink_checks)
+    registry.counter("dift.alerts").inc(len(alerts))
+    registry.gauge("dift.taint_rate").set(stats.taint_rate)
+    registry.gauge("dift.tainted_locations.peak").set_max(shadow.peak_locations)
+    registry.gauge("dift.tainted_locations.final").set(
+        shadow.tainted_cells + shadow.tainted_regs
+    )
+    registry.gauge("dift.shadow_bytes").set(shadow.shadow_bytes)
+
+
+#: encoder pseudo-kinds for call-boundary instructions (summary-mode
+#: markers only); negative so no packed record kind collides.
+_MARK_CALL, _MARK_RET, _MARK_ICALL = -1, -2, -3
+
+
+class RecordEncoder:
+    """The one producer-side encoder: ``InstrEvent`` -> packed records.
+
+    :attr:`on_instruction` is the per-instruction packing closure (a
+    hook callable).  It appends records to :attr:`batch` and owns every
+    producer-side part of the format:
+
+    * skip runs — consecutive instructions of kind ``K_SKIP`` collapse
+      into one record carrying the run length;
+    * call markers (``markers=True``) — CALL/RET fold their own skip
+      weight into the run, cut it, then append a zero-weight
+      ``K_CALL``/``K_RET`` record, so CALL's weight lands outside the
+      region and RET's inside it; ICALL cuts the run and puts its
+      ``K_CALL(a=1)`` marker just before its own sink record;
+    * wide payloads — an address or ALLOC block past the i64 fields
+      goes to ``put_wide(seq, payload)`` (see :func:`wide_record`);
+    * clamped sinks — a sink value past the i64 fields is clamped on the
+      wire and the true value parked in :attr:`fixups` by seq;
+    * GENERIC records — cached per (pc, tid), their payload is static.
+
+    ``register(ev) -> (kind, may_raise)`` classifies a pc the first time
+    it runs, registering or shipping its template before any record can
+    reference it.  ``flush()`` consumes :attr:`batch` once it holds
+    ``flush_bytes`` and right after a ``may_raise`` sink record, so an
+    ``AttackDetected`` escapes from that instruction's own dispatch.  A
+    skip run is never open at either point; :meth:`cut` closes the
+    pending one when a consumer drains mid-run or at the stream's end.
+    """
+
+    def __init__(self, register, put_wide, flush, flush_bytes: int, markers: bool = False):
+        self.batch = batch = bytearray()
+        #: seq -> true value of a clamped sink payload.
+        self.fixups: dict[int, int] = {}
+        #: [pending skip run, instructions in cut skip runs, skip
+        #: records, marker records]; updated only when a run is cut.
+        self.counts = cell = [0, 0, 0, 0]
+        kinds: dict[int, int] = {}
+        kinds_get = kinds.get
+        raise_pcs: set[int] = set()
+        generic: dict[int, bytes] = {}
+        generic_get = generic.get
+        fixups = self.fixups
+        pack = RECORD.pack
+        extend = batch.extend
+        fit = _fit
+        io_none = _IO_NONE
+        SKIP, GENERIC, LOAD, STORE = K_SKIP, K_GENERIC, K_LOAD, K_STORE
+        ALLOC, SPAWN, IN, SINK = K_ALLOC, K_SPAWN, K_IN, K_SINK
+        CALL, RET, ICALL = Opcode.CALL, Opcode.RET, Opcode.ICALL
+
+        def on_instruction(ev: InstrEvent) -> None:
+            pc = ev.pc
+            kind = kinds_get(pc)
+            if kind is None:
+                kind, may_raise = register(ev)
+                if markers:
+                    op = ev.instr.opcode
+                    if op is CALL:
+                        kind = _MARK_CALL
+                    elif op is RET:
+                        kind = _MARK_RET
+                    elif op is ICALL:
+                        kind = _MARK_ICALL
+                kinds[pc] = kind
+                if may_raise:
+                    raise_pcs.add(pc)
+            if kind < 0:
+                if kind == _MARK_ICALL:
+                    run = cell[0]
+                    if run:
+                        extend(pack(SKIP, 0, 0, run, 0))
+                        cell[1] += run
+                        cell[2] += 1
+                        cell[0] = 0
+                    extend(pack(K_CALL, ev.tid, pc, 1, 0))
+                    cell[3] += 1
+                    kind = SINK
+                else:
+                    cell[0] += 1
+                    run = cell[0]
+                    extend(pack(SKIP, 0, 0, run, 0))
+                    cell[1] += run
+                    cell[2] += 1
+                    cell[0] = 0
+                    extend(pack(K_CALL if kind == _MARK_CALL else K_RET, ev.tid, pc, 0, 0))
+                    cell[3] += 1
+                    if len(batch) >= flush_bytes:
+                        flush()
+                    return
+            if kind == SKIP:
+                cell[0] += 1
+                return
+            run = cell[0]
+            if run:
+                extend(pack(SKIP, 0, 0, run, 0))
+                cell[1] += run
+                cell[2] += 1
+                cell[0] = 0
+            tid = ev.tid
+            if kind == GENERIC:
+                key = pc << 16 | tid
+                rec = generic_get(key)
+                if rec is None:
+                    rec = generic[key] = pack(GENERIC, tid, pc, 0, 0)
+                extend(rec)
+            elif kind == LOAD:
+                addr = ev.mem_reads[0][0]
+                try:
+                    extend(pack(LOAD, tid, pc, addr, 0))
+                except struct.error:
+                    extend(wide_record(LOAD, tid, pc, ev.seq, addr, put_wide))
+            elif kind == STORE:
+                addr = ev.mem_writes[0][0]
+                try:
+                    extend(pack(STORE, tid, pc, addr, 0))
+                except struct.error:
+                    extend(wide_record(STORE, tid, pc, ev.seq, addr, put_wide))
+            elif kind == SINK:
+                value = ev.reg_reads[0][1]
+                io = ev.io_value
+                a = fit(value)
+                b = io_none if io is None else fit(io)
+                if a != value or (io is not None and b != io):
+                    # Taint never depends on these values; keep the true
+                    # sink value so the consumer's alerts can be patched.
+                    fixups[ev.seq] = io if io is not None else value
+                extend(pack(SINK, tid, pc, a, b))
+                if pc in raise_pcs:
+                    flush()
+                    return
+            elif kind == IN:
+                extend(pack(IN, tid, pc, fit(ev.io_value), ev.input_index))
+            elif kind == ALLOC:
+                base, size = ev.alloc
+                if base + size <= _I64_MAX:
+                    extend(pack(ALLOC, tid, pc, base, size))
+                else:
+                    extend(wide_record(ALLOC, tid, pc, ev.seq, ev.alloc, put_wide))
+            else:  # K_SPAWN
+                extend(pack(SPAWN, tid, pc, ev.reg_writes[0][1], 0))
+            if len(batch) >= flush_bytes:
+                flush()
+
+        self.on_instruction = on_instruction
+
+    def patch(self, alerts: list[TaintAlert], start: int = 0) -> None:
+        """Restore the true sink values of ``alerts[start:]`` in place."""
+        fixups = self.fixups
+        if fixups:
+            for i in range(start, len(alerts)):
+                value = fixups.get(alerts[i].seq)
+                if value is not None:
+                    alerts[i] = replace(alerts[i], value=value)
+
+    def cut(self) -> None:
+        """Close the pending skip run into :attr:`batch`."""
+        cell = self.counts
+        run = cell[0]
+        if run:
+            self.batch.extend(RECORD.pack(K_SKIP, 0, 0, run, 0))
+            cell[1] += run
+            cell[2] += 1
+            cell[0] = 0
+
+
 @dataclass
 class BatchEffects:
     """What one ``propagate_batch`` call did (for accounting/telemetry)."""
@@ -171,36 +413,51 @@ class BatchEffects:
     raised: bool = False  # an AttackDetected escaped mid-batch
 
 
-def select_kernel(explicit: str | None, policy: TaintPolicy) -> str:
-    """Resolve the kernel name for ``policy``.
+def select_kernel(explicit: str | None, policy: TaintPolicy) -> tuple[str, str | None]:
+    """Resolve the kernel name for ``policy``: ``(name, fallback)``.
 
     :func:`repro.fastpath.propagation_kernel` handles the flag and the
     numpy probe; this adds the policy gate — the array kernel encodes
     labels as int64 scalars, so only the exact bool/PC policies
-    qualify (subclasses could override the algebra).
+    qualify (subclasses could override the algebra).  ``fallback`` is
+    why an array request resolved to the reference kernel (``"numpy"``
+    or ``"policy"``), else None.
     """
+    wants_array = explicit == "array" or (
+        explicit is None and fastpath.current().array_kernel
+    )
     name = fastpath.propagation_kernel(explicit)
     if name == "array" and type(policy) not in (BoolTaintPolicy, PCTaintPolicy):
         fastpath.note_kernel_fallback("policy", explicit=explicit == "array")
-        name = "reference"
-    return name
+        return "reference", "policy"
+    if wants_array and name == "reference":
+        return name, "numpy"  # counted by propagation_kernel
+    return name, None
 
 
 class PropagationKernel:
-    """Stateful batch propagation over packed records.
+    """Stateful propagation: the per-record taint rules and their state.
 
-    A kernel owns the replay substrate — templates, shadow, stats,
-    alerts, the running ``seq`` — and consumes the record stream batch
-    by batch via :meth:`propagate_batch`.  Producers register each pc's
-    static operand template (:meth:`register_template`) strictly before
-    the first record referencing it, or install a
-    :attr:`template_provider` callback that does so on demand (the
-    worker's side-pipe recv).
+    A kernel owns the shadow, stats and alerts, the per-pc templates
+    and the running ``seq``.  :meth:`step` applies the taint rules to
+    one ``InstrEvent``; :meth:`propagate_batch` consumes the packed
+    record stream batch by batch.  Producers register each pc's static
+    operand template (:meth:`register_template`) strictly before the
+    first record referencing it, or install a :attr:`template_provider`
+    callback that does so on demand (the worker's side-pipe recv).
 
-    ``shadow`` / ``stats`` / ``alerts`` may be adopted from an existing
-    engine so the kernel mutates the very objects its caller already
-    exposes (the inline engine does this).
+    Sources: ``in`` instructions on ``source_channels`` (None = all).
+    Data flows propagate labels register<->register and through memory
+    (loads/stores/push/pop), with spawn passing the argument's label
+    into the child's r0.  Sinks (``sinks``, default a raising icall
+    rule) are checked against the shadow; a tainted sink records a
+    :class:`TaintAlert` and, for a raising rule, raises
+    :class:`~repro.vm.AttackDetected`.  Address registers join loaded
+    and stored labels only with ``propagate_addresses=True``.
     """
+
+    #: cycles for the per-instruction "any operand tainted?" stub.
+    check_cycles = 1
 
     def __init__(
         self,
@@ -208,31 +465,15 @@ class PropagationKernel:
         source_channels: frozenset[int] | None = None,
         sinks=None,
         propagate_addresses: bool = False,
-        shadow=None,
-        stats=None,
-        alerts=None,
+        shadow: ShadowState | None = None,
     ):
-        # The replay substrate *is* a stock engine (charge_overhead off:
-        # the kernel accounts cycles itself, in bulk), so per-record
-        # semantics can never drift from the inline reference.
-        self.engine = DIFTEngine(
-            policy,
-            source_channels=source_channels,
-            sinks=sinks,
-            propagate_addresses=propagate_addresses,
-            charge_overhead=False,
-            kernel="reference",
-        )
-        if shadow is not None:
-            self.engine._shadow = shadow
-        if stats is not None:
-            self.engine._stats = stats
-        if alerts is not None:
-            self.engine._alerts = alerts
         self.policy = policy
-        self.sinks = self.engine.sinks
-        self.propagate_addresses = propagate_addresses
         self.source_channels = source_channels
+        self.sinks = sinks if sinks is not None else [SinkRule(kind="icall")]
+        self.propagate_addresses = propagate_addresses
+        self.shadow = shadow if shadow is not None else ShadowState(policy)
+        self.stats = DIFTStats()
+        self.alerts: list[TaintAlert] = []
         #: pc -> template InstrEvent (dynamic fields mutated in place).
         self.templates: dict[int, InstrEvent] = {}
         #: pc -> tuple of statically-matching SinkRules (K_SINK pcs).
@@ -252,18 +493,100 @@ class PropagationKernel:
         self.records_consumed = 0
         self.records_replayed = 0
 
-    # -- substrate views ----------------------------------------------------
-    @property
-    def shadow(self):
-        return self.engine._shadow
+    # -- the per-record taint rules -----------------------------------------
+    def step(self, ev: InstrEvent) -> int:
+        """Propagate one instruction; returns its modeled cycles.
 
-    @property
-    def stats(self):
-        return self.engine._stats
+        That is the check stub plus, when an input is tainted, the
+        policy's propagate stub.  A tainted sink under a raising rule
+        raises before returning: the instruction is counted but
+        charges nothing.
+        """
+        op = ev.instr.opcode
+        tid = ev.tid
+        shadow = self.shadow
+        regs_get = shadow.regs.get
+        stats = self.stats
+        stats.instructions += 1
+        tainted = False
 
-    @property
-    def alerts(self):
-        return self.engine._alerts
+        if op is Opcode.IN:
+            if self.source_channels is None or ev.channel in self.source_channels:
+                label = self.policy.taint_for_input(ev)
+                stats.sources += 1
+                tainted = label is not None
+            else:
+                label = None
+            shadow.set_reg(tid, ev.reg_writes[0][0], label)
+        elif op is Opcode.LI:
+            shadow.set_reg(tid, ev.reg_writes[0][0], None)
+        elif op is Opcode.LOAD or op is Opcode.POP:
+            label = shadow.mem.get(ev.mem_reads[0][0])
+            labels = [] if label is None else [label]
+            if self.propagate_addresses:
+                labels += [l for r, _ in ev.reg_reads if (l := regs_get((tid, r))) is not None]
+            label = self._join(ev, labels)
+            tainted = label is not None
+            # dst is the first (non-SP) written register
+            shadow.set_reg(tid, ev.reg_writes[0][0], label)
+        elif op is Opcode.STORE or op is Opcode.PUSH:
+            reads = ev.reg_reads if self.propagate_addresses else ev.reg_reads[:1]
+            labels = [l for r, _ in reads if (l := regs_get((tid, r))) is not None]
+            label = self._join(ev, labels)
+            tainted = label is not None
+            shadow.set_cell(ev.mem_writes[0][0], label)
+        elif op is Opcode.ALLOC:
+            # Fresh memory is untainted even when a freed block is reused.
+            base, size = ev.alloc
+            shadow.clear_range(base, size)
+            shadow.set_reg(tid, ev.reg_writes[0][0], None)
+        elif op is Opcode.SPAWN:
+            arg_label = regs_get((tid, ev.reg_reads[0][0]))
+            shadow.set_reg(ev.reg_writes[0][1], 0, arg_label)
+            shadow.set_reg(tid, ev.reg_writes[0][0], None)  # tid value is clean
+            tainted = arg_label is not None
+        elif ev.reg_writes:
+            # Generic ALU/compare/move propagation.
+            labels = [l for r, _ in ev.reg_reads if (l := regs_get((tid, r))) is not None]
+            label = self._join(ev, labels)
+            tainted = label is not None
+            shadow.set_reg(tid, ev.reg_writes[0][0], label)
+        elif op is Opcode.ICALL or op is Opcode.OUT:
+            label = regs_get((tid, ev.reg_reads[0][0]))
+            if label is not None:
+                tainted = True
+                for rule in self.sinks:
+                    if rule.matches(ev):
+                        self._alert(ev, rule, label)
+
+        if tainted:
+            stats.tainted_instructions += 1
+            return self.check_cycles + self.policy.propagate_cycles
+        return self.check_cycles
+
+    def _join(self, ev: InstrEvent, labels: list) -> object | None:
+        """The label an instruction writes from its tainted inputs."""
+        if not labels:
+            return None
+        label = labels[0] if len(labels) == 1 else self.policy.combine(labels)
+        return self.policy.through(ev, label)
+
+    def _alert(self, ev: InstrEvent, rule: SinkRule, label: object) -> None:
+        self.stats.sink_checks += 1
+        alert = TaintAlert(
+            seq=ev.seq,
+            tid=ev.tid,
+            pc=ev.pc,
+            sink=rule.kind,
+            label=label,
+            description=self.policy.describe(label),
+            value=ev.io_value if ev.io_value is not None else ev.reg_reads[0][1],
+            channel=ev.channel if ev.channel is not None else -1,
+        )
+        self.alerts.append(alert)
+        if rule.action == "raise":
+            culprit = label if isinstance(self.policy, PCTaintPolicy) else -1
+            raise AttackDetected(str(alert), culprit_pc=culprit)
 
     # -- templates ----------------------------------------------------------
     def register_template(
@@ -314,18 +637,8 @@ class PropagationKernel:
         return wide.pop(seq)
 
     # -- the batch interface -------------------------------------------------
-    def propagate_batch(self, records: bytes, shadow=None, policy=None) -> BatchEffects:
-        """Propagate one batch of packed records; returns its effects.
-
-        ``shadow``/``policy`` default to the kernel's own; passing a
-        different shadow rebinds the replay substrate to it (the
-        interface form the consumers share), passing a different policy
-        is an error — a kernel is specialized per policy.
-        """
-        if policy is not None and policy is not self.policy:
-            raise ValueError("kernel is bound to its policy; build a new kernel")
-        if shadow is not None and shadow is not self.engine._shadow:
-            self.engine._shadow = shadow
+    def propagate_batch(self, records: bytes) -> BatchEffects:
+        """Propagate one batch of packed records; returns its effects."""
         return self._propagate(records)
 
     def _propagate(self, records: bytes) -> BatchEffects:
@@ -333,21 +646,20 @@ class PropagationKernel:
 
     # -- shared reference replay --------------------------------------------
     def _replay_all(self, records: bytes) -> BatchEffects:
-        """Replay every record through the stock engine (the PR 3 worker
-        loop, verbatim) — the reference semantics both kernels share."""
-        engine = self.engine
-        stats = engine._stats
+        """Replay every record through :meth:`step` on its pc's template
+        event — the reference semantics both kernels share."""
+        stats = self.stats
         i0 = stats.instructions
         t0 = stats.tainted_instructions
         seq = self.seq
         n_records = len(records) // RECORD_SIZE
         templates_get = self.templates.get
-        on_instruction = engine.on_instruction
+        step = self.step
         io_none = _IO_NONE
         wide = _WIDE
         SKIP, GENERIC, LOAD, STORE = K_SKIP, K_GENERIC, K_LOAD, K_STORE
         ALLOC, IN, SINK, CALL_M = K_ALLOC, K_IN, K_SINK, K_CALL
-        check = engine.check_cycles
+        check = self.check_cycles
         prop = self.policy.propagate_cycles
         try:
             for kind, tid, pc, a, b in RECORD.iter_unpack(records):
@@ -387,7 +699,7 @@ class PropagationKernel:
                     ev.alloc = self._wide_payload(ev.seq) if b == wide else (a, b)
                 else:  # K_SPAWN
                     ev.reg_writes = ((ev.reg_writes[0][0], a),)
-                on_instruction(ev)
+                step(ev)
         except AttackDetected:
             # Same stopping point as inline: stats/taint/alerts freeze
             # where the raise happened; the raising record counted an
@@ -423,7 +735,7 @@ class PropagationKernel:
 
 
 class ReferenceKernel(PropagationKernel):
-    """Pure-python per-record propagation — today's logic, extracted."""
+    """Pure-python propagation: every record replays through :meth:`step`."""
 
     def _propagate(self, records: bytes) -> BatchEffects:
         return self._replay_all(records)
@@ -476,9 +788,7 @@ class ArrayKernel(PropagationKernel):
         self._t_r2 = None
         self._t_w = None  # int64 written/cleared reg number, -1 = none
         self._t_src = None  # bool: IN matching source_channels
-        self._t_copy = None  # bool: opcode in COPY_OPS (PC `through`)
         self._t_extra = None  # bool: >3 read regs -> replay via events
-        self._chan = {}  # pc -> alert channel (or -1)
         #: pc -> (r0, r1, r2, w, is_source, is_copy, sink_rules, channel):
         #: one dict hit per replayed record instead of six column gathers.
         self._info = {}
@@ -503,7 +813,6 @@ class ArrayKernel(PropagationKernel):
         self._t_r2 = ext(self._t_r2, -1, np.int64)
         self._t_w = ext(self._t_w, -1, np.int64)
         self._t_src = ext(self._t_src, False, bool)
-        self._t_copy = ext(self._t_copy, False, bool)
         self._t_extra = ext(self._t_extra, False, bool)
         self._cap = cap
 
@@ -536,7 +845,6 @@ class ArrayKernel(PropagationKernel):
         self._t_src[pc] = kind == K_IN and (
             self.source_channels is None or channel in self.source_channels
         )
-        self._t_copy[pc] = instr.opcode in COPY_OPS
         self._info[pc] = (
             reads[0] if len(reads) > 0 else -1,
             reads[1] if len(reads) > 1 else -1,
@@ -547,14 +855,13 @@ class ArrayKernel(PropagationKernel):
             self.rules_for_pc.get(pc, ()),
             channel if channel is not None else -1,
         )
-        self._chan[pc] = channel if channel is not None else -1
         return kind, may_raise
 
     # -- tainted-key export -------------------------------------------------
     def _tainted_keys(self):
         """Current tainted (reg-key array, mem-addr array), sorted."""
         np = self._np
-        shadow = self.engine._shadow
+        shadow = self.shadow
         regs = shadow.regs
         if regs:
             t_reg = np.fromiter(
@@ -615,20 +922,19 @@ class ArrayKernel(PropagationKernel):
         self.batches += 1
         self.records_consumed += n
 
-        shadow = self.engine._shadow
+        shadow = self.shadow
         live_regs = len(shadow.regs)
         if not live_regs and not len(shadow.mem):
             if not (valid & self._t_src[pc]).any():
                 # Taint-free screen: no live label anywhere and no
                 # source record in the batch, so nothing can observe or
                 # create taint — the whole batch is bulk-accounted.
-                stats = self.engine._stats
-                stats.instructions += total_instr
+                self.stats.instructions += total_instr
                 self.seq += total_instr
                 return BatchEffects(
                     records=n,
                     instructions=total_instr,
-                    overhead=self.engine.check_cycles * total_instr,
+                    overhead=self.check_cycles * total_instr,
                 )
 
         if self._probe_countdown > 0:
@@ -734,14 +1040,13 @@ class ArrayKernel(PropagationKernel):
 
     def _replay(self, idx, arr, pc, seq_at, cum, total_instr, n_records):
         """Replay the selected records in order through a specialized
-        scalar loop (exact engine semantics for bool/PC labels); the
+        scalar loop (exact :meth:`step` semantics for bool/PC labels); the
         skipped bulk is accounted through the batch prefix sums."""
         np = self._np
         policy = self.policy
         is_pc = type(policy) is PCTaintPolicy
-        engine = self.engine
-        shadow = engine._shadow
-        stats = engine._stats
+        shadow = self.shadow
+        stats = self.stats
         regs = shadow.regs
         mem = shadow.mem
         regs_get = regs.get
@@ -749,10 +1054,10 @@ class ArrayKernel(PropagationKernel):
         mem_get = mem.get
         mem_pop = mem.pop
         sh_clear = shadow.clear_range
-        alerts_append = engine._alerts.append
+        alerts_append = self.alerts.append
         describe = policy.describe
         peak = shadow.peak_locations
-        check = engine.check_cycles
+        check = self.check_cycles
         prop = policy.propagate_cycles
         GENERIC, LOAD, STORE = K_GENERIC, K_LOAD, K_STORE
         ALLOC, SPAWN, IN = K_ALLOC, K_SPAWN, K_IN
@@ -943,7 +1248,7 @@ def build_kernel(name: str, policy: TaintPolicy, **kw) -> PropagationKernel:
     raise ValueError(f"unknown propagation kernel {name!r}")
 
 
-class RecordStreamCapture:
+class RecordStreamCapture(Hook):
     """Capture a run's packed record stream (bench/test aid).
 
     Attach to a machine like an engine; after the run, :attr:`chunks`
@@ -955,28 +1260,27 @@ class RecordStreamCapture:
     wide payloads into a kernel so the stream can be replayed through
     it.
 
-    The records come from the inline engine's own packer, run with
-    this object standing in for its kernel: each flushed batch is kept
-    instead of propagated.  ``markers=True`` cuts the summary-mode
-    call-boundary markers into the stream.
+    The records come from the one :class:`RecordEncoder`; each batch it
+    flushes is kept instead of propagated.  ``markers=True`` cuts the
+    summary-mode call-boundary markers into the stream.
     """
 
     def __init__(self, flush_records: int = 4096, markers: bool = False):
         self.chunks: list[bytes] = []
         self.templates: list[tuple] = []
         self.wide: dict[int, object] = {}
-        self.seq = 0  # set by the packer per flush, like a kernel's
-        self._packer = DIFTEngine(
-            BoolTaintPolicy(),
-            charge_overhead=False,
-            kernel="reference",
-            kernel_batch=flush_records,
-            summaries=markers,
+        self._encoder = RecordEncoder(
+            self._register,
+            self.wide.__setitem__,
+            self._flush,
+            flush_records * RECORD_SIZE,
+            markers=markers,
         )
+        self.on_instruction = self._encoder.on_instruction
 
     @property
     def fixups(self) -> dict[int, int]:
-        return self._packer._fixups
+        return self._encoder.fixups
 
     @property
     def instructions(self) -> int:
@@ -988,29 +1292,27 @@ class RecordStreamCapture:
         )
 
     def attach(self, machine) -> "RecordStreamCapture":
-        packer = self._packer
-        packer.machine = machine
-        packer._enable_batching(kernel=self)
-        machine.hooks.subscribe(packer)
+        machine.hooks.subscribe(self)
         return self
 
-    # -- the kernel surface the packer drives --------------------------------
-    def register_template(self, pc, instr, reg_reads, reg_writes, channel):
-        kind = classify_opcode(instr, reg_writes)
+    def _register(self, ev: InstrEvent) -> tuple[int, bool]:
+        kind = classify_opcode(ev.instr, ev.reg_writes)
         if kind != K_SKIP:
-            self.templates.append((pc, instr, reg_reads, reg_writes, channel))
+            self.templates.append((ev.pc, ev.instr, ev.reg_reads, ev.reg_writes, ev.channel))
         return kind, False
 
-    def propagate_batch(self, records: bytes) -> BatchEffects:
-        self.chunks.append(records)
-        return BatchEffects()
-
-    def settle(self) -> int:
-        return 0
+    def _flush(self) -> None:
+        batch = self._encoder.batch
+        self.chunks.append(bytes(batch))
+        del batch[:]
 
     def finish(self) -> "RecordStreamCapture":
-        self._packer._drain()
+        self._encoder.cut()
+        if self._encoder.batch:
+            self._flush()
         return self
+
+    on_run_end = finish
 
     def prime(self, kernel: PropagationKernel) -> PropagationKernel:
         """Register the captured templates and wide payloads into ``kernel``."""
@@ -1021,17 +1323,15 @@ class RecordStreamCapture:
 
     def patch_alerts(self, alerts: list[TaintAlert]) -> list[TaintAlert]:
         """Restore clamped sink values on replayed alerts."""
-        if not self.fixups:
-            return alerts
-        return [
-            replace(al, value=self.fixups[al.seq]) if al.seq in self.fixups else al
-            for al in alerts
-        ]
+        alerts = list(alerts)
+        self._encoder.patch(alerts)
+        return alerts
 
 
 __all__ = [
     "ArrayKernel",
     "BatchEffects",
+    "DIFTStats",
     "K_ALLOC",
     "K_CALL",
     "K_GENERIC",
@@ -1046,11 +1346,15 @@ __all__ = [
     "PropagationKernel",
     "RECORD",
     "RECORD_SIZE",
+    "RecordEncoder",
     "RecordStreamCapture",
     "ReferenceKernel",
     "SMALL_BATCH",
+    "SinkRule",
+    "TaintAlert",
     "build_kernel",
     "classify_opcode",
+    "publish_taint_metrics",
     "select_kernel",
     "wide_record",
 ]

@@ -63,7 +63,6 @@ import zlib
 from dataclasses import dataclass, replace
 
 from ..vm.errors import AttackDetected
-from .engine import TaintAlert
 from .kernel import (
     BatchEffects,
     K_ALLOC,
@@ -300,16 +299,12 @@ class SummaryKernel:
         self.raised_effects: BatchEffects | None = None
         self._seq = 0
         #: pc -> (kind, read-regs tuple, written-reg or -1) for the
-        #: footprint decode; mirrors the engine's operand semantics.
+        #: footprint decode; mirrors the taint rules' operand semantics.
         self._fp: dict[int, tuple] = {}
         self._mode = _IDLE
         self._frame: dict | None = None
 
     # -- substrate views (the consumers read these off the kernel) ------
-    @property
-    def engine(self):
-        return self.inner.engine
-
     @property
     def shadow(self):
         return self.inner.shadow
@@ -332,10 +327,11 @@ class SummaryKernel:
 
     @seq.setter
     def seq(self, value: int) -> None:
-        # Consumers re-anchor the cursor per flush; while a match is
-        # buffering this equals seq0 + buffered weight, which every
-        # frame exit path (apply / fallback / settle) recomputes from
-        # the frame itself, so the assignment is always consistent.
+        # Consumers seed the cursor once, before the first batch; the
+        # stream is contiguous after that.  While a match is buffering
+        # the cursor equals seq0 + buffered weight, which every frame
+        # exit path (apply / fallback / settle) recomputes from the
+        # frame itself.
         self._seq = value
 
     @property
@@ -403,11 +399,7 @@ class SummaryKernel:
         return info
 
     # -- the batch interface --------------------------------------------
-    def propagate_batch(self, records: bytes, shadow=None, policy=None) -> BatchEffects:
-        if policy is not None and policy is not self.policy:
-            raise ValueError("kernel is bound to its policy; build a new kernel")
-        if shadow is not None and shadow is not self.inner.engine._shadow:
-            self.inner.engine._shadow = shadow
+    def propagate_batch(self, records: bytes) -> BatchEffects:
         self.batches += 1
         n = len(records) // RECORD_SIZE
         self.records_consumed += n

@@ -1229,7 +1229,7 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
 
     Where :func:`run_e4` *models* the helper core in cycles, this
     experiment *runs* it: a real worker process consumes the
-    shared-memory ring and executes the unmodified engine.  Every
+    shared-memory ring and runs the same taint rules.  Every
     workload's alerts, taint sets and stats are asserted equal between
     the two runs, so the speedup column can never hide a semantic
     difference.  Per-side times are the min over ``repeats`` passes.
@@ -1245,7 +1245,8 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
     vs worker busy time overlap there instead of serializing), and
     ``usable_cpus`` records which regime produced the wall numbers.
 
-    The inline comparator runs the per-event reference kernel: the
+    The inline comparator runs the per-event reference kernel
+    (:meth:`~repro.dift.kernel.PropagationKernel.step` per event): the
     offload claim is about where per-record propagation happens, so its
     baseline does that work inline.  Two kernel A/B views accompany it:
     ``app_core_speedup_vs_array_inline`` re-times the inline side with

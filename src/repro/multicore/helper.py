@@ -6,20 +6,22 @@ second core performs all taint bookkeeping.  The main core's only DIFT
 cost is *enqueueing* a compact message per instruction (plus stalls
 when the helper falls behind); the helper pays dequeue + propagation.
 
-Functionally the helper runs the exact same :class:`repro.dift.DIFTEngine`
+Functionally the helper runs the same per-record taint rules as the
+inline engine, :meth:`repro.dift.kernel.PropagationKernel.step` on a
+:class:`~repro.dift.kernel.ReferenceKernel`, one event at a time
 (attacks are still detected — the detection just happens on the helper,
 which is how the paper tolerates the extra PC-taint memory overhead
-"gracefully"); the timing model splits the costs across the two
-timelines and reports the end-to-end overhead the paper measured at
-~48% for SPEC integer programs with hardware-interconnect
-communication.
+"gracefully").  The returned cycles are the helper's service time; the
+timing model splits the costs across the two timelines and reports the
+end-to-end overhead the paper measured at ~48% for SPEC integer
+programs with hardware-interconnect communication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..dift.engine import DIFTEngine, SinkRule
+from ..dift.kernel import ReferenceKernel, SinkRule, publish_taint_metrics
 from ..dift.policy import TaintPolicy
 from ..vm.events import Hook, InstrEvent
 from ..vm.machine import Machine
@@ -51,7 +53,7 @@ class HelperReport:
 
 
 class HelperCoreDIFT(Hook):
-    """Runs a DIFT engine on a simulated helper core.
+    """Runs DIFT propagation on a simulated helper core.
 
     Attach to a machine like the inline engine; afterwards call
     :meth:`report` (using the machine's final cycle counters) for the
@@ -66,56 +68,48 @@ class HelperCoreDIFT(Hook):
         propagate_addresses: bool = False,
     ):
         self.channel = channel or hardware_interconnect()
-        # charge_overhead=False: the inline engine must not bill the main
-        # core for propagation work — the helper absorbs it here.
-        self.engine = DIFTEngine(
-            policy,
-            sinks=sinks,
-            propagate_addresses=propagate_addresses,
-            charge_overhead=False,
+        # Propagation cycles are the helper's service time; the main core
+        # is billed only for the enqueue and for stalls.
+        self.kernel = ReferenceKernel(
+            policy, sinks=sinks, propagate_addresses=propagate_addresses
         )
         self.queue = QueueSimulator(self.channel)
         self.machine: Machine | None = None
-        self._tainted_before: int = 0
 
     def attach(self, machine: Machine) -> "HelperCoreDIFT":
         self.machine = machine
-        self.engine.machine = machine
         machine.hooks.subscribe(self)
         return self
 
     @property
     def alerts(self):
-        return self.engine.alerts
+        return self.kernel.alerts
 
     @property
     def shadow(self):
-        return self.engine.shadow
+        return self.kernel.shadow
+
+    @property
+    def stats(self):
+        return self.kernel.stats
 
     def on_instruction(self, ev: InstrEvent) -> None:
         machine = self.machine
         assert machine is not None
         # Main core: enqueue the (pc, regs, flags) message.
         machine.add_overhead(self.channel.enqueue_cycles)
-        # Helper core: dequeue + the policy's propagation work.  Run the
-        # real engine to know whether this instruction touched taint.
-        before = self.engine.stats.tainted_instructions
-        self.engine.on_instruction(ev)
-        tainted = self.engine.stats.tainted_instructions > before
-        service = self.engine.check_cycles + (
-            self.engine.policy.propagate_cycles if tainted else 0
-        )
+        # Helper core: dequeue + the policy's propagation work, which
+        # the taint rules return as this instruction's service cycles.
+        service = self.kernel.step(ev)
         stall = self.queue.enqueue(machine.cycles.total, service)
         if stall:
             machine.add_overhead(stall)
 
-    def on_failure(self, info) -> None:
-        self.engine.on_failure(info)
-
     def publish_telemetry(self, registry) -> None:
-        """Dump dual-core channel/stall metrics (and the inner engine's
+        """Dump dual-core channel/stall metrics (and the helper's
         propagation metrics) into a registry; call after the run."""
-        self.engine.publish_telemetry(registry)
+        kern = self.kernel
+        publish_taint_metrics(registry, kern.stats, kern.alerts, kern.shadow)
         rep = self.report()
         registry.counter("multicore.messages").inc(rep.messages)
         registry.counter("multicore.stalls").inc(self.queue.stalls)

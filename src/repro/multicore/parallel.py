@@ -3,9 +3,9 @@
 :class:`~repro.multicore.helper.HelperCoreDIFT` *models* the paper's
 §2.1 helper-core design on one timeline; this module *realizes* it: the
 application (parent) process executes the guest while a real
-``multiprocessing`` worker runs the unmodified
-:class:`~repro.dift.engine.DIFTEngine` against a replicated shadow
-store.  The two communicate over a fixed-size ring buffer in
+``multiprocessing`` worker runs a
+:class:`~repro.dift.kernel.PropagationKernel` against a replicated
+shadow store.  The two communicate over a fixed-size ring buffer in
 ``multiprocessing.shared_memory`` carrying struct-packed 24-byte
 records — the software shared-memory channel of the paper, with the
 enqueue cost paid in real wall-clock time instead of modeled cycles.
@@ -31,15 +31,20 @@ K_IN        input value, input index
 K_SINK      sink operand value, io value (ICALL/OUT)
 ==========  ========================================================
 
-An address (or ALLOC block) too wide for the i64 fields is never
-clamped: its record carries the ``_WIDE`` flag and the true payload
-rides the template pipe as a ``(seq, payload)`` message, again strictly
-before the ring record that needs it.
+The records come from the one
+:class:`~repro.dift.kernel.RecordEncoder`, the same encoder the inline
+engine batches with, so the ring carries byte for byte the stream the
+inline kernels consume.  Its per-record work is the whole
+application-core DIFT cost in this mode.  An address (or ALLOC block)
+too wide for the i64 fields is never clamped: its record carries the
+``_WIDE`` flag and the true payload rides the template pipe as a
+``(seq, payload)`` message, again strictly before the ring record that
+needs it.
 
 The worker feeds drained ring chunks straight to a pluggable
 :class:`~repro.dift.kernel.PropagationKernel` — no per-record Python
-loop in the worker: the reference kernel reconstructs per-pc template
-events and drives the stock engine record by record, while the array
+loop in the worker: the reference kernel rebuilds per-pc template
+events and runs the taint rules record by record, while the array
 kernel (the default when numpy is importable) propagates each chunk
 vectorized.  Either way the differential suite asserts the returned
 alerts, taint sets and stats equal an inline reference run.
@@ -56,42 +61,37 @@ what :class:`HelperCoreDIFT` is for.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
-import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 from .. import fastpath
 from ..telemetry.obs import wall_now_us
-from ..dift.engine import DIFTStats, SinkRule, TaintAlert
 # The 24-byte wire format is canonically defined next to the kernels
 # that consume it; re-exported here for backward compatibility.
 from ..dift.kernel import (
     K_ALLOC,
-    K_CALL,
     K_GENERIC,
     K_IN,
     K_LOAD,
-    K_RET,
     K_SINK,
     K_SKIP,
     K_SPAWN,
     K_STORE,
     RECORD,
     RECORD_SIZE,
-    _fit,
-    _I64_MAX,
-    _IO_NONE,
+    DIFTStats,
+    RecordEncoder,
+    SinkRule,
+    TaintAlert,
     build_kernel,
     classify_opcode,
+    publish_taint_metrics,
     select_kernel,
-    wide_record,
 )
 from ..dift.summaries import SummaryKernel, summarizable
 from ..dift.policy import TaintPolicy
 from ..dift.shadow import ShadowState
-from ..isa.instructions import Opcode
 from ..vm.errors import AttackDetected
 from ..vm.events import Hook, InstrEvent
 from ..vm.machine import Machine
@@ -104,12 +104,6 @@ _DONE = 16
 
 #: how long (s) the producer sleeps when the ring is full / empty.
 _POLL_S = 0.00002
-
-#: pseudo-kinds for call-boundary instructions (summary mode only);
-#: negative so no packed record kind collides.
-_SK_CALL = -1
-_SK_RET = -2
-_SK_ISINK = -3
 
 #: worker busy-burst spans: coalesce bursts closer than this gap (µs)
 #: and never ship more than this many — the side pipe carries a coarse,
@@ -339,7 +333,7 @@ class ParallelHelperDIFT(Hook):
             raise ValueError("ring_records must be >= 64")
         self.policy = policy
         self.batch_size = fastpath.parallel_batch_size(batch_size)
-        self.kernel_name = select_kernel(kernel, policy)
+        self.kernel_name, _ = select_kernel(kernel, policy)
         self.summaries = fastpath.resolve(summaries, "summaries") and summarizable(
             policy
         )
@@ -348,15 +342,18 @@ class ParallelHelperDIFT(Hook):
         self._source_channels = source_channels
         self._propagate_addresses = propagate_addresses
         self._data_size = ring_records * RECORD_SIZE
-        self._flush_bytes = min(self.batch_size * RECORD_SIZE, self._data_size // 2)
-        self._batch = bytearray()
-        self._kinds: dict[int, int] = {}
-        self._generic: dict[int, bytes] = {}
-        self._fixups: dict[int, int] = {}
-        #: [pending skip-run length, total skipped, skip records
-        #: emitted, marker records emitted].  A list so the hot-path
-        #: closure can mutate it without ``self``.
-        self._skip_cell = [0, 0, 0, 0]
+        # The hook is the encoder's closure, whose state lives in cells
+        # and bound methods: the interpreter calls it once per guest
+        # instruction, so no ``self._x`` lookup sits on that path.
+        self._encoder = RecordEncoder(
+            self._register,
+            self._ship_wide,
+            self._publish,
+            min(self.batch_size * RECORD_SIZE, self._data_size // 2),
+            markers=self.summaries,
+        )
+        self._batch = self._encoder.batch
+        self.on_instruction = self._encoder.on_instruction
         self._wpos = 0
         self._rpos_cache = 0
         self._defs = 0
@@ -397,146 +394,24 @@ class ParallelHelperDIFT(Hook):
         )
         self._proc.start()
         child_conn.close()
-        # Shadow the class-level hook with a closure whose state lives in
-        # cells/bound methods: the interpreter calls this once per guest
-        # instruction, so every ``self._x`` lookup removed here is a
-        # measurable slice of the application core's overhead.
-        self.on_instruction = self._build_hook()
         self._t0 = time.perf_counter()
         machine.hooks.subscribe(self)
         return self
 
-    # -- the hook ------------------------------------------------------------
-    def _build_hook(self):
-        kinds_get = self._kinds.get
-        generic = self._generic
-        generic_get = generic.get
-        pack = RECORD.pack
-        batch = self._batch
-        extend = batch.extend
-        cell = self._skip_cell
-        fixups = self._fixups
-        flush_bytes = self._flush_bytes
-        publish = self._publish
-        define = self._define
-        send = self._conn.send
-
-        def ship_wide(seq: int, payload) -> None:
-            send((seq, payload))
-
-        fit = _fit
-        io_none = _IO_NONE
-        SKIP, GENERIC, LOAD, STORE = K_SKIP, K_GENERIC, K_LOAD, K_STORE
-        ALLOC, SPAWN, IN, SINK = K_ALLOC, K_SPAWN, K_IN, K_SINK
-
-        def on_instruction(ev: InstrEvent) -> None:
-            pc = ev.pc
-            kind = kinds_get(pc)
-            if kind is None:
-                kind = define(ev)
-            if kind < 0:
-                # Call boundaries (summary mode); same layout as the
-                # inline engine's closure: CALL/RET fold their skip
-                # weight into the run, cut it, append the zero-weight
-                # marker; ICALL cuts the run and puts its K_CALL(a=1)
-                # marker just before its own sink record.
-                if kind == _SK_ISINK:
-                    run = cell[0]
-                    if run:
-                        extend(pack(SKIP, 0, 0, run, 0))
-                        cell[1] += run
-                        cell[2] += 1
-                        cell[0] = 0
-                    extend(pack(K_CALL, ev.tid, pc, 1, 0))
-                    cell[3] += 1
-                    kind = SINK
-                else:
-                    cell[0] += 1
-                    run = cell[0]
-                    extend(pack(SKIP, 0, 0, run, 0))
-                    cell[1] += run
-                    cell[2] += 1
-                    cell[0] = 0
-                    extend(
-                        pack(
-                            K_CALL if kind == _SK_CALL else K_RET, ev.tid, pc, 0, 0
-                        )
-                    )
-                    cell[3] += 1
-                    if len(batch) >= flush_bytes:
-                        publish()
-                    return
-            if kind == SKIP:
-                cell[0] += 1
-                return
-            run = cell[0]
-            if run:
-                extend(pack(SKIP, 0, 0, run, 0))
-                cell[1] += run
-                cell[2] += 1
-                cell[0] = 0
-            tid = ev.tid
-            if kind == GENERIC:
-                key = pc << 16 | tid
-                rec = generic_get(key)
-                if rec is None:
-                    rec = pack(GENERIC, tid, pc, 0, 0)
-                    generic[key] = rec
-                extend(rec)
-            elif kind == LOAD:
-                addr = ev.mem_reads[0][0]
-                try:
-                    extend(pack(LOAD, tid, pc, addr, 0))
-                except struct.error:
-                    extend(wide_record(LOAD, tid, pc, ev.seq, addr, ship_wide))
-            elif kind == STORE:
-                addr = ev.mem_writes[0][0]
-                try:
-                    extend(pack(STORE, tid, pc, addr, 0))
-                except struct.error:
-                    extend(wide_record(STORE, tid, pc, ev.seq, addr, ship_wide))
-            elif kind == SINK:
-                value = ev.reg_reads[0][1]
-                io = ev.io_value
-                a = fit(value)
-                b = io_none if io is None else fit(io)
-                if a != value or (io is not None and b != io):
-                    # Taint never depends on these values; remember the
-                    # true sink value so returned alerts can be patched.
-                    fixups[ev.seq] = io if io is not None else value
-                extend(pack(SINK, tid, pc, a, b))
-            elif kind == IN:
-                extend(pack(IN, tid, pc, fit(ev.io_value), ev.input_index))
-            elif kind == ALLOC:
-                base, size = ev.alloc
-                if base + size <= _I64_MAX:
-                    extend(pack(ALLOC, tid, pc, base, size))
-                else:
-                    extend(wide_record(ALLOC, tid, pc, ev.seq, ev.alloc, ship_wide))
-            else:  # K_SPAWN
-                extend(pack(SPAWN, tid, pc, ev.reg_writes[0][1], 0))
-            if len(batch) >= flush_bytes:
-                publish()
-
-        return on_instruction
-
-    def _define(self, ev: InstrEvent) -> int:
-        op = ev.instr.opcode
+    # -- encoder callbacks ---------------------------------------------------
+    def _register(self, ev: InstrEvent) -> tuple[int, bool]:
         kind = classify_opcode(ev.instr, ev.reg_writes)
         if kind != K_SKIP:
             # Ship the static operand template before any ring record
             # can reference this pc.
             self._conn.send((ev.pc, ev.instr, ev.reg_reads, ev.reg_writes, ev.channel))
             self._defs += 1
-        if self.summaries:
-            if op is Opcode.CALL:
-                kind = _SK_CALL
-            elif op is Opcode.RET:
-                kind = _SK_RET
-            elif op is Opcode.ICALL:
-                kind = _SK_ISINK
-        self._kinds[ev.pc] = kind
-        return kind
+        # Sink verdicts arrive with the worker's results, never as a
+        # raise in the guest, so no record forces an early publish.
+        return kind, False
+
+    def _ship_wide(self, seq: int, payload) -> None:
+        self._conn.send((seq, payload))
 
     # -- ring producer -------------------------------------------------------
     def _publish(self) -> None:
@@ -591,12 +466,7 @@ class ParallelHelperDIFT(Hook):
         """
         if self._report is not None:
             return self._report
-        cell = self._skip_cell
-        if cell[0]:
-            self._batch.extend(RECORD.pack(K_SKIP, 0, 0, cell[0], 0))
-            cell[1] += cell[0]
-            cell[2] += 1
-            cell[0] = 0
+        self._encoder.cut()
         self._publish()
         shm = self._shm
         assert shm is not None and self._proc is not None and self._conn is not None
@@ -628,27 +498,21 @@ class ParallelHelperDIFT(Hook):
         self._cleanup()
 
         self._stats = payload["stats"]
-        alerts = payload["alerts"]
-        if self._fixups:
-            alerts = [
-                replace(a, value=self._fixups[a.seq]) if a.seq in self._fixups else a
-                for a in alerts
-            ]
-        self._alerts = alerts
+        self._alerts = payload["alerts"]
+        self._encoder.patch(self._alerts)
         shadow = ShadowState(self.policy, regs=payload["regs"], mem=payload["mem"])
         shadow.peak_locations = payload["peak_locations"]
         self._shadow = shadow
         # Counters are derived at completion rather than maintained per
         # event: every record is RECORD_SIZE bytes, so the shipped byte
         # count gives the record total, and each skip record carries its
-        # run length (accumulated in the cell when the record is cut).
+        # run length (counted by the encoder when the run is cut).
         # Zero-weight CALL/RET markers (summary mode) are reported on
         # their own so messages keeps meaning weight-bearing records.
-        markers = cell[3]
+        _, skipped, skip_records, markers = self._encoder.counts
         messages = self._bytes // RECORD_SIZE - markers
-        skipped = cell[1]
         self._report = ParallelReport(
-            instructions=(messages - cell[2]) + skipped,
+            instructions=(messages - skip_records) + skipped,
             messages=messages,
             markers=markers,
             skipped=skipped,
@@ -724,19 +588,7 @@ class ParallelHelperDIFT(Hook):
         """Dump channel + propagation metrics into a registry (the
         ``dift.*`` keys mirror ``DIFTEngine.publish_telemetry``)."""
         rep = self.finish()
-        stats = self.stats
-        shadow = self.shadow
-        registry.counter("dift.instructions").inc(stats.instructions)
-        registry.counter("dift.propagations").inc(stats.tainted_instructions)
-        registry.counter("dift.sources").inc(stats.sources)
-        registry.counter("dift.sink_checks").inc(stats.sink_checks)
-        registry.counter("dift.alerts").inc(len(self.alerts))
-        registry.gauge("dift.taint_rate").set(stats.taint_rate)
-        registry.gauge("dift.tainted_locations.peak").set_max(shadow.peak_locations)
-        registry.gauge("dift.tainted_locations.final").set(
-            shadow.tainted_cells + shadow.tainted_regs
-        )
-        registry.gauge("dift.shadow_bytes").set(shadow.shadow_bytes)
+        publish_taint_metrics(registry, self.stats, self.alerts, self.shadow)
         registry.counter("multicore.parallel.messages").inc(rep.messages)
         registry.counter("multicore.parallel.instructions").inc(rep.instructions)
         registry.counter("multicore.parallel.skipped").inc(rep.skipped)

@@ -440,7 +440,7 @@ def _guest_obs(m, res):
 
 def _taint_obs(tool):
     shadow = tool.shadow
-    stats = tool.stats if hasattr(tool, "stats") else tool.engine.stats
+    stats = tool.stats
     return (
         tuple(sorted(shadow.mem_items().items())),
         tuple(sorted(shadow.regs.items())),

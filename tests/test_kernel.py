@@ -8,13 +8,16 @@ payloads, addresses beyond the i64 payload, fallback resolution, and
 an adopted shadow.
 """
 
+import ast
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro import fastpath
 from repro.dift import BoolTaintPolicy, DIFTEngine, PCTaintPolicy, ShadowState, SinkRule
+from repro.dift import kernel as kernel_module
 from repro.dift.kernel import (
     K_SINK,
     K_SKIP,
@@ -209,6 +212,33 @@ def test_overflow_sink_fixup_round_trip(name):
     assert [al.seq for al in patched] == [al.seq for al in inline_eng.alerts]
 
 
+@pytest.mark.parametrize("summaries", [False, True], ids=["plain", "summaries"])
+@pytest.mark.parametrize("name", ["reference", "array"])
+def test_every_alert_at_a_clamped_sink_gets_its_true_value(name, summaries):
+    # Two rules match the same ``out``: both alerts share the sink's
+    # seq, and each must carry the unclamped value, as per event.
+    src = """
+    fn main() {
+        var x = in(0);
+        var big = 1;
+        var i = 0;
+        while (i < 70) { big = big * 2; i = i + 1; }
+        out(big + x, 1);
+    }
+    """
+    sinks = [
+        SinkRule(kind="out", action="record"),
+        SinkRule(kind="out", channels=frozenset({1}), action="record"),
+    ]
+    m = Machine(compile_source(src).program)
+    m.io.provide(0, [3])
+    eng = DIFTEngine(
+        BoolTaintPolicy(), sinks=sinks, kernel=name, summaries=summaries
+    ).attach(m)
+    m.run()
+    assert [al.value for al in eng.alerts] == [2**70 + 3] * 2
+
+
 # Guest addresses are unbounded ints and memory does no bounds checks:
 # cells at 2**64 and below -2**63, a block whose size is past the i64
 # payload and the blocks allocated after it.  ``poke`` sometimes writes
@@ -367,3 +397,22 @@ def test_adopted_array_shadow_matches_reference():
         ref.propagate_batch(chunk)
     assert arr.shadow is adopted  # the caller's store was used in place
     assert kernel_state(arr) == kernel_state(ref)
+
+
+def test_kernel_module_does_not_import_the_engine():
+    # The per-record taint rules live on the kernel; the engine only
+    # drives it, so the dependency runs one way.
+    package = kernel_module.__package__.split(".")  # ["repro", "dift"]
+    imported = set()
+    for node in ast.walk(ast.parse(Path(kernel_module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = ".".join(package[: len(package) - node.level + 1])
+                base = f"{parent}.{base}" if base else parent
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert "repro.dift.policy" in imported  # relative imports resolved
+    assert "repro.dift.engine" not in imported

@@ -1,8 +1,11 @@
 """Unit tests for helper-core DIFT: channel models, queue simulation,
 dual-core timing, detection parity with inline DIFT."""
 
+import warnings
+
 import pytest
 
+from repro import fastpath
 from repro.dift import BoolTaintPolicy, DIFTEngine, PCTaintPolicy
 from repro.lang import compile_source
 from repro.multicore import (
@@ -12,6 +15,7 @@ from repro.multicore import (
     hardware_interconnect,
     shared_memory_channel,
 )
+from repro.telemetry import MetricsRegistry
 from repro.vm import Machine, RunStatus
 from repro.workloads.spec_like import matmul
 
@@ -155,6 +159,27 @@ class TestHelperCoreDIFT:
         assert report.total_cycles == report.main_cycles + report.drain_cycles
         assert report.base_cycles == res.cycles.base
         assert report.main_cycles == res.cycles.total
+
+    def test_runs_the_reference_kernel_without_a_fallback(self, monkeypatch):
+        # The helper propagates per event on the reference kernel, so a
+        # process-wide array request on a host without numpy must not
+        # warn, count a fallback or publish one.
+        monkeypatch.setenv("REPRO_FASTPATH_KERNEL", "array")
+        monkeypatch.setattr(fastpath, "_current", None)
+        monkeypatch.setattr(fastpath, "numpy_available", lambda: False)
+        monkeypatch.setattr(fastpath, "_fallback_warned", False)
+        monkeypatch.setattr(fastpath, "kernel_fallbacks", {})
+        registry = MetricsRegistry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, helper, res = run_helper(
+                TAINT_HEAVY, hardware_interconnect(), inputs={0: [1]}
+            )
+            helper.publish_telemetry(registry)
+        assert res.status is RunStatus.EXITED
+        assert fastpath.kernel_fallbacks == {}
+        assert "dift.kernel.fallback" not in registry.flat()
+        assert registry.flat()["dift.propagations"] > 0
 
 
 class TestQueueBackPressure:

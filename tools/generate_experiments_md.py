@@ -127,8 +127,8 @@ COMMENTARY = {
     ),
     "parallel": (
         "The one experiment whose currency *is* wall-clock: a real worker "
-        "process consumes the shared-memory ring and runs the unmodified "
-        "DIFT engine, with every workload's alerts, taint sets and stats "
+        "process consumes the shared-memory ring and runs the same "
+        "propagation kernel, with every workload's alerts, taint sets and stats "
         "asserted identical to the inline run. The host-independent claim "
         "is the app-core CPU row — `time.process_time` never counts the "
         "worker, so offloading cuts the application core's DIFT cost "

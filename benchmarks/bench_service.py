@@ -21,9 +21,9 @@ The overload daemon also reports its latency SLO (p50/p95/p99 from the
 ``service.latency.total_s`` histogram plus shed rate) — the same
 numbers a production ``repro stats`` scrape derives.  The experiment
 runs with observability at its default; the obs layer must not change
-the shedding outcome (with ``REPRO_SERVICE_OBSERVE=0`` the same gates
-hold — the hooks are no-op attribute loads off the hot path, and only
-explicitly traced jobs ship spans).
+the shedding outcome (with ``ServiceConfig(observe=False)`` the same
+gates hold — the hooks are no-op attribute loads off the hot path, and
+only explicitly traced jobs ship spans).
 
 The merged result lands in ``BENCH_service.json``.
 """

@@ -40,9 +40,9 @@ def write_bench_json(result):
 def require_numpy():
     """Skip (not fail) array-kernel speedup gates on hosts without
     numpy — the fallback path is correct but cannot beat itself."""
-    from repro import fastpath
+    from repro.dift.kernel import numpy_available
 
-    if not fastpath.numpy_available():
+    if not numpy_available():
         pytest.skip("numpy unavailable: array kernel falls back to reference")
 
 

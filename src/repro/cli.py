@@ -294,9 +294,9 @@ def cmd_serve(args) -> int:
         queue_capacity=args.queue_capacity,
         default_deadline_s=args.deadline,
         cache_entries=args.cache_entries,
-        degrade=False if args.no_degrade else None,
+        degrade=not args.no_degrade,
         allow_chaos=args.allow_chaos,
-        observe=False if args.no_observe else None,
+        observe=not args.no_observe,
         obs_dir=args.obs_dir,
         sample_interval_s=args.sample_interval,
     )
@@ -332,7 +332,7 @@ def cmd_route(args) -> int:
         retries=args.retries,
         cache_entries=args.cache_entries,
         default_deadline_s=args.deadline,
-        observe=False if args.no_observe else None,
+        observe=not args.no_observe,
         obs_dir=args.obs_dir,
     )
     router = RouterServer(config)

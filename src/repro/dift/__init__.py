@@ -9,7 +9,8 @@ Propagation runs through a pluggable kernel (:mod:`repro.dift.kernel`),
 which owns the one copy of the per-record taint rules:
 :class:`ReferenceKernel` is the pure-python per-record logic,
 :class:`ArrayKernel` the vectorized numpy backend (default when numpy
-is importable; ``REPRO_FASTPATH_KERNEL`` selects).
+is importable and the policy is one of the two scalar-label ones;
+``kernel=`` on the engine selects).
 """
 
 from .engine import DIFTEngine

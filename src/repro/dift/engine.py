@@ -29,11 +29,11 @@ charges those cycles there.
 
 from __future__ import annotations
 
-from .. import fastpath
 from ..vm.errors import AttackDetected
 from ..vm.events import Hook
 from ..vm.machine import Machine
 from .kernel import (
+    DEFAULT_KERNEL_BATCH,
     RECORD_SIZE,
     DIFTStats,
     RecordEncoder,
@@ -55,12 +55,13 @@ class DIFTEngine(Hook):
     machine's cycle counters unless ``charge_overhead=False``.
 
     ``kernel="reference"`` runs the taint rules per event;
-    ``kernel="array"`` (the default when numpy is importable,
-    ``REPRO_FASTPATH_KERNEL`` overrides) packs instruction events into
-    micro-batches of ring-format records and propagates them
-    vectorized, with observables proven bit-identical by the
-    differential suite.  ``summaries`` wraps either kernel in the
-    function-summary layer for the scalar-label policies.
+    ``kernel="array"`` (what ``kernel=None`` resolves to when numpy is
+    importable, see :func:`~repro.dift.kernel.select_kernel`) packs
+    instruction events into micro-batches of ``kernel_batch`` records
+    and propagates them vectorized, with observables proven
+    bit-identical by the differential suite.  ``summaries=True`` wraps
+    either kernel in the function-summary layer for the scalar-label
+    policies.
     """
 
     def __init__(
@@ -71,18 +72,18 @@ class DIFTEngine(Hook):
         propagate_addresses: bool = False,
         charge_overhead: bool = True,
         kernel: str | None = None,
-        kernel_batch: int | None = None,
-        summaries: bool | None = None,
+        kernel_batch: int = DEFAULT_KERNEL_BATCH,
+        summaries: bool = False,
         summary_cache=None,
     ):
         self.policy = policy
         #: resolved propagation kernel ("array"|"reference") and why an
         #: array request fell back ("numpy"|"policy"), if it did.
         self.kernel_name, self.kernel_fallback = select_kernel(kernel, policy)
-        self.kernel_batch = fastpath.kernel_batch_size(kernel_batch)
-        self._summaries = fastpath.resolve(summaries, "summaries") and summarizable(
-            policy
-        )
+        if kernel_batch < 1:
+            raise ValueError("kernel batch size must be >= 1")
+        self.kernel_batch = kernel_batch
+        self._summaries = summaries and summarizable(policy)
         self._summary_cache = summary_cache
         self.charge_overhead = charge_overhead
         self.machine: Machine | None = None

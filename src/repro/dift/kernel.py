@@ -32,11 +32,9 @@ through a kernel interface:
   to the reference — proven by the differential suite and the 200-seed
   fuzz.
 
-Kernel selection is :func:`select_kernel` over
-:func:`repro.fastpath.propagation_kernel`
-(``REPRO_FASTPATH_KERNEL=reference|array``; default array when numpy
-imports, automatic fallback otherwise).  The array kernel only
-specializes the two label-sized policies
+Kernel selection is :func:`select_kernel` alone, from the caller's
+``kernel=`` argument and what the process can observe: the array
+kernel needs numpy and only specializes the two label-sized policies
 (:class:`~repro.dift.policy.BoolTaintPolicy`,
 :class:`~repro.dift.policy.PCTaintPolicy`); anything else (the lineage
 set policy) stays on the reference kernel.
@@ -48,7 +46,6 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
-from .. import fastpath
 from ..isa.instructions import Opcode
 from ..vm.errors import AttackDetected
 from ..vm.events import Hook, InstrEvent
@@ -69,8 +66,8 @@ K_SPAWN = 5
 K_IN = 6
 K_SINK = 7
 #: call-boundary markers (function-summary mode only): zero-weight
-#: metadata records cut into the stream by producers when
-#: ``fastpath.summaries`` is on.  ``K_CALL`` carries ``a=0`` for a
+#: metadata records cut into the stream by producers that run with
+#: ``summaries=True``.  ``K_CALL`` carries ``a=0`` for a
 #: direct CALL site and ``a=1`` for an ICALL (never summarized); both
 #: kinds are pure no-ops to the base kernels — every kind >= K_CALL
 #: represents zero guest instructions.
@@ -113,7 +110,17 @@ DENSE_REGS = 8
 SELECT_PAYOFF = 0.5
 PROBE_EVERY = 8
 
+#: records per inline micro-batch (``DIFTEngine(kernel_batch=)``).
+DEFAULT_KERNEL_BATCH = 2048
+
 _np = None
+#: cached numpy availability (None = not probed yet).
+_numpy_available: bool | None = None
+
+#: times an array-kernel request fell back to the reference kernel in
+#: this process, keyed by reason ("numpy" | "policy").
+kernel_fallbacks: dict[str, int] = {}
+_fallback_warned = False
 
 
 def _numpy():
@@ -123,6 +130,19 @@ def _numpy():
 
         _np = numpy
     return _np
+
+
+def numpy_available() -> bool:
+    """Whether numpy can be imported (probed once, cached)."""
+    global _numpy_available
+    if _numpy_available is None:
+        try:
+            _numpy()
+        except ImportError:
+            _numpy_available = False
+        else:
+            _numpy_available = True
+    return _numpy_available
 
 
 def _fit(v: int) -> int:
@@ -414,25 +434,41 @@ class BatchEffects:
 
 
 def select_kernel(explicit: str | None, policy: TaintPolicy) -> tuple[str, str | None]:
-    """Resolve the kernel name for ``policy``: ``(name, fallback)``.
+    """Resolve the propagation kernel for ``policy``: ``(name, fallback)``.
 
-    :func:`repro.fastpath.propagation_kernel` handles the flag and the
-    numpy probe; this adds the policy gate — the array kernel encodes
-    labels as int64 scalars, so only the exact bool/PC policies
-    qualify (subclasses could override the algebra).  ``fallback`` is
-    why an array request resolved to the reference kernel (``"numpy"``
-    or ``"policy"``), else None.
+    ``"reference"`` is always honoured.  ``None`` and ``"array"`` get
+    the array kernel when numpy imports and the policy is exactly
+    :class:`~repro.dift.policy.BoolTaintPolicy` or
+    :class:`~repro.dift.policy.PCTaintPolicy` (the array kernel encodes
+    labels as int64 scalars, and a subclass could override the
+    algebra); otherwise they fall back to the reference kernel and
+    ``fallback`` names why (``"numpy"`` or ``"policy"``).  Every
+    fallback counts in :data:`kernel_fallbacks`; an explicit
+    ``"array"`` request that falls back also warns, once per process.
     """
-    wants_array = explicit == "array" or (
-        explicit is None and fastpath.current().array_kernel
-    )
-    name = fastpath.propagation_kernel(explicit)
-    if name == "array" and type(policy) not in (BoolTaintPolicy, PCTaintPolicy):
-        fastpath.note_kernel_fallback("policy", explicit=explicit == "array")
-        return "reference", "policy"
-    if wants_array and name == "reference":
-        return name, "numpy"  # counted by propagation_kernel
-    return name, None
+    if explicit not in (None, "array", "reference"):
+        raise ValueError(f"unknown propagation kernel {explicit!r}")
+    if explicit == "reference":
+        return "reference", None
+    if not numpy_available():
+        reason = "numpy"
+    elif type(policy) not in (BoolTaintPolicy, PCTaintPolicy):
+        reason = "policy"
+    else:
+        return "array", None
+    global _fallback_warned
+    kernel_fallbacks[reason] = kernel_fallbacks.get(reason, 0) + 1
+    if explicit == "array" and not _fallback_warned:
+        import warnings
+
+        warnings.warn(
+            f"array propagation kernel requested but unavailable ({reason}); "
+            "falling back to the reference kernel",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        _fallback_warned = True
+    return "reference", reason
 
 
 class PropagationKernel:
@@ -1331,6 +1367,7 @@ class RecordStreamCapture(Hook):
 __all__ = [
     "ArrayKernel",
     "BatchEffects",
+    "DEFAULT_KERNEL_BATCH",
     "DIFTStats",
     "K_ALLOC",
     "K_CALL",
@@ -1354,6 +1391,8 @@ __all__ = [
     "TaintAlert",
     "build_kernel",
     "classify_opcode",
+    "kernel_fallbacks",
+    "numpy_available",
     "publish_taint_metrics",
     "select_kernel",
     "wide_record",

@@ -656,9 +656,13 @@ def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
     """
     import time
 
-    from .. import fastpath
     from ..dift.engine import SinkRule
-    from ..dift.kernel import RECORD_SIZE, RecordStreamCapture, build_kernel
+    from ..dift.kernel import (
+        RECORD_SIZE,
+        RecordStreamCapture,
+        build_kernel,
+        numpy_available,
+    )
     from ..dift.policy import BoolTaintPolicy as _Bool
 
     result = ExperimentResult(
@@ -670,7 +674,7 @@ def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
         headers=["workload", "records", "ref s", "array s", "speedup", "identical"],
     )
     workloads = suite(scale)
-    numpy_ok = fastpath.numpy_available()
+    numpy_ok = numpy_available()
     array_name = "array" if numpy_ok else "reference"
 
     captures = []
@@ -768,9 +772,13 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     """
     import time
 
-    from .. import fastpath
     from ..dift.engine import SinkRule
-    from ..dift.kernel import RECORD_SIZE, RecordStreamCapture, build_kernel
+    from ..dift.kernel import (
+        RECORD_SIZE,
+        RecordStreamCapture,
+        build_kernel,
+        numpy_available,
+    )
     from ..dift.policy import BoolTaintPolicy as _Bool
     from ..dift.summaries import SummaryKernel
     from ..workloads.generators import call_heavy
@@ -793,7 +801,7 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
         call_heavy(10, iterations=iters, stmts=64, name="calls-p10"),
         call_heavy(2, iterations=iters, stmts=64, name="calls-p50"),
     ]
-    numpy_ok = fastpath.numpy_available()
+    numpy_ok = numpy_available()
     kernel_name = "array" if numpy_ok else "reference"
 
     captures = []
@@ -1593,47 +1601,6 @@ def run_service(
     if hangs or not cache_identical:
         result.notes = "SERVICE MISBEHAVED — hang or cache divergence (see rows)"
 
-    # -- propagation-kernel A/B ----------------------------------------------
-    # The same DIFT-heavy attack jobs against daemons whose workers run
-    # the array vs the reference propagation kernel (workers fork under
-    # the active fastpath override, so the whole pool inherits it).
-    # Job results never carry the kernel name — only wall clock moves.
-    from dataclasses import replace as _replace
-
-    from .. import fastpath as _fastpath
-
-    def attack_burst(sock_name: str, n: int = 6) -> float:
-        config = ServiceConfig(
-            socket_path=os.path.join(tmp, sock_name),
-            workers=1,
-            queue_capacity=max(16, 2 * n),
-            degrade=False,
-        )
-        with AsyncAnalysisServer(config):
-            with ServiceClient(config.address()) as client:
-                t0 = time.perf_counter()
-                for i in range(n):
-                    client.submit(
-                        "attack",
-                        workload="matmul",
-                        scale=scale,
-                        cache=False,
-                        params={"tag": f"{sock_name}-{i}", "out_sink": True},
-                        deadline_s=120.0,
-                    )
-                return time.perf_counter() - t0
-
-    arr_burst_s = attack_burst("kernel-array.sock")
-    with _fastpath.overridden(
-        _replace(_fastpath.current(), array_kernel=False)
-    ):
-        ref_burst_s = attack_burst("kernel-reference.sock")
-    service_kernel_lift = ref_burst_s / max(arr_burst_s, 1e-9)
-    result.rows.append(
-        ["kernel A/B (attack jobs)", f"{service_kernel_lift:.2f}x lift",
-         f"reference {ref_burst_s:.2f}s -> array {arr_burst_s:.2f}s, 6 jobs"]
-    )
-
     cpus = _usable_cpus()
     result.headline = {
         "worker_scaling": scaling,
@@ -1649,7 +1616,6 @@ def run_service(
         "shed_rate": float(slo.get("shed_rate", 0.0)),
         "cache_speedup": cache_speedup,
         "cache_identical": float(cache_identical),
-        "service_kernel_lift": service_kernel_lift,
     }
     return result
 

@@ -50,12 +50,12 @@ vectorized.  Either way the differential suite asserts the returned
 alerts, taint sets and stats equal an inline reference run.
 
 The channel is always batched: it flushes ``batch_size`` records per
-ring publish to amortize the position updates (default 256, see
-:func:`repro.fastpath.parallel_batch_size`; ``--batch-size`` on the
-CLI).  No modeled cycles are charged to the machine —
-this helper trades *host* time, and its equivalence contract covers
-observables (alerts / taint / stats), not the cycle model, which is
-what :class:`HelperCoreDIFT` is for.
+ring publish to amortize the position updates (default
+:data:`DEFAULT_PARALLEL_BATCH`; ``--batch-size`` on the CLI).  No
+modeled cycles are charged to the machine — this helper trades *host*
+time, and its equivalence contract covers observables (alerts / taint
+/ stats), not the cycle model, which is what :class:`HelperCoreDIFT`
+is for.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
-from .. import fastpath
 from ..telemetry.obs import wall_now_us
 # The 24-byte wire format is canonically defined next to the kernels
 # that consume it; re-exported here for backward compatibility.
@@ -110,6 +109,21 @@ _POLL_S = 0.00002
 #: bounded summary, not a per-chunk firehose.
 _SPAN_GAP_US = 2_000
 _MAX_WORKER_SPANS = 256
+
+#: messages per ring flush of the out-of-process DIFT helper.
+DEFAULT_PARALLEL_BATCH = 256
+
+
+def parallel_batch_size(explicit: int | None = None) -> int:
+    """Resolve the helper's messages-per-flush: an explicit positive
+    argument (``batch_size=`` / ``--batch-size``), else
+    :data:`DEFAULT_PARALLEL_BATCH`."""
+    if explicit is None:
+        return DEFAULT_PARALLEL_BATCH
+    if explicit < 1:
+        raise ValueError("batch size must be >= 1")
+    return explicit
+
 
 _CTX = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -311,11 +325,12 @@ class ParallelHelperDIFT(Hook):
     :meth:`finish` (or just read :attr:`alerts` / :attr:`shadow` /
     :attr:`stats`, which finish implicitly) to collect the worker's
     results.  ``batch_size=None`` resolves through
-    :func:`repro.fastpath.parallel_batch_size`; ``kernel=None`` resolves
-    the worker's propagation kernel through
-    :func:`repro.fastpath.propagation_kernel` (resolved parent-side so
+    :func:`parallel_batch_size`; ``kernel=None`` resolves the worker's
+    propagation kernel through
+    :func:`~repro.dift.kernel.select_kernel` (resolved parent-side so
     the availability probe and fallback accounting happen in one
-    process).
+    process).  ``summaries=True`` runs the worker's kernel under the
+    function-summary layer.
     """
 
     def __init__(
@@ -327,16 +342,14 @@ class ParallelHelperDIFT(Hook):
         batch_size: int | None = None,
         ring_records: int = 1 << 15,
         kernel: str | None = None,
-        summaries: bool | None = None,
+        summaries: bool = False,
     ):
         if ring_records < 64:
             raise ValueError("ring_records must be >= 64")
         self.policy = policy
-        self.batch_size = fastpath.parallel_batch_size(batch_size)
+        self.batch_size = parallel_batch_size(batch_size)
         self.kernel_name, _ = select_kernel(kernel, policy)
-        self.summaries = fastpath.resolve(summaries, "summaries") and summarizable(
-            policy
-        )
+        self.summaries = summaries and summarizable(policy)
         self.machine: Machine | None = None
         self._sinks = sinks if sinks is not None else [SinkRule(kind="icall")]
         self._source_channels = source_channels
@@ -606,6 +619,7 @@ class ParallelHelperDIFT(Hook):
 
 
 __all__ = [
+    "DEFAULT_PARALLEL_BATCH",
     "K_ALLOC",
     "K_GENERIC",
     "K_IN",
@@ -618,4 +632,5 @@ __all__ = [
     "RECORD_SIZE",
     "ParallelHelperDIFT",
     "ParallelReport",
+    "parallel_batch_size",
 ]

@@ -14,16 +14,16 @@ queue depth / capacity          decision
 ``>= 1.0`` (capacity)           reject
 ==============================  =====================================
 
-Degradation is a policy knob (:func:`repro.fastpath.service_degrade_enabled`,
-``REPRO_SERVICE_DEGRADE``): with it off, the middle bands admit at the
-requested fidelity and overload goes straight to the rejection wall.
+Degradation is a policy knob (``degrade=``, ``ServiceConfig.degrade``,
+``repro serve --no-degrade``; default on): with it off, the middle
+bands admit at the requested fidelity and overload goes straight to
+the rejection wall.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import fastpath
 from .jobs import FIDELITY_LADDER
 
 ACTION_ADMIT = "admit"
@@ -48,7 +48,7 @@ class AdmissionController:
         capacity: int,
         degrade_fraction: float = 0.5,
         shed_fraction: float = 0.75,
-        degrade: bool | None = None,
+        degrade: bool = True,
     ):
         if capacity < 1:
             raise ValueError("admission capacity must be >= 1")
@@ -57,7 +57,7 @@ class AdmissionController:
         self.capacity = capacity
         self.degrade_at = degrade_fraction * capacity
         self.shed_at = shed_fraction * capacity
-        self.degrade_enabled = fastpath.service_degrade_enabled(degrade)
+        self.degrade_enabled = degrade
 
     def decide(self, depth: int, kind: str, fidelity: str) -> AdmissionDecision:
         """Decide one request given the current queue ``depth``

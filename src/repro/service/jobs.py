@@ -32,13 +32,10 @@ import hashlib
 import json
 import math
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from .. import fastpath
 from ..dift.engine import DIFTEngine, SinkRule
 from ..dift.policy import BoolTaintPolicy, PCTaintPolicy
-from ..dift.summaries import SummaryCache, cache_signature, summarizable
 from ..lang import compile_source
 from ..ontrac import OntracConfig
 from ..runner import ProgramRunner
@@ -204,68 +201,12 @@ def cache_key(spec: JobSpec) -> str:
     return f"{spec.kind}|{program_key(spec)}|{spec.fidelity}|{params}"
 
 
-# ---------------------------------------------------------------------------
-# Function-summary caches (worker-side, survive across requests)
-# ---------------------------------------------------------------------------
-#: (program key, configuration signature) -> SummaryCache, LRU-bounded.
-#: Keyed alongside the result cache: the signature folds in the policy
-#: class (i.e. the resolved fidelity) and sink config, so a summary
-#: learned under ``dift`` (bool labels) can never serve a ``full``
-#: (PC-label) request for the same program.
-_SUMMARY_CACHES: OrderedDict[tuple[str, str], SummaryCache] = OrderedDict()
-_SUMMARY_CACHE_BOUND = 64
-
-#: dift.summaries.* counter deltas accumulated since the last drain.
-_summary_pending: dict[str, int] = {}
-
-
 def _payload_program_key(payload: dict) -> str:
     """:func:`program_key` over the worker-form payload dict."""
     if payload.get("source") is not None:
         digest = hashlib.sha256(payload["source"].encode("utf-8")).hexdigest()[:16]
         return f"src:{digest}"
     return f"workload:{payload.get('workload')}:{payload.get('scale', 1)}"
-
-
-def _summary_cache_for(payload: dict, policy, sinks) -> SummaryCache | None:
-    """Long-lived summary cache for (program, engine configuration).
-
-    Returns ``None`` when the fast path is off or the policy is not
-    summarizable; the engine then runs exactly as before.
-    """
-    if not fastpath.resolve(None, "summaries") or not summarizable(policy):
-        return None
-    sig = cache_signature(policy, None, sinks, False)
-    key = (_payload_program_key(payload), sig)
-    cache = _SUMMARY_CACHES.pop(key, None)
-    if cache is None:
-        cache = SummaryCache(sig)
-    _SUMMARY_CACHES[key] = cache
-    while len(_SUMMARY_CACHES) > _SUMMARY_CACHE_BOUND:
-        _SUMMARY_CACHES.popitem(last=False)
-    return cache
-
-
-def _note_summary_counters(engine: DIFTEngine) -> None:
-    """Fold one engine run's per-run counters into the pending pot."""
-    counters = getattr(getattr(engine, "_kernel", None), "counters", None)
-    if counters is None:
-        return
-    for key, value in counters().items():
-        if value:
-            _summary_pending[key] = _summary_pending.get(key, 0) + value
-
-
-def drain_summary_metrics() -> dict[str, int]:
-    """Hand back (and reset) the accumulated summary counter deltas.
-
-    The pool worker calls this after each job and ships any non-empty
-    result to the daemon piggybacked on the response, where it lands in
-    the service registry as ``dift.summaries.*`` counters.
-    """
-    out = {k: v for k, v in _summary_pending.items() if v}
-    _summary_pending.clear()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +256,13 @@ def _execute_dift_stats(payload: dict, telemetry=None) -> dict:
     compiled, _, inputs = _resolve_program(payload["kind"], payload)
     runner = ProgramRunner(compiled.program, inputs=inputs, telemetry=telemetry)
     machine = runner.machine()
-    # Propagation kernel selection (REPRO_FASTPATH_KERNEL=reference|array,
-    # default array when numpy is importable) is inherited from the
-    # engine here and in _execute_attack: pool workers run untraced
-    # machines, so the engine's inline micro-batching engages and every
-    # service job rides the vectorized kernel with no wiring of its own.
-    policy = BoolTaintPolicy()
-    engine = DIFTEngine(
-        policy,
-        sinks=[],
-        summary_cache=_summary_cache_for(payload, policy, []),
-    ).attach(machine)
+    # The engine resolves its own propagation kernel here and in
+    # _execute_attack (array when numpy imports): pool workers run
+    # untraced machines, so the engine's inline micro-batching engages
+    # and every service job rides the vectorized kernel with no wiring
+    # of its own.
+    engine = DIFTEngine(BoolTaintPolicy(), sinks=[]).attach(machine)
     result = machine.run(max_instructions=runner.max_instructions)
-    _note_summary_counters(engine)
     return {
         "run": _run_summary(result, machine),
         "dift": {
@@ -340,16 +275,13 @@ def _execute_dift_stats(payload: dict, telemetry=None) -> dict:
 
 
 def _lake_pending(payload: dict, params: dict, inputs: dict):
-    """Reserve a trace-lake run for this job, or None when persistence
-    is off.  The run is reserved *before* execution so the tracer
-    spills while it runs — a worker killed mid-job leaves an
+    """Reserve a trace-lake run for this job, or None unless its params
+    say ``"lake": true``.  The run is reserved *before* execution so
+    the tracer spills while it runs — a worker killed mid-job leaves an
     incomplete run with a recoverable trace prefix (the crash
     postmortem story), not nothing.
     """
-    explicit = params.get("lake")
-    if not fastpath.service_lake_enabled(
-        None if explicit is None else bool(explicit)
-    ):
+    if not params.get("lake"):
         return None
     from ..lake import TraceLake
     from ..lake import input_hash as _lake_input_hash
@@ -415,17 +347,15 @@ def _no_emit(op: dict) -> None:
     return None
 
 
-def _stream_chunk() -> int:
-    from .. import fastpath
-
-    return fastpath.stream_chunk_rows()
+#: rows per streamed partial frame (slice pcs/lines chunking).  Purely
+#: a framing choice: reassembly is chunk-size-independent.
+STREAM_CHUNK_ROWS = 64
 
 
 def _emit_chunks(emit, path: str, items: list) -> None:
     """Append ``items`` at dotted ``path`` in bounded row chunks."""
-    chunk = _stream_chunk()
-    for i in range(0, len(items), chunk):
-        emit({"append": {path: items[i : i + chunk]}})
+    for i in range(0, len(items), STREAM_CHUNK_ROWS):
+        emit({"append": {path: items[i : i + STREAM_CHUNK_ROWS]}})
 
 
 def _execute_slice(payload: dict, telemetry=None, emit=_no_emit) -> dict:
@@ -507,13 +437,8 @@ def _execute_attack(payload: dict, fidelity: str, telemetry=None, emit=_no_emit)
     sinks = [SinkRule(kind="icall")]
     if params.get("out_sink"):
         sinks.append(SinkRule(kind="out", channels=None))
-    engine = DIFTEngine(
-        policy,
-        sinks=sinks,
-        summary_cache=_summary_cache_for(payload, policy, sinks),
-    ).attach(machine)
+    engine = DIFTEngine(policy, sinks=sinks).attach(machine)
     result = machine.run(max_instructions=runner.max_instructions)
-    _note_summary_counters(engine)
     run_section = _run_summary(result, machine)
     policy_name = "pc" if fidelity == FIDELITY_FULL else "bool"
     emit({"set": {"run": run_section,
@@ -716,7 +641,6 @@ __all__ = [
     "WORKLOAD_FACTORIES",
     "MAX_ENGINE_SPANS",
     "cache_key",
-    "drain_summary_metrics",
     "execute_job",
     "execute_job_stream",
     "execute_job_traced",

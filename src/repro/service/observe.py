@@ -19,7 +19,7 @@ Cost discipline matches the telemetry package: the disabled counterpart
 is :data:`NULL_OBSERVABILITY`, whose hooks are argument-swallowing
 no-ops, so instrumented service code calls ``obs.event(...)`` /
 ``obs.span_at(...)`` unconditionally and a daemon started with
-``observe=False`` (or ``REPRO_SERVICE_OBSERVE=0``) pays one attribute
+``observe=False`` (``repro serve --no-observe``) pays one attribute
 load per hook on the job path — and nothing at all on the per-record /
 per-instruction paths, which this module never touches.
 """

@@ -40,7 +40,6 @@ from ..telemetry import LATENCY_BUCKETS_S, NULL_REGISTRY
 from ..telemetry.obs import wall_now_us
 from .jobs import (
     JobSpec,
-    drain_summary_metrics,
     execute_job,
     execute_job_stream,
     execute_job_traced,
@@ -96,13 +95,6 @@ def _worker_main(conn, daemon_end, daemon_pid: int) -> None:
                     )
                 else:
                     result = execute_job(payload)
-                metrics = drain_summary_metrics()
-                if metrics and isinstance(result, dict):
-                    # Piggyback function-summary counter deltas on the
-                    # terminal verdict (never on stream frames, so the
-                    # reassembled stream stays identical to a blocking
-                    # run's payload); the server strips them below.
-                    result["_summaries"] = metrics
                 verdict = ("ok", result)
             except Exception as exc:
                 verdict = ("error", f"{type(exc).__name__}: {exc}")
@@ -433,13 +425,6 @@ class WorkerPool:
                         spans = body.pop("_spans", None)
                         if spans:
                             job.worker_events = spans
-                        # Same treatment for the summary counter deltas:
-                        # fold into the service registry, keep the
-                        # cached result byte-identical.
-                        summaries = body.pop("_summaries", None)
-                        if summaries:
-                            for key, value in summaries.items():
-                                registry.counter(f"dift.summaries.{key}").inc(value)
                     self.jobs_completed += 1
                     registry.counter("service.jobs.completed").inc()
                     self._observe_latency(job, slot)

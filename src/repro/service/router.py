@@ -60,7 +60,6 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .. import fastpath
 from ..telemetry import LATENCY_BUCKETS_S, MetricsRegistry
 from ..telemetry.obs import latency_summary, render_prometheus
 from .cache import ResultCache
@@ -195,8 +194,8 @@ class RouterConfig:
     retries: int = 1
     cache_entries: int = 256
     default_deadline_s: float = DEFAULT_DEADLINE_S
-    #: None -> repro.fastpath.service_observe_enabled() (env-resolved).
-    observe: bool | None = None
+    #: flight recorder and metrics sampler (``--no-observe`` clears).
+    observe: bool = True
     obs_dir: str | None = None
     sample_interval_s: float = 1.0
 
@@ -255,7 +254,7 @@ class RouterServer:
             raise ValueError("router needs at least one backend address")
         self.config = config
         self.registry = registry if registry is not None else MetricsRegistry(enabled=True)
-        if fastpath.service_observe_enabled(config.observe):
+        if config.observe:
             self.obs = ServiceObservability(
                 self.registry,
                 dump_dir=config.obs_dir,

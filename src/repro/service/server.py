@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .. import fastpath
 from ..telemetry import MetricsRegistry
 from ..telemetry.obs import latency_summary, render_prometheus, wall_now_us
 from .admission import ACTION_ADMIT, AdmissionController
@@ -55,12 +54,13 @@ class ServiceConfig:
     cache_entries: int = 256
     max_retries: int = 1
     respawn_limit: int = 3
-    #: None -> repro.fastpath.service_degrade_enabled() (env-resolved).
-    degrade: bool | None = None
+    #: shed fidelity before jobs under overload (``--no-degrade`` clears).
+    degrade: bool = True
     #: admit the test-only "chaos" job kind (crash/hang injection).
     allow_chaos: bool = False
-    #: None -> repro.fastpath.service_observe_enabled() (env-resolved).
-    observe: bool | None = None
+    #: flight recorder, metrics sampler and per-job traces
+    #: (``--no-observe`` clears).
+    observe: bool = True
     #: where flight-recorder dumps land (default: the daemon's cwd).
     obs_dir: str | None = None
     #: metrics-window sampling period for the background sampler.
@@ -117,7 +117,7 @@ class ServiceCore:
             config.queue_capacity, degrade=config.degrade
         )
         self.cache = ResultCache(config.cache_entries, registry=self.registry)
-        if fastpath.service_observe_enabled(config.observe):
+        if config.observe:
             self.obs = ServiceObservability(
                 self.registry,
                 dump_dir=config.obs_dir,

@@ -255,24 +255,12 @@ def latency_summary(registry: MetricsRegistry, prefix: str = "service") -> dict:
         for key, q in (("p50_ms", 0.5), ("p95_ms", 0.95), ("p99_ms", 0.99)):
             value = histogram_quantile(data, q)
             quantiles[key] = None if value is None else round(value * 1e3, 3)
-    # Function-summary DIFT counters (zero when the fast path is off).
-    # hit_rate denominator = every region-open decision: a hit, a fresh
-    # learn, or a guard invalidation.
-    hits = int(flat.get("dift.summaries.hits", 0))
-    learned = int(flat.get("dift.summaries.learned", 0))
-    invalidations = int(flat.get("dift.summaries.invalidations", 0))
-    attempts = hits + learned + invalidations
     return {
         "jobs_received": int(received),
         "jobs_completed": int(flat.get(f"{prefix}.jobs.completed", 0)),
         "shed_rate": round(degraded / received, 4) if received else 0.0,
         "reject_rate": round(rejected / received, 4) if received else 0.0,
         **quantiles,
-        "summaries_learned": learned,
-        "summaries_hits": hits,
-        "summaries_invalidations": invalidations,
-        "summaries_records_elided": int(flat.get("dift.summaries.records_elided", 0)),
-        "summary_hit_rate": round(hits / attempts, 4) if attempts else 0.0,
     }
 
 

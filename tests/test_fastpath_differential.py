@@ -15,8 +15,10 @@ DIFT taint state.
   sliced with the indexed engine, with the class-level
   ``OnlineTracer.on_instruction`` (see :class:`ReferenceTracer`),
   sliced with the BFS slicer over ``build_ddg``.
-- DIFT runs pair all fast-path flags on (array kernel, summaries) with
-  all flags off (reference kernel).
+- DIFT runs pair the array kernel under function summaries with the
+  reference kernel without them, each named by explicit engine
+  arguments.  The three-way tests below run every (kernel, summaries)
+  combination on the inline engine and the real helper process.
 
 The fast path is allowed to be faster; it is never allowed to be
 different.
@@ -24,12 +26,9 @@ different.
 
 import pytest
 
-from repro import fastpath
 from repro.dift import BoolTaintPolicy, DIFTEngine, SinkRule
-from repro.fastpath import FastPathConfig
 from repro.lang import compile_source
 from repro.ontrac import OnlineTracer, OntracConfig, build_ddg
-from repro.tm import Resolution, TMConfig, TransactionalMonitor
 from repro.vm import Hook
 from repro.workloads import (
     GeneratorConfig,
@@ -42,16 +41,12 @@ from repro.workloads import (
     suite,
 )
 from repro.workloads.spec_like import Workload
-from repro.workloads.splash_like import tm_kernels
 
 from .vm_oracle import install_oracle
 
-ON = FastPathConfig.all_on()
-OFF = FastPathConfig.all_off()
-
 SPEC = suite()
-# Small call-heavy trio: under all-on flags the DIFT side runs through
-# the function-summary kernel (learn / hit / variant / fallback paths).
+# Small call-heavy trio: the fast DIFT side runs through the
+# function-summary kernel (learn / hit / variant / fallback paths).
 CALLS = [
     call_heavy(0, iterations=12, stmts=8, name="calls-p0"),
     call_heavy(10, iterations=12, stmts=8, name="calls-p10"),
@@ -164,10 +159,13 @@ def _traced_state(runner, tracer_cls, config=None):
     )
 
 
-def _dift_state(runner):
+def _dift_state(runner, kernel, summaries):
     m = runner.machine()
     engine = DIFTEngine(
-        BoolTaintPolicy(), sinks=[SinkRule(kind="out", action="record")]
+        BoolTaintPolicy(),
+        sinks=[SinkRule(kind="out", action="record")],
+        kernel=kernel,
+        summaries=summaries,
     ).attach(m)
     res = m.run(max_instructions=runner.max_instructions)
     shadow = engine.shadow
@@ -189,28 +187,23 @@ def assert_oracle_differential(make_runner):
         assert fast == _plain_state(make_runner(), oracle=True, log_events=log_events)
 
 
-def assert_differential(make_runner, state_fn):
-    """Run fresh runners under all-on and all-off flags; states must match."""
-    with fastpath.overridden(ON):
-        fast = state_fn(make_runner())
-    with fastpath.overridden(OFF):
-        slow = state_fn(make_runner())
-    assert fast == slow
+def assert_dift_differential(make_runner):
+    """The array kernel under function summaries against the reference
+    kernel without them, on fresh runners; states must match."""
+    fast = _dift_state(make_runner(), kernel="array", summaries=True)
+    assert fast == _dift_state(make_runner(), kernel="reference", summaries=False)
 
 
 def assert_traced_differential(make_runner, state_fn=_traced_state, **kwargs):
-    """Like :func:`assert_differential`, with ONTRAC's tracing stubs
-    on the flags-on side and :class:`ReferenceTracer` on the other."""
-    with fastpath.overridden(ON):
-        fast = state_fn(make_runner(), OnlineTracer, **kwargs)
-    with fastpath.overridden(OFF):
-        slow = state_fn(make_runner(), ReferenceTracer, **kwargs)
-    assert fast == slow
+    """ONTRAC's tracing stubs against :class:`ReferenceTracer` on fresh
+    runners; states must match."""
+    fast = state_fn(make_runner(), OnlineTracer, **kwargs)
+    assert fast == state_fn(make_runner(), ReferenceTracer, **kwargs)
 
 
 def test_reference_tracer_keeps_class_hook():
-    # Guards the comparison itself: the flags-on side must dispatch to
-    # the per-pc stubs and the reference side to the class method.
+    # Guards the comparison itself: the fast side must dispatch to the
+    # per-pc stubs and the reference side to the class method.
     runner = SPEC[0].runner()
     _, fast, _ = _run_traced(runner, OnlineTracer)
     assert "on_instruction" in vars(fast)
@@ -239,7 +232,7 @@ def test_spec_traced_naive(w):
 
 @pytest.mark.parametrize("w", SPEC, ids=_name)
 def test_spec_dift(w):
-    assert_differential(w.runner, _dift_state)
+    assert_dift_differential(w.runner)
 
 
 # --- call-heavy trio (function-summary coverage) ----------------------------
@@ -255,7 +248,7 @@ def test_calls_traced(w):
 
 @pytest.mark.parametrize("w", CALLS, ids=_name)
 def test_calls_dift(w):
-    assert_differential(w.runner, _dift_state)
+    assert_dift_differential(w.runner)
 
 
 # --- ONTRAC stubs under every specialised config and window size -----------
@@ -360,7 +353,7 @@ def test_lineage_traced(w):
 
 @pytest.mark.parametrize("w", LINEAGE, ids=_name)
 def test_lineage_dift(w):
-    assert_differential(w.runner, _dift_state)
+    assert_dift_differential(w.runner)
 
 
 # --- server scenario --------------------------------------------------------
@@ -378,7 +371,7 @@ def test_server_traced():
 
 
 def test_server_dift():
-    assert_differential(_server_runner, _dift_state)
+    assert_dift_differential(_server_runner)
 
 
 # --- generated programs -----------------------------------------------------
@@ -392,26 +385,6 @@ def test_generated_plain(seed):
 def test_generated_traced(seed):
     g = generate(seed, GeneratorConfig(use_inputs=True))
     assert_traced_differential(g.runner)
-
-
-# --- TM kernels -------------------------------------------------------------
-# ParallelWorkloads are thread-op models driven by the TM monitor, not
-# MiniC programs, so no fast-path code runs under them — included so the
-# flag genuinely covers every workload family in repro.workloads.
-@pytest.mark.parametrize("k", tm_kernels(), ids=_name)
-def test_tm_kernel(k):
-    def state():
-        res = TransactionalMonitor(
-            k, TMConfig(resolution=Resolution.SYNC_AWARE)
-        ).run()
-        return (res.completed, res.livelock, res.commits, res.aborts,
-                res.monitored_cycles)
-
-    with fastpath.overridden(ON):
-        fast = state()
-    with fastpath.overridden(OFF):
-        slow = state()
-    assert fast == slow
 
 
 # --- out-of-process parallel helper -----------------------------------------
@@ -454,13 +427,29 @@ def _record_sinks():
     return [SinkRule(kind="out", action="record")]
 
 
-def _three_way_states(make_runner):
+#: every (kernel, summaries) pair the inline engine and the real
+#: helper process can run; the simulated helper core always runs the
+#: reference kernel per event.
+ENGINE_CONFIGS = [
+    pytest.param(kernel, summaries, id=f"{kernel}-{'summaries' if summaries else 'plain'}")
+    for summaries in (False, True)
+    for kernel in ("array", "reference")
+]
+
+
+def _three_way_states(make_runner, kernel, summaries):
     states = []
     for make_tool in (
-        lambda m: DIFTEngine(BoolTaintPolicy(), sinks=_record_sinks()).attach(m),
+        lambda m: DIFTEngine(
+            BoolTaintPolicy(), sinks=_record_sinks(), kernel=kernel, summaries=summaries
+        ).attach(m),
         lambda m: HelperCoreDIFT(BoolTaintPolicy(), sinks=_record_sinks()).attach(m),
         lambda m: ParallelHelperDIFT(
-            BoolTaintPolicy(), sinks=_record_sinks(), batch_size=64
+            BoolTaintPolicy(),
+            sinks=_record_sinks(),
+            batch_size=64,
+            kernel=kernel,
+            summaries=summaries,
         ).attach(m),
     ):
         runner = make_runner()
@@ -473,15 +462,17 @@ def _three_way_states(make_runner):
     return states
 
 
+@pytest.mark.parametrize("kernel,summaries", ENGINE_CONFIGS)
 @pytest.mark.parametrize("w", SPEC, ids=_name)
-def test_spec_dift_three_way(w):
-    inline, simulated, parallel = _three_way_states(w.runner)
+def test_spec_dift_three_way(w, kernel, summaries):
+    inline, simulated, parallel = _three_way_states(w.runner, kernel, summaries)
     assert inline == simulated
     assert inline == parallel
 
 
-def test_server_dift_three_way():
-    inline, simulated, parallel = _three_way_states(_server_runner)
+@pytest.mark.parametrize("kernel,summaries", ENGINE_CONFIGS)
+def test_server_dift_three_way(kernel, summaries):
+    inline, simulated, parallel = _three_way_states(_server_runner, kernel, summaries)
     assert inline == simulated
     assert inline == parallel
 
@@ -490,8 +481,8 @@ def test_server_dift_three_way():
 # The tests above prove the record stream and the materialized DDG are
 # identical; these prove the *query layer* is too — every backward and
 # forward slice must produce the same (seqs, pcs, truncated) under the
-# packed store's indexed engine (flags on) as under the dict-walking
-# BFS slicer over build_ddg (ReferenceTracer, flags off).
+# packed store's indexed engine as under the dict-walking BFS slicer
+# over build_ddg (ReferenceTracer).
 from repro.slicing import (  # noqa: E402
     backward_slice,
     forward_slice,

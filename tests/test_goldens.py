@@ -7,14 +7,13 @@ nondeterministic — ``wall_time_s`` on reports, ``wall_ns`` in span
 args — so any other drift (cycle model, record accounting, metric
 names, span timestamps) fails the diff.
 
-Runs are pinned to ``FastPathConfig.all_on()`` so the fixtures never
-depend on the process-wide flag resolution (CI re-runs the suite with
-the reference kernel or summaries forced); by the bit-identity
-contract nothing in them is flag-dependent.  The VM's dispatch table
-is not a flag and publishes no counter of its own.  The packed-store
-counters (``ontrac.store.chunks``, ``ontrac.store.resident_bytes``)
-stay golden-stable because ``resident_bytes`` is the deterministic
-column-payload figure, not a ``getsizeof``/tracemalloc measurement.
+The DIFT fixture runs the engine's default kernel resolution; by the
+bit-identity contract nothing in it depends on which kernel that is.
+The VM's dispatch table publishes no counter of its own.  The
+packed-store counters (``ontrac.store.chunks``,
+``ontrac.store.resident_bytes``) stay golden-stable because
+``resident_bytes`` is the deterministic column-payload figure, not a
+``getsizeof``/tracemalloc measurement.
 
 Regenerate after an intentional change with::
 
@@ -27,9 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import fastpath
 from repro.dift import DIFTEngine, PCTaintPolicy, SinkRule
-from repro.fastpath import FastPathConfig
 from repro.lang import compile_source
 from repro.ontrac import OntracConfig
 from repro.telemetry import Telemetry, build_report
@@ -111,8 +108,7 @@ GOLDENS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_golden(name):
-    with fastpath.overridden(FastPathConfig.all_on()):
-        produced = dumps(GOLDENS[name]())
+    produced = dumps(GOLDENS[name]())
     path = GOLDEN_DIR / name
     if os.environ.get("REPRO_REGEN_GOLDENS"):
         GOLDEN_DIR.mkdir(exist_ok=True)

@@ -10,12 +10,11 @@ an adopted shadow.
 
 import ast
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro import fastpath
+from repro.apps.lineage.tracer import LineagePolicy
 from repro.dift import BoolTaintPolicy, DIFTEngine, PCTaintPolicy, ShadowState, SinkRule
 from repro.dift import kernel as kernel_module
 from repro.dift.kernel import (
@@ -26,6 +25,8 @@ from repro.dift.kernel import (
     SMALL_BATCH,
     RecordStreamCapture,
     build_kernel,
+    numpy_available,
+    select_kernel,
 )
 from repro.dift.summaries import SummaryKernel
 from repro.lang import compile_source
@@ -302,7 +303,7 @@ KERNELS = [
     pytest.param(
         "array",
         marks=pytest.mark.skipif(
-            not fastpath.numpy_available(), reason="requires numpy"
+            not numpy_available(), reason="requires numpy"
         ),
     ),
 ]
@@ -352,10 +353,63 @@ def test_wide_addresses_replay_from_capture(name, summaries):
     ) == truth[2:]
 
 
-def test_explicit_array_request_without_numpy_warns_once(monkeypatch):
-    monkeypatch.setattr(fastpath, "_numpy_available", False)
-    monkeypatch.setattr(fastpath, "_fallback_warned", False)
-    before = fastpath.kernel_fallbacks.get("numpy", 0)
+@pytest.fixture
+def fresh_resolution(monkeypatch):
+    """Isolate :func:`select_kernel`'s process state: a zeroed fallback
+    counter and an unspent warning.  Returns a setter that patches the
+    numpy probe's answer."""
+    monkeypatch.setattr(kernel_module, "kernel_fallbacks", {})
+    monkeypatch.setattr(kernel_module, "_fallback_warned", False)
+    return lambda ok: monkeypatch.setattr(kernel_module, "_numpy_available", ok)
+
+
+#: (numpy importable, policy family) -> what None/"array" resolve to.
+_RESOLVES = {
+    (True, "bool"): ("array", None),
+    (True, "pc"): ("array", None),
+    (True, "lineage"): ("reference", "policy"),
+    (False, "bool"): ("reference", "numpy"),
+    (False, "pc"): ("reference", "numpy"),
+    (False, "lineage"): ("reference", "numpy"),
+}
+_POLICIES = {
+    "bool": BoolTaintPolicy,
+    "pc": PCTaintPolicy,
+    "lineage": lambda: LineagePolicy(store=None),  # resolution reads the type only
+}
+
+
+@pytest.mark.parametrize("kernel", [None, "array", "reference"])
+@pytest.mark.parametrize("numpy_ok", [True, False], ids=["numpy", "no-numpy"])
+@pytest.mark.parametrize("policy", sorted(_POLICIES))
+def test_kernel_resolution_table(fresh_resolution, policy, numpy_ok, kernel):
+    fresh_resolution(numpy_ok)
+    if kernel == "reference":
+        expected = ("reference", None)  # always honoured, never counted
+    else:
+        expected = _RESOLVES[(numpy_ok, policy)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = select_kernel(kernel, _POLICIES[policy]())
+    assert got == expected
+    fallback = expected[1]
+    # Only an explicit "array" request that cannot be honoured warns.
+    assert len(caught) == (kernel == "array" and fallback is not None)
+    assert kernel_module.kernel_fallbacks == ({fallback: 1} if fallback else {})
+
+
+def test_unknown_kernel_name_raises():
+    with pytest.raises(ValueError, match="unknown propagation kernel 'fast'"):
+        select_kernel("fast", BoolTaintPolicy())
+
+
+def test_kernel_batch_must_be_positive():
+    with pytest.raises(ValueError, match="kernel batch size must be >= 1"):
+        DIFTEngine(BoolTaintPolicy(), kernel_batch=0)
+
+
+def test_explicit_array_request_without_numpy_warns_once(fresh_resolution):
+    fresh_resolution(False)
     with pytest.warns(RuntimeWarning, match="falling back to the reference kernel"):
         eng = DIFTEngine(BoolTaintPolicy(), kernel="array")
     assert eng.kernel_name == "reference"
@@ -365,27 +419,23 @@ def test_explicit_array_request_without_numpy_warns_once(monkeypatch):
         warnings.simplefilter("error")
         eng2 = DIFTEngine(BoolTaintPolicy(), kernel="array")
     assert eng2.kernel_fallback == "numpy"
-    assert fastpath.kernel_fallbacks["numpy"] == before + 2
+    assert kernel_module.kernel_fallbacks == {"numpy": 2}
 
 
-@pytest.mark.skipif(not fastpath.numpy_available(), reason="requires numpy")
-def test_policy_fallback_is_silent_when_implicit():
+def test_policy_fallback_is_silent_when_implicit(fresh_resolution):
     class WiderPolicy(BoolTaintPolicy):
         """Anything but the two exact scalar policies must demote."""
 
-    before = fastpath.kernel_fallbacks.get("policy", 0)
-    # Pin the config default to array (the environment may force
-    # reference, which would short-circuit before the policy gate).
-    config = replace(fastpath.current(), array_kernel=True)
-    with warnings.catch_warnings(), fastpath.overridden(config):
+    fresh_resolution(True)
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         eng = DIFTEngine(WiderPolicy())  # default kernel resolution
     assert eng.kernel_name == "reference"
     assert eng.kernel_fallback == "policy"
-    assert fastpath.kernel_fallbacks["policy"] == before + 1
+    assert kernel_module.kernel_fallbacks == {"policy": 1}
 
 
-@pytest.mark.skipif(not fastpath.numpy_available(), reason="requires numpy")
+@pytest.mark.skipif(not numpy_available(), reason="requires numpy")
 def test_adopted_array_shadow_matches_reference():
     _, _, cap = capture_stream(TAINT_SRC, inputs={0: list(range(16))})
     policy = BoolTaintPolicy()

@@ -5,8 +5,8 @@ import warnings
 
 import pytest
 
-from repro import fastpath
 from repro.dift import BoolTaintPolicy, DIFTEngine, PCTaintPolicy
+from repro.dift import kernel as kernel_module
 from repro.lang import compile_source
 from repro.multicore import (
     ChannelModel,
@@ -161,14 +161,12 @@ class TestHelperCoreDIFT:
         assert report.main_cycles == res.cycles.total
 
     def test_runs_the_reference_kernel_without_a_fallback(self, monkeypatch):
-        # The helper propagates per event on the reference kernel, so a
-        # process-wide array request on a host without numpy must not
-        # warn, count a fallback or publish one.
-        monkeypatch.setenv("REPRO_FASTPATH_KERNEL", "array")
-        monkeypatch.setattr(fastpath, "_current", None)
-        monkeypatch.setattr(fastpath, "numpy_available", lambda: False)
-        monkeypatch.setattr(fastpath, "_fallback_warned", False)
-        monkeypatch.setattr(fastpath, "kernel_fallbacks", {})
+        # The helper propagates per event on the reference kernel, so on
+        # a host without numpy it must not warn, count a fallback or
+        # publish one.
+        monkeypatch.setattr(kernel_module, "_numpy_available", False)
+        monkeypatch.setattr(kernel_module, "_fallback_warned", False)
+        monkeypatch.setattr(kernel_module, "kernel_fallbacks", {})
         registry = MetricsRegistry()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -177,7 +175,7 @@ class TestHelperCoreDIFT:
             )
             helper.publish_telemetry(registry)
         assert res.status is RunStatus.EXITED
-        assert fastpath.kernel_fallbacks == {}
+        assert kernel_module.kernel_fallbacks == {}
         assert "dift.kernel.fallback" not in registry.flat()
         assert registry.flat()["dift.propagations"] > 0
 

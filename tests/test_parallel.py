@@ -6,12 +6,12 @@ telemetry surface."""
 
 import pytest
 
-from repro import fastpath
 from repro.dift import BoolTaintPolicy, DIFTEngine, PCTaintPolicy, SinkRule
-from repro.fastpath import DEFAULT_PARALLEL_BATCH, FastPathConfig, parallel_batch_size
+from repro.dift.kernel import numpy_available
 from repro.harness.experiments import run_all
 from repro.lang import compile_source
 from repro.multicore import ParallelHelperDIFT
+from repro.multicore.parallel import DEFAULT_PARALLEL_BATCH, parallel_batch_size
 from repro.telemetry import MetricsRegistry
 from repro.vm import Machine, RunStatus
 from repro.workloads import race_kernels
@@ -180,7 +180,7 @@ class TestWideAddresses:
     @pytest.mark.parametrize("summaries", [False, True], ids=["plain", "summaries"])
     @pytest.mark.parametrize("kernel", ["reference", "array"])
     def test_addresses_beyond_i64_match_inline(self, kernel, summaries):
-        if kernel == "array" and not fastpath.numpy_available():
+        if kernel == "array" and not numpy_available():
             pytest.skip("requires numpy")
 
         def factory():
@@ -221,11 +221,6 @@ class TestBatchSizeFlag:
 
     def test_default_is_batched(self):
         assert parallel_batch_size() == DEFAULT_PARALLEL_BATCH == 256
-
-    def test_default_ignores_fastpath_config(self):
-        for config in (FastPathConfig.all_off(), FastPathConfig.all_on()):
-            with fastpath.overridden(config):
-                assert parallel_batch_size() == DEFAULT_PARALLEL_BATCH
 
     def test_helper_resolves_batch(self):
         assert ParallelHelperDIFT(BoolTaintPolicy()).batch_size == DEFAULT_PARALLEL_BATCH

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.apps.lineage import BDDManager
 from repro.dift import BoolTaintPolicy, DIFTEngine, ShadowState, SinkRule
+from repro.dift.kernel import numpy_available
 from repro.lang import compile_source
 from repro.ontrac import (
     DepKind,
@@ -421,19 +421,21 @@ class TestFastPathDifferentialFuzz:
 
 class TestKernelDifferentialFuzz:
     """200 seeded generated programs with DIFT attached: the array
-    propagation kernel against the per-event reference, observable for
-    observable (alerts, stats, shadow taint sets, peak, cycles)."""
+    propagation kernel against the reference kernel, observable for
+    observable (alerts, stats, shadow taint sets, peak, cycles), with
+    function summaries off and on for both sides."""
 
     N_SEEDS = 200
 
     @staticmethod
-    def _dift_state(kernel, g):
+    def _dift_state(kernel, summaries, g):
         runner = g.runner()
         m = runner.machine()
         eng = DIFTEngine(
             BoolTaintPolicy(),
             sinks=[SinkRule(kind="out", action="record")],
             kernel=kernel,
+            summaries=summaries,
         ).attach(m)
         res = m.run(max_instructions=runner.max_instructions)
         return (
@@ -447,12 +449,14 @@ class TestKernelDifferentialFuzz:
             res.cycles.overhead,
         )
 
-    @pytest.mark.skipif(not fastpath.numpy_available(), reason="requires numpy")
-    def test_generated_programs_propagate_identically(self):
+    @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
+    @pytest.mark.parametrize("summaries", [False, True], ids=["plain", "summaries"])
+    def test_generated_programs_propagate_identically(self, summaries):
         mismatched = []
         for seed in range(self.N_SEEDS):
             g = generate(seed, GeneratorConfig(use_inputs=seed % 2 == 0))
-            if self._dift_state("array", g) != self._dift_state("reference", g):
+            array = self._dift_state("array", summaries, g)
+            if array != self._dift_state("reference", summaries, g):
                 mismatched.append(seed)
         assert mismatched == []
 
@@ -561,7 +565,7 @@ class TestShadowBackendProperties:
         assert shadow.shadow_bytes == len(model.mem) * shadow.policy.label_bytes
         assert shadow.peak_locations == model.peak
 
-    @pytest.mark.skipif(not fastpath.numpy_available(), reason="requires numpy")
+    @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
     @given(
         cells=st.lists(st.tuples(wide_cells, labels), max_size=40),
         regs=st.lists(st.tuples(st.integers(min_value=0, max_value=7), labels), max_size=8),

@@ -29,8 +29,10 @@ from repro.service import (
     resolve_spec,
     wait_until_ready,
 )
+from repro.lake import TraceLake, slice_stored
 from repro.ontrac import OntracConfig
 from repro.runner import ProgramRunner
+from repro.slicing import backward_slice
 from repro.service.jobs import WORKLOAD_FACTORIES
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
@@ -300,6 +302,35 @@ class TestJobs:
         _, tracer, _ = runner.run_traced(OntracConfig(buffer_bytes=1 << 22))
         newest = max(seq for seq, _ in tracer.dependence_graph().node_items())
         assert result["slice"]["criterion_seq"] == newest
+
+    def test_trace_job_spills_to_the_lake_when_asked(self, tmp_path):
+        root = str(tmp_path / "lake")
+        result = execute_job(
+            {"kind": "trace", "workload": "sort", "scale": 1, "fidelity": "full",
+             "params": {"lake": True, "lake_root": root}}
+        )
+        lake = TraceLake(root)
+        runs = lake.runs()
+        assert [r.run_id for r in runs] == [result["lake_run"]]
+        assert runs[0].complete
+        spec = WORKLOAD_FACTORIES["sort"](1)
+        runner = ProgramRunner(spec.compiled.program, inputs=spec.inputs)
+        _, tracer, _ = runner.run_traced(OntracConfig(buffer_bytes=1 << 22))
+        live = tracer.dependence_graph()
+        crit = max(seq for seq, _ in live.node_items())
+        with lake.open(result["lake_run"]) as stored:
+            assert stored.rows == len(tracer.buffer)
+            a = slice_stored(stored, crit)
+        b = backward_slice(live, crit)
+        assert (a.seqs, a.pcs, a.truncated) == (b.seqs, b.pcs, b.truncated)
+
+    def test_trace_job_without_lake_param_leaves_the_root_empty(self, tmp_path):
+        result = execute_job(
+            {"kind": "trace", "workload": "sort", "scale": 1, "fidelity": "full",
+             "params": {"lake_root": str(tmp_path)}}
+        )
+        assert "lake_run" not in result
+        assert list(tmp_path.iterdir()) == []
 
     def test_execute_lineage_reports_outputs(self):
         result = execute_job(

@@ -54,7 +54,7 @@ fn main() {
 """
 
 
-def run_engine(src, inputs=None, sinks=None, summaries=None, cache=None,
+def run_engine(src, inputs=None, sinks=None, summaries=False, cache=None,
                kernel=None):
     cp = compile_source(src)
     m = Machine(cp.program)
@@ -157,12 +157,19 @@ class TestCache:
 # ---------------------------------------------------------------------------
 # Engine-level replay: identity, hits, overflow, variants
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("kernel", ["array", "reference"])
+@pytest.mark.parametrize(
+    "base_summaries", [False, True], ids=["base-plain", "base-summaries"]
+)
 class TestEngineReplay:
-    @pytest.mark.parametrize("kernel", ["reference", "array"])
-    def test_call_regions_hit_and_stay_identical(self, kernel):
+    """Warm-cache summary runs against a base run of the same kernel,
+    whose own summaries are off or on (a cold private cache)."""
+
+    def test_call_regions_hit_and_stay_identical(self, kernel, base_summaries):
         inputs = {0: [41]}
         _, res_b, base = run_engine(
-            CALLS_SRC, inputs=inputs, sinks=RECORD_SINKS, kernel=kernel
+            CALLS_SRC, inputs=inputs, sinks=RECORD_SINKS, kernel=kernel,
+            summaries=base_summaries,
         )
         cache = SummaryCache(
             cache_signature(BoolTaintPolicy(), None, RECORD_SINKS, False)
@@ -178,7 +185,7 @@ class TestEngineReplay:
         assert cache.records_elided > 0
         assert not cache.blacklist
 
-    def test_i64_overflow_sink_values_survive_replay(self):
+    def test_i64_overflow_sink_values_survive_replay(self, kernel, base_summaries):
         src = """
         fn boom(x) {
             var big = 1;
@@ -195,12 +202,16 @@ class TestEngineReplay:
         }
         """
         inputs = {0: [3]}
-        _, _, base = run_engine(src, inputs=inputs, sinks=RECORD_SINKS)
+        _, _, base = run_engine(
+            src, inputs=inputs, sinks=RECORD_SINKS, kernel=kernel,
+            summaries=base_summaries,
+        )
         cache = SummaryCache(
             cache_signature(BoolTaintPolicy(), None, RECORD_SINKS, False)
         )
         _, _, summ = run_engine(
-            src, inputs=inputs, sinks=RECORD_SINKS, summaries=True, cache=cache
+            src, inputs=inputs, sinks=RECORD_SINKS, summaries=True, cache=cache,
+            kernel=kernel,
         )
         # 2**70 + 3 overflows the wire format's i64 payload; the replayed
         # alerts must carry the true value, not the clamped one.
@@ -208,7 +219,7 @@ class TestEngineReplay:
         assert_same_observables(base, summ)
         assert cache.hits >= 1
 
-    def test_aliased_writes_never_misapply(self):
+    def test_aliased_writes_never_misapply(self, kernel, base_summaries):
         # poke() stores through a different address every call: the
         # learned store set is wrong for every later call, so the byte
         # guard must reject each one (addresses live in the records).
@@ -230,17 +241,21 @@ class TestEngineReplay:
         }
         """
         inputs = {0: [9]}
-        _, _, base = run_engine(src, inputs=inputs, sinks=RECORD_SINKS)
+        _, _, base = run_engine(
+            src, inputs=inputs, sinks=RECORD_SINKS, kernel=kernel,
+            summaries=base_summaries,
+        )
         cache = SummaryCache(
             cache_signature(BoolTaintPolicy(), None, RECORD_SINKS, False)
         )
         _, _, summ = run_engine(
-            src, inputs=inputs, sinks=RECORD_SINKS, summaries=True, cache=cache
+            src, inputs=inputs, sinks=RECORD_SINKS, summaries=True, cache=cache,
+            kernel=kernel,
         )
         assert_same_observables(base, summ)
         assert cache.invalidations > 0
 
-    def test_divergent_control_flow_blacklists_site(self):
+    def test_divergent_control_flow_blacklists_site(self, kernel, base_summaries):
         # varloop(i) runs a different trip count every call: every
         # re-match diverges, and after relearn_limit failures the site
         # must give up rather than keep buffering.
@@ -260,18 +275,22 @@ class TestEngineReplay:
         }
         """
         inputs = {0: [5]}
-        _, _, base = run_engine(src, inputs=inputs, sinks=RECORD_SINKS)
+        _, _, base = run_engine(
+            src, inputs=inputs, sinks=RECORD_SINKS, kernel=kernel,
+            summaries=base_summaries,
+        )
         cache = SummaryCache(
             cache_signature(BoolTaintPolicy(), None, RECORD_SINKS, False)
         )
         _, _, summ = run_engine(
-            src, inputs=inputs, sinks=RECORD_SINKS, summaries=True, cache=cache
+            src, inputs=inputs, sinks=RECORD_SINKS, summaries=True, cache=cache,
+            kernel=kernel,
         )
         assert_same_observables(base, summ)
         assert cache.invalidations >= cache.relearn_limit
         assert cache.blacklist
 
-    def test_raising_region_replays_raise_on_warm_cache(self):
+    def test_raising_region_replays_raise_on_warm_cache(self, kernel, base_summaries):
         # The icall hijack fires inside a helper region.  Run 1 learns
         # the truncated raising region; run 2 replays it and must fail
         # at the same pc/seq with the same alert.
@@ -293,17 +312,22 @@ class TestEngineReplay:
         }
         """
         inputs = {0: [5, 0, 0, 0, 0, 1]}
-        _, res_b, base = run_engine(src, inputs=inputs, sinks=ICALL_SINKS)
+        _, res_b, base = run_engine(
+            src, inputs=inputs, sinks=ICALL_SINKS, kernel=kernel,
+            summaries=base_summaries,
+        )
         assert res_b.status is RunStatus.FAILED
         cache = SummaryCache(
             cache_signature(BoolTaintPolicy(), None, ICALL_SINKS, False)
         )
         _, res_1, summ_1 = run_engine(
-            src, inputs=inputs, sinks=ICALL_SINKS, summaries=True, cache=cache
+            src, inputs=inputs, sinks=ICALL_SINKS, summaries=True, cache=cache,
+            kernel=kernel,
         )
         learned_before = cache.learned
         _, res_2, summ_2 = run_engine(
-            src, inputs=inputs, sinks=ICALL_SINKS, summaries=True, cache=cache
+            src, inputs=inputs, sinks=ICALL_SINKS, summaries=True, cache=cache,
+            kernel=kernel,
         )
         for res, summ in ((res_1, summ_1), (res_2, summ_2)):
             assert res.status is RunStatus.FAILED

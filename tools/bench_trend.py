@@ -11,8 +11,11 @@ per-commit trend file so regressions are visible across the PR sequence:
                   "experiments": {"service": {...headline...}, ...}}]}
 
 Re-running on the same commit replaces that commit's entry (benchmarks
-are rerun, not appended), so the file stays one-entry-per-commit and the
-latest numbers win.
+are rerun, not appended), so the latest numbers win.  Numbers measured
+on a tree whose tracked files (other than the ``BENCH_*.json`` outputs
+themselves) differ from HEAD are not HEAD's numbers: such an entry is
+keyed by HEAD but marked ``"dirty": true``.  A dirty entry only ever
+replaces HEAD's dirty entry, never its clean one, and sorts after it.
 
 Usage: python tools/bench_trend.py [--root DIR] [--out FILE]
 """
@@ -20,6 +23,7 @@ Usage: python tools/bench_trend.py [--root DIR] [--out FILE]
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import subprocess
 import sys
@@ -33,6 +37,20 @@ def _git(root: Path, *args: str) -> str:
         ["git", *args], cwd=root, capture_output=True, text=True, check=True
     )
     return out.stdout.strip()
+
+
+def tree_is_dirty(root: Path) -> bool:
+    """Whether any tracked file other than a ``BENCH_*.json`` output
+    differs from HEAD (staged or not)."""
+    changed = _git(root, "diff", "--name-only", "HEAD").splitlines()
+    return any(not fnmatch.fnmatch(name, "BENCH_*.json") for name in changed)
+
+
+def _describe(entry: dict) -> str:
+    commit = str(entry.get("commit", "?"))[:12]
+    if entry.get("dirty"):
+        return f"{commit} + uncommitted changes (dirty)"
+    return commit
 
 
 def collect_bench(root: Path) -> dict[str, dict]:
@@ -64,9 +82,12 @@ def headline_deltas(prev_entry: dict | None, latest_entry: dict) -> list[str]:
     Every lookup is ``.get``-tolerant: experiments appear and disappear
     across the PR sequence (a new BENCH_*.json mid-history must not
     KeyError against entries that predate it), and headline keys are
-    free to evolve.  New experiments/keys report as ``new``.
+    free to evolve.  New experiments/keys report as ``new``.  The first
+    line names both entries, marking a dirty one.
     """
-    lines: list[str] = []
+    lines = [
+        f"{_describe(prev_entry) if prev_entry else '(none)'} -> {_describe(latest_entry)}"
+    ]
     prev_exps = (prev_entry or {}).get("experiments") or {}
     for name, entry in sorted((latest_entry.get("experiments") or {}).items()):
         headline = entry.get("headline") or {}
@@ -89,6 +110,7 @@ def update_trend(root: Path, out: Path) -> dict:
         raise SystemExit("bench_trend: no BENCH_*.json files found")
     commit = _git(root, "rev-parse", "HEAD")
     commit_date = _git(root, "show", "-s", "--format=%cI", "HEAD")
+    dirty = tree_is_dirty(root)
 
     trend = {"schema": TREND_SCHEMA, "entries": []}
     if out.exists():
@@ -96,15 +118,18 @@ def update_trend(root: Path, out: Path) -> dict:
             prev = json.loads(out.read_text())
             if prev.get("schema") == TREND_SCHEMA:
                 trend["entries"] = [
-                    e for e in prev.get("entries", []) if e.get("commit") != commit
+                    e
+                    for e in prev.get("entries", [])
+                    if e.get("commit") != commit or bool(e.get("dirty")) != dirty
                 ]
         except (OSError, ValueError) as exc:
             print(f"bench_trend: resetting corrupt {out.name}: {exc}", file=sys.stderr)
 
-    trend["entries"].append(
-        {"commit": commit, "commit_date": commit_date, "experiments": experiments}
-    )
-    trend["entries"].sort(key=lambda e: e.get("commit_date", ""))
+    entry = {"commit": commit, "commit_date": commit_date, "experiments": experiments}
+    if dirty:
+        entry["dirty"] = True
+    trend["entries"].append(entry)
+    trend["entries"].sort(key=lambda e: (e.get("commit_date", ""), bool(e.get("dirty"))))
     out.write_text(json.dumps(trend, indent=1, sort_keys=True) + "\n")
     return trend
 
@@ -122,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"bench_trend: {out} now has {len(trend['entries'])} entr"
         f"{'y' if len(trend['entries']) == 1 else 'ies'}; "
-        f"latest {latest['commit'][:12]} covers: {names}"
+        f"latest {_describe(latest)} covers: {names}"
     )
     prev = trend["entries"][-2] if len(trend["entries"]) > 1 else None
     for line in headline_deltas(prev, latest):

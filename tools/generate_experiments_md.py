@@ -218,8 +218,9 @@ COMMENTARY = {
         "per-workload rows vary with taint density. The identity column "
         "is the contract: alerts, stats, shadow taint sets and the "
         "peak-location high-water mark must be bit-identical per "
-        "workload, and `REPRO_FASTPATH_KERNEL=reference` in CI re-runs "
-        "every equivalence suite on the pure-python side of the seam."
+        "workload, and the differential tests name both kernels as "
+        "explicit engine arguments, so every tier-1 run proves both "
+        "sides of the seam."
     ),
     "summaries": (
         "Call-granular elision on top of the batch kernel: the first "
@@ -280,10 +281,10 @@ unified metrics registry (`repro.telemetry`), the same snapshot
 **Wall-clock vs modeled cycles.** Every number in E1–E12 is in *modeled
 cycles* from the deterministic cost model — the currency in which the
 paper's slowdowns and ratios are reproduced. Host wall-clock time is
-*not* part of those claims: the fast execution path (`repro.fastpath`,
-on by default) makes the simulator itself faster without moving a
-single modeled number, and the differential suite holds each fast
-implementation to its reference (bit-identical cycle counts, record
+*not* part of those claims: the fast execution path (the array
+propagation kernel, the default whenever numpy imports) makes the
+simulator itself faster without moving a single modeled number, and
+the differential suite holds each fast implementation to its reference (bit-identical cycle counts, record
 streams and taint sets). Each section's **Wall-clock** line reports how long the
 host took to run that experiment (also serialized as `wall_time_s` in
 `--report` output) so the modeled and host costs sit side by side.

@@ -10,13 +10,20 @@ Each reported result is also persisted as ``BENCH_<experiment>.json``
 (headline + telemetry metrics), so runs leave a machine-readable record
 next to the human-readable table.  Set ``REPRO_BENCH_REPORT_DIR`` to
 redirect the files (default: current working directory).
+
+The repository root is put on ``sys.path`` so a benchmark can import
+its test-side oracle (``bench_slicing`` uses ``tests/ddg_oracle.py``)
+however pytest was started.
 """
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 
 def write_bench_json(result):

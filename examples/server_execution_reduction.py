@@ -57,7 +57,7 @@ def main():
     # Debug: slice the failed assertion back to the malformed request.
     ddg = outcome.tracer.dependence_graph()
     failure = outcome.replay.result.failure
-    criterion = max(s for s in ddg.nodes if s <= failure.seq)
+    criterion = max(s for s, _ in ddg.node_items() if s <= failure.seq)
     sl = multithreaded_backward_slice(ddg, criterion)
     compiled = scenario.compiled
     slice_lines = sorted(sl.statement_lines(compiled))

@@ -134,16 +134,16 @@ class FilterInputStrategy:
         ddg = tracer.dependence_graph()
         # The failure's seq may not be a node (failing instruction was not
         # completed); slice from the latest node at or before it.
-        candidates = [s for s in ddg.nodes if s <= result.failure.seq]
-        if not candidates:
+        criterion = max(
+            (s for s, _ in ddg.node_items() if s <= result.failure.seq), default=None
+        )
+        if criterion is None:
             return []
-        criterion = max(candidates)
         sl = backward_slice(ddg, criterion)
         positions = []
         code = runner.program.code
         for seq in sl.seqs:
-            node = ddg.nodes[seq]
-            if code[node.pc].opcode is Opcode.IN:
+            if code[ddg.pc_of(seq)].opcode is Opcode.IN:
                 for s, chan, value, index in machine.io.read_log:
                     if s == seq and chan == self.channel and index >= 0:
                         positions.append(index)

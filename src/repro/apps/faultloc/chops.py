@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ...isa.instructions import Opcode
 from ...lang.codegen import CompiledProgram
-from ...ontrac.ddg import DynamicDependenceGraph
+from ...ontrac.packed import PackedDDG
 from ...slicing.slicer import chop
 
 
@@ -32,7 +32,7 @@ class ChopReport:
 
 
 def failure_inducing_chop(
-    ddg: DynamicDependenceGraph,
+    ddg: PackedDDG,
     compiled: CompiledProgram,
     input_seq: int,
     failure_seq: int,
@@ -49,17 +49,17 @@ def failure_inducing_chop(
     )
 
 
-def input_instances(ddg: DynamicDependenceGraph, program) -> list[int]:
+def input_instances(ddg: PackedDDG, program) -> list[int]:
     """All dynamic IN instances in the window (candidate chop sources)."""
     return sorted(
         seq
-        for seq, node in ddg.nodes.items()
-        if program.code[node.pc].opcode is Opcode.IN
+        for seq, pc in ddg.node_items()
+        if program.code[pc].opcode is Opcode.IN
     )
 
 
 def best_chop(
-    ddg: DynamicDependenceGraph,
+    ddg: PackedDDG,
     compiled: CompiledProgram,
     failure_seq: int,
 ) -> ChopReport | None:

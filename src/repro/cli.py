@@ -35,7 +35,7 @@ from pathlib import Path
 from .dift.engine import DIFTEngine, SinkRule
 from .dift.policy import BoolTaintPolicy, PCTaintPolicy
 from .lang import CompileError, compile_source
-from .ontrac import OnlineTracer, OntracConfig, PackedDDG
+from .ontrac import OnlineTracer, OntracConfig
 from .runner import ProgramRunner
 from .slicing import backward_slice
 from .telemetry import NULL_TELEMETRY, Telemetry, build_report
@@ -176,10 +176,9 @@ def cmd_slice(args) -> int:
         print(f"error: line {args.line} never executed in the window", file=sys.stderr)
         return 2
     sl = backward_slice(ddg, criterion)
-    if isinstance(ddg, PackedDDG):
-        # Surface the indexed engine's query counters (slicing.queries,
-        # memo hits, rows scanned) in --report.
-        ddg.publish_telemetry(telemetry.registry)
+    # Surface the indexed engine's query counters (slicing.queries, memo
+    # hits, rows scanned) in --report.
+    ddg.publish_telemetry(telemetry.registry)
     lines = sorted(sl.statement_lines(compiled))
     print(f"criterion: line {args.line} (dynamic instance seq {criterion})")
     print(f"slice: {len(sl.seqs)} dynamic instances, {len(lines)} source lines"
@@ -629,9 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiments", help="run paper experiments")
     p_exp.add_argument("ids", nargs="*",
-                       help="experiment ids (E1..E12, kernel, slicing, "
-                            "summaries, lake, parallel, service, router); "
-                            "default E1..E12")
+                       help="experiment ids (E1..E12, kernel, summaries, "
+                            "lake, parallel, service, router); default "
+                            "E1..E12")
     p_exp.add_argument("--report", metavar="PATH",
                        help="write per-experiment results + metrics (JSON) to PATH")
     p_exp.add_argument("--workers", type=int, default=None,

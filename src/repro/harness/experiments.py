@@ -21,7 +21,7 @@ from ..apps.security import AttackMonitor, attack_corpus
 from ..dift.engine import DIFTEngine
 from ..dift.policy import BoolTaintPolicy
 from ..multicore import HelperCoreDIFT, hardware_interconnect, shared_memory_channel
-from ..ontrac import OfflineTracer, OnlineTracer, OntracConfig, build_ddg
+from ..ontrac import OfflineTracer, OnlineTracer, OntracConfig
 from ..races import RaceDetector, SyncAwareRaceDetector, SyncHistory, SyncRecognizer
 from ..reduction import CheckpointingLogger, ExecutionReducer
 from ..runner import ProgramRunner
@@ -918,137 +918,6 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Packed store + indexed slicing — query wall clock and real residency
-# ---------------------------------------------------------------------------
-def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
-    """Backward-slicing wall clock and measured trace-store residency of
-    the packed columnar store + indexed engine, against ``build_ddg``
-    plus the BFS slicer over the same records.
-
-    Every suite workload is traced once; both sides answer the same
-    deterministic criterion batch — a spread of dynamic instances, each
-    queried twice, the fault-localization access pattern the closure
-    memo exists for.  Every slice's (seqs, pcs, truncated) triple is
-    asserted equal between the sides, so the speedup column can never
-    hide a semantic difference.  The timed region is graph construction
-    plus the query batch: that is what `slice`/fault-localization
-    callers actually pay, and it is where the dict graph loses (one
-    DDGNode + edge-list entry per record before the first query).
-
-    Residency is measured, not modeled: tracemalloc's traced delta from
-    freeing the column chunks after a run — the implementation-metric
-    counterpart to the paper's modeled ``bytes_per_instruction`` (see
-    EXPERIMENTS.md).
-    """
-    import gc
-    import time
-    import tracemalloc
-
-    result = ExperimentResult(
-        experiment="slicing",
-        claim=(
-            "packed columnar store: >=3x backward slicing over build_ddg + "
-            "BFS on the same records, slices bit-identical"
-        ),
-        headers=["workload", "dict BFS s", "packed s", "speedup", "identical"],
-    )
-    workloads = suite(scale)
-    n_criteria = 24
-
-    def criteria_of(ddg):
-        seqs = sorted(s for s, _ in ddg.node_items())
-        if len(seqs) > n_criteria:
-            step = len(seqs) // n_criteria
-            picked = seqs[::step][:n_criteria]
-        else:
-            picked = list(seqs)
-        return picked + picked  # repeated criteria exercise the memo
-
-    def slice_pass(make_graph, crits):
-        """One timed graph-construction + query batch; returns the
-        elapsed time, the comparable slice states, and the graph."""
-        t0 = time.perf_counter()
-        ddg = make_graph()
-        slices = [backward_slice(ddg, c) for c in crits]
-        elapsed = time.perf_counter() - t0
-        states = [
-            (c, tuple(sorted(s.seqs)), tuple(sorted(s.pcs)), s.truncated)
-            for c, s in zip(crits, slices)
-        ]
-        return elapsed, states, ddg
-
-    def resident_store_bytes(w):
-        """tracemalloc delta from freeing the trace store post-run."""
-        gc.collect()
-        tracemalloc.start()
-        _, tracer, _ = w.runner().run_traced(OntracConfig())
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        tracer.buffer.release()
-        gc.collect()
-        after = tracemalloc.get_traced_memory()[0]
-        tracemalloc.stop()
-        return max(before - after, 1), max(tracer.stats.instructions, 1)
-
-    registry = MetricsRegistry()
-    dict_total = packed_total = 0.0
-    packed_resident = 0
-    instructions_total = 0
-    modeled_bytes = 0
-    all_identical = True
-    for w in workloads:
-        _, tracer, _ = w.runner().run_traced(OntracConfig())
-        buf = tracer.buffer
-
-        def dict_graph():
-            return build_ddg(buf, complete=buf.stats.evicted == 0)
-
-        # The criterion batch is picked outside the timed region (it is
-        # workload state, not slicing work).
-        crits = criteria_of(tracer.dependence_graph())
-        best_dict = best_packed = float("inf")
-        dict_states = packed_states = None
-        packed_ddg = None
-        for _ in range(repeats):
-            elapsed, states, _ = slice_pass(dict_graph, crits)
-            if elapsed < best_dict:
-                best_dict, dict_states = elapsed, states
-            elapsed, states, ddg = slice_pass(tracer.dependence_graph, crits)
-            if elapsed < best_packed:
-                best_packed, packed_states = elapsed, states
-                packed_ddg = ddg
-        identical = dict_states == packed_states
-        all_identical = all_identical and identical
-        dict_total += best_dict
-        packed_total += best_packed
-        result.rows.append(
-            [w.name, best_dict, best_packed, best_dict / best_packed, identical]
-        )
-        packed_ddg.publish_telemetry(registry)
-        tracer.publish_telemetry(registry)
-        modeled_bytes += tracer.stats.stored_bytes
-        resident, instrs = resident_store_bytes(w)
-        packed_resident += resident
-        instructions_total += instrs
-    result.rows.append(
-        ["suite pass", dict_total, packed_total, dict_total / packed_total, ""]
-    )
-    if not all_identical:
-        result.notes = "SLICE MISMATCH — indexed engine diverged from the BFS slicer"
-    result.headline = {
-        "slice_speedup": dict_total / packed_total,
-        "target_speedup": 3.0,
-        "identical": float(all_identical),
-        # paper metric (modeled wire bytes) vs implementation metric
-        # (measured resident store bytes) at the same window.
-        "modeled_bytes_per_instr": modeled_bytes / instructions_total,
-        "measured_packed_bytes_per_instr": packed_resident / instructions_total,
-    }
-    result.metrics = registry.flat()
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Trace lake — stored-run query fidelity and cross-run diff localization
 # ---------------------------------------------------------------------------
 def run_lake(scale: int = 1) -> ExperimentResult:
@@ -1832,7 +1701,6 @@ ALL_EXPERIMENTS = {
 #: id through the CLI and run_experiment, excluded from the default sweep).
 EXTRA_EXPERIMENTS = {
     "kernel": run_kernel,
-    "slicing": run_slicing,
     "summaries": run_summaries,
     "lake": run_lake,
     "parallel": run_parallel,

@@ -18,10 +18,10 @@ while the tracer runs, plus a JSON **footer index** written at close:
   out-of-column values the in-memory store keeps in a per-chunk dict).
 * *Footer*: JSON index with per-chunk seq/pc ranges, the live window at
   close (which sections survive, per-chunk eviction head), and the full
-  :class:`~repro.ontrac.packed.BufferStats`/``monotone``/``last_cseq``
-  buffer state — restoring it makes the adopted buffer's ``epoch``,
-  ``complete`` and index caches *bit-identical* to the live one, so
-  stored-run slices equal in-memory slices by construction.
+  :class:`~repro.ontrac.packed.BufferStats`/``last_cseq`` buffer state
+  — restoring it makes the adopted buffer's ``epoch``, ``complete`` and
+  index caches *bit-identical* to the live one, so stored-run slices
+  equal in-memory slices by construction.
 * *Trailer* (24 B): footer offset + length + CRC32 + end magic.
 
 Reading never copies column data: :func:`open_spill` mmaps the file and
@@ -120,7 +120,9 @@ def buffer_state(buf: PackedTraceBuffer) -> dict:
     return {
         "capacity_bytes": buf.capacity_bytes,
         "current_bytes": buf.current_bytes,
-        "monotone": buf.monotone,
+        # Always true: the store holds rows only in consumer-seq order.
+        # Still written so readers that check the key keep working.
+        "monotone": True,
         "last_cseq": buf._last_cseq,
         "rows": buf._rows,
         "stats": {name: getattr(stats, name) for name in _STATS_FIELDS},
@@ -473,20 +475,22 @@ class StoredRun:
         # is in the prefix (producers precede consumers in append order).
         rows = 0
         appended_bytes = 0
-        monotone = True
         last = _LAST_CSEQ_FLOOR
-        for c in chunks:
+        for c, entry in zip(chunks, index):
             rows += c.n
             for code, count in Counter(bytes(c.kind)).items():
                 appended_bytes += KIND_MBYTES[code] * count
             offs = list(c.cseq_off)
             if offs != sorted(offs) or c.cseq_base + offs[0] < last:
-                monotone = False
-            last = max(last, c.cseq_base + max(offs, default=0))
+                raise LakeFormatError(
+                    f"{self.path}: chunk at offset {entry['off']} holds"
+                    " consumer seqs out of order"
+                )
+            last = c.cseq_base + offs[-1]
         self.state = {
             "capacity_bytes": max(appended_bytes, 1),
             "current_bytes": appended_bytes,
-            "monotone": monotone,
+            "monotone": True,
             "last_cseq": last,
             "rows": rows,
             "stats": {
@@ -547,8 +551,10 @@ def _check_state(state: dict) -> None:
     _footer_int(state, "last_cseq", "buffer")
     _footer_int(state, "rows", "buffer", 0)
     monotone = state.get("monotone")
-    if type(monotone) is not bool:
-        raise LakeFormatError(f"footer buffer.monotone is invalid: {monotone!r}")
+    if monotone is not True:
+        # The store holds rows only in consumer-seq order; a run whose
+        # footer says otherwise cannot be queried.
+        raise LakeFormatError(f"footer buffer 'monotone' must be true: {monotone!r}")
     stats = state.get("stats")
     for name in _STATS_FIELDS:
         _footer_int(stats, name, "buffer.stats", 0)
@@ -560,7 +566,6 @@ def _restore_buffer(chunks: list[_Chunk], state: dict) -> PackedTraceBuffer:
     stats = buf.stats
     for name in _STATS_FIELDS:
         setattr(stats, name, state["stats"][name])
-    buf.monotone = state["monotone"]
     buf._last_cseq = state["last_cseq"]
     buf._rows = state["rows"]
     buf._chunks = chunks

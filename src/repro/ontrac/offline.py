@@ -7,23 +7,27 @@ collected trace into the compact dynamic dependence graph — the step
 the paper measured at up to an hour for seconds of execution, i.e. the
 ~540x overall slowdown that motivated ONTRAC.
 
-The post-processing here performs the real dependence computation (the
-resulting DDG is byte-for-byte what :class:`repro.ontrac.tracer.OnlineTracer`
-produces in naive mode, minus buffer eviction), while the cycle charges
-model the paper's cost regime so E1 can report the 19x-vs-540x shape.
+The post-processing here performs the real dependence computation and
+appends its rows — one INSTR row per trace entry, then the entry's
+REG/MEM/CONTROL edges — into a :class:`~repro.ontrac.packed.PackedTraceBuffer`
+whose capacity never evicts; the result is the same
+:class:`~repro.ontrac.packed.PackedDDG` every slicing client reads.  The
+cycle charges model the paper's cost regime so E1 can report the
+19x-vs-540x shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 from ..isa.instructions import Opcode
 from ..isa.program import Program
 from ..vm.events import Hook, InstrEvent
 from ..vm.machine import Machine
 from .control_dep import ControlDependenceTracker
-from .ddg import DynamicDependenceGraph
-from .records import DepKind
+from .packed import PackedDDG, PackedTraceBuffer
+from .records import KIND_CODES, DepKind
 
 
 @dataclass
@@ -33,6 +37,10 @@ class OfflineConfig:
     io_cycles_per_byte: int = 6  # streaming the trace to a file
     postprocess_cycles_per_instruction: int = 800  # graph build + compaction
 
+
+_INSTR, _REG, _MEM, _CONTROL = (
+    KIND_CODES[k] for k in (DepKind.INSTR, DepKind.REG, DepKind.MEM, DepKind.CONTROL)
+)
 
 # One raw trace entry per executed instruction, kept as a plain tuple
 # (collection runs inline with the guest; a constructor call per
@@ -98,7 +106,7 @@ class OfflineTracer(Hook):
         if self.machine is not None:
             self.machine.add_overhead(cycles)
 
-    def postprocess(self) -> DynamicDependenceGraph:
+    def postprocess(self) -> PackedDDG:
         """Phase 2: turn the raw trace into the full DDG.
 
         Charges ``postprocess_cycles_per_instruction`` per trace entry
@@ -106,15 +114,16 @@ class OfflineTracer(Hook):
         running; E1 adds collection and post-processing cycles together
         the way the paper's end-to-end numbers do).
         """
-        ddg = DynamicDependenceGraph(complete=True)
         last_reg: dict[tuple[int, int], tuple[int, int]] = {}
         last_mem: dict[int, tuple[int, int]] = {}
-        add_node = ddg.add_node
-        add_edge = ddg.add_edge
         reg_get = last_reg.get
         mem_get = last_mem.get
+        # (kind code, consumer seq, consumer pc, producer seq, producer
+        # pc, tid) rows, already in consumer-seq order.
+        rows: list[tuple[int, int, int, int, int, int]] = []
+        add_row = rows.append
         for seq, pc, tid, reg_reads, reg_writes, mem_reads, mem_writes, parent_seq, parent_pc, spawn_child in self.entries:
-            add_node(seq, pc, tid)
+            add_row((_INSTR, seq, pc, -1, -1, tid))
             seen: set[int] = set()
             for reg, _ in reg_reads:
                 if reg in seen:
@@ -122,13 +131,13 @@ class OfflineTracer(Hook):
                 seen.add(reg)
                 producer = reg_get((tid, reg))
                 if producer is not None:
-                    add_edge(seq, pc, producer[0], producer[1], DepKind.REG, tid)
+                    add_row((_REG, seq, pc, producer[0], producer[1], tid))
             for addr, _ in mem_reads:
                 producer = mem_get(addr)
                 if producer is not None:
-                    add_edge(seq, pc, producer[0], producer[1], DepKind.MEM, tid)
+                    add_row((_MEM, seq, pc, producer[0], producer[1], tid))
             if parent_seq >= 0:
-                add_edge(seq, pc, parent_seq, parent_pc, DepKind.CONTROL, tid)
+                add_row((_CONTROL, seq, pc, parent_seq, parent_pc, tid))
             node = (seq, pc)
             for reg, _ in reg_writes:
                 last_reg[(tid, reg)] = node
@@ -139,4 +148,7 @@ class OfflineTracer(Hook):
         self.stats.postprocess_cycles = (
             len(self.entries) * self.config.postprocess_cycles_per_instruction
         )
-        return ddg
+        buf = PackedTraceBuffer(capacity_bytes=sys.maxsize)
+        if rows:
+            buf.extend_rows(*zip(*rows))
+        return PackedDDG(buf)

@@ -34,23 +34,21 @@ over the whole window:
   parallel sorted arrays — 12 bytes per edge row, only for chunks that
   forward queries actually touch.
 
-:class:`PackedDDG` is the dependence-graph view over the packed
-buffer: O(1) to construct, serves the hot queries (the slicing
-criterion's last instance, ``has_node``/``pc_of``, producer/consumer
-lists) straight off the columns, and lazily materializes the exact
-:class:`~repro.ontrac.ddg.DynamicDependenceGraph` (via ``build_ddg``
-over the buffer's records) for consumers that walk the raw
-``nodes``/``backward`` dicts.  The indexed slicing engine walking
-these columns lives in :mod:`repro.slicing.engine`.
+:class:`PackedDDG` is the one dependence graph: O(1) to construct, it
+answers every query clients make (the slicing criterion's last
+instance, ``has_node``/``pc_of``/``tid_of``, producer/consumer lists,
+node and edge-row iteration) straight off the columns.  The indexed
+slicing engine walking these columns lives in
+:mod:`repro.slicing.engine`.
 
 Values that do not fit their column (a pathological pc, a >4G-seq
 delta, a tid >= 0xFFFF) are stored as a sentinel plus a per-chunk
-side-dict entry, so the store accepts every :class:`DepRecord`.
-Out-of-order consumer seqs (possible only through direct ``append``
-calls, never from the tracer) clear :attr:`monotone` and the query
-layer falls back to the materialized graph.  The column queries also
-rely on the tracer's stream shape: a producer precedes its consumers
-and every row naming a seq agrees on its pc.
+side-dict entry, so the store accepts every :class:`DepRecord`.  A
+consumer seq below its predecessor is rejected with
+:class:`TraceOrderError` before anything changes; the tracer never
+emits one.  The column queries also rely on the tracer's stream shape:
+a producer precedes its consumers and every row naming a seq agrees on
+its pc.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ from operator import add, gt, mul, sub
 from sys import byteorder
 from typing import Iterable, Iterator
 
-from .ddg import DynamicDependenceGraph, build_ddg
 from .records import (
     KIND_BY_CODE,
     KIND_CODES,
@@ -105,6 +102,11 @@ def _holds_sentinel(col: array) -> bool:
     neighbours whose bytes line up like one) pays the exact scan."""
     ones = b"\xff" * col.itemsize
     return ones in col.tobytes() and (1 << 8 * col.itemsize) - 1 in col
+
+
+class TraceOrderError(ValueError):
+    """A row's consumer seq is below the previous row's: the columns are
+    the consumer index, so the store accepts rows only in seq order."""
 
 
 # side-dict field tags for out-of-range values.
@@ -364,26 +366,25 @@ class PackedTraceBuffer:
         self._rows = 0
         self._next_cap = _SEED_CHUNK_ROWS
         self._last_cseq = -(1 << 62)
-        #: False once a consumer seq arrived out of order (direct
-        #: appends only); the query layer then uses the materialized
-        #: graph instead of the column indexes.
-        self.monotone = True
 
     # -- append paths --------------------------------------------------------
     def append_row(self, code: int, cseq: int, cpc: int,
                    pseq: int = -1, ppc: int = -1, tid: int = 0) -> int:
-        """Append one packed row; returns its modeled byte size."""
+        """Append one packed row; returns its modeled byte size.  Raises
+        :class:`TraceOrderError`, leaving the buffer unchanged, if
+        ``cseq`` is below the previous row's consumer seq."""
+        if cseq < self._last_cseq:
+            raise TraceOrderError(
+                f"consumer seq {cseq} arrived after {self._last_cseq}"
+            )
+        self._last_cseq = cseq
         c = self._tail
         if c is None or c.n == c.cap:
             c = self._grow(cseq)
         off = cseq - c.cseq_base
-        if off < 0 or off > _MAX32:
+        if off > _MAX32:
             c = self._grow(cseq)
             off = 0
-        if cseq < self._last_cseq:
-            self.monotone = False
-        else:
-            self._last_cseq = cseq
         n = c.n
         c.cseq_off[n] = off
         c.kind[n] = code
@@ -444,27 +445,26 @@ class PackedTraceBuffer:
         at C speed and each chunk's share is written as one slice per
         column.  A batch that could overflow the capacity (eviction is
         per row) or holds a value outside its column (a pc or tid
-        >= 0xFFFF, a seq delta that is negative or >= 0xFFFFFFFF, a
-        consumer seq below its predecessor) takes the per-row path
-        instead.
+        >= 0xFFFF, a seq delta that is negative or >= 0xFFFFFFFF) takes
+        the per-row path instead.  A batch whose consumer seqs are out
+        of order raises :class:`TraceOrderError` before any row lands.
         """
         total = len(cseqs)
         if not total:
             return 0
+        first = cseqs[0]
+        if first < self._last_cseq or any(map(gt, cseqs, islice(cseqs, 1, None))):
+            raise TraceOrderError(
+                f"consumer seqs {first}..{cseqs[-1]} are out of order"
+                f" (previous row: {self._last_cseq})"
+            )
         kinds = bytes(kinds)
         mbytes = sum(kinds.translate(_MBYTES_XLAT))
         cur = self.current_bytes + mbytes
-        first = cseqs[0]
         tail = self._tail
         lowest_base = first if tail is None else tail.cseq_base
         cols = None
-        if (
-            cur <= self.capacity_bytes
-            and self.monotone
-            and first >= self._last_cseq
-            and cseqs[-1] - lowest_base <= _MAX32
-            and not any(map(gt, cseqs, islice(cseqs, 1, None)))
-        ):
+        if cur <= self.capacity_bytes and cseqs[-1] - lowest_base <= _MAX32:
             # Node rows store a zero delta and pc whatever they were given.
             edge = kinds.translate(_EDGE_XLAT)
             try:
@@ -670,8 +670,8 @@ class PackedTraceBuffer:
     def consumer_spans(self, seq: int) -> list[tuple[_Chunk, int, int]]:
         """Row ranges holding consumer ``seq``: ``[(chunk, lo, hi)]``.
 
-        Valid only while :attr:`monotone`; rows of one consumer are
-        contiguous but may span a chunk boundary.
+        Rows of one consumer are contiguous but may span a chunk
+        boundary.
         """
         firsts = self._firsts
         i = bisect_right(firsts, seq) - 1
@@ -720,26 +720,23 @@ MEMO_CAP = 1024
 
 
 class PackedDDG:
-    """Dependence-graph view over a :class:`PackedTraceBuffer`.
+    """The dependence graph: a view over a :class:`PackedTraceBuffer`.
 
     Construction is O(1).  The hot queries (``has_node``/``pc_of``,
     :meth:`last_instance_of_pc`, producer/consumer lists, the slicing
     closures in :mod:`repro.slicing.engine`) run straight off the packed
     columns, decoding only the chunks they touch.  ``node_items``,
     ``seqs_of_pcs``, ``instances_of_pc`` and ``tid_of`` build a node
-    table over the whole window on first use, and
-    ``nodes``/``backward``/``forward`` lazily materialize the exact
-    materialized graph via :func:`build_ddg` for consumers that walk the
-    raw dicts.  Unlike that graph (a snapshot), this view follows the
-    live buffer: mutating the buffer bumps its epoch, which drops every
-    cache and the slice memo on the next query.
+    table over the whole window on first use: a node is every seq a row
+    names, and the first row naming it sets its pc and tid.  The view
+    follows the live buffer: mutating the buffer bumps its epoch, which
+    drops every cache and the slice memo on the next query.
     """
 
     def __init__(self, buffer: PackedTraceBuffer):
         self.buffer = buffer
         self.complete = buffer.stats.evicted == 0
         self._epoch = buffer.epoch
-        self._mat: DynamicDependenceGraph | None = None
         self._node_pc: dict[int, int] | None = None
         self._node_tid: dict[int, int] | None = None
         self._pc_index: dict[int, list[int]] | None = None
@@ -755,40 +752,13 @@ class PackedDDG:
         if epoch != self._epoch:
             self._epoch = epoch
             self.complete = self.buffer.stats.evicted == 0
-            self._mat = None
             self._node_pc = None
             self._node_tid = None
             self._pc_index = None
             self._last = {}
             self.memo.clear()
 
-    @property
-    def indexable(self) -> bool:
-        """Columns usable for bisect-based queries (consumer seqs arrived
-        in order — always true for tracer-produced streams)."""
-        return self.buffer.monotone
-
-    # -- materialized-dict compatibility ---------------------------------------
-    def _materialized(self) -> DynamicDependenceGraph:
-        self.check_epoch()
-        mat = self._mat
-        if mat is None:
-            mat = self._mat = build_ddg(self.buffer, complete=self.complete)
-        return mat
-
-    @property
-    def nodes(self):
-        return self._materialized().nodes
-
-    @property
-    def backward(self):
-        return self._materialized().backward
-
-    @property
-    def forward(self):
-        return self._materialized().forward
-
-    # -- node table (exact materialized node set/pcs/tids, no edges) ---------
+    # -- node table (every node's pc and tid, in first-mention order) ---------
     def _node_tables(self) -> tuple[dict[int, int], dict[int, int]]:
         self.check_epoch()
         node_pc = self._node_pc
@@ -850,37 +820,37 @@ class PackedDDG:
 
     def has_node(self, seq: int) -> bool:
         self.check_epoch()
-        if self._node_pc is None and self.buffer.monotone:
-            # The materialized node set is exactly (consumer seqs | producer
-            # seqs); both sides are answerable from the columns.
-            if self.buffer.consumer_spans(seq):
-                return True
-            return self._producer_row(seq) is not None
-        return seq in self._node_tables()[0]
+        if self._node_pc is not None:
+            return seq in self._node_pc
+        # The node set is exactly (consumer seqs | producer seqs); both
+        # sides are answerable from the columns.
+        if self.buffer.consumer_spans(seq):
+            return True
+        return self._producer_row(seq) is not None
 
     def pc_of(self, seq: int) -> int:
         self.check_epoch()
-        if self._node_pc is None and self.buffer.monotone:
-            spans = self.buffer.consumer_spans(seq)
-            if spans:
-                c, lo, _ = spans[0]
-                return c.cpc_at(lo)
-            hit = self._producer_row(seq)
-            if hit is not None:
-                c, r = hit
-                return c.ppc_at(r)
-        return self._node_tables()[0][seq]
+        if self._node_pc is not None:
+            return self._node_pc[seq]
+        spans = self.buffer.consumer_spans(seq)
+        if spans:
+            c, lo, _ = spans[0]
+            return c.cpc_at(lo)
+        hit = self._producer_row(seq)
+        if hit is None:
+            raise KeyError(seq)
+        c, r = hit
+        return c.ppc_at(r)
 
     def tid_of(self, seq: int) -> int:
         return self._node_tables()[1][seq]
 
     def node_items(self) -> Iterable[tuple[int, int]]:
-        """(seq, pc) pairs in materialized node-insertion order."""
+        """(seq, pc) pairs in first-mention order."""
         return self._node_tables()[0].items()
 
     def seqs_of_pcs(self, pcs) -> list[int]:
-        """Seqs of nodes whose pc is in ``pcs``, in node-insertion order
-        (matches iterating the materialized ``nodes`` dict)."""
+        """Seqs of nodes whose pc is in ``pcs``, in first-mention order."""
         return [seq for seq, pc in self._node_tables()[0].items() if pc in pcs]
 
     def _pc_map(self) -> dict[int, list[int]]:
@@ -895,7 +865,7 @@ class PackedDDG:
             self._pc_index = index
         return index
 
-    # -- DynamicDependenceGraph query API -------------------------------------
+    # -- queries --------------------------------------------------------------
     def instances_of_pc(self, pc: int) -> list[int]:
         return list(self._pc_map().get(pc, ()))
 
@@ -906,12 +876,7 @@ class PackedDDG:
         last = self._last
         if pc in last:
             return last[pc]
-        if self.buffer.monotone:
-            found = self._scan_last(pc)
-        else:
-            seqs = self._pc_map().get(pc)
-            found = seqs[-1] if seqs else None
-        last[pc] = found
+        found = last[pc] = self._scan_last(pc)
         return found
 
     def _scan_last(self, pc: int) -> int | None:
@@ -949,8 +914,6 @@ class PackedDDG:
 
     def producers(self, seq: int, kinds: Iterable[DepKind] | None = None):
         self.check_epoch()
-        if not self.buffer.monotone:
-            return self._materialized().producers(seq, kinds)
         wanted = None if kinds is None else set(kinds)
         out = []
         for c, lo, hi in self.buffer.consumer_spans(seq):
@@ -967,8 +930,6 @@ class PackedDDG:
 
     def consumers(self, seq: int, kinds: Iterable[DepKind] | None = None):
         self.check_epoch()
-        if not self.buffer.monotone:
-            return self._materialized().consumers(seq, kinds)
         wanted = None if kinds is None else set(kinds)
         out = []
         for c in self.buffer.live_chunks():

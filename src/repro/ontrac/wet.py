@@ -15,7 +15,9 @@ lockstep) collapse further into strided intervals.
 This module implements that compaction over our DDG:
 
 * :func:`compact` — DDG -> :class:`CompactWET`;
-* :meth:`CompactWET.to_ddg` — exact inverse (lossless);
+* :meth:`CompactWET.to_ddg` — exact inverse (lossless), window
+  truncation included: a WET of an evicting window decompresses into a
+  graph whose slices still report ``truncated``;
 * :meth:`CompactWET.producers_of` — direct slicing queries on the
   compact form, so :func:`compact_backward_slice` never materializes
   the full graph;
@@ -26,11 +28,13 @@ This module implements that compaction over our DDG:
 
 from __future__ import annotations
 
+import sys
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .ddg import DynamicDependenceGraph
-from .records import DepKind
+from .packed import PackedDDG, PackedTraceBuffer
+from .records import KIND_CODES, DepKind
 
 #: modeled bytes: one static edge entry (pcs + kind + count).
 STATIC_EDGE_BYTES = 12
@@ -122,6 +126,8 @@ class CompactWET:
     #: consumer pc -> static edges consuming at that pc (slicing index).
     _by_consumer: dict[int, list[StaticEdge]] = field(default_factory=dict)
     raw_edges: int = 0
+    #: rows the source window had evicted (0: the window was complete).
+    evicted: int = 0
 
     # -- size accounting -------------------------------------------------
     @property
@@ -150,40 +156,43 @@ class CompactWET:
                     found.append((producer, edge.kind))
         return found
 
-    def to_ddg(self) -> DynamicDependenceGraph:
-        """Exact decompression back to the full DDG."""
-        ddg = DynamicDependenceGraph(complete=True)
-        for seq, pc in self.node_pcs.items():
-            ddg.add_node(seq, pc, self.node_tids.get(seq, 0))
+    def to_ddg(self) -> PackedDDG:
+        """Exact decompression back to the full DDG: one INSTR row per
+        node (so every node keeps its pc and tid) plus every edge row,
+        in consumer-seq order, into a buffer that never evicts and
+        carries the source window's eviction count."""
+        tids = self.node_tids
+        instr = KIND_CODES[DepKind.INSTR]
+        rows = [(instr, seq, pc, -1, -1, tids.get(seq, 0))
+                for seq, pc in self.node_pcs.items()]
         for (consumer_pc, producer_pc, kind), edge in self.edges.items():
+            code = KIND_CODES[kind]
             for interval in edge.intervals:
                 for consumer_seq, producer_seq in interval.pairs():
-                    ddg.add_edge(
-                        consumer_seq,
-                        consumer_pc,
-                        producer_seq,
-                        producer_pc,
-                        kind,
-                        tid=self.node_tids.get(consumer_seq, 0),
-                    )
-        return ddg
+                    rows.append((code, consumer_seq, consumer_pc, producer_seq,
+                                 producer_pc, tids.get(consumer_seq, 0)))
+        # Stable: a seq's INSTR row stays ahead of its edge rows.
+        rows.sort(key=lambda row: row[1])
+        buf = PackedTraceBuffer(capacity_bytes=sys.maxsize)
+        if rows:
+            buf.extend_rows(*zip(*rows))
+        buf.stats.evicted = self.evicted
+        return PackedDDG(buf)
 
 
-def compact(ddg: DynamicDependenceGraph) -> CompactWET:
+def compact(ddg: PackedDDG) -> CompactWET:
     """Compress a DDG into the WET form (lossless)."""
     grouped: dict[tuple[int, int, DepKind], list[tuple[int, int]]] = {}
-    wet = CompactWET()
-    for node in ddg.nodes.values():
-        wet.node_pcs[node.seq] = node.pc
-        wet.node_tids[node.seq] = node.tid
-    for consumer_seq, deps in ddg.backward.items():
-        consumer_pc = ddg.nodes[consumer_seq].pc
-        for producer_seq, kind in deps:
-            producer_pc = ddg.nodes[producer_seq].pc
-            grouped.setdefault((consumer_pc, producer_pc, kind), []).append(
-                (consumer_seq, producer_seq)
-            )
-            wet.raw_edges += 1
+    wet = CompactWET(evicted=ddg.buffer.stats.evicted)
+    node_pcs = wet.node_pcs
+    for seq, pc in ddg.node_items():
+        node_pcs[seq] = pc
+        wet.node_tids[seq] = ddg.tid_of(seq)
+    for consumer_seq, _, _, producer_seq, _, kind in ddg.iter_edge_rows():
+        grouped.setdefault(
+            (node_pcs[consumer_seq], node_pcs[producer_seq], kind), []
+        ).append((consumer_seq, producer_seq))
+        wet.raw_edges += 1
     for key, pairs in grouped.items():
         pairs.sort()
         edge = StaticEdge(
@@ -204,8 +213,6 @@ def compact_backward_slice(
     the operation [18] made fast enough for interactive debugging."""
     if criterion not in wet.node_pcs:
         raise KeyError(f"criterion seq {criterion} unknown to this WET")
-    from collections import deque
-
     seen = {criterion}
     queue = deque([criterion])
     while queue:

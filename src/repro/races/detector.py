@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ontrac.ddg import DynamicDependenceGraph
+from ..ontrac.packed import PackedDDG
 from ..reduction.logging import EventLog, SyncEvent
 from ..slicing.multithreaded import CrossThreadDependence, cross_thread_dependences
 
@@ -120,7 +120,7 @@ class RaceDetector:
     and HB-ordered pairs.  (The sync-aware filter in
     :mod:`repro.races.sync_aware` refines this further.)"""
 
-    def __init__(self, ddg: DynamicDependenceGraph, history: SyncHistory):
+    def __init__(self, ddg: PackedDDG, history: SyncHistory):
         self.ddg = ddg
         self.history = history
         #: cross-thread dependences examined by the last detect() call.

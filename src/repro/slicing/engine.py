@@ -1,9 +1,8 @@
 """Indexed slicing engine over the packed dependence store.
 
-The legacy slicer BFS-walks ``DynamicDependenceGraph`` dicts, which
-first requires *building* those dicts — one DDGNode and one edge-list
-entry per record object.  This engine answers the same closures
-straight off :class:`~repro.ontrac.packed.PackedTraceBuffer` columns:
+Every slice is answered straight off
+:class:`~repro.ontrac.packed.PackedTraceBuffer` columns; no per-record
+node objects or edge lists are ever built:
 
 * the frontier is a plain stack of seq integers — no node objects;
 * the consumer-sorted columns are the index: a bisect of the buffer's
@@ -19,10 +18,11 @@ straight off :class:`~repro.ontrac.packed.PackedTraceBuffer` columns:
   localization probing many outputs, pruning passes, lineage queries —
   splice in prior work instead of re-walking the graph.
 
-Closure semantics are the legacy slicer's, bit for bit: same KeyError
-messages for unknown criteria, same ``truncated`` rule (a reached node
-with *no* stored dependence rows at all, of any kind, in an incomplete
-window), same seq/pc sets.  Results are returned as plain
+Closure semantics are a plain breadth-first walk's, bit for bit (the
+test-side dict oracle holds the engine to them): a KeyError for an
+unknown criterion, the ``truncated`` rule (a reached node with *no*
+stored dependence rows at all, of any kind, in an incomplete window),
+the same seq/pc sets.  Results are returned as plain
 ``(frozenset seqs, frozenset pcs, truncated)`` triples;
 :mod:`repro.slicing.slicer` wraps them into :class:`DynamicSlice`.
 """
@@ -73,8 +73,8 @@ def _gather(spans) -> tuple[bytes, list, list, int, int]:
 def backward_closure(ddg, criterion: int, kinds) -> tuple[frozenset, frozenset, bool]:
     """Backward closure of ``criterion`` over the packed columns.
 
-    Returns ``(seqs, pcs, truncated)``; raises the legacy slicer's
-    KeyError verbatim for a criterion outside the window.
+    Returns ``(seqs, pcs, truncated)``; raises KeyError for a criterion
+    outside the window.
     """
     ddg.check_epoch()
     kinds = frozenset(kinds)
@@ -93,7 +93,7 @@ def backward_closure(ddg, criterion: int, kinds) -> tuple[frozenset, frozenset, 
     wanted = _wanted(kinds)
     # Producer seq/pc come decoded per chunk, so a node's pc is recorded
     # when it is *pushed* (the edge row carries it), which yields the
-    # same pc set as the legacy pop-time add.
+    # same pc set as adding it when popped.
     buffer = ddg.buffer
     firsts = buffer._firsts
     chunks = buffer._chunks
@@ -160,9 +160,8 @@ def backward_closure(ddg, criterion: int, kinds) -> tuple[frozenset, frozenset, 
             else:
                 kcol, ps, pp, lo, hi = _gather(consumer_spans(seq))
         if check_truncation and not any(map(_IS_EDGE.__getitem__, kcol[lo:hi])):
-            # Same rule as the legacy BFS: no dependence rows at all
-            # for this node in an evicting window means its history may
-            # be gone.
+            # No dependence rows at all for this node in an evicting
+            # window means its history may be gone.
             truncated = True
             check_truncation = False
         rows_scanned += hi - lo
@@ -185,7 +184,7 @@ def backward_closure(ddg, criterion: int, kinds) -> tuple[frozenset, frozenset, 
 
 def forward_closure(ddg, criterion: int, kinds) -> tuple[frozenset, frozenset, bool]:
     """Forward closure of ``criterion`` via the per-chunk reverse
-    indexes.  Never truncated (matching the legacy forward slicer)."""
+    indexes.  Never truncated."""
     ddg.check_epoch()
     kinds = frozenset(kinds)
     stats = ddg.query_stats

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..isa.instructions import Instruction, Opcode
-from ..ontrac.ddg import DynamicDependenceGraph
+from ..ontrac.packed import PackedDDG
 from ..runner import ProgramRunner
 from ..vm.events import Hook, InstrEvent
 from ..vm.machine import Intervention
@@ -86,7 +86,7 @@ class ImplicitSearchResult:
     candidate_pcs: set[int] = field(default_factory=set)
 
 
-def _occurrence_of(ddg: DynamicDependenceGraph, seq: int) -> int:
+def _occurrence_of(ddg: PackedDDG, seq: int) -> int:
     """0-based dynamic occurrence index of ``seq`` among instances of
     its pc (within the DDG window — exact when the window covers the
     whole run, which re-execution searches arrange)."""
@@ -96,7 +96,7 @@ def _occurrence_of(ddg: DynamicDependenceGraph, seq: int) -> int:
 
 def find_implicit_dependences(
     runner: ProgramRunner,
-    ddg: DynamicDependenceGraph,
+    ddg: PackedDDG,
     criterion_pc: int,
     max_verifications: int = 50,
     restrict_to_potential: bool = True,

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ontrac.ddg import DynamicDependenceGraph
 from ..ontrac.packed import PackedDDG
 from ..ontrac.records import DepKind
 from .slicer import MULTITHREADED_KINDS, DynamicSlice, backward_slice
 
 
 def multithreaded_backward_slice(
-    ddg: DynamicDependenceGraph, criterion: int
+    ddg: PackedDDG, criterion: int
 ) -> DynamicSlice:
     """Backward slice following data, control, WAR and WAW dependences."""
     return backward_slice(ddg, criterion, kinds=MULTITHREADED_KINDS)
@@ -39,48 +38,29 @@ class CrossThreadDependence:
     producer_tid: int
 
 
-def cross_thread_dependences(ddg: DynamicDependenceGraph) -> list[CrossThreadDependence]:
+def cross_thread_dependences(ddg: PackedDDG) -> list[CrossThreadDependence]:
     """All dependences connecting two threads (RAW/WAR/WAW on shared
-    memory) — the raw material for race detection."""
+    memory), in consumer-seq order — the raw material for race
+    detection."""
+    # Tids and pcs come from the node table (the first row naming a
+    # seq), not from the edge row itself.
+    shared = (DepKind.MEM, DepKind.WAR, DepKind.WAW)
     found: list[CrossThreadDependence] = []
-    if isinstance(ddg, PackedDDG) and ddg.indexable:
-        # Iterate packed edge rows directly; tids/pcs come from the node
-        # tables (which replicate the legacy graph's first-mention node
-        # attribution) so the result — including the stable-sort tie
-        # order — matches the dict walk below edge for edge.
-        shared = (DepKind.MEM, DepKind.WAR, DepKind.WAW)
-        for cseq, _cpc, _ctid, pseq, _ppc, kind in ddg.iter_edge_rows():
-            if kind not in shared:
-                continue
-            ctid = ddg.tid_of(cseq)
-            ptid = ddg.tid_of(pseq)
-            if ptid != ctid:
-                found.append(
-                    CrossThreadDependence(
-                        kind=kind,
-                        consumer_seq=cseq,
-                        consumer_pc=ddg.pc_of(cseq),
-                        consumer_tid=ctid,
-                        producer_seq=pseq,
-                        producer_pc=ddg.pc_of(pseq),
-                        producer_tid=ptid,
-                    )
+    for cseq, _cpc, _ctid, pseq, _ppc, kind in ddg.iter_edge_rows():
+        if kind not in shared:
+            continue
+        ctid = ddg.tid_of(cseq)
+        ptid = ddg.tid_of(pseq)
+        if ptid != ctid:
+            found.append(
+                CrossThreadDependence(
+                    kind=kind,
+                    consumer_seq=cseq,
+                    consumer_pc=ddg.pc_of(cseq),
+                    consumer_tid=ctid,
+                    producer_seq=pseq,
+                    producer_pc=ddg.pc_of(pseq),
+                    producer_tid=ptid,
                 )
-        return sorted(found, key=lambda d: d.consumer_seq)
-    for consumer, edges in ddg.backward.items():
-        ctid = ddg.nodes[consumer].tid
-        for producer, kind in edges:
-            ptid = ddg.nodes[producer].tid
-            if ptid != ctid and kind in (DepKind.MEM, DepKind.WAR, DepKind.WAW):
-                found.append(
-                    CrossThreadDependence(
-                        kind=kind,
-                        consumer_seq=consumer,
-                        consumer_pc=ddg.nodes[consumer].pc,
-                        consumer_tid=ctid,
-                        producer_seq=producer,
-                        producer_pc=ddg.nodes[producer].pc,
-                        producer_tid=ptid,
-                    )
-                )
-    return sorted(found, key=lambda d: d.consumer_seq)
+            )
+    return found

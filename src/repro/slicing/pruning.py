@@ -22,10 +22,8 @@ confidences come from value-profile alternatives, which
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from ..ontrac.ddg import DynamicDependenceGraph
 from ..ontrac.packed import PackedDDG
 from .engine import backward_closure
 from .slicer import DEFAULT_KINDS, DynamicSlice
@@ -47,7 +45,7 @@ class PrunedSlice:
 
 
 def prune_slice(
-    ddg: DynamicDependenceGraph,
+    ddg: PackedDDG,
     sl: DynamicSlice,
     correct_outputs: set[int],
     incorrect_outputs: set[int],
@@ -61,31 +59,18 @@ def prune_slice(
     against an oracle; see :func:`classify_outputs`).
     """
     # Propagate "reaches correct" / "reaches incorrect" backward from
-    # the classified outputs, restricted to slice members.
+    # the classified outputs.  The multi-source reachability set is the
+    # union of the per-target backward closures (closures are
+    # transitive), so the indexed engine — and its memo, across the two
+    # passes and repeated prune calls — serves each target directly.
     reaches_correct: set[int] = set()
     reaches_incorrect: set[int] = set()
-    indexed = isinstance(ddg, PackedDDG) and ddg.indexable
     for targets, marker in ((correct_outputs, reaches_correct),
                             (incorrect_outputs, reaches_incorrect)):
-        if indexed:
-            # The multi-source reachability set is the union of the
-            # per-target backward closures (closures are transitive), so
-            # the indexed engine — and its memo, across the two passes
-            # and repeated prune calls — serves each target directly.
-            for target in targets:
-                if ddg.has_node(target):
-                    closure_seqs, _, _ = backward_closure(ddg, target, kinds)
-                    marker |= closure_seqs
-            continue
-        queue = deque(t for t in targets if t in ddg.nodes)
-        seen = set(queue)
-        while queue:
-            seq = queue.popleft()
-            marker.add(seq)
-            for producer, kind in ddg.backward.get(seq, []):
-                if kind in kinds and producer not in seen:
-                    seen.add(producer)
-                    queue.append(producer)
+        for target in targets:
+            if ddg.has_node(target):
+                closure_seqs, _, _ = backward_closure(ddg, target, kinds)
+                marker |= closure_seqs
 
     result = PrunedSlice(original=sl)
     for seq in sl.seqs:
@@ -102,13 +87,13 @@ def prune_slice(
     return result
 
 
-def kept_pcs(ddg: DynamicDependenceGraph, pruned: PrunedSlice) -> set[int]:
+def kept_pcs(ddg: PackedDDG, pruned: PrunedSlice) -> set[int]:
     """Static instructions surviving the prune."""
     return {ddg.pc_of(seq) for seq in pruned.kept_seqs}
 
 
 def classify_outputs(
-    ddg: DynamicDependenceGraph,
+    ddg: PackedDDG,
     output_events: list[tuple[int, int]],
     expected: list[int],
 ) -> tuple[set[int], set[int]]:

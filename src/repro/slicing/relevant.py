@@ -17,7 +17,7 @@ from ..isa.cfg import EXIT_BLOCK, build_cfgs
 from ..isa.dominance import Dominance
 from ..isa.instructions import Opcode
 from ..isa.program import Program
-from ..ontrac.ddg import DynamicDependenceGraph
+from ..ontrac.packed import PackedDDG
 from .slicer import DEFAULT_KINDS, DynamicSlice, backward_slice
 
 
@@ -74,7 +74,7 @@ class RelevantSlice:
 
 
 def relevant_slice(
-    ddg: DynamicDependenceGraph,
+    ddg: PackedDDG,
     program: Program,
     criterion: int,
     kinds=DEFAULT_KINDS,

@@ -11,10 +11,8 @@ the window (the paper's motivation for maximizing window length).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from ..ontrac.ddg import DynamicDependenceGraph
 from ..ontrac.packed import PackedDDG
 from ..ontrac.records import DepKind
 from .engine import backward_closure, forward_closure
@@ -54,68 +52,28 @@ class DynamicSlice:
 
 
 def backward_slice(
-    ddg: DynamicDependenceGraph,
+    ddg: PackedDDG,
     criterion: int,
     kinds: frozenset[DepKind] = DEFAULT_KINDS,
 ) -> DynamicSlice:
     """Transitive closure of ``kinds`` dependences ending at ``criterion``."""
-    if isinstance(ddg, PackedDDG) and ddg.indexable:
-        # Indexed engine: walks packed columns directly (and consults /
-        # feeds the closure-fragment memo).  Same seqs/pcs/truncated as
-        # the BFS below, proven by the differential suite.
-        seqs, pcs, truncated = backward_closure(ddg, criterion, kinds)
-        return DynamicSlice(
-            criterion=criterion, seqs=set(seqs), pcs=set(pcs), truncated=truncated
-        )
-    if criterion not in ddg.nodes:
-        raise KeyError(f"criterion seq {criterion} is not in the DDG (outside the window?)")
-    result = DynamicSlice(criterion=criterion)
-    queue = deque([criterion])
-    seen = {criterion}
-    while queue:
-        seq = queue.popleft()
-        result.seqs.add(seq)
-        result.pcs.add(ddg.pc_of(seq))
-        edges = ddg.backward.get(seq)
-        if edges is None:
-            # A node with no recorded producers: either genuinely
-            # input/constant-defined, or its producers were evicted.
-            if not ddg.complete:
-                result.truncated = True
-            continue
-        for producer, kind in edges:
-            if kind in kinds and producer not in seen:
-                seen.add(producer)
-                queue.append(producer)
-    return result
+    seqs, pcs, truncated = backward_closure(ddg, criterion, kinds)
+    return DynamicSlice(
+        criterion=criterion, seqs=set(seqs), pcs=set(pcs), truncated=truncated
+    )
 
 
 def forward_slice(
-    ddg: DynamicDependenceGraph,
+    ddg: PackedDDG,
     criterion: int,
     kinds: frozenset[DepKind] = DEFAULT_KINDS,
 ) -> DynamicSlice:
     """Everything (transitively) affected by ``criterion``."""
-    if isinstance(ddg, PackedDDG) and ddg.indexable:
-        seqs, pcs, _ = forward_closure(ddg, criterion, kinds)
-        return DynamicSlice(criterion=criterion, seqs=set(seqs), pcs=set(pcs))
-    if criterion not in ddg.nodes:
-        raise KeyError(f"criterion seq {criterion} is not in the DDG")
-    result = DynamicSlice(criterion=criterion)
-    queue = deque([criterion])
-    seen = {criterion}
-    while queue:
-        seq = queue.popleft()
-        result.seqs.add(seq)
-        result.pcs.add(ddg.pc_of(seq))
-        for consumer, kind in ddg.forward.get(seq, []):
-            if kind in kinds and consumer not in seen:
-                seen.add(consumer)
-                queue.append(consumer)
-    return result
+    seqs, pcs, _ = forward_closure(ddg, criterion, kinds)
+    return DynamicSlice(criterion=criterion, seqs=set(seqs), pcs=set(pcs))
 
 
-def slice_at_last_output(ddg: DynamicDependenceGraph, out_pc: int, **kw) -> DynamicSlice:
+def slice_at_last_output(ddg: PackedDDG, out_pc: int, **kw) -> DynamicSlice:
     """Backward slice at the last dynamic instance of static pc ``out_pc``."""
     seq = ddg.last_instance_of_pc(out_pc)
     if seq is None:
@@ -124,7 +82,7 @@ def slice_at_last_output(ddg: DynamicDependenceGraph, out_pc: int, **kw) -> Dyna
 
 
 def chop(
-    ddg: DynamicDependenceGraph,
+    ddg: PackedDDG,
     source: int,
     sink: int,
     kinds: frozenset[DepKind] = DEFAULT_KINDS,

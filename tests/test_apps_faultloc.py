@@ -22,6 +22,8 @@ from repro.workloads.buggy import (
     wrong_variable,
 )
 
+from .ddg_oracle import OracleDDG
+
 
 class TestSliceBasedLocator:
     @pytest.mark.parametrize("bug_factory", [wrong_operator, wrong_constant, wrong_variable])
@@ -94,7 +96,7 @@ class TestChops:
         bug = malformed_request()
         machine, ddg, result = self._traced(bug)
         assert result.failed
-        criterion = max(s for s in ddg.nodes if s <= result.failure.seq)
+        criterion = max(s for s in OracleDDG.of(ddg.buffer).nodes if s <= result.failure.seq)
         report = best_chop(ddg, bug.compiled, criterion)
         assert report is not None
         assert report.contains_bug(bug.bug_lines)

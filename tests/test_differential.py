@@ -19,6 +19,8 @@ from repro.reduction import CheckpointingLogger, Replayer
 from repro.slicing import backward_slice
 from repro.workloads.generators import GeneratorConfig, generate
 
+from .ddg_oracle import OracleDDG
+
 SEEDS = list(range(12))
 INPUT_SEEDS = [100, 101, 102, 103]
 
@@ -45,8 +47,8 @@ def test_online_naive_equals_offline_ddg(seed):
     machine = gp.runner().machine()
     offline = OfflineTracer(gp.compiled.program).attach(machine)
     machine.run(max_instructions=500_000)
-    off_ddg = offline.postprocess()
-    on_ddg = online.dependence_graph()
+    off_ddg = OracleDDG.of(offline.postprocess().buffer)
+    on_ddg = OracleDDG.of(online.buffer)
     assert set(on_ddg.nodes) == set(off_ddg.nodes)
     for seq in on_ddg.backward:
         on_edges = {(p, k) for p, k in on_ddg.backward[seq] if k.value in ("reg", "mem")}
@@ -74,7 +76,7 @@ def test_optimized_slices_equal_naive_slices(seed):
     ]
     for out_pc in out_pcs:
         criterion = naive_ddg.last_instance_of_pc(out_pc)
-        if criterion is None or criterion not in optimized_ddg.nodes:
+        if criterion is None or not optimized_ddg.has_node(criterion):
             continue
         a = backward_slice(naive_ddg, criterion)
         b = backward_slice(optimized_ddg, criterion)

@@ -12,9 +12,10 @@ DIFT taint state.
   spec oracle (``tests/vm_oracle.py``), once without hooks and once
   with every ``InstrEvent`` recorded.
 - Traced runs pair ONTRAC's per-pc tracing stubs into the packed store,
-  sliced with the indexed engine, with the class-level
-  ``OnlineTracer.on_instruction`` (see :class:`ReferenceTracer`),
-  sliced with the BFS slicer over ``build_ddg``.
+  queried through the slicing API (indexed engine, pruning, cross-thread
+  edges), with the class-level ``OnlineTracer.on_instruction`` (see
+  :class:`ReferenceTracer`), queried through the test-side dict oracle
+  (``tests/ddg_oracle.py``) over the stored records.
 - DIFT runs pair the array kernel under function summaries with the
   reference kernel without them, each named by explicit engine
   arguments.  The three-way tests below run every (kernel, summaries)
@@ -24,11 +25,13 @@ The fast path is allowed to be faster; it is never allowed to be
 different.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.dift import BoolTaintPolicy, DIFTEngine, SinkRule
 from repro.lang import compile_source
-from repro.ontrac import OnlineTracer, OntracConfig, build_ddg
+from repro.ontrac import OnlineTracer, OntracConfig
 from repro.vm import Hook
 from repro.workloads import (
     GeneratorConfig,
@@ -42,6 +45,7 @@ from repro.workloads import (
 )
 from repro.workloads.spec_like import Workload
 
+from .ddg_oracle import OracleDDG
 from .vm_oracle import install_oracle
 
 SPEC = suite()
@@ -83,29 +87,28 @@ def _vm_state(m, res):
 
 
 def _ddg_state(ddg):
-    nodes = tuple(sorted((n.seq, n.pc, n.tid) for n in ddg.nodes.values()))
-    edges = tuple(
-        sorted(
-            (consumer, producer, kind.value)
-            for consumer, deps in ddg.backward.items()
-            for producer, kind in deps
-        )
-    )
-    return nodes, edges, ddg.complete
+    """Node table and edges: through the query API on a PackedDDG, from
+    the dicts on the oracle."""
+    if isinstance(ddg, OracleDDG):
+        nodes = ((seq, pc, tid) for seq, (pc, tid) in ddg.nodes.items())
+        edges = ((c, p, k.value) for c, deps in ddg.backward.items() for p, k in deps)
+    else:
+        nodes = ((seq, pc, ddg.tid_of(seq)) for seq, pc in ddg.node_items())
+        edges = ((c, p, k.value) for c, _, _, p, _, k in ddg.iter_edge_rows())
+    return tuple(sorted(nodes)), tuple(sorted(edges)), ddg.complete
 
 
 class ReferenceTracer(OnlineTracer):
     """ONTRAC's reference side: the class-level ``on_instruction`` stays
-    the hook (no tracing stubs) and the dependence graph is
-    ``build_ddg`` over the stored records, so queries take the BFS
-    slicer instead of the indexed engine."""
+    the hook (no tracing stubs) and the dependence graph is the dict
+    oracle over the stored records, so queries take its BFS instead of
+    the indexed engine."""
 
     def _install_stubs(self):
         pass
 
     def dependence_graph(self):
-        buf = self.buffer
-        return build_ddg(buf.records, complete=buf.stats.evicted == 0)
+        return OracleDDG.of(self.buffer)
 
 
 def _run_traced(runner, tracer_cls, config=None):
@@ -477,35 +480,81 @@ def test_server_dift_three_way(kernel, summaries):
     assert inline == parallel
 
 
-# --- slice equality: packed indexed engine vs BFS over build_ddg --------------
-# The tests above prove the record stream and the materialized DDG are
+# --- query equality: the slicing API vs the dict oracle ----------------------
+# The tests above prove the record stream and the dependence graph are
 # identical; these prove the *query layer* is too — every backward and
-# forward slice must produce the same (seqs, pcs, truncated) under the
-# packed store's indexed engine as under the dict-walking BFS slicer
-# over build_ddg (ReferenceTracer).
+# forward slice, every pruned slice and the cross-thread edge list must
+# come out the same through the slicing API over the packed store as
+# through the dict oracle's BFS (ReferenceTracer).
 from repro.slicing import (  # noqa: E402
+    DEFAULT_KINDS,
+    MULTITHREADED_KINDS,
     backward_slice,
+    cross_thread_dependences,
     forward_slice,
-    multithreaded_backward_slice,
+    prune_slice,
 )
+
+
+class PackedQueries:
+    """The slicing API over a PackedDDG, answering in the oracle's shape."""
+
+    def __init__(self, ddg):
+        self.ddg = ddg
+
+    def backward_slice(self, crit, kinds):
+        sl = backward_slice(self.ddg, crit, kinds)
+        return sl.seqs, sl.pcs, sl.truncated
+
+    def forward_slice(self, crit, kinds):
+        sl = forward_slice(self.ddg, crit, kinds)
+        return sl.seqs, sl.pcs, sl.truncated
+
+    def pruned(self, crit, correct, incorrect, kinds):
+        pr = prune_slice(self.ddg, backward_slice(self.ddg, crit, kinds),
+                         correct, incorrect, kinds)
+        return pr.kept_seqs, pr.pruned_seqs
+
+    def cross_thread(self):
+        return [(d.kind, d.consumer_seq, d.consumer_pc, d.consumer_tid,
+                 d.producer_seq, d.producer_pc, d.producer_tid)
+                for d in cross_thread_dependences(self.ddg)]
+
+
+def _oracle_pruned(oracle, crit, correct, incorrect, kinds):
+    """Confidence pruning's rule over the oracle: a slice member is
+    pruned iff it reaches a correct output, no incorrect one, and is not
+    the criterion."""
+    seqs = oracle.backward_slice(crit, kinds)[0]
+    good, bad = oracle.reaching(correct, kinds), oracle.reaching(incorrect, kinds)
+    pruned = {s for s in seqs if s in good and s not in bad and s != crit}
+    return seqs - pruned, pruned
 
 
 def _slice_state(runner, tracer_cls, config=None, n_criteria=8, multithreaded=False):
     _, tracer, _ = _run_traced(runner, tracer_cls, config)
     ddg = tracer.dependence_graph()
+    if isinstance(ddg, OracleDDG):
+        q, pruned = ddg, partial(_oracle_pruned, ddg)
+    else:
+        q = PackedQueries(ddg)
+        pruned = q.pruned
+    kinds = MULTITHREADED_KINDS if multithreaded else DEFAULT_KINDS
     seqs = sorted(seq for seq, _ in ddg.node_items())
     crits = seqs[:: max(1, len(seqs) // n_criteria)][:n_criteria]
+    # A fixed classification of the criteria as outputs drives pruning.
+    correct, incorrect = set(crits[::2]), set(crits[1::2])
     states = []
     for crit in crits + crits:  # repeats drive the packed closure memo
-        bs = (multithreaded_backward_slice if multithreaded else backward_slice)(
-            ddg, crit
-        )
-        fs = forward_slice(ddg, crit)
+        bseqs, bpcs, btrunc = q.backward_slice(crit, kinds)
+        fseqs, fpcs, _ = q.forward_slice(crit, DEFAULT_KINDS)
+        kept, dropped = pruned(crit, correct, incorrect, kinds)
         states.append(
-            (crit, tuple(sorted(bs.seqs)), tuple(sorted(bs.pcs)), bs.truncated,
-             tuple(sorted(fs.seqs)), tuple(sorted(fs.pcs)))
+            (crit, tuple(sorted(bseqs)), tuple(sorted(bpcs)), btrunc,
+             tuple(sorted(fseqs)), tuple(sorted(fpcs)),
+             tuple(sorted(kept)), tuple(sorted(dropped)))
         )
-    return tuple(states)
+    return tuple(states), tuple(q.cross_thread())
 
 
 @pytest.mark.parametrize("w", SPEC, ids=_name)

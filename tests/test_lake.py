@@ -272,7 +272,8 @@ class TestRecovery:
         with open_spill(path) as stored:
             assert stored.recovered
             assert stored.rows > 0
-            assert stored.buffer.monotone
+            seqs = [r.consumer_seq for r in stored.buffer]
+            assert seqs == sorted(seqs)
             crit = resolve_criterion(stored)
             sl = slice_stored(stored, crit)
             assert sl.seqs and crit in sl.seqs

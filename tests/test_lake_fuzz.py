@@ -112,6 +112,11 @@ def _head_past_n(f):
     entry["head"] = meta["n"] + 1
 
 
+def _not_monotone(f):
+    # The store holds rows only in consumer-seq order.
+    f["buffer"]["monotone"] = False
+
+
 REGRESSIONS = {
     "missing-chunks": _drop_chunks,
     "missing-buffer-stats": _drop_stats,
@@ -120,6 +125,7 @@ REGRESSIONS = {
     "zero-row-chunk": _zero_rows,
     "live-not-a-list": _live_not_a_list,
     "head-past-n": _head_past_n,
+    "monotone-false": _not_monotone,
 }
 
 
@@ -139,6 +145,30 @@ def test_unmodified_footer_rewrite_still_opens(spill, tmp_path):
     # fresh CRC must open exactly like the original file.
     raw, footer = spill
     assert open_or_reject(tmp_path, with_footer(raw, encode(footer)), "control")
+
+
+def test_recovered_out_of_order_chunk_raises_lake_format_error(spill, tmp_path):
+    # No footer, so the recovery scan adopts the sections; the first one
+    # holds a consumer seq out of order under a recomputed (valid) CRC.
+    raw, footer = spill
+    meta = footer["chunks"][0]
+    off, n = meta["off"], meta["n"]
+    data = bytearray(raw[:_TRAILER.unpack_from(raw, len(raw) - _TRAILER.size)[0]])
+    payload = off + _CHUNK_HEADER.size
+    cseq_off = memoryview(data)[payload + (n + 3) // 4 * 4:][:4 * n].cast("I")
+    cseq_off[0] = cseq_off[n - 1] + 1
+    cseq_off.release()
+    magic, n, base, over, plen, _ = _CHUNK_HEADER.unpack_from(data, off)
+    crc = zlib.crc32(data[payload:payload + plen])
+    _CHUNK_HEADER.pack_into(data, off, magic, n, base, over, plen, crc)
+    path = tmp_path / "case.rlk"
+    path.write_bytes(bytes(data))
+    with pytest.raises(LakeFormatError, match="out of order"):
+        open_spill(str(path))
+    # Control: the same prefix without the edit recovers.
+    path.write_bytes(raw[:len(data)])
+    with open_spill(str(path)) as run:
+        assert run.recovered and len(run.buffer)
 
 
 # --- truncation at every section boundary ------------------------------------

@@ -14,7 +14,7 @@ from repro.ontrac import (
     OnlineTracer,
     OntracConfig,
     PackedTraceBuffer,
-    build_ddg,
+    PackedDDG,
 )
 from repro.runner import ProgramRunner
 from repro.vm import Hook, Machine, RunStatus
@@ -89,6 +89,13 @@ class TestRecordsAndBuffer:
 
 
 # --- DDG ------------------------------------------------------------------------
+def packed_ddg(records):
+    buf = PackedTraceBuffer()
+    for rec in records:
+        buf.append(rec)
+    return PackedDDG(buf)
+
+
 class TestDDG:
     def test_build_and_query(self):
         records = [
@@ -96,11 +103,11 @@ class TestDDG:
             DepRecord(DepKind.MEM, 3, 11, 2, 10),
             DepRecord(DepKind.BRANCH, 4, 12),
         ]
-        ddg = build_ddg(records)
+        ddg = packed_ddg(records)
         assert ddg.pc_of(3) == 11
         assert ddg.producers(3) == [(2, DepKind.MEM)]
         assert ddg.consumers(2) == [(3, DepKind.MEM)]
-        assert 4 in ddg.nodes  # branch record adds a node
+        assert ddg.has_node(4)  # branch record adds a node
         assert ddg.edge_count == 2
 
     def test_instances_of_pc(self):
@@ -108,7 +115,7 @@ class TestDDG:
             DepRecord(DepKind.REG, 5, 7, 1, 6),
             DepRecord(DepKind.REG, 9, 7, 5, 7),
         ]
-        ddg = build_ddg(records)
+        ddg = packed_ddg(records)
         assert ddg.instances_of_pc(7) == [5, 9]
         assert ddg.last_instance_of_pc(7) == 9
         assert ddg.last_instance_of_pc(999) is None
@@ -118,7 +125,7 @@ class TestDDG:
             DepRecord(DepKind.REG, 2, 1, 1, 0),
             DepRecord(DepKind.CONTROL, 2, 1, 0, 0),
         ]
-        ddg = build_ddg(records)
+        ddg = packed_ddg(records)
         assert len(ddg.producers(2, kinds={DepKind.REG})) == 1
         assert len(ddg.producers(2)) == 2
 
@@ -237,7 +244,7 @@ class TestOnlineTracer:
         off_ddg = offline.postprocess()
         on_ddg = online.dependence_graph()
         assert on_ddg.stats()["edges"] == off_ddg.stats()["edges"]
-        assert set(on_ddg.nodes) == set(off_ddg.nodes)
+        assert dict(on_ddg.node_items()) == dict(off_ddg.node_items())
 
     def test_optimizations_reduce_bytes_monotonically(self):
         configs = [
@@ -361,9 +368,8 @@ class TestOnlineTracer:
         ddg = t.dependence_graph()
         cross = [
             (c, p)
-            for c, edges in ddg.backward.items()
-            for p, k in edges
-            if k == DepKind.MEM and ddg.nodes[c].tid != ddg.nodes[p].tid
+            for c, _, _, p, _, k in ddg.iter_edge_rows()
+            if k == DepKind.MEM and ddg.tid_of(c) != ddg.tid_of(p)
         ]
         assert cross, "main's read of cell must depend on writer's store"
 

@@ -4,10 +4,10 @@ The circular-buffer contract (oldest-first eviction by modeled bytes,
 :class:`BufferStats` accounting including ``peak_bytes`` and the shared
 ``eviction_passes`` counter, window arithmetic) is checked against a
 plain deque model of that contract; the packed-only invariants
-(sentinel overflow round-trips, the monotone-order fallback,
-epoch-keyed cache invalidation, deterministic resident-byte
-accounting) are checked directly, and every indexed query against
-``build_ddg`` over the same records.
+(sentinel overflow round-trips, the typed rejection of out-of-order
+rows, epoch-keyed cache invalidation, deterministic resident-byte
+accounting) are checked directly, and every indexed query against the
+dict oracle (``tests/ddg_oracle.py``) over the same records.
 """
 
 import random
@@ -24,12 +24,14 @@ from repro.ontrac import (
     PackedDDG,
     PackedTraceBuffer,
     ROW_PAYLOAD_BYTES,
-    build_ddg,
+    TraceOrderError,
 )
 from repro.ontrac.packed import _MAX_CHUNK_ROWS, _SEED_CHUNK_ROWS
 from repro.ontrac.records import KIND_CODES
 from repro.slicing import DEFAULT_KINDS, backward_slice, forward_slice
 from repro.workloads.spec_like import matmul
+
+from .ddg_oracle import OracleDDG
 
 
 def record_tuple(r):
@@ -166,20 +168,38 @@ def test_sentinel_overflow_roundtrip():
     assert (sl.seqs, sl.pcs) == ({2, 50}, {big_pc + 1, big_pc + 2})
 
 
-def test_monotone_fallback_still_answers_queries():
+def _unchanged_snapshot(buf):
+    return len(buf), stats_tuple(buf.stats), buf.epoch, [record_tuple(r) for r in buf]
+
+
+@pytest.mark.parametrize("entry_point", ["append", "append_row", "extend_rows"])
+def test_out_of_order_append_raises_and_leaves_buffer_unchanged(entry_point):
     records = make_records(300)
-    packed = PackedTraceBuffer()
-    shuffled = records[50:] + records[:50]  # out-of-order direct appends
-    for r in shuffled:
-        packed.append(r)
-    assert not packed.monotone
-    ddg = PackedDDG(packed)
-    assert not ddg.indexable
-    # Queries fall back to the materialized graph and still work.
-    ref = build_ddg(records)
-    sl_ref = backward_slice(ref, 200)
-    sl = backward_slice(ddg, 200)
-    assert (sl.seqs, sl.pcs, sl.truncated) == (sl_ref.seqs, sl_ref.pcs, sl_ref.truncated)
+    packed = fill([r for r in records if r.consumer_seq >= 100])
+    before = _unchanged_snapshot(packed)
+    old = records[:3]  # consumer seqs below the newest stored one
+    rows = [(KIND_CODES[r.kind], r.consumer_seq, r.consumer_pc, r.producer_seq,
+             r.producer_pc, r.tid) for r in old]
+    with pytest.raises(TraceOrderError):
+        if entry_point == "append":
+            packed.append(old[0])
+        elif entry_point == "append_row":
+            packed.append_row(*rows[0])
+        else:
+            packed.extend_rows(*zip(*rows))
+    assert _unchanged_snapshot(packed) == before
+    # A batch in order up to a step backwards is refused whole.
+    newest = packed.newest_seq
+    step_back = [(rows[0][0], newest + 1, 0, -1, -1, 0),
+                 (rows[0][0], newest + 2, 0, -1, -1, 0),
+                 (rows[0][0], newest + 1, 0, -1, -1, 0)]
+    with pytest.raises(TraceOrderError):
+        packed.extend_rows(*zip(*step_back))
+    assert _unchanged_snapshot(packed) == before
+    # The store still answers queries, and accepts the next in-order row.
+    assert backward_slice(PackedDDG(packed), 200).seqs == set(range(99, 201))
+    packed.append_row(*step_back[1])
+    assert packed.newest_seq == newest + 2
 
 
 def test_epoch_invalidates_ddg_caches_and_chunk_decode():
@@ -225,21 +245,20 @@ def _fanin_records(n, base=0, node_only_every=10, big_pc_every=0):
 
 
 def assert_matches_reference(packed, crits=None):
-    """Every column query equals build_ddg + the BFS slicer over the
-    same stored records: slices from a shared (memo-splicing) view and
-    from a fresh view per criterion, last instances of every pc, and
-    has_node/pc_of of every seq in and around the window."""
-    ref = build_ddg(packed.records, complete=packed.stats.evicted == 0)
+    """Every column query equals the dict oracle over the same stored
+    records: slices from a shared (memo-splicing) view and from a fresh
+    view per criterion, last instances of every pc, and has_node/pc_of
+    of every seq in and around the window."""
+    ref = OracleDDG.of(packed)
     shared = PackedDDG(packed)
-    assert shared.indexable
     nodes = sorted(ref.nodes)
     for crit in nodes if crits is None else crits:
-        b = backward_slice(ref, crit)
+        b = ref.backward_slice(crit, DEFAULT_KINDS)
         for ddg in (shared, PackedDDG(packed)):
             a = backward_slice(ddg, crit)
-            assert (a.seqs, a.pcs, a.truncated) == (b.seqs, b.pcs, b.truncated), crit
+            assert (a.seqs, a.pcs, a.truncated) == b, crit
     ddg = PackedDDG(packed)
-    for pc in {node.pc for node in ref.nodes.values()} | {-1, 0xFFFF, 12345}:
+    for pc in {pc for pc, _ in ref.nodes.values()} | {-1, 0xFFFF, 12345}:
         assert ddg.last_instance_of_pc(pc) == ref.last_instance_of_pc(pc), pc
     for seq in {s + d for s in nodes for d in (-1, 0, 1)}:
         assert ddg.has_node(seq) == (seq in ref.nodes), seq
@@ -374,19 +393,21 @@ def test_resident_bytes_is_deterministic_column_payload():
 
 
 def test_tracer_integration_matches_legacy_store():
-    # The tracer's indexed DDG answers exactly what build_ddg + the BFS
-    # slicer answer over the same stored records.
+    # The tracer's indexed DDG answers exactly what the dict oracle
+    # answers over the same stored records.
     _, tracer, _ = matmul(4).runner().run_traced()
     buf = tracer.buffer
     assert isinstance(buf, PackedTraceBuffer) and buf.chunk_count > 0
     ddg = tracer.dependence_graph()
-    ref = build_ddg(buf.records, complete=buf.stats.evicted == 0)
-    assert isinstance(ddg, PackedDDG) and ddg.indexable
-    assert dict(ddg.node_items()) == {s: n.pc for s, n in ref.nodes.items()}
+    ref = OracleDDG.of(buf)
+    assert isinstance(ddg, PackedDDG)
+    assert list(ddg.node_items()) == list(ref.node_items())
+    assert all(ddg.tid_of(s) == tid for s, (_, tid) in ref.nodes.items())
     for crit in (max(ref.nodes), min(ref.nodes), sorted(ref.nodes)[len(ref.nodes) // 2]):
-        for slicer in (backward_slice, forward_slice):
-            a, b = slicer(ddg, crit, DEFAULT_KINDS), slicer(ref, crit, DEFAULT_KINDS)
-            assert (a.seqs, a.pcs, a.truncated) == (b.seqs, b.pcs, b.truncated)
+        a = backward_slice(ddg, crit, DEFAULT_KINDS)
+        assert (a.seqs, a.pcs, a.truncated) == ref.backward_slice(crit, DEFAULT_KINDS)
+        a = forward_slice(ddg, crit, DEFAULT_KINDS)
+        assert (a.seqs, a.pcs, a.truncated) == ref.forward_slice(crit, DEFAULT_KINDS)
 
 
 # --- eviction-stats symmetry between the overflow entry points ---------------
@@ -464,9 +485,9 @@ def _odd_row(rng, seq):
 def _row_stream(rng, batches, non_monotone):
     """Random batches of ``append_row`` argument tuples.  Most batches
     are clean (the bulk path); some carry one out-of-column value; with
-    ``non_monotone`` one batch steps a consumer seq backwards."""
+    ``non_monotone`` one batch of two rows or more steps a consumer seq
+    below its predecessor's."""
     seq = rng.randrange(1 << 34) if rng.random() < 0.2 else rng.randrange(100)
-    backwards_at = rng.randrange(batches) if non_monotone else -1
     stream = []
     for b in range(batches):
         rows = []
@@ -482,12 +503,45 @@ def _row_stream(rng, batches, non_monotone):
         if rows and rng.random() < 0.3:
             i = rng.randrange(len(rows))
             rows[i] = _odd_row(rng, rows[i][1])
-        if b == backwards_at and rows:
-            i = rng.randrange(len(rows))
-            code, s, pc, pseq, ppc, tid = rows[i]
-            rows[i] = (code, s - 5, pc, pseq - 5, ppc, tid)
         stream.append(rows)
+    if non_monotone:
+        rows = rng.choice([rows for rows in stream if len(rows) > 1])
+        i = rng.randrange(1, len(rows))
+        code, s, pc, pseq, ppc, tid = rows[i]
+        # Seqs rise by at most 9 per row, so this is below rows[i - 1].
+        rows[i] = (code, s - 10, pc, pseq - 10, ppc, tid)
     return stream
+
+
+def _feed(bulk, rowwise, rows):
+    """One batch into both stores: ``extend_rows`` on one, an
+    ``append_row`` per row on the other; returns whether it was refused.
+    A batch that steps a consumer seq backwards raises TraceOrderError
+    from ``extend_rows`` before the bulk store changes at all, and from
+    ``append_row`` on the offending row before the row-wise store takes
+    it; the bulk store then takes the in-order prefix the row-wise store
+    already holds, so the two stay comparable."""
+    if not rows:
+        assert bulk.extend_rows((), (), (), (), (), ()) == 0
+        return False
+    seqs = [rowwise._last_cseq] + [row[1] for row in rows]
+    bad = next((i for i in range(len(rows)) if seqs[i + 1] < seqs[i]), None)
+    if bad is None:
+        assert bulk.extend_rows(*zip(*rows)) == sum(rowwise.append_row(*row) for row in rows)
+        return False
+    before = _store_state(bulk)
+    with pytest.raises(TraceOrderError):
+        bulk.extend_rows(*zip(*rows))
+    assert _store_state(bulk) == before
+    for row in rows[:bad]:
+        rowwise.append_row(*row)
+    before = _store_state(rowwise)
+    with pytest.raises(TraceOrderError):
+        rowwise.append_row(*rows[bad])
+    assert _store_state(rowwise) == before
+    if bad:
+        bulk.extend_rows(*zip(*rows[:bad]))
+    return True
 
 
 def _store_state(buf):
@@ -498,7 +552,7 @@ def _store_state(buf):
         for c in buf._chunks
     ]
     return (chunks, list(buf._firsts), buf.epoch, stats_tuple(buf.stats),
-            buf.current_bytes, buf.monotone, buf._last_cseq, len(buf),
+            buf.current_bytes, buf._last_cseq, len(buf),
             len(buf._pool), [record_tuple(r) for r in buf])
 
 
@@ -507,14 +561,15 @@ def _store_state(buf):
 @pytest.mark.parametrize("seed", range(12))
 def test_extend_rows_matches_append_row(seed, capacity):
     rng = random.Random(seed * 7919 + capacity)
-    stream = _row_stream(rng, batches=8, non_monotone=seed % 3 == 0)
+    non_monotone = seed % 3 == 0
+    stream = _row_stream(rng, batches=8, non_monotone=non_monotone)
     bulk = PackedTraceBuffer(capacity_bytes=capacity)
     rowwise = PackedTraceBuffer(capacity_bytes=capacity)
+    refused = 0
     for rows in stream:
-        got = bulk.extend_rows(*zip(*rows)) if rows else bulk.extend_rows((), (), (), (), (), ())
-        want = sum(rowwise.append_row(*row) for row in rows)
-        assert got == want
+        refused += _feed(bulk, rowwise, rows)
         assert _store_state(bulk) == _store_state(rowwise)
+    assert refused == non_monotone
     if capacity == 1 << 40:
         assert bulk.stats.evicted == 0
     else:
@@ -529,14 +584,13 @@ def test_extend_rows_spills_identical_files(tmp_path, seed, capacity):
     stream = _row_stream(rng, batches=6, non_monotone=seed == 3)
     paths = [str(tmp_path / "bulk.rlk"), str(tmp_path / "rowwise.rlk")]
     bulk, rowwise = (SpillingPackedTraceBuffer(capacity, p) for p in paths)
+    refused = 0
     for rows in stream:
-        if rows:
-            bulk.extend_rows(*zip(*rows))
-        for row in rows:
-            rowwise.append_row(*row)
+        refused += _feed(bulk, rowwise, rows)
         assert _store_state(bulk) == _store_state(rowwise)
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             assert a.read() == b.read()  # the same chunks sealed and spilled
+    assert refused == (seed == 3)
     bulk.close()
     rowwise.close()
     with open(paths[0], "rb") as a, open(paths[1], "rb") as b:

@@ -16,7 +16,6 @@ from repro.ontrac import (
     OntracConfig,
     PackedDDG,
     PackedTraceBuffer,
-    build_ddg,
 )
 from repro.runner import ProgramRunner
 from repro.slicing import backward_slice, forward_slice
@@ -24,6 +23,7 @@ from repro.util.rng import DeterministicRng
 from repro.vm import Machine, RandomScheduler
 from repro.workloads import GeneratorConfig, generate
 
+from .ddg_oracle import OracleDDG
 from .vm_oracle import install_oracle
 
 BITS = 8
@@ -89,8 +89,17 @@ record_strategy = st.builds(
 )
 
 
+def record_streams(**size):
+    """Record lists in consumer-seq order, the only order the store
+    accepts (out-of-order rows raise TraceOrderError; see
+    test_packed_store)."""
+    return st.lists(record_strategy, **size).map(
+        lambda records: sorted(records, key=lambda r: r.consumer_seq)
+    )
+
+
 class TestBufferProperties:
-    @given(records=st.lists(record_strategy, max_size=200),
+    @given(records=record_streams(max_size=200),
            capacity=st.integers(min_value=1, max_value=500))
     @settings(max_examples=50, deadline=None)
     def test_capacity_never_exceeded(self, records, capacity):
@@ -101,7 +110,7 @@ class TestBufferProperties:
                 r.bytes == 0 for r in buf.records
             )
 
-    @given(records=st.lists(record_strategy, max_size=200))
+    @given(records=record_streams(max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_byte_accounting_consistent(self, records):
         buf = PackedTraceBuffer(capacity_bytes=10_000_000)
@@ -111,7 +120,7 @@ class TestBufferProperties:
         assert buf.stats.appended == len(records)
         assert buf.stats.appended_bytes == sum(r.bytes for r in records)
 
-    @given(records=st.lists(record_strategy, min_size=1, max_size=100),
+    @given(records=record_streams(min_size=1, max_size=100),
            capacity=st.integers(min_value=6, max_value=100))
     @settings(max_examples=50, deadline=None)
     def test_eviction_is_oldest_first(self, records, capacity):
@@ -131,6 +140,13 @@ class TestBufferProperties:
 
 
 # --- DDG / slicing ------------------------------------------------------------------
+def _filled(records):
+    buf = PackedTraceBuffer()
+    for rec in records:
+        buf.append(rec)
+    return buf
+
+
 class TestSliceProperties:
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=20, deadline=None)
@@ -143,13 +159,13 @@ class TestSliceProperties:
                 records.append(
                     DepRecord(DepKind.REG, consumer, consumer % 7, producer, producer % 7)
                 )
-        ddg = build_ddg(records)
-        if not ddg.nodes:
+        if not records:
             return
-        criterion = max(ddg.nodes)
+        ddg = PackedDDG(_filled(records))
+        criterion = max(s for s, _ in ddg.node_items())
         sl = backward_slice(ddg, criterion)
         for seq in sl.seqs:
-            for producer, kind in ddg.backward.get(seq, []):
+            for producer, kind in ddg.producers(seq):
                 assert producer in sl.seqs
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -160,8 +176,8 @@ class TestSliceProperties:
         for consumer in range(2, 40):
             producer = rng.randint(0, consumer - 1)
             records.append(DepRecord(DepKind.REG, consumer, 0, producer, 0))
-        ddg = build_ddg(records)
-        nodes = sorted(ddg.nodes)
+        ddg = PackedDDG(_filled(records))
+        nodes = sorted(s for s, _ in ddg.node_items())
         a, b = nodes[0], nodes[-1]
         # b in forward(a) iff a in backward(b)
         assert (b in forward_slice(ddg, a).seqs) == (a in backward_slice(ddg, b).seqs)
@@ -171,9 +187,8 @@ class TestSliceProperties:
 class TestPackedSliceEquivalence:
     """100 seeded random dependence streams through the packed store;
     random criteria and random kinds sets must slice identically under
-    the indexed engine and the dict-walking BFS over ``build_ddg`` of
-    the same stored records — including truncation under small,
-    evicting windows."""
+    the indexed engine and the dict oracle's BFS over the same stored
+    records — including truncation under small, evicting windows."""
 
     EDGE_KINDS = [DepKind.REG, DepKind.MEM, DepKind.IREG, DepKind.IMEM,
                   DepKind.CONTROL, DepKind.SUMMARY, DepKind.WAR, DepKind.WAW]
@@ -197,9 +212,8 @@ class TestPackedSliceEquivalence:
                         )
                 for rec in recs:
                     packed.append(rec)
-            ref = build_ddg(packed.records, complete=packed.stats.evicted == 0)
+            ref = OracleDDG.of(packed)
             ddg = PackedDDG(packed)
-            assert ddg.indexable
             nodes = sorted(ref.nodes)
             for _ in range(3):
                 crit = nodes[rng.randint(0, len(nodes) - 1)]
@@ -207,19 +221,17 @@ class TestPackedSliceEquivalence:
                     k for k in self.EDGE_KINDS if rng.randint(0, 1)
                 ) or frozenset({DepKind.REG})
                 a = backward_slice(ddg, crit, kinds)
-                b = backward_slice(ref, crit, kinds)
-                assert (a.seqs, a.pcs, a.truncated) == (b.seqs, b.pcs, b.truncated), \
+                assert (a.seqs, a.pcs, a.truncated) == ref.backward_slice(crit, kinds), \
                     (seed, crit, sorted(k.value for k in kinds))
                 af = forward_slice(ddg, crit, kinds)
-                bf = forward_slice(ref, crit, kinds)
-                assert (af.seqs, af.pcs, af.truncated) == (bf.seqs, bf.pcs, bf.truncated), \
+                assert (af.seqs, af.pcs, af.truncated) == ref.forward_slice(crit, kinds), \
                     (seed, crit, sorted(k.value for k in kinds))
 
 
-# --- column queries vs build_ddg ---------------------------------------------------
+# --- column queries vs the dict oracle ---------------------------------------------
 class TestColumnQueryProperties:
     """``last_instance_of_pc``, ``has_node`` and ``pc_of`` answered off
-    the packed columns equal ``build_ddg``'s answers on random
+    the packed columns equal the dict oracle's answers on random
     tracer-shaped streams (producers precede consumers, every row
     naming a seq agrees on its pc) with producer-only nodes, eviction
     and values outside their columns — live, and after spill/reopen."""
@@ -262,9 +274,8 @@ class TestColumnQueryProperties:
 
     @staticmethod
     def _check(buf, pcs):
-        ref = build_ddg(buf.records, complete=buf.stats.evicted == 0)
+        ref = OracleDDG.of(buf)
         ddg = PackedDDG(buf)
-        assert ddg.indexable
         for pc in pcs + [-1, 0xFFFE, 99]:
             assert ddg.last_instance_of_pc(pc) == ref.last_instance_of_pc(pc), pc
         probes = {s + d for s in ref.nodes for d in (-1, 0, 1)}

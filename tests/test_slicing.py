@@ -9,6 +9,7 @@ from repro.ontrac import DepKind, OntracConfig
 from repro.runner import ProgramRunner
 from repro.slicing import (
     DATA_KINDS,
+    MULTITHREADED_KINDS,
     CriterionRecorder,
     PredicateSwitcher,
     backward_slice,
@@ -25,6 +26,8 @@ from repro.slicing import (
     slice_at_last_output,
 )
 from repro.vm import Hook
+
+from .ddg_oracle import OracleDDG
 
 
 def traced(src, inputs=None, config=None, scheduler_factory=None):
@@ -333,6 +336,9 @@ class TestMultithreaded:
         """
         m, ddg, cp, _ = traced(src, config=OntracConfig(record_war_waw=True))
         out_pc = out_pcs(cp, function="main")[0]
-        sl = multithreaded_backward_slice(ddg, ddg.last_instance_of_pc(out_pc))
-        tids = {ddg.nodes[s].tid for s in sl.seqs}
+        crit = ddg.last_instance_of_pc(out_pc)
+        sl = multithreaded_backward_slice(ddg, crit)
+        oracle = OracleDDG.of(ddg.buffer)
+        assert (sl.seqs, sl.pcs, sl.truncated) == oracle.backward_slice(crit, MULTITHREADED_KINDS)
+        tids = {oracle.nodes[s][1] for s in sl.seqs}
         assert tids == {0, 1}

@@ -12,14 +12,15 @@ from repro.ontrac import (
     DepRecord,
     Interval,
     OntracConfig,
-    build_ddg,
     compact,
     compact_backward_slice,
 )
 from repro.runner import ProgramRunner
 from repro.slicing import backward_slice
 from repro.workloads.generators import generate
-from repro.workloads.spec_like import matmul, sort
+from repro.workloads.spec_like import hashloop, matmul, sort
+
+from .ddg_oracle import OracleDDG
 
 
 def traced_ddg(workload_or_src, inputs=None):
@@ -56,10 +57,31 @@ class TestCompaction:
     def test_lossless_round_trip(self):
         ddg, _ = traced_ddg(matmul(6))
         wet = compact(ddg)
-        restored = wet.to_ddg()
-        assert set(restored.nodes) == set(ddg.nodes)
-        for seq in ddg.backward:
-            assert sorted(restored.backward[seq]) == sorted(ddg.backward[seq])
+        restored, original = (OracleDDG.of(g.buffer) for g in (wet.to_ddg(), ddg))
+        assert restored.nodes == original.nodes  # every node's pc and tid
+        assert restored.backward.keys() == original.backward.keys()
+        for seq, edges in original.backward.items():
+            assert sorted(restored.backward[seq]) == sorted(edges)
+        assert restored.complete and original.complete
+
+    def test_round_trip_keeps_window_truncation(self):
+        # An evicting window: slices that ran off its edge must still
+        # say so after compaction and decompression.
+        for workload in (matmul(6), sort(32), hashloop()):
+            _, tracer, _ = workload.runner().run_traced(OntracConfig(buffer_bytes=2048))
+            ddg = tracer.dependence_graph()
+            assert not ddg.complete
+            restored = compact(ddg).to_ddg()
+            assert not restored.complete
+            seqs = sorted(s for s, _ in ddg.node_items())
+            crits = seqs[:: max(1, len(seqs) // 40)]
+            truncated = 0
+            for crit in crits:
+                a, b = backward_slice(ddg, crit), backward_slice(restored, crit)
+                assert (a.seqs, a.pcs, a.truncated) == (b.seqs, b.pcs, b.truncated), \
+                    (workload.name, crit)
+                truncated += a.truncated
+            assert truncated, workload.name
 
     def test_loop_edges_compress_well(self):
         # Loop-carried dependences execute in lockstep: few intervals.

@@ -35,7 +35,7 @@ def test_kernel_propagation_speedup(benchmark):
     assert result.headline["identical"] == 1.0
     assert result.headline["numpy_available"] == 1.0
     # The tentpole gate: >=3x aggregate propagation throughput.
-    assert result.headline["propagation_speedup"] >= 3.0
+    assert result.headline["propagation_speedup"] >= result.headline["target_speedup"]
     # The array kernel actually engaged (batches consumed through it).
     assert result.metrics["dift.kernel.batches"] > 0
     assert result.metrics["dift.kernel.records"] > 0

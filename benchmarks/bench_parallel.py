@@ -27,23 +27,15 @@ Two of the reported numbers are host-dependent and two are not:
   kernel buys the worker pipeline itself.
 
 ``test_experiment_fanout`` covers the second layer: ``run_all`` with a
-``ProcessPoolExecutor`` fan-out vs the sequential sweep, with the same
+process-per-experiment fan-out vs the sequential sweep, with the same
 CPU gating (>=2x needs >=4 usable CPUs for 4 workers).
 """
 
-import os
 import time
 
 from conftest import report
 
-from repro.harness.experiments import ExperimentResult, run_all, run_parallel
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
+from repro.harness.experiments import ExperimentResult, run_all, run_parallel, usable_cpus
 
 
 def test_parallel_helper_speedup(benchmark):
@@ -90,7 +82,7 @@ def test_experiment_fanout(benchmark):
     for seq, fan in zip(sequential, fanned):
         assert seq.headline == fan.headline
 
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     speedup = sequential_s / fanned_s
     result = ExperimentResult(
         experiment="parallel_workers",

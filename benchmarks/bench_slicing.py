@@ -18,7 +18,7 @@ import tracemalloc
 
 from conftest import report
 
-from repro.harness.experiments import ExperimentResult
+from repro.harness.experiments import ExperimentResult, experiment
 from repro.ontrac import OntracConfig
 from repro.slicing import DEFAULT_KINDS, backward_slice
 from repro.telemetry import MetricsRegistry
@@ -31,6 +31,28 @@ from tests.ddg_oracle import OracleDDG
 MAX_PACKED_BYTES_PER_INSTR = 42.6 * 1.05
 
 
+@experiment(
+    "slicing",
+    claim=(
+        "packed columnar store: >=3x backward slicing over the dict "
+        "oracle + BFS on the same records, slices bit-identical"
+    ),
+    commentary=(
+        "Another wall-clock experiment: over the same traced records, the "
+        "packed store's indexed engine answers the criterion batch >=3x "
+        "faster than the test-side dict oracle plus its BFS (which must "
+        "build one node entry + edge-list entry per record before its "
+        "first query), with every slice's (seqs, pcs, truncated) asserted "
+        "identical. "
+        "The headline separates the paper's *modeled* bytes/instruction "
+        "(the wire format ONTRAC accounts, ~3.7 B/instr here) from the "
+        "*measured* tracemalloc bytes the store actually occupies: the "
+        "15-byte column rows land within ~12x of the modeled figure "
+        "(allocator-granular chunks, consumer index included), held at "
+        "their recorded ~42.6 B/instr (+5%) by bench_slicing — real "
+        "memory is the resource E3 trades for history."
+    ),
+)
 def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     """Backward-slicing wall clock and measured trace-store residency of
     the packed columnar store + indexed engine, against the dict oracle
@@ -52,12 +74,7 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     EXPERIMENTS.md).
     """
     result = ExperimentResult(
-        experiment="slicing",
-        claim=(
-            "packed columnar store: >=3x backward slicing over the dict "
-            "oracle + BFS on the same records, slices bit-identical"
-        ),
-        headers=["workload", "dict BFS s", "packed s", "speedup", "identical"],
+        headers=["workload", "dict BFS s", "packed s", "speedup", "identical"]
     )
     n_criteria = 24
 
@@ -162,7 +179,7 @@ def test_packed_slicing(benchmark):
     result = benchmark.pedantic(run_slicing, rounds=1, iterations=1)
     report(result)
     assert result.headline["identical"] == 1.0
-    assert result.headline["slice_speedup"] >= 3.0
+    assert result.headline["slice_speedup"] >= result.headline["target_speedup"]
     assert result.headline["measured_packed_bytes_per_instr"] <= MAX_PACKED_BYTES_PER_INSTR
     # The introspection counters prove the indexed engine actually ran:
     # repeated criteria must hit the closure memo, and the tracer must

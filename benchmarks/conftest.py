@@ -7,8 +7,9 @@ paper-vs-measured headline so `pytest benchmarks/ --benchmark-only -s`
 regenerates the paper's evaluation.
 
 Each reported result is also persisted as ``BENCH_<experiment>.json``
-(headline + telemetry metrics), so runs leave a machine-readable record
-next to the human-readable table.  Set ``REPRO_BENCH_REPORT_DIR`` to
+(:meth:`ExperimentResult.to_json`: claim, headline, telemetry metrics,
+notes and wall time), so runs leave a machine-readable record next to
+the human-readable table.  Set ``REPRO_BENCH_REPORT_DIR`` to
 redirect the files (default: current working directory).
 
 The repository root is put on ``sys.path`` so a benchmark can import
@@ -26,24 +27,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 
-def write_bench_json(result):
-    """Persist one ExperimentResult as BENCH_<experiment>.json."""
-    out_dir = Path(os.environ.get("REPRO_BENCH_REPORT_DIR", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "experiment": result.experiment,
-        "claim": result.claim,
-        "headline": result.headline,
-        "metrics": result.metrics,
-        "notes": result.notes,
-    }
-    path = out_dir / f"BENCH_{result.experiment}.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def require_numpy():
     """Skip (not fail) array-kernel speedup gates on hosts without
     numpy — the fallback path is correct but cannot beat itself."""
@@ -54,12 +37,14 @@ def require_numpy():
 
 
 def report(result):
-    """Print an ExperimentResult's table + headline (shown with -s / tee)."""
+    """Print an ExperimentResult's console form and persist its JSON
+    form as ``BENCH_<experiment>.json``."""
     print()
-    print(result.table())
-    if result.notes:
-        print(f"notes: {result.notes}")
-    headline = ", ".join(f"{k}={v:.3g}" for k, v in result.headline.items())
-    print(f"headline: {headline}")
-    path = write_bench_json(result)
+    print(result.summary())
+    out_dir = Path(os.environ.get("REPRO_BENCH_REPORT_DIR", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"BENCH_{result.experiment}.json"
+    with open(path, "w") as fh:
+        json.dump(result.to_json(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
     print(f"bench report: {path}")

@@ -8,7 +8,7 @@ Commands:
 * ``slice FILE --line N`` — trace, then backward-slice the last dynamic
   instance of source line N; print the slice as source lines
 * ``attack FILE``       — execute under the DIFT attack monitor
-* ``experiments [IDS]`` — run paper experiments (default: all of E1..E12)
+* ``experiments [IDS]`` — run declared experiments (default: the paper's)
 * ``serve``             — run the analysis service daemon (one event
   loop, coroutine per connection, streamed partial results)
 * ``route``             — run the consistent-hash router over N daemons
@@ -247,33 +247,23 @@ def cmd_attack(args) -> int:
 def cmd_experiments(args) -> int:
     import json
 
-    from .harness import ALL_EXPERIMENTS, EXTRA_EXPERIMENTS, run_all
+    from .harness import EXPERIMENTS, run_all
 
-    names = args.ids or sorted(ALL_EXPERIMENTS, key=lambda n: int(n[1:]))
-    for name in names:
-        if name not in ALL_EXPERIMENTS and name not in EXTRA_EXPERIMENTS:
-            print(f"error: unknown experiment {name}", file=sys.stderr)
-            return 2
-    results = run_all(names, workers=args.workers, timeout_s=args.timeout)
+    unknown = [name for name in args.ids if name not in EXPERIMENTS]
+    if unknown:
+        print(
+            f"error: unknown experiment {', '.join(unknown)}"
+            f" (known: {', '.join(EXPERIMENTS)})",
+            file=sys.stderr,
+        )
+        return 2
+    results = run_all(args.ids, workers=args.workers, timeout_s=args.timeout)
     for result in results:
-        print(result.table())
-        if result.notes:
-            print(f"notes: {result.notes}")
-        print(f"wall-clock: {result.wall_time_s:.2f} s")
+        print(result.summary())
         print()
     if getattr(args, "report", None):
-        payload = [
-            {
-                "experiment": r.experiment,
-                "claim": r.claim,
-                "headline": r.headline,
-                "metrics": r.metrics,
-                "wall_time_s": r.wall_time_s,
-            }
-            for r in results
-        ]
         with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+            json.dump([r.to_json() for r in results], fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"report written to {args.report}", file=sys.stderr)
     return 0
@@ -626,11 +616,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: 256)")
     p_attack.set_defaults(func=cmd_attack)
 
-    p_exp = sub.add_parser("experiments", help="run paper experiments")
+    p_exp = sub.add_parser("experiments", help="run declared experiments")
     p_exp.add_argument("ids", nargs="*",
-                       help="experiment ids (E1..E12, kernel, summaries, "
-                            "lake, parallel, service, router); default "
-                            "E1..E12")
+                       help="experiment ids (an unknown id lists the known "
+                            "ones); default: the paper's experiments")
     p_exp.add_argument("--report", metavar="PATH",
                        help="write per-experiment results + metrics (JSON) to PATH")
     p_exp.add_argument("--workers", type=int, default=None,

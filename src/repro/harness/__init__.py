@@ -1,17 +1,19 @@
-"""Experiment harness: one runner per paper claim (see DESIGN.md §4)."""
+"""Experiment harness: one declared runner per experiment (see DESIGN.md §4)."""
 
 from .experiments import (
-    ALL_EXPERIMENTS,
-    EXTRA_EXPERIMENTS,
+    EXPERIMENTS,
+    Experiment,
     ExperimentResult,
+    experiment,
     run_all,
     run_experiment,
 )
 
 __all__ = [
-    "ALL_EXPERIMENTS",
-    "EXTRA_EXPERIMENTS",
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentResult",
+    "experiment",
     "run_all",
     "run_experiment",
 ]

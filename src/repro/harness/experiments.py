@@ -1,25 +1,40 @@
-"""Experiment runners: one function per paper claim (E1..E12).
+"""Experiment runners, each declared once (DESIGN.md §4).
 
-Each ``run_eN`` executes the experiment at a configurable scale and
-returns an :class:`ExperimentResult` with the table the paper's claim
-corresponds to, plus a ``headline`` dict of the scalar numbers
-EXPERIMENTS.md quotes against the paper.  The pytest-benchmark files in
-``benchmarks/`` call these same functions, so the printed tables and
-the recorded numbers can never drift apart.
+Every experiment is one runner function under an :func:`experiment`
+declaration that carries its id, the claim it reproduces and the
+commentary EXPERIMENTS.md prints under its table.  The declarations
+fill :data:`EXPERIMENTS`, in declaration order: the paper's E1..E12
+(``paper=True``), then the wall-clock experiments.  Everything else is
+derived from that mapping: :func:`run_experiment`/:func:`run_all`, the
+CLI's default selection and unknown-id check, and the sections of
+EXPERIMENTS.md (``tools/generate_experiments_md.py``).
 
-See DESIGN.md §4 for the claim -> experiment mapping.
+A runner returns an :class:`ExperimentResult` with the experiment's
+table and a ``headline`` dict of the scalar numbers EXPERIMENTS.md
+quotes against the paper; the declaration stamps the id, claim and
+host wall-clock time on it.  The pytest-benchmark files in
+``benchmarks/`` call these same functions (``bench_slicing.py``
+declares ``slicing`` itself, because its baseline is a test-side
+oracle), so the printed tables and the recorded numbers can never
+drift apart.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..apps.faultavoid import FaultAvoidanceFramework, PatchFile
 from ..apps.faultloc import SliceBasedFaultLocator, ValueReplacementRanker
 from ..apps.lineage import LineageTracer, verify_against_reference
 from ..apps.security import AttackMonitor, attack_corpus
-from ..dift.engine import DIFTEngine
+from ..dift.engine import DIFTEngine, SinkRule
+from ..dift.kernel import RECORD_SIZE, RecordStreamCapture, build_kernel, numpy_available
 from ..dift.policy import BoolTaintPolicy
+from ..dift.summaries import SummaryKernel
 from ..multicore import HelperCoreDIFT, hardware_interconnect, shared_memory_channel
 from ..ontrac import OfflineTracer, OnlineTracer, OntracConfig
 from ..races import RaceDetector, SyncAwareRaceDetector, SyncHistory, SyncRecognizer
@@ -42,33 +57,109 @@ from ..isa.instructions import Opcode
 
 @dataclass
 class ExperimentResult:
-    experiment: str
-    claim: str
-    headers: list[str]
+    #: id and claim, stamped from the experiment's declaration.
+    experiment: str = ""
+    claim: str = ""
+    headers: list[str] = field(default_factory=list)
     rows: list[list] = field(default_factory=list)
     headline: dict[str, float] = field(default_factory=dict)
     #: flat counter/gauge snapshot from the experiment's subsystems.
     metrics: dict[str, float] = field(default_factory=dict)
     notes: str = ""
-    #: host wall-clock seconds for the whole experiment (stamped by
-    #: :func:`run_experiment`; 0.0 when the runner was called directly).
-    #: Reported next to the modeled-cycle tables so the two currencies
-    #: stay side by side and never get conflated.
+    #: host wall-clock seconds for the whole experiment, stamped by the
+    #: declaration.  Reported next to the modeled-cycle tables so the
+    #: two currencies stay side by side and never get conflated.
     wall_time_s: float = 0.0
 
     def table(self) -> str:
         return format_table(self.headers, self.rows, title=f"{self.experiment}: {self.claim}")
 
+    def summary(self) -> str:
+        """The console form: table, notes, headline and wall clock."""
+        lines = [self.table()]
+        if self.notes:
+            lines.append(f"notes: {self.notes}")
+        headline = ", ".join(f"{k}={v:.3g}" for k, v in self.headline.items())
+        lines.append(f"headline: {headline}")
+        lines.append(f"wall-clock: {self.wall_time_s:.2f} s")
+        return "\n".join(lines)
 
-# ---------------------------------------------------------------------------
-# E1 — ONTRAC slowdown: online ~19x vs offline post-processing ~540x
-# ---------------------------------------------------------------------------
+    def to_json(self) -> dict:
+        """The JSON form (``experiments --report`` entries, ``BENCH_<id>.json``)."""
+        return {
+            "experiment": self.experiment,
+            "claim": self.claim,
+            "headline": self.headline,
+            "metrics": self.metrics,
+            "notes": self.notes,
+            "wall_time_s": self.wall_time_s,
+        }
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment's declaration (see :func:`experiment`)."""
+
+    id: str
+    claim: str
+    commentary: str
+    run: Callable[..., ExperimentResult]
+    #: one of the paper's claims (the default ``experiments`` selection).
+    paper: bool = False
+
+
+#: every declared experiment by id, in declaration order.
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def experiment(id: str, *, claim: str, commentary: str, paper: bool = False):
+    """Declare the decorated runner as experiment ``id``.
+
+    The declared runner keeps its signature; every call, through the
+    registry or direct, returns its result stamped with ``id``,
+    ``claim`` and the host wall-clock time the call took.
+    """
+
+    def declare(runner):
+        if id in EXPERIMENTS:
+            raise ValueError(f"experiment {id!r} is declared twice")
+
+        @functools.wraps(runner)
+        def run(*args, **kwargs) -> ExperimentResult:
+            t0 = time.perf_counter()
+            result = runner(*args, **kwargs)
+            result.wall_time_s = time.perf_counter() - t0
+            result.experiment, result.claim = id, claim
+            return result
+
+        EXPERIMENTS[id] = Experiment(id, claim, commentary, run, paper)
+        return run
+
+    return declare
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (the regime wall-clock ratios need)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux hosts
+        return os.cpu_count() or 1
+
+
+@experiment(
+    "E1",
+    claim="online tracing ~19x avg vs ~540x offline post-processing (§2.1)",
+    commentary=(
+        "Online tracing lands in the paper's ~19x band and the offline "
+        "collect-then-post-process baseline is an order of magnitude beyond "
+        "it, dominated by the post-processing pass — the gap that motivated "
+        "ONTRAC. Absolute values depend on the cost model's constants; the "
+        "ratio structure (who wins, by what order) is the reproduced claim."
+    ),
+    paper=True,
+)
 def run_e1(scale: int = 1) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E1",
-        claim="online tracing ~19x avg vs ~540x offline post-processing (§2.1)",
-        headers=["workload", "native cyc/instr", "online x", "offline x"],
-    )
+    result = ExperimentResult(headers=["workload", "native cyc/instr", "online x", "offline x"])
     online_xs, offline_xs = [], []
     for w in suite(scale):
         runner = w.runner()
@@ -104,9 +195,20 @@ def run_e1(scale: int = 1) -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# E2 — bytes/instruction: 16 unoptimized -> 0.8 optimized, with ablation
-# ---------------------------------------------------------------------------
+@experiment(
+    "E2",
+    claim="trace rate 16 B/instr naive -> 0.8 B/instr optimized (§2.1)",
+    commentary=(
+        "The ablation ladder is strictly monotone: intra-block static "
+        "inference removes most register dependences, hot traces and "
+        "redundant-load elision shave memory dependences, and the "
+        "forward-slice-of-input filter delivers the final large cut. Naive "
+        "vs fully-optimized spans roughly an order of magnitude "
+        "(paper: 16 -> 0.8 B/instr, a 20x cut; ours is workload-mix "
+        "dependent but the same shape)."
+    ),
+    paper=True,
+)
 def run_e2(scale: int = 1) -> ExperimentResult:
     configs = [
         ("naive", OntracConfig.unoptimized()),
@@ -116,8 +218,6 @@ def run_e2(scale: int = 1) -> ExperimentResult:
         ("+input-filter", OntracConfig(hot_trace_threshold=20, input_forward_slice=True)),
     ]
     result = ExperimentResult(
-        experiment="E2",
-        claim="trace rate 16 B/instr naive -> 0.8 B/instr optimized (§2.1)",
         headers=["configuration"] + [w.name for w in suite(scale)] + ["average"],
     )
     averages = {}
@@ -140,13 +240,21 @@ def run_e2(scale: int = 1) -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# E3 — history window vs buffer size (paper: 20M instructions in 16MB)
-# ---------------------------------------------------------------------------
+@experiment(
+    "E3",
+    claim="a 16MB buffer holds ~20M instructions of history (§2.1)",
+    commentary=(
+        "The window grows linearly in buffer bytes at a size-invariant "
+        "instructions-per-KB rate, so the 16 MB point is extrapolated "
+        "(running >10M interpreted instructions per configuration is "
+        "wasteful). The extrapolated window is within ~2-3x of the paper's "
+        "20M instructions; the exact constant tracks bytes/instruction, "
+        "i.e. E2."
+    ),
+    paper=True,
+)
 def run_e3(buffer_sizes: tuple[int, ...] = (4096, 16384, 65536), scale: int = 1) -> ExperimentResult:
     result = ExperimentResult(
-        experiment="E3",
-        claim="a 16MB buffer holds ~20M instructions of history (§2.1)",
         headers=["buffer bytes", "window (instr)", "instr per KB", "extrapolated @16MB"],
     )
     # A long-running loop so every buffer size overflows and the window
@@ -173,13 +281,20 @@ def run_e3(buffer_sizes: tuple[int, ...] = (4096, 16384, 65536), scale: int = 1)
     return result
 
 
-# ---------------------------------------------------------------------------
-# E4 — multicore DIFT overhead ~48% (hw interconnect) vs software channel
-# ---------------------------------------------------------------------------
+@experiment(
+    "E4",
+    claim="helper-core DIFT overhead ~48% for SPEC int (§2.1)",
+    commentary=(
+        "With the hardware-interconnect channel the end-to-end overhead "
+        "averages in the paper's ~48% band, the shared-memory software "
+        "channel is several times worse (enqueue cost on the main core "
+        "dominates), and both beat inline DIFT on the main core — the "
+        "paper's motivation for the helper-core design."
+    ),
+    paper=True,
+)
 def run_e4(scale: int = 1) -> ExperimentResult:
     result = ExperimentResult(
-        experiment="E4",
-        claim="helper-core DIFT overhead ~48% for SPEC int (§2.1)",
         headers=["workload", "inline %", "hw channel %", "sw channel %", "hw stalls"],
     )
     hw_overheads, sw_overheads, inline_overheads = [], [], []
@@ -223,9 +338,21 @@ def run_e4(scale: int = 1) -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# E5 — execution reduction (the MySQL case study's shape)
-# ---------------------------------------------------------------------------
+@experiment(
+    "E5",
+    claim="MySQL case study: 14.8s/16.8s/3736s/0.67s; 976M -> 3175 deps (§2.2)",
+    commentary=(
+        "The case-study shape holds at our (thousandsfold smaller) scale: "
+        "logging is near-free, full tracing is orders beyond it, the "
+        "traced replay covers a few percent of the execution, thread "
+        "reduction drops the non-interacting workers, the failure still "
+        "reproduces, and the dependence count collapses. The paper's "
+        "976M->3175 is a 307,000x cut on a 14.8 s run; our cut scales "
+        "with run length by construction (window size is fixed by the "
+        "checkpoint interval while total dependences grow with the run)."
+    ),
+    paper=True,
+)
 def run_e5(workers: int = 3, requests: int = 150, checkpoint_interval: int = 8000) -> ExperimentResult:
     scenario = build_server(workers=workers, requests=requests, busywork=10)
     runner = scenario.runner()
@@ -255,8 +382,6 @@ def run_e5(workers: int = 3, requests: int = 150, checkpoint_interval: int = 800
     reduced_deps = outcome.traced_dependences
 
     result = ExperimentResult(
-        experiment="E5",
-        claim="MySQL case study: 14.8s/16.8s/3736s/0.67s; 976M -> 3175 deps (§2.2)",
         headers=["quantity", "this repro", "paper"],
         rows=[
             ["original (cycles / s)", base_cycles, "14.8 s"],
@@ -288,13 +413,20 @@ def run_e5(workers: int = 3, requests: int = 150, checkpoint_interval: int = 800
     return result
 
 
-# ---------------------------------------------------------------------------
-# E6 — TM monitoring: naive livelocks, sync-aware doesn't (§2.2)
-# ---------------------------------------------------------------------------
+@experiment(
+    "E6",
+    claim="sync-aware conflict resolution avoids livelock, cuts overhead (§2.2)",
+    commentary=(
+        "Every naive-policy kernel livelocks (flag spin and barrier both "
+        "reproduce [9]'s scenarios; the lock kernel wedges on a lock held "
+        "inside an abortable transaction), while the sync-aware policy "
+        "completes all kernels with zero livelocks and single-digit "
+        "monitoring overhead."
+    ),
+    paper=True,
+)
 def run_e6() -> ExperimentResult:
     result = ExperimentResult(
-        experiment="E6",
-        claim="sync-aware conflict resolution avoids livelock, cuts overhead (§2.2)",
         headers=["kernel", "policy", "completed", "livelock", "aborts", "overhead x"],
     )
     livelocks = {"naive": 0, "sync_aware": 0}
@@ -329,13 +461,21 @@ def run_e6() -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# E7 — execution omission: relevant slices vs predicate switching (§3.1)
-# ---------------------------------------------------------------------------
+@experiment(
+    "E7",
+    claim="predicate switching exposes omission errors with few verifications (§3.1)",
+    commentary=(
+        "Plain dynamic slices never contain the omission bugs (column 2 is "
+        "all zeros) — the defining property of execution-omission errors. "
+        "Predicate switching verifies the implicit dependence with about "
+        "one re-execution per bug, matching the paper's 'small number of "
+        "verifications'; relevant slicing also catches them but "
+        "conservatively (sizes shown for comparison)."
+    ),
+    paper=True,
+)
 def run_e7() -> ExperimentResult:
     result = ExperimentResult(
-        experiment="E7",
-        claim="predicate switching exposes omission errors with few verifications (§3.1)",
         headers=[
             "bug", "plain slice has bug", "relevant size", "implicit size",
             "verifications", "implicit has bug",
@@ -386,13 +526,22 @@ def run_e7() -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# E8 — value-replacement ranking (§3.1)
-# ---------------------------------------------------------------------------
+@experiment(
+    "E8",
+    claim="value replacement ranks faulty statements near the top (§3.1)",
+    commentary=(
+        "Value replacement ranks the bug line at the top for the "
+        "wrong-constant, wrong-variable and both omission bugs — including "
+        "the omission bugs slicing misses (column 'slice has bug' = 0), "
+        "reproducing the paper's 'uniformly handles all errors' claim. "
+        "wrong-operator is an honest miss: the correct value (a*b) never "
+        "occurs anywhere in the run's value profile, so no observed-value "
+        "replacement can produce the correct output."
+    ),
+    paper=True,
+)
 def run_e8(max_replacements: int = 300) -> ExperimentResult:
     result = ExperimentResult(
-        experiment="E8",
-        claim="value replacement ranks faulty statements near the top (§3.1)",
         headers=["bug", "category", "ivmps", "tried", "bug line rank", "slice has bug"],
     )
     ranked_top2 = 0
@@ -428,13 +577,20 @@ def run_e8(max_replacements: int = 300) -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# E9 — sync-aware race detection filters benign races (§3.1)
-# ---------------------------------------------------------------------------
+@experiment(
+    "E9",
+    claim="sync-aware filtering removes benign synchronization races (§3.1)",
+    commentary=(
+        "The lockset+happens-before baseline already suppresses "
+        "lock-protected accesses; dynamic synchronization recognition then "
+        "filters every benign flag-synchronization race and every access "
+        "ordered through a recognized flag — while still reporting each "
+        "seeded true race (final column)."
+    ),
+    paper=True,
+)
 def run_e9() -> ExperimentResult:
     result = ExperimentResult(
-        experiment="E9",
-        claim="sync-aware filtering removes benign synchronization races (§3.1)",
         headers=["kernel", "candidates", "baseline reported", "sync-aware reported",
                  "filtered", "true races found"],
     )
@@ -485,13 +641,19 @@ def run_e9() -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# E10 — fault avoidance for the three environment-fault classes (§3.2)
-# ---------------------------------------------------------------------------
+@experiment(
+    "E10",
+    claim="atomicity / heap-overflow / malformed-request faults avoided (§3.2)",
+    commentary=(
+        "All three of §3.2's environment-fault classes are captured, "
+        "avoided by the class-appropriate environment change, recorded as "
+        "an environment patch, and the patched 'future run' completes "
+        "cleanly with only patch-lookup overhead."
+    ),
+    paper=True,
+)
 def run_e10() -> ExperimentResult:
     result = ExperimentResult(
-        experiment="E10",
-        claim="atomicity / heap-overflow / malformed-request faults avoided (§3.2)",
         headers=["bug", "class", "avoided", "strategy", "attempts", "future run clean"],
     )
     avoided = 0
@@ -527,13 +689,20 @@ def run_e10() -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# E11 — attack detection + PC-taint root cause (§3.3)
-# ---------------------------------------------------------------------------
+@experiment(
+    "E11",
+    claim="attacks detected; PC taint names the root-cause statement (§3.3)",
+    commentary=(
+        "All attacks are detected at the sink and stopped before the "
+        "hijacked action executes; benign runs are never flagged. The "
+        "PC-taint label names the root-cause statement in 3/3 scenarios "
+        "(the bool-vs-PC ablation in bench_e11 shows boolean taint detects "
+        "but cannot explain)."
+    ),
+    paper=True,
+)
 def run_e11() -> ExperimentResult:
     result = ExperimentResult(
-        experiment="E11",
-        claim="attacks detected; PC taint names the root-cause statement (§3.3)",
         headers=["scenario", "benign clean", "detected", "stopped", "culprit line",
                  "root cause named"],
     )
@@ -573,13 +742,24 @@ def run_e11() -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# E12 — lineage: slowdown <40x, memory ~300%, roBDD vs naive (§3.4)
-# ---------------------------------------------------------------------------
+@experiment(
+    "E12",
+    claim="lineage tracing <40x slowdown, ~300% memory; roBDD beats naive sets (§3.4)",
+    commentary=(
+        "Lineage is exact against ground truth on every workload and both "
+        "representations; the modeled slowdown stays far below the paper's "
+        "40x bound (our interpreter already absorbs what valgrind "
+        "infrastructure cost them). The memory story is regime-dependent "
+        "exactly as [12] describes: on overlapping/clustered resident sets "
+        "(cumulative-sum) roBDDs beat naive sets by the naive/robdd ratio "
+        "in the headline, while on scattered singleton lineage "
+        "(scatter-pick) naive sets win — see the clustering ablation in "
+        "bench_e12."
+    ),
+    paper=True,
+)
 def run_e12(scale: int = 1) -> ExperimentResult:
     result = ExperimentResult(
-        experiment="E12",
-        claim="lineage tracing <40x slowdown, ~300% memory; roBDD beats naive sets (§3.4)",
         headers=["workload", "repr", "exact lineage", "slowdown x", "mem overhead x",
                  "set bytes", "union cycles"],
     )
@@ -635,9 +815,84 @@ def run_e12(scale: int = 1) -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Batch propagation kernel — array vs reference throughput, bit-identical
-# ---------------------------------------------------------------------------
+def _capture_streams(workloads, markers: bool = False) -> list:
+    """Each workload's packed DIFT record stream, captured once."""
+    captures = []
+    for w in workloads:
+        runner = w.runner()
+        m = runner.machine()
+        cap = RecordStreamCapture(markers=markers).attach(m)
+        m.run(max_instructions=runner.max_instructions)
+        cap.finish()
+        captures.append(cap)
+    return captures
+
+
+def _bool_kernel(name: str) -> Callable:
+    """Factory of fresh ``name`` kernels: Bool taint, recording ``out`` sinks."""
+    return lambda: build_kernel(
+        name, BoolTaintPolicy(), sinks=[SinkRule(kind="out", action="record")]
+    )
+
+
+def _best_passes(cap, repeats: int, *factories: Callable) -> list[tuple]:
+    """Feed ``cap``'s stream to a fresh kernel from each factory, the
+    factories interleaved over ``repeats`` rounds.  Returns, per
+    factory, its last kernel and its best propagation seconds (a
+    summary kernel settles inside the timed region)."""
+    best = [(None, float("inf"))] * len(factories)
+    for _ in range(repeats):
+        for i, make in enumerate(factories):
+            kern = make()
+            cap.prime(kern)
+            t0 = time.perf_counter()
+            for chunk in cap.chunks:
+                kern.propagate_batch(chunk)
+            if hasattr(kern, "settle"):
+                kern.settle()
+            elapsed = time.perf_counter() - t0
+            cap.patch_alerts(kern.alerts)
+            best[i] = (kern, min(best[i][1], elapsed))
+    return best
+
+
+def _same_observables(a, b) -> bool:
+    """Alerts, stats, shadow taint sets and peak residency all equal."""
+    return (
+        str(a.alerts) == str(b.alerts)
+        and a.stats == b.stats
+        and a.shadow.regs == b.shadow.regs
+        and a.shadow.mem_items() == b.shadow.mem_items()
+        and a.shadow.peak_locations == b.shadow.peak_locations
+    )
+
+
+@experiment(
+    "kernel",
+    claim=(
+        "vectorized batch propagation >=3x reference throughput on the "
+        "DIFT-heavy suite, observables bit-identical"
+    ),
+    commentary=(
+        "Pure propagation throughput, with execution factored out: each "
+        "workload's packed record stream (the same 24-byte wire format "
+        "the ring ships) is captured once, then replayed through both "
+        "propagation kernels. The reference kernel is the per-record "
+        "engine loop, verbatim; the array kernel decodes each batch into "
+        "numpy columns, screens taint-free batches in O(1), probes a "
+        "taint-reachability fixpoint to select the records that can "
+        "touch taint, and replays only those through a tightened scalar "
+        "loop — falling back to whole-batch replay when a probe shows "
+        "selection won't pay (dense register taint). The >=3x gate "
+        "(benchmarks/bench_kernel.py) is on the suite aggregate; "
+        "per-workload rows vary with taint density. The identity column "
+        "is the contract: alerts, stats, shadow taint sets and the "
+        "peak-location high-water mark must be bit-identical per "
+        "workload, and the differential tests name both kernels as "
+        "explicit engine arguments, so every tier-1 run proves both "
+        "sides of the seam."
+    ),
+)
 def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
     """Propagation throughput of the vectorized
     :class:`~repro.dift.kernel.ArrayKernel` vs the pure-python
@@ -654,68 +909,23 @@ def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
     the reference kernel (``numpy_available`` records which case ran)
     and the speedup degenerates to ~1.
     """
-    import time
-
-    from ..dift.engine import SinkRule
-    from ..dift.kernel import (
-        RECORD_SIZE,
-        RecordStreamCapture,
-        build_kernel,
-        numpy_available,
-    )
-    from ..dift.policy import BoolTaintPolicy as _Bool
 
     result = ExperimentResult(
-        experiment="kernel",
-        claim=(
-            "vectorized batch propagation >=3x reference throughput on the "
-            "DIFT-heavy suite, observables bit-identical"
-        ),
         headers=["workload", "records", "ref s", "array s", "speedup", "identical"],
     )
     workloads = suite(scale)
     numpy_ok = numpy_available()
     array_name = "array" if numpy_ok else "reference"
 
-    captures = []
-    for w in workloads:
-        runner = w.runner()
-        m = runner.machine()
-        cap = RecordStreamCapture().attach(m)
-        m.run(max_instructions=runner.max_instructions)
-        cap.finish()
-        captures.append(cap)
-
-    def one_pass(name, cap):
-        kern = build_kernel(
-            name, _Bool(), sinks=[SinkRule(kind="out", action="record")]
-        )
-        cap.prime(kern)
-        t0 = time.perf_counter()
-        for chunk in cap.chunks:
-            kern.propagate_batch(chunk)
-        elapsed = time.perf_counter() - t0
-        cap.patch_alerts(kern.alerts)
-        return kern, elapsed
-
     all_identical = True
     ref_total = arr_total = 0.0
     total_records = 0
     arr_kernels = []
-    for w, cap in zip(workloads, captures):
-        best_ref = best_arr = float("inf")
-        for _ in range(repeats):
-            ref_kern, ref_s = one_pass("reference", cap)
-            arr_kern, arr_s = one_pass(array_name, cap)
-            best_ref = min(best_ref, ref_s)
-            best_arr = min(best_arr, arr_s)
-        identical = (
-            str(ref_kern.alerts) == str(arr_kern.alerts)
-            and ref_kern.stats == arr_kern.stats
-            and ref_kern.shadow.regs == arr_kern.shadow.regs
-            and ref_kern.shadow.mem_items() == arr_kern.shadow.mem_items()
-            and ref_kern.shadow.peak_locations == arr_kern.shadow.peak_locations
+    for w, cap in zip(workloads, _capture_streams(workloads)):
+        (ref_kern, best_ref), (arr_kern, best_arr) = _best_passes(
+            cap, repeats, _bool_kernel("reference"), _bool_kernel(array_name)
         )
+        identical = _same_observables(ref_kern, arr_kern)
         all_identical = all_identical and identical
         arr_kernels.append(arr_kern)
         n_rec = sum(len(c) for c in cap.chunks) // RECORD_SIZE
@@ -750,9 +960,36 @@ def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Function-summary DIFT — call-region replay vs instruction-level propagation
-# ---------------------------------------------------------------------------
+@experiment(
+    "summaries",
+    claim=(
+        "learned call summaries replay taint transfer in O(footprint): "
+        ">=5x propagation on call-heavy code, >=2x suite aggregate, "
+        "observables bit-identical"
+    ),
+    commentary=(
+        "Call-granular elision on top of the batch kernel: the first "
+        "execution of a CALL-delimited region is distilled into a taint "
+        "transfer function (input footprint, output labels, stats deltas, "
+        "sink trips), and later calls whose pre-state matches apply it in "
+        "O(footprint) instead of replaying the region record by record. "
+        "Validity is a two-part guard — footprint labels at entry plus "
+        "exact byte equality of the region's records — so an aliased "
+        "store, divergent branch or changed sink payload falls back to "
+        "full propagation and re-learns; sites alternating between "
+        "stable taint patterns keep one summary per footprint (variants) "
+        "instead of thrashing. The base side of every row is the *array* "
+        "kernel, not the reference loop — the >=5x call-heavy and >=2x "
+        "aggregate gates (benchmarks/bench_summaries.py) are on top of "
+        "the vectorized fast path, and each timed pass pays its own "
+        "learning (fresh cache). The call-free spec workloads ride along "
+        "to show the marker machinery costs them nothing, the "
+        "50%-polymorphic member must show invalidations with identity "
+        "held, and the record ledger must reconcile exactly: every "
+        "consumed record is a marker, an elided region record, or a "
+        "record the inner kernel actually propagated."
+    ),
+)
 def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     """Propagation wall clock with and without function summaries
     (:class:`~repro.dift.summaries.SummaryKernel`) over identical
@@ -770,26 +1007,9 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     identical per workload, and the record ledger must reconcile:
     consumed == markers + elided + records reaching the inner kernel.
     """
-    import time
-
-    from ..dift.engine import SinkRule
-    from ..dift.kernel import (
-        RECORD_SIZE,
-        RecordStreamCapture,
-        build_kernel,
-        numpy_available,
-    )
-    from ..dift.policy import BoolTaintPolicy as _Bool
-    from ..dift.summaries import SummaryKernel
     from ..workloads.generators import call_heavy
 
     result = ExperimentResult(
-        experiment="summaries",
-        claim=(
-            "learned call summaries replay taint transfer in O(footprint): "
-            ">=5x propagation on call-heavy code, >=2x suite aggregate, "
-            "observables bit-identical"
-        ),
         headers=[
             "workload", "records", "base s", "summary s", "speedup",
             "hits", "inval", "elided", "identical",
@@ -804,40 +1024,10 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     numpy_ok = numpy_available()
     kernel_name = "array" if numpy_ok else "reference"
 
-    captures = []
-    for w in workloads:
-        runner = w.runner()
-        m = runner.machine()
-        cap = RecordStreamCapture(markers=True).attach(m)
-        m.run(max_instructions=runner.max_instructions)
-        cap.finish()
-        captures.append(cap)
+    base_kernel = _bool_kernel(kernel_name)
 
-    def base_pass(cap):
-        kern = build_kernel(
-            kernel_name, _Bool(), sinks=[SinkRule(kind="out", action="record")]
-        )
-        cap.prime(kern)
-        t0 = time.perf_counter()
-        for chunk in cap.chunks:
-            kern.propagate_batch(chunk)
-        elapsed = time.perf_counter() - t0
-        cap.patch_alerts(kern.alerts)
-        return kern, elapsed
-
-    def summary_pass(cap):
-        inner = build_kernel(
-            kernel_name, _Bool(), sinks=[SinkRule(kind="out", action="record")]
-        )
-        kern = SummaryKernel(inner)
-        cap.prime(kern)
-        t0 = time.perf_counter()
-        for chunk in cap.chunks:
-            kern.propagate_batch(chunk)
-        kern.settle()
-        elapsed = time.perf_counter() - t0
-        cap.patch_alerts(kern.alerts)
-        return kern, elapsed
+    def summary_kernel():
+        return SummaryKernel(base_kernel())
 
     all_identical = True
     all_reconciled = True
@@ -846,20 +1036,11 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     per_name: dict[str, float] = {}
     counter_totals = {"learned": 0, "hits": 0, "invalidations": 0, "records_elided": 0}
     p50_invalidations = 0
-    for w, cap in zip(workloads, captures):
-        best_base = best_summ = float("inf")
-        for _ in range(repeats):
-            base_kern, base_s = base_pass(cap)
-            summ_kern, summ_s = summary_pass(cap)
-            best_base = min(best_base, base_s)
-            best_summ = min(best_summ, summ_s)
-        identical = (
-            str(base_kern.alerts) == str(summ_kern.alerts)
-            and base_kern.stats == summ_kern.stats
-            and base_kern.shadow.regs == summ_kern.shadow.regs
-            and base_kern.shadow.mem_items() == summ_kern.shadow.mem_items()
-            and base_kern.shadow.peak_locations == summ_kern.shadow.peak_locations
+    for w, cap in zip(workloads, _capture_streams(workloads, markers=True)):
+        (base_kern, best_base), (summ_kern, best_summ) = _best_passes(
+            cap, repeats, base_kernel, summary_kernel
         )
+        identical = _same_observables(base_kern, summ_kern)
         all_identical = all_identical and identical
         reconciled = summ_kern.records_consumed == (
             summ_kern.markers
@@ -917,9 +1098,27 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Trace lake — stored-run query fidelity and cross-run diff localization
-# ---------------------------------------------------------------------------
+@experiment(
+    "lake",
+    claim=(
+        "stored runs answer slice/lineage/postmortem re-execution-free "
+        "and bit-identical; cross-run diff localizes injected bugs"
+    ),
+    commentary=(
+        "The trace lake's whole value is that none of these answers "
+        "re-executed anything: every per-workload row queries an mmap'd "
+        "spill file (sealed packed chunks + footer index) and must match "
+        "the live in-memory buffer bit for bit — same seqs, pcs and "
+        "truncation under eviction — while spill-enabled tracing stays "
+        "within 1.15x of no-spill tracing (sections are written once, at "
+        "chunk-seal time, off the hot append path). The diff rows then "
+        "use stored runs from *different builds* (buggy vs fixed) in "
+        "source-line space via each manifest's pc→line map: edges only "
+        "the failing run has, plus edges every passing run has that it "
+        "lacks, must implicate a recorded bug line on the families whose "
+        "injected defect changes the dependence-edge set."
+    ),
+)
 def run_lake(scale: int = 1) -> ExperimentResult:
     """Persist every suite workload's trace into a throwaway lake and
     prove the stored runs answer queries **without re-execution** and
@@ -942,7 +1141,6 @@ def run_lake(scale: int = 1) -> ExperimentResult:
     """
     import shutil
     import tempfile
-    import time
 
     from ..lake import (
         TraceLake,
@@ -956,15 +1154,7 @@ def run_lake(scale: int = 1) -> ExperimentResult:
     from ..slicing import forward_slice
     from ..workloads import corpus
 
-    result = ExperimentResult(
-        experiment="lake",
-        claim=(
-            "stored runs answer slice/lineage/postmortem re-execution-free "
-            "and bit-identical; cross-run diff localizes injected bugs"
-        ),
-        headers=["case", "rows", "identical", "spill ratio", "detail"],
-    )
-    import os
+    result = ExperimentResult(headers=["case", "rows", "identical", "spill ratio", "detail"])
 
     root = tempfile.mkdtemp(prefix="repro-lake-exp-")
     lake = TraceLake(root)
@@ -1097,9 +1287,28 @@ def run_lake(scale: int = 1) -> ExperimentResult:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Parallel helper — wall-clock cost of the *real* out-of-process worker
-# ---------------------------------------------------------------------------
+@experiment(
+    "parallel",
+    claim=(
+        "out-of-process DIFT helper cuts application-core overhead >=1.5x "
+        "with identical observables; end-to-end wall clock is worker-bound"
+    ),
+    commentary=(
+        "The one experiment whose currency *is* wall-clock: a real worker "
+        "process consumes the shared-memory ring and runs the same "
+        "propagation kernel, with every workload's alerts, taint sets and stats "
+        "asserted identical to the inline run. The host-independent claim "
+        "is the app-core CPU row — `time.process_time` never counts the "
+        "worker, so offloading cuts the application core's DIFT cost "
+        ">=1.5x regardless of CPU count. The per-workload wall rows are "
+        "host-dependent: on a single usable CPU the parent and worker "
+        "time-share one core and parity is the ceiling, which "
+        "`usable_cpus` records and `projected_multicore_speedup` "
+        "extrapolates past. Batching is the lever (batch_size=1 is ~2x "
+        "slower than inline; >=256 amortizes the ring publishes) — see "
+        "README 'Parallel helper' and benchmarks/bench_parallel.py."
+    ),
+)
 def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> ExperimentResult:
     """Wall-clock cost of a DIFT-heavy pass over the workload suite with
     the inline engine vs :class:`~repro.multicore.parallel.ParallelHelperDIFT`.
@@ -1133,18 +1342,10 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
     *worker* pinned to the reference kernel, isolating what the array
     kernel buys the offloaded pipeline end to end.
     """
-    import time
 
-    from ..dift.policy import BoolTaintPolicy as _Bool
-    from ..dift.engine import SinkRule
     from ..multicore.parallel import ParallelHelperDIFT
 
     result = ExperimentResult(
-        experiment="parallel",
-        claim=(
-            "out-of-process DIFT helper cuts application-core overhead >=1.5x "
-            "with identical observables; end-to-end wall clock is worker-bound"
-        ),
         headers=["workload", "inline s", "parallel s", "speedup", "identical"],
     )
     workloads = suite(scale)
@@ -1175,7 +1376,7 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
             # ungated.
             runner = w.runner()
             m = runner.machine()
-            engine = DIFTEngine(_Bool(), sinks=sinks(), kernel="reference").attach(m)
+            engine = DIFTEngine(BoolTaintPolicy(), sinks=sinks(), kernel="reference").attach(m)
             t0 = time.perf_counter()
             c0 = time.process_time()
             m.run(max_instructions=runner.max_instructions)
@@ -1189,7 +1390,7 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
 
             runner = w.runner()
             m = runner.machine()
-            DIFTEngine(_Bool(), sinks=sinks()).attach(m)
+            DIFTEngine(BoolTaintPolicy(), sinks=sinks()).attach(m)
             c0 = time.process_time()
             m.run(max_instructions=runner.max_instructions)
             best_array_cpu[w.name] = min(
@@ -1197,7 +1398,7 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
             )
 
             m = runner.machine()
-            helper = ParallelHelperDIFT(_Bool(), sinks=sinks(), batch_size=batch_size)
+            helper = ParallelHelperDIFT(BoolTaintPolicy(), sinks=sinks(), batch_size=batch_size)
             helper.attach(m)
             t0 = time.perf_counter()
             c0 = time.process_time()
@@ -1278,7 +1479,7 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
         runner = w.runner()
         m = runner.machine()
         helper = ParallelHelperDIFT(
-            _Bool(), sinks=sinks(), batch_size=batch_size, kernel="reference"
+            BoolTaintPolicy(), sinks=sinks(), batch_size=batch_size, kernel="reference"
         )
         helper.attach(m)
         t0 = time.perf_counter()
@@ -1299,7 +1500,7 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
     # Extrapolate the >=2-CPU end-to-end speedup from the measured work
     # split: parent CPU and worker busy time overlap on a multicore host,
     # so the wall clock there is their max rather than their sum.
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     projected = inline_cpu_total / max(parent_cpu_total, worker_busy_total, 1e-9)
 
     result.headline = {
@@ -1321,6 +1522,51 @@ def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> Exp
     return result
 
 
+@experiment(
+    "service",
+    claim=(
+        "DIFT-as-a-service: worker processes scale throughput, overload "
+        "sheds fidelity then jobs (never hangs), cached repeats are "
+        "bit-identical"
+    ),
+    commentary=(
+        "The deployment shape, measured live: real daemons on Unix "
+        "sockets with worker processes, admission control and a result "
+        "cache. The scaling row is host-dependent (recorded by "
+        "`usable_cpus`; on one CPU four workers time-share a core, and "
+        "benchmarks/bench_service.py gates its >=1.5x assertion on >=2 "
+        "CPUs). The overload row is host-independent policy: at 2.5x "
+        "admission capacity every request is answered — fidelity sheds "
+        "first (full -> dift -> log, §2.2's cheap-logging/"
+        "expensive-replay split as a live ladder), REJECTED only at the "
+        "capacity wall, zero hangs. The SLO row reads the overload "
+        "daemon's own `service.latency.total_s` histogram back through "
+        "`histogram_quantile` — the same p50/p95/p99 and shed rate "
+        "`repro stats` exposes as Prometheus text on a production "
+        "daemon — so the overload policy is characterized in latency "
+        "terms, not just response counts. The cache row is the "
+        "determinism argument operationalized: execution is a pure "
+        "function of the job spec, so the repeat is served from "
+        "canonical JSON bit-identical to the cold result, orders of "
+        "magnitude faster. Every job in this table is traceable end to "
+        "end: `submit --trace` merges client/server/admission/"
+        "queue/exec/worker spans (wall-epoch-µs, plus the engine's "
+        "modeled-cycle spans re-based inside the worker span) into one "
+        "Chrome trace, e.g.\n\n"
+        "```\n"
+        "client.request          |==============================|\n"
+        "  server.handle           |==========================|\n"
+        "    server.admission      |=|\n"
+        "    pool.queue              |====|\n"
+        "    pool.exec                    |=================|\n"
+        "      worker.execute              |===============|\n"
+        "        engine spans               |... modeled-cycles ...|\n"
+        "```\n\n"
+        "and worker crashes / deadline cancels dump the flight "
+        "recorder's last-N structured events to a JSON artifact for "
+        "post-mortem."
+    ),
+)
 def run_service(
     jobs: int = 8, scale: int = 1, scaled_workers: int = 4, burst: int = 10
 ) -> ExperimentResult:
@@ -1342,23 +1588,13 @@ def run_service(
       be served from cache, bit-identical, and much faster.
     """
     import json
-    import os
     import tempfile
     import threading
-    import time
 
     from ..service import AsyncAnalysisServer, ServiceClient, ServiceConfig
     from ..telemetry.obs import latency_summary
 
-    result = ExperimentResult(
-        experiment="service",
-        claim=(
-            "DIFT-as-a-service: worker processes scale throughput, overload "
-            "sheds fidelity then jobs (never hangs), cached repeats are "
-            "bit-identical"
-        ),
-        headers=["measurement", "value", "detail"],
-    )
+    result = ExperimentResult(headers=["measurement", "value", "detail"])
     tmp = tempfile.mkdtemp(prefix="repro-service-exp-")
     kinds = ("trace", "attack", "slice", "lineage")
 
@@ -1470,7 +1706,7 @@ def run_service(
     if hangs or not cache_identical:
         result.notes = "SERVICE MISBEHAVED — hang or cache divergence (see rows)"
 
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     result.headline = {
         "worker_scaling": scaling,
         "scaled_workers": float(scaled_workers),
@@ -1489,6 +1725,40 @@ def run_service(
     return result
 
 
+@experiment(
+    "router",
+    claim=(
+        "router tier: consistent-hash fan-out over N daemons sustains "
+        "200 concurrent clients with zero hangs, streamed relays "
+        "stay bit-identical, and the router cache absorbs repeats"
+    ),
+    commentary=(
+        "The scale-out tier, measured live: 1 router + 3 daemons, hit by "
+        "hundreds of simultaneous clients. The load row is the zero-hang "
+        "contract at fan-out scale — every client gets a terminal frame, "
+        "with overload answered by degraded/rejected (the backends' "
+        "admission ladder republished through the router as "
+        "back-pressure), never silence. The SLO row reads the *router's "
+        "own* `router.latency.total_s` histogram — the same "
+        "`histogram_quantile` rollup as the service's, one tier up, with "
+        "`router.*` shed/reject rates beside it (gated in "
+        "benchmarks/bench_router.py). The placement row shows consistent "
+        "hashing doing its job: programs (not requests) are the sharding "
+        "unit, so repeat analyses of one program land on one backend's "
+        "warm cache, and the spread across backends is intentionally "
+        "unequal but never degenerate. The streamed-relay row is the "
+        "tier-transparency argument: a `stream: true` job relayed "
+        "through the router reassembles byte-identical to the same job "
+        "answered blocking by a backend directly — partial frames are "
+        "forwarded with a monotone seq cursor, so even a backend crash "
+        "mid-stream (rerouted, replayed, deduplicated) leaves the "
+        "client's op stream gap-free and exactly-once "
+        "(tests/test_router.py proves the crash case; this experiment "
+        "measures the healthy path). The cache row closes the loop: "
+        "repeats are absorbed at the router without a backend round "
+        "trip."
+    ),
+)
 def run_router(
     clients: int = 200, backends: int = 3, workers: int = 2, scale: int = 1
 ) -> ExperimentResult:
@@ -1513,10 +1783,8 @@ def run_router(
       answered from the router's own cache (no backend round trip).
     """
     import json
-    import os
     import tempfile
     import threading
-    import time
     from collections import Counter
 
     from ..service import (
@@ -1529,15 +1797,7 @@ def run_router(
     )
     from ..telemetry.obs import latency_summary
 
-    result = ExperimentResult(
-        experiment="router",
-        claim=(
-            "router tier: consistent-hash fan-out over N daemons sustains "
-            f"{clients} concurrent clients with zero hangs, streamed relays "
-            "stay bit-identical, and the router cache absorbs repeats"
-        ),
-        headers=["measurement", "value", "detail"],
-    )
+    result = ExperimentResult(headers=["measurement", "value", "detail"])
     tmp = tempfile.mkdtemp(prefix="repro-router-exp-")
     kinds = ("trace", "attack", "slice", "lineage")
     workloads = ("matmul", "sort", "hashloop", "rle", "bfs", "fsm")
@@ -1677,61 +1937,14 @@ def run_router(
         "stream_identical": float(stream_identical),
         "stream_frames": float(len(ops)),
         "router_cache_hit": float(cache_hit),
-        "usable_cpus": float(_usable_cpus()),
+        "usable_cpus": float(usable_cpus()),
     }
     return result
 
 
-ALL_EXPERIMENTS = {
-    "E1": run_e1,
-    "E2": run_e2,
-    "E3": run_e3,
-    "E4": run_e4,
-    "E5": run_e5,
-    "E6": run_e6,
-    "E7": run_e7,
-    "E8": run_e8,
-    "E9": run_e9,
-    "E10": run_e10,
-    "E11": run_e11,
-    "E12": run_e12,
-}
-
-#: named experiments outside the E1..E12 paper-claim set (selectable by
-#: id through the CLI and run_experiment, excluded from the default sweep).
-EXTRA_EXPERIMENTS = {
-    "kernel": run_kernel,
-    "summaries": run_summaries,
-    "lake": run_lake,
-    "parallel": run_parallel,
-    "service": run_service,
-    "router": run_router,
-}
-
-
 def run_experiment(name: str) -> ExperimentResult:
-    """Run one experiment by id and stamp its host wall-clock time."""
-    import time
-
-    runner = ALL_EXPERIMENTS.get(name) or EXTRA_EXPERIMENTS[name]
-    t0 = time.perf_counter()
-    result = runner()
-    result.wall_time_s = time.perf_counter() - t0
-    return result
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (the regime wall-clock ratios need)."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
-
-
-def _default_selection() -> list[str]:
-    return sorted(ALL_EXPERIMENTS, key=lambda n: int(n[1:]))
+    """Run one declared experiment by id."""
+    return EXPERIMENTS[name].run()
 
 
 def run_all(
@@ -1739,17 +1952,18 @@ def run_all(
     workers: int | None = None,
     timeout_s: float | None = None,
 ) -> list[ExperimentResult]:
-    """Run experiments, optionally fanned out over worker processes.
+    """Run experiments (default: the paper's), optionally fanned out
+    over worker processes.
 
     ``workers > 1`` dispatches each experiment to a
     ``concurrent.futures.ProcessPoolExecutor``; results always come back
     in selection order regardless of completion order.  ``timeout_s``
     bounds each experiment's wait.  Any pool-level failure (a worker
-    dying, a timeout, an unpicklable result) falls back to running the
-    remaining selection sequentially in-process, so a broken pool can
-    slow the sweep down but never change its results.
+    dying, a timeout, an unpicklable result) terminates the pool's
+    workers, then runs the whole selection sequentially in-process, so
+    a broken pool can slow the sweep down but never change its results.
     """
-    selected = names or _default_selection()
+    selected = names or [e.id for e in EXPERIMENTS.values() if e.paper]
     if workers and workers > 1 and len(selected) > 1:
         results = _run_all_parallel(selected, workers, timeout_s)
         if results is not None:
@@ -1762,8 +1976,10 @@ def _run_all_parallel(
 ) -> list[ExperimentResult] | None:
     """Fan experiments out over processes; None means "fall back"."""
     import concurrent.futures as cf
+    import multiprocessing
     import sys
 
+    before = set(multiprocessing.active_children())
     pool = cf.ProcessPoolExecutor(max_workers=min(workers, len(selected)))
     try:
         futures = [pool.submit(run_experiment, name) for name in selected]
@@ -1775,6 +1991,11 @@ def _run_all_parallel(
             file=sys.stderr,
         )
         pool.shutdown(wait=False, cancel_futures=True)
+        # Experiments already running would keep running beside the
+        # sequential re-run and skew its wall clock: stop the workers.
+        for proc in set(multiprocessing.active_children()) - before:
+            proc.terminate()
+            proc.join()
         return None
     pool.shutdown()
     return results

@@ -40,6 +40,8 @@ buffer state for the readable prefix (``recovered=True``).  A footer
 whose CRC checks out is trusted for bytes, not for shape: every key,
 type and range it is read through is validated, and a footer that
 fails raises :class:`LakeFormatError` rather than adopting garbage.
+Rows must be in consumer-seq order on both paths: section boundaries
+are checked at open, each section's rows on its first decode.
 """
 
 from __future__ import annotations
@@ -376,7 +378,8 @@ class StoredRun:
 
     def _adopt_chunk(self, off: int, n: int, base: int, over_count: int) -> _Chunk:
         mv = self._mv
-        c = _Chunk.__new__(_Chunk)
+        c = _StoredChunk.__new__(_StoredChunk)
+        c.off = off
         c.cap = n
         c.cseq_base = base
         p = off + _CHUNK_HEADER.size
@@ -439,6 +442,7 @@ class StoredRun:
             c.head = head
             chunks.append(c)
             rows += n - head
+        _check_boundaries(self.path, chunks)
         if state["rows"] != rows:
             raise LakeFormatError(
                 f"{self.path}: footer counts {state['rows']} live rows,"
@@ -473,20 +477,13 @@ class StoredRun:
         # the recovered rows; evicted=0 keeps the DDG "complete", which is
         # right for the prefix: every stored dependence of a stored node
         # is in the prefix (producers precede consumers in append order).
+        last = _check_boundaries(self.path, chunks)
         rows = 0
         appended_bytes = 0
-        last = _LAST_CSEQ_FLOOR
-        for c, entry in zip(chunks, index):
+        for c in chunks:
             rows += c.n
             for code, count in Counter(bytes(c.kind)).items():
                 appended_bytes += KIND_MBYTES[code] * count
-            offs = list(c.cseq_off)
-            if offs != sorted(offs) or c.cseq_base + offs[0] < last:
-                raise LakeFormatError(
-                    f"{self.path}: chunk at offset {entry['off']} holds"
-                    " consumer seqs out of order"
-                )
-            last = c.cseq_base + offs[-1]
         self.state = {
             "capacity_bytes": max(appended_bytes, 1),
             "current_bytes": appended_bytes,
@@ -542,6 +539,49 @@ class StoredRun:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class _StoredChunk(_Chunk):
+    """A chunk section adopted from a spill file.
+
+    The writer appends rows in consumer-seq order, but the file is
+    untrusted bytes: a section whose rows are out of order would make
+    every bisect over its ``cseq_off`` column answer wrongly.  Opening
+    checks only the section boundaries (:func:`_check_boundaries`,
+    O(sections)); the rows of a section are checked on its first
+    decode, which every slice query touching the section performs.
+    """
+
+    __slots__ = ("off",)
+
+    def decoded(self) -> tuple[list[int] | None, list[int], list[int]]:
+        dec = self.dec
+        if dec is None:
+            offs = self.cseq_off[:self.n].tolist()
+            if offs != sorted(offs):
+                raise _out_of_order(self)
+            dec = self.dec = self._decode(offs)
+        return dec
+
+
+def _out_of_order(c: _StoredChunk, path: str = "") -> LakeFormatError:
+    where = f"{path}: " if path else ""
+    return LakeFormatError(
+        f"{where}chunk at offset {c.off} holds consumer seqs out of order"
+    )
+
+
+def _check_boundaries(path: str, chunks: list[_StoredChunk]) -> int:
+    """Check that each adopted section's first row precedes its last and
+    follows the previous section's last; return the last row's seq."""
+    last = _LAST_CSEQ_FLOOR
+    for c in chunks:
+        first = c.cseq_base + c.cseq_off[0]
+        end = c.cseq_base + c.cseq_off[c.n - 1]
+        if first < last or end < first:
+            raise _out_of_order(c, path)
+        last = end
+    return last
 
 
 def _check_state(state: dict) -> None:

@@ -224,23 +224,26 @@ class _Chunk:
         """
         dec = self.dec
         if dec is None:
-            n = self.n
-            offs = self.cseq_off[:n].tolist()
-            span = offs[-1] + 1 if n else 0
-            starts = None
-            if span <= 4 * n + 64:
-                counts = Counter(offs).get
-                starts = list(accumulate(map(counts, range(span), repeat(0)), initial=0))
-            pseqs = list(map(sub, map(add, offs, repeat(self.cseq_base)), self.pdelta[:n]))
-            ppcs = self.ppc[:n].tolist()
-            if self.over:
-                for (r, field), value in self.over.items():
-                    if field == _F_PSEQ:
-                        pseqs[r] = value
-                    elif field == _F_PPC:
-                        ppcs[r] = value
-            dec = self.dec = (starts, pseqs, ppcs)
+            dec = self.dec = self._decode(self.cseq_off[:self.n].tolist())
         return dec
+
+    def _decode(self, offs: list[int]) -> tuple[list[int] | None, list[int], list[int]]:
+        """:meth:`decoded`'s tables, from the ``cseq_off`` column as a list."""
+        n = self.n
+        span = offs[-1] + 1 if n else 0
+        starts = None
+        if span <= 4 * n + 64:
+            counts = Counter(offs).get
+            starts = list(accumulate(map(counts, range(span), repeat(0)), initial=0))
+        pseqs = list(map(sub, map(add, offs, repeat(self.cseq_base)), self.pdelta[:n]))
+        ppcs = self.ppc[:n].tolist()
+        if self.over:
+            for (r, field), value in self.over.items():
+                if field == _F_PSEQ:
+                    pseqs[r] = value
+                elif field == _F_PPC:
+                    ppcs[r] = value
+        return starts, pseqs, ppcs
 
     def rows_holding(self, col, value: int) -> list[int]:
         """Live rows whose ``col`` column (one of this chunk's 16-bit

@@ -156,9 +156,15 @@ class TestErrorHandling:
         assert "Traceback" not in err
 
     def test_unknown_experiment_is_one_line_error(self, capsys):
-        assert main(["experiments", "E1", "bogus"]) == 2
+        from repro.harness import EXPERIMENTS
+
+        assert main(["experiments", "E1", "NOPE"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: unknown experiment bogus\n"
+        assert err.startswith("error: unknown experiment NOPE (known: ")
+        assert err.count("\n") == 1
+        # The message names every declared id.
+        known = err[err.index("known: ") + len("known: "):err.rindex(")")]
+        assert known.split(", ") == list(EXPERIMENTS)
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

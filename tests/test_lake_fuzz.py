@@ -20,6 +20,7 @@ import pytest
 from repro.lake import LakeFormatError, open_spill
 from repro.lake.format import _CHUNK_HEADER, _FILE_HEADER, _TRAILER, TRAILER_MAGIC
 from repro.ontrac import OntracConfig
+from repro.slicing import backward_slice
 from repro.util.rng import DeterministicRng
 from repro.workloads import matmul
 
@@ -169,6 +170,36 @@ def test_recovered_out_of_order_chunk_raises_lake_format_error(spill, tmp_path):
     path.write_bytes(raw[:len(data)])
     with open_spill(str(path)) as run:
         assert run.recovered and len(run.buffer)
+
+
+def test_footer_out_of_order_rows_raise_lake_format_error(spill, tmp_path):
+    # The footer names the section, so no recovery scan looks at it: two
+    # interior rows swapped under a recomputed (valid) section CRC keep
+    # the section's boundaries, open, and must fail the first query that
+    # decodes the section, not answer from a misordered column.
+    raw, footer = spill
+    meta = footer["chunks"][footer["live"][-1]["id"]]
+    off, n = meta["off"], meta["n"]
+    data = bytearray(raw)
+    payload = off + _CHUNK_HEADER.size
+    cseq_off = memoryview(data)[payload + (n + 3) // 4 * 4:][:4 * n].cast("I")
+    j = next(r for r in range(n - 2, 0, -1) if cseq_off[r] > cseq_off[1])
+    cseq_off[1], cseq_off[j] = cseq_off[j], cseq_off[1]
+    criterion = meta["base"] + cseq_off[n - 1]
+    cseq_off.release()
+    magic, n, base, over, plen, _ = _CHUNK_HEADER.unpack_from(data, off)
+    crc = zlib.crc32(data[payload:payload + plen])
+    _CHUNK_HEADER.pack_into(data, off, magic, n, base, over, plen, crc)
+    path = tmp_path / "case.rlk"
+    path.write_bytes(bytes(data))
+    with open_spill(str(path)) as run:
+        assert not run.recovered
+        with pytest.raises(LakeFormatError, match="out of order"):
+            backward_slice(run.ddg(), criterion)
+    # Control: the unedited file answers the same query.
+    path.write_bytes(raw)
+    with open_spill(str(path)) as run:
+        assert criterion in backward_slice(run.ddg(), criterion).seqs
 
 
 # --- truncation at every section boundary ------------------------------------

@@ -4,11 +4,16 @@ engine, the i64 sink-value fixup path, addresses beyond the i64
 payload, batch-size resolution, the experiment fan-out, and the
 telemetry surface."""
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from repro.dift import BoolTaintPolicy, DIFTEngine, PCTaintPolicy, SinkRule
 from repro.dift.kernel import numpy_available
-from repro.harness.experiments import run_all
+from repro.harness import experiments
+from repro.harness.experiments import Experiment, ExperimentResult, run_all
 from repro.lang import compile_source
 from repro.multicore import ParallelHelperDIFT
 from repro.multicore.parallel import DEFAULT_PARALLEL_BATCH, parallel_batch_size
@@ -242,6 +247,33 @@ class TestExperimentFanOut:
         results = run_all(self.SELECTION, workers=2, timeout_s=1e-6)
         assert [r.experiment for r in results] == self.SELECTION
         assert "falling back to sequential" in capsys.readouterr().err
+
+    def test_timeout_stops_workers_before_fallback(self, monkeypatch, capsys):
+        # Two slow stub experiments time out while both run; the
+        # sequential re-run must start with neither worker still alive,
+        # or it would be timed on a host they still load.
+        parent = os.getpid()
+        before = set(multiprocessing.active_children())
+        alive_at_rerun = []
+
+        def slow():
+            if os.getpid() == parent:
+                alive_at_rerun.append(
+                    [p for p in multiprocessing.active_children() if p not in before]
+                )
+            else:
+                time.sleep(3.0)
+            return ExperimentResult()
+
+        for name in ("slow-a", "slow-b"):
+            monkeypatch.setitem(
+                experiments.EXPERIMENTS, name, Experiment(name, "claim", "commentary", slow)
+            )
+        t0 = time.perf_counter()
+        run_all(["slow-a", "slow-b"], workers=2, timeout_s=0.6)
+        assert time.perf_counter() - t0 < 2.5
+        assert "falling back to sequential" in capsys.readouterr().err
+        assert alive_at_rerun == [[], []]
 
 
 class TestTelemetry:

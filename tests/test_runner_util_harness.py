@@ -3,7 +3,11 @@ harness (smoke-level: full experiments run in benchmarks/)."""
 
 import pytest
 
-from repro.harness import ALL_EXPERIMENTS
+import importlib.util
+import sys
+from pathlib import Path
+
+from repro.harness import EXPERIMENTS, Experiment, ExperimentResult, experiment
 from repro.harness.experiments import run_e6, run_e7, run_e10, run_e11
 from repro.lang import compile_source
 from repro.ontrac import OntracConfig
@@ -87,15 +91,64 @@ class TestUtil:
             rng.randint(5, 4)
 
 
+def _load_generator(monkeypatch):
+    """tools/generate_experiments_md.py as a module (its sys.path edits
+    are undone after the test)."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parents[1] / "tools" / "generate_experiments_md.py"
+    spec = importlib.util.spec_from_file_location("generate_experiments_md", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestHarness:
     def test_registry_complete(self):
-        assert set(ALL_EXPERIMENTS) == {f"E{i}" for i in range(1, 13)}
+        paper = {e.id for e in EXPERIMENTS.values() if e.paper}
+        assert paper == {f"E{i}" for i in range(1, 13)}
+
+    def test_declarations_carry_claim_and_commentary(self):
+        for exp_id, exp in EXPERIMENTS.items():
+            assert exp.id == exp_id
+            assert exp.claim.strip() and exp.commentary.strip()
+
+    def test_ids_are_declared_once(self):
+        declared = EXPERIMENTS["E1"]
+        with pytest.raises(ValueError, match="declared twice"):
+            experiment("E1", claim="again", commentary="again")(ExperimentResult)
+        assert EXPERIMENTS["E1"] is declared
+
+    def test_generator_renders_registry_order(self, monkeypatch):
+        generator = _load_generator(monkeypatch)
+        ran = []
+
+        def stub(exp_id):
+            def run():
+                ran.append(exp_id)
+                return ExperimentResult(
+                    experiment=exp_id, claim="c", headers=["h"], rows=[[1]],
+                    headline={"x": 1.0},
+                )
+            return Experiment(exp_id, f"claim {exp_id}", f"commentary {exp_id}", run,
+                              paper=exp_id.startswith("P"))
+
+        stubs = [stub(i) for i in ("P2", "P1", "wall-b", "wall-a")]
+        text = generator.render(stubs)
+        assert ran == ["P2", "P1", "wall-b", "wall-a"]
+        headings = [line for line in text.splitlines() if line.startswith("## ")]
+        assert headings == [f"## {e.id} — {e.claim}" for e in stubs]
+        for e in stubs:
+            assert f"\n{e.commentary}\n" in text
+        # The header's wall-clock list is derived from the same registry.
+        assert "2 experiments deal in wall-clock" in text
+        assert "`wall-b`, `wall-a`" in text
 
     def test_results_have_tables_and_headlines(self):
         for run in (run_e7, run_e10, run_e11):
             result = run()
             assert result.rows
             assert result.headline
+            assert result.claim == EXPERIMENTS[result.experiment].claim
             table = result.table()
             assert result.experiment in table
             assert len(table.splitlines()) >= 3 + len(result.rows) - 1

@@ -52,6 +52,7 @@ MAX_PACKED_BYTES_PER_INSTR = 42.6 * 1.05
         "their recorded ~42.6 B/instr (+5%) by bench_slicing — real "
         "memory is the resource E3 trades for history."
     ),
+    register=False,
 )
 def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
     """Backward-slicing wall clock and measured trace-store residency of

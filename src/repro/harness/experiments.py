@@ -112,16 +112,20 @@ class Experiment:
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def experiment(id: str, *, claim: str, commentary: str, paper: bool = False):
+def experiment(id: str, *, claim: str, commentary: str, paper: bool = False,
+               register: bool = True):
     """Declare the decorated runner as experiment ``id``.
 
     The declared runner keeps its signature; every call, through the
     registry or direct, returns its result stamped with ``id``,
-    ``claim`` and the host wall-clock time the call took.
+    ``claim`` and the host wall-clock time the call took.  Its
+    ``declaration`` attribute is the :class:`Experiment`.
+    ``register=False`` keeps the declaration out of :data:`EXPERIMENTS`,
+    for a runner outside the package that the CLI cannot run.
     """
 
     def declare(runner):
-        if id in EXPERIMENTS:
+        if register and id in EXPERIMENTS:
             raise ValueError(f"experiment {id!r} is declared twice")
 
         @functools.wraps(runner)
@@ -132,7 +136,9 @@ def experiment(id: str, *, claim: str, commentary: str, paper: bool = False):
             result.experiment, result.claim = id, claim
             return result
 
-        EXPERIMENTS[id] = Experiment(id, claim, commentary, run, paper)
+        run.declaration = Experiment(id, claim, commentary, run, paper)
+        if register:
+            EXPERIMENTS[id] = run.declaration
         return run
 
     return declare
@@ -1962,6 +1968,8 @@ def run_all(
     dying, a timeout, an unpicklable result) terminates the pool's
     workers, then runs the whole selection sequentially in-process, so
     a broken pool can slow the sweep down but never change its results.
+    Processes that a terminated worker's experiment started itself are
+    not reaped.
     """
     selected = names or [e.id for e in EXPERIMENTS.values() if e.paper]
     if workers and workers > 1 and len(selected) > 1:
@@ -1976,13 +1984,14 @@ def _run_all_parallel(
 ) -> list[ExperimentResult] | None:
     """Fan experiments out over processes; None means "fall back"."""
     import concurrent.futures as cf
-    import multiprocessing
     import sys
 
-    before = set(multiprocessing.active_children())
     pool = cf.ProcessPoolExecutor(max_workers=min(workers, len(selected)))
+    procs = []
     try:
         futures = [pool.submit(run_experiment, name) for name in selected]
+        # The pool starts workers only on submit: these are all of them.
+        procs = list(pool._processes.values())
         results = [f.result(timeout=timeout_s) for f in futures]
     except Exception as exc:  # timeout, broken pool, worker crash
         print(
@@ -1993,7 +2002,7 @@ def _run_all_parallel(
         pool.shutdown(wait=False, cancel_futures=True)
         # Experiments already running would keep running beside the
         # sequential re-run and skew its wall clock: stop the workers.
-        for proc in set(multiprocessing.active_children()) - before:
+        for proc in procs:
             proc.terminate()
             proc.join()
         return None

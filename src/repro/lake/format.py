@@ -40,8 +40,10 @@ buffer state for the readable prefix (``recovered=True``).  A footer
 whose CRC checks out is trusted for bytes, not for shape: every key,
 type and range it is read through is validated, and a footer that
 fails raises :class:`LakeFormatError` rather than adopting garbage.
-Rows must be in consumer-seq order on both paths: section boundaries
-are checked at open, each section's rows on its first decode.
+Every bisect over the stored columns relies on rows in consumer-seq
+order.  Both paths check the section boundaries at open; the recovery
+scan also checks every row there, and a footer-named section checks
+its rows before any reader can see its columns (:class:`_UncheckedChunk`).
 """
 
 from __future__ import annotations
@@ -330,7 +332,7 @@ class StoredRun:
             raise LakeFormatError(f"{path}: truncated spill header")
         self._mm = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
         self._mv = memoryview(self._mm)
-        self._adopted: list[_Chunk] = []
+        self._adopted: list[_StoredChunk] = []
         self._ddg: PackedDDG | None = None
         try:
             magic, version, _flags = _FILE_HEADER.unpack_from(self._mm, 0)
@@ -376,24 +378,23 @@ class StoredRun:
             return None
         return footer
 
-    def _adopt_chunk(self, off: int, n: int, base: int, over_count: int) -> _Chunk:
+    def _adopt_chunk(self, off: int, n: int, base: int, over_count: int) -> _StoredChunk:
         mv = self._mv
-        c = _StoredChunk.__new__(_StoredChunk)
-        c.off = off
+        c = _UncheckedChunk.__new__(_UncheckedChunk)
+        c.where = f"{self.path}: chunk at offset {off}"
         c.cap = n
         c.cseq_base = base
         p = off + _CHUNK_HEADER.size
-        c.kind = mv[p:p + n]
         q = p + _pad4(n)
-        c.cseq_off = mv[q:q + 4 * n].cast("I")
+        views = c.views = {"kind": mv[p:p + n], "cseq_off": mv[q:q + 4 * n].cast("I")}
         q += 4 * n
-        c.cpc = mv[q:q + 2 * n].cast("H")
+        views["cpc"] = mv[q:q + 2 * n].cast("H")
         q += _pad4(2 * n)
-        c.pdelta = mv[q:q + 4 * n].cast("I")
+        views["pdelta"] = mv[q:q + 4 * n].cast("I")
         q += 4 * n
-        c.ppc = mv[q:q + 2 * n].cast("H")
+        views["ppc"] = mv[q:q + 2 * n].cast("H")
         q += 2 * n
-        c.tid = mv[q:q + 2 * n].cast("H")
+        views["tid"] = mv[q:q + 2 * n].cast("H")
         over = None
         if over_count:
             over = {}
@@ -442,7 +443,7 @@ class StoredRun:
             c.head = head
             chunks.append(c)
             rows += n - head
-        _check_boundaries(self.path, chunks)
+        _check_boundaries(chunks)
         if state["rows"] != rows:
             raise LakeFormatError(
                 f"{self.path}: footer counts {state['rows']} live rows,"
@@ -457,7 +458,7 @@ class StoredRun:
         mm = self._mm
         size = len(mm)
         pos = _FILE_HEADER.size
-        chunks: list[_Chunk] = []
+        chunks: list[_StoredChunk] = []
         index: list[dict] = []
         while pos + _CHUNK_HEADER.size <= size:
             magic, n, base, over_count, plen, crc = _CHUNK_HEADER.unpack_from(mm, pos)
@@ -477,10 +478,11 @@ class StoredRun:
         # the recovered rows; evicted=0 keeps the DDG "complete", which is
         # right for the prefix: every stored dependence of a stored node
         # is in the prefix (producers precede consumers in append order).
-        last = _check_boundaries(self.path, chunks)
+        last = _check_boundaries(chunks)
         rows = 0
         appended_bytes = 0
         for c in chunks:
+            c.check()
             rows += c.n
             for code, count in Counter(bytes(c.kind)).items():
                 appended_bytes += KIND_MBYTES[code] * count
@@ -516,11 +518,9 @@ class StoredRun:
     def _release_views(self) -> None:
         empty = memoryview(b"")
         for c in self._adopted:
-            for name in ("kind", "cseq_off", "cpc", "pdelta", "ppc", "tid"):
-                v = getattr(c, name, None)
-                if isinstance(v, memoryview):
-                    v.release()
-                    setattr(c, name, empty)
+            for name, view in c.views.items():
+                view.release()
+                setattr(c, name, empty)
         self._adopted = []
         self._mv.release()
 
@@ -541,45 +541,72 @@ class StoredRun:
         self.close()
 
 
-class _StoredChunk(_Chunk):
-    """A chunk section adopted from a spill file.
+#: a chunk's column slots, in section payload order.
+_COLUMNS = ("kind", "cseq_off", "cpc", "pdelta", "ppc", "tid")
 
-    The writer appends rows in consumer-seq order, but the file is
-    untrusted bytes: a section whose rows are out of order would make
-    every bisect over its ``cseq_off`` column answer wrongly.  Opening
-    checks only the section boundaries (:func:`_check_boundaries`,
-    O(sections)); the rows of a section are checked on its first
-    decode, which every slice query touching the section performs.
+
+class _StoredChunk(_Chunk):
+    """A chunk section adopted from a spill file, its rows checked."""
+
+    __slots__ = ("where", "views")
+
+
+class _UncheckedChunk(_StoredChunk):
+    """A stored section whose rows are not checked yet.
+
+    The file is untrusted bytes, and a section whose rows are out of
+    consumer-seq order would make every bisect over its ``cseq_off``
+    column answer wrongly.  Checking every row at open would make
+    opening O(rows), so the column slots start unset: the first read of
+    any column, by any reader, lands in :meth:`__getattr__`, which runs
+    :meth:`check`.  That fills the slots and turns the chunk into a
+    plain :class:`_StoredChunk`, whose attribute reads skip the
+    ``__getattr__`` hook (CPython does not specialize them while a class
+    defines one).  :meth:`decoded`, the slice walk's usual first read,
+    checks the list it decodes from instead of building a second one.
     """
 
-    __slots__ = ("off",)
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name not in _COLUMNS:
+            raise AttributeError(name)
+        self.check()
+        return getattr(self, name)
+
+    def check(self, offs: list[int] | None = None) -> None:
+        """Raise :class:`LakeFormatError` unless the section's rows
+        (``offs``: its ``cseq_off`` column as a list) are in consumer-seq
+        order; otherwise expose its column views."""
+        if offs is None:
+            offs = self.views["cseq_off"].tolist()
+        if offs != sorted(offs):
+            raise _out_of_order(self)
+        for name, view in self.views.items():
+            setattr(self, name, view)
+        self.__class__ = _StoredChunk
 
     def decoded(self) -> tuple[list[int] | None, list[int], list[int]]:
-        dec = self.dec
-        if dec is None:
-            offs = self.cseq_off[:self.n].tolist()
-            if offs != sorted(offs):
-                raise _out_of_order(self)
-            dec = self.dec = self._decode(offs)
+        offs = self.views["cseq_off"].tolist()
+        self.check(offs)
+        dec = self.dec = self._decode(offs)
         return dec
 
 
-def _out_of_order(c: _StoredChunk, path: str = "") -> LakeFormatError:
-    where = f"{path}: " if path else ""
-    return LakeFormatError(
-        f"{where}chunk at offset {c.off} holds consumer seqs out of order"
-    )
+def _out_of_order(c: _StoredChunk) -> LakeFormatError:
+    return LakeFormatError(f"{c.where} holds consumer seqs out of order")
 
 
-def _check_boundaries(path: str, chunks: list[_StoredChunk]) -> int:
+def _check_boundaries(chunks: list[_StoredChunk]) -> int:
     """Check that each adopted section's first row precedes its last and
     follows the previous section's last; return the last row's seq."""
     last = _LAST_CSEQ_FLOOR
     for c in chunks:
-        first = c.cseq_base + c.cseq_off[0]
-        end = c.cseq_base + c.cseq_off[c.n - 1]
+        offs = c.views["cseq_off"]
+        first = c.cseq_base + offs[0]
+        end = c.cseq_base + offs[c.n - 1]
         if first < last or end < first:
-            raise _out_of_order(c, path)
+            raise _out_of_order(c)
         last = end
     return last
 
@@ -600,7 +627,7 @@ def _check_state(state: dict) -> None:
         _footer_int(stats, name, "buffer.stats", 0)
 
 
-def _restore_buffer(chunks: list[_Chunk], state: dict) -> PackedTraceBuffer:
+def _restore_buffer(chunks: list[_StoredChunk], state: dict) -> PackedTraceBuffer:
     buf = PackedTraceBuffer(capacity_bytes=state["capacity_bytes"])
     buf.current_bytes = state["current_bytes"]
     stats = buf.stats
@@ -612,12 +639,13 @@ def _restore_buffer(chunks: list[_Chunk], state: dict) -> PackedTraceBuffer:
     buf._tail = chunks[-1] if chunks else None
     firsts = []
     for c in chunks:
+        offs = c.views["cseq_off"]
         if c.head < c.n:
-            firsts.append(c.cseq_base + c.cseq_off[c.head])
+            firsts.append(c.cseq_base + offs[c.head])
         else:
             # Mirrors the in-memory bookkeeping for a drained tail: the
             # stale entry holds the last evicted row's seq.
-            firsts.append(c.cseq_base + c.cseq_off[c.n - 1])
+            firsts.append(c.cseq_base + offs[c.n - 1])
     buf._firsts = firsts
     return buf
 

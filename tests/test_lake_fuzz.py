@@ -17,7 +17,7 @@ import zlib
 
 import pytest
 
-from repro.lake import LakeFormatError, open_spill
+from repro.lake import LakeFormatError, edge_signatures, open_spill
 from repro.lake.format import _CHUNK_HEADER, _FILE_HEADER, _TRAILER, TRAILER_MAGIC
 from repro.ontrac import OntracConfig
 from repro.slicing import backward_slice
@@ -172,34 +172,71 @@ def test_recovered_out_of_order_chunk_raises_lake_format_error(spill, tmp_path):
         assert run.recovered and len(run.buffer)
 
 
-def test_footer_out_of_order_rows_raise_lake_format_error(spill, tmp_path):
-    # The footer names the section, so no recovery scan looks at it: two
-    # interior rows swapped under a recomputed (valid) section CRC keep
-    # the section's boundaries, open, and must fail the first query that
-    # decodes the section, not answer from a misordered column.
-    raw, footer = spill
-    meta = footer["chunks"][footer["live"][-1]["id"]]
+def swap_interior_rows(data: bytearray, meta: dict) -> None:
+    """Swap two interior ``cseq_off`` entries of the section ``meta``
+    names, keeping its first and last rows, under a recomputed (valid)
+    section CRC."""
     off, n = meta["off"], meta["n"]
-    data = bytearray(raw)
     payload = off + _CHUNK_HEADER.size
     cseq_off = memoryview(data)[payload + (n + 3) // 4 * 4:][:4 * n].cast("I")
     j = next(r for r in range(n - 2, 0, -1) if cseq_off[r] > cseq_off[1])
     cseq_off[1], cseq_off[j] = cseq_off[j], cseq_off[1]
-    criterion = meta["base"] + cseq_off[n - 1]
     cseq_off.release()
     magic, n, base, over, plen, _ = _CHUNK_HEADER.unpack_from(data, off)
     crc = zlib.crc32(data[payload:payload + plen])
     _CHUNK_HEADER.pack_into(data, off, magic, n, base, over, plen, crc)
+
+
+def test_footer_out_of_order_rows_raise_lake_format_error(spill, tmp_path):
+    # The footer names the section, so the open checks only its
+    # boundaries; every reader that then touches the section must fail
+    # rather than answer from the misordered column.
+    raw, footer = spill
+    meta = footer["chunks"][footer["live"][-1]["id"]]
+    seq = meta["base"] + memoryview(raw)[
+        meta["off"] + _CHUNK_HEADER.size + (meta["n"] + 3) // 4 * 4:
+    ][:4 * meta["n"]].cast("I")[-1]
+    data = bytearray(raw)
+    swap_interior_rows(data, meta)
     path = tmp_path / "case.rlk"
     path.write_bytes(bytes(data))
     with open_spill(str(path)) as run:
         assert not run.recovered
-        with pytest.raises(LakeFormatError, match="out of order"):
-            backward_slice(run.ddg(), criterion)
-    # Control: the unedited file answers the same query.
+        ddg = run.ddg()
+        queries = {
+            "has_node": lambda: ddg.has_node(seq),
+            "producers": lambda: ddg.producers(seq),
+            "consumers": lambda: ddg.consumers(seq),
+            "node_items": lambda: list(ddg.node_items()),
+            "edge_rows": lambda: list(ddg.iter_edge_rows()),
+            "edge_count": lambda: ddg.edge_count,
+            "edge_diff": lambda: edge_signatures(run),
+            "slice": lambda: backward_slice(ddg, seq),
+        }
+        for name, query in queries.items():
+            with pytest.raises(LakeFormatError, match="out of order"):
+                query()
+    # Control: the unedited file answers the same queries.
     path.write_bytes(raw)
     with open_spill(str(path)) as run:
-        assert criterion in backward_slice(run.ddg(), criterion).seqs
+        ddg = run.ddg()
+        assert ddg.has_node(seq) and ddg.producers(seq) and edge_signatures(run)
+        assert seq in backward_slice(ddg, seq).seqs
+
+
+def test_recovered_out_of_order_rows_raise_lake_format_error(spill, tmp_path):
+    # No footer: the recovery scan adopts the sections and must check
+    # every row, not only the first and last of each section.
+    raw, footer = spill
+    data = bytearray(raw[:_TRAILER.unpack_from(raw, len(raw) - _TRAILER.size)[0]])
+    swap_interior_rows(data, footer["chunks"][0])
+    path = tmp_path / "case.rlk"
+    path.write_bytes(bytes(data))
+    with pytest.raises(LakeFormatError, match="out of order"):
+        open_spill(str(path))
+    path.write_bytes(raw[:len(data)])
+    with open_spill(str(path)) as run:
+        assert run.recovered and len(run.buffer)
 
 
 # --- truncation at every section boundary ------------------------------------

@@ -6,6 +6,7 @@ telemetry surface."""
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -251,16 +252,19 @@ class TestExperimentFanOut:
     def test_timeout_stops_workers_before_fallback(self, monkeypatch, capsys):
         # Two slow stub experiments time out while both run; the
         # sequential re-run must start with neither worker still alive,
-        # or it would be timed on a host they still load.
+        # or it would be timed on a host they still load.  A bystander
+        # child started while the pool runs is not the pool's to stop.
         parent = os.getpid()
         before = set(multiprocessing.active_children())
+        bystander = multiprocessing.Process(target=time.sleep, args=(30,))
         alive_at_rerun = []
 
         def slow():
             if os.getpid() == parent:
-                alive_at_rerun.append(
-                    [p for p in multiprocessing.active_children() if p not in before]
-                )
+                alive_at_rerun.append([
+                    p for p in multiprocessing.active_children()
+                    if p not in before and p is not bystander
+                ])
             else:
                 time.sleep(3.0)
             return ExperimentResult()
@@ -269,11 +273,20 @@ class TestExperimentFanOut:
             monkeypatch.setitem(
                 experiments.EXPERIMENTS, name, Experiment(name, "claim", "commentary", slow)
             )
-        t0 = time.perf_counter()
-        run_all(["slow-a", "slow-b"], workers=2, timeout_s=0.6)
-        assert time.perf_counter() - t0 < 2.5
-        assert "falling back to sequential" in capsys.readouterr().err
-        assert alive_at_rerun == [[], []]
+        starter = threading.Timer(0.2, bystander.start)
+        starter.start()
+        try:
+            t0 = time.perf_counter()
+            run_all(["slow-a", "slow-b"], workers=2, timeout_s=0.6)
+            assert time.perf_counter() - t0 < 2.5
+            assert "falling back to sequential" in capsys.readouterr().err
+            assert alive_at_rerun == [[], []]
+            assert bystander.is_alive()
+        finally:
+            starter.join()
+            if bystander.pid is not None:
+                bystander.terminate()
+                bystander.join()
 
 
 class TestTelemetry:

@@ -118,6 +118,16 @@ class TestHarness:
             experiment("E1", claim="again", commentary="again")(ExperimentResult)
         assert EXPERIMENTS["E1"] is declared
 
+    def test_bench_declaration_stays_out_of_registry(self, monkeypatch):
+        # `slicing` is declared in benchmarks/; importing it must not
+        # change the registry the CLI and run_all read.
+        ids = list(EXPERIMENTS)
+        _load_generator(monkeypatch)
+        run_slicing = importlib.import_module("bench_slicing").run_slicing
+        assert list(EXPERIMENTS) == ids
+        assert run_slicing.declaration.id == "slicing"
+        assert run_slicing.declaration.run is run_slicing
+
     def test_generator_renders_registry_order(self, monkeypatch):
         generator = _load_generator(monkeypatch)
         ran = []

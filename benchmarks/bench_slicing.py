@@ -9,7 +9,10 @@ indexed engine and with the test-side dict oracle
 then breadth-first closures), asserts every slice's (seqs, pcs,
 truncated) triple matches, and requires the >=3x query speedup the
 indexed engine was built for.  The store's measured (tracemalloc)
-residency is held to its recorded figure.
+residency is held to its recorded figure.  The headline also records
+``trace_host_ratio``, the host time of traced over plain runs (the
+suite plus the call-heavy family, best of the passes), ungated: what
+ONTRAC costs the host rather than the cycle model.
 """
 
 import gc
@@ -22,7 +25,7 @@ from repro.harness.experiments import ExperimentResult, experiment
 from repro.ontrac import OntracConfig
 from repro.slicing import DEFAULT_KINDS, backward_slice
 from repro.telemetry import MetricsRegistry
-from repro.workloads import suite
+from repro.workloads import call_heavy_suite, suite
 from tests.ddg_oracle import OracleDDG
 
 #: the store's recorded residency (42.6 B/instr measured on CPython
@@ -123,6 +126,23 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
         tracemalloc.stop()
         return max(before - after, 1), max(tracer.stats.instructions, 1)
 
+    def trace_host_ratio(workloads):
+        """Host time of traced runs over plain runs of ``workloads``,
+        each side its best of ``repeats`` interleaved passes."""
+        best_plain = best_traced = float("inf")
+        for _ in range(repeats):
+            gc.collect()
+            t0 = time.perf_counter()
+            for w in workloads:
+                w.runner().run()
+            t1 = time.perf_counter()
+            for w in workloads:
+                w.runner().run_traced(OntracConfig())
+            t2 = time.perf_counter()
+            best_plain = min(best_plain, t1 - t0)
+            best_traced = min(best_traced, t2 - t1)
+        return best_traced / best_plain
+
     registry = MetricsRegistry()
     dict_total = packed_total = 0.0
     packed_resident = 0
@@ -171,6 +191,9 @@ def run_slicing(scale: int = 1, repeats: int = 3) -> ExperimentResult:
         # (measured resident store bytes) at the same window.
         "modeled_bytes_per_instr": modeled_bytes / instructions_total,
         "measured_packed_bytes_per_instr": packed_resident / instructions_total,
+        # what tracing costs the host, not the model: traced over plain
+        # wall time on the suite and the call-heavy family (ungated).
+        "trace_host_ratio": trace_host_ratio(suite(scale) + call_heavy_suite(scale)),
     }
     result.metrics = registry.flat()
     return result

@@ -17,8 +17,9 @@ definitions, register uses, immediates, code labels or function
 references.  All static analyses (CFG construction, intra-block def-use
 inference, control dependence) and the interpreter dispatch off this
 table, so adding an opcode means adding exactly one row here plus one
-handler: a compiled closure in :mod:`repro.vm.dispatch` for a hot
-opcode, or an arm of ``Machine._execute`` for a cold one.
+handler: a compiled closure in :mod:`repro.vm.dispatch` (and its
+``_FORM`` entry) for a hot opcode, or an arm of ``Machine._execute``
+for a cold one.
 """
 
 from __future__ import annotations

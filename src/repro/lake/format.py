@@ -42,8 +42,10 @@ type and range it is read through is validated, and a footer that
 fails raises :class:`LakeFormatError` rather than adopting garbage.
 Every bisect over the stored columns relies on rows in consumer-seq
 order.  Both paths check the section boundaries at open; the recovery
-scan also checks every row there, and a footer-named section checks
-its rows before any reader can see its columns (:class:`_UncheckedChunk`).
+scan also checks every section's CRC and rows there, and a
+footer-named section has its header checked against the footer at
+open and its payload CRC and rows before any reader can see its
+columns or overflow entries (:class:`_UncheckedChunk`).
 """
 
 from __future__ import annotations
@@ -378,7 +380,12 @@ class StoredRun:
             return None
         return footer
 
-    def _adopt_chunk(self, off: int, n: int, base: int, over_count: int) -> _StoredChunk:
+    def _adopt_chunk(
+        self, off: int, n: int, base: int, over_count: int, plen: int, crc: int | None
+    ) -> _StoredChunk:
+        """An unchecked view of the section at ``off`` with a ``plen``-byte
+        payload; ``crc`` is its header's payload CRC, verified on first
+        read (None: already verified)."""
         mv = self._mv
         c = _UncheckedChunk.__new__(_UncheckedChunk)
         c.where = f"{self.path}: chunk at offset {off}"
@@ -395,15 +402,7 @@ class StoredRun:
         views["ppc"] = mv[q:q + 2 * n].cast("H")
         q += 2 * n
         views["tid"] = mv[q:q + 2 * n].cast("H")
-        over = None
-        if over_count:
-            over = {}
-            q = p + _pad8(_columns_len(n))
-            for row, tag, value in _OVER_ENTRY.iter_unpack(
-                bytes(self._mm[q:q + _OVER_ENTRY.size * over_count])
-            ):
-                over[(row, tag)] = value
-        c.over = over
+        c.pending = (mv[p:p + plen], crc, over_count)
         c.n = n
         c.head = 0
         c.rindex = None
@@ -435,11 +434,17 @@ class StoredRun:
             base = _footer_int(meta, "base", where)
             over = _footer_int(meta, "over", where, 0)
             head = _footer_int(entry, "head", "live[]", 0, n)
-            if off + _CHUNK_HEADER.size + _payload_len(n, over) > size:
+            plen = _payload_len(n, over)
+            if off + _CHUNK_HEADER.size + plen > size:
                 raise LakeFormatError(
                     f"{self.path}: footer references bytes past end of file"
                 )
-            c = self._adopt_chunk(off, n, base, over)
+            *header, crc = _CHUNK_HEADER.unpack_from(self._mm, off)
+            if header != [CHUNK_MAGIC, n, base, over, plen]:
+                raise LakeFormatError(
+                    f"{self.path}: section header at offset {off} disagrees with {where}"
+                )
+            c = self._adopt_chunk(off, n, base, over, plen, crc)
             c.head = head
             chunks.append(c)
             rows += n - head
@@ -470,7 +475,7 @@ class StoredRun:
                 break
             if zlib.crc32(mm[pos + _CHUNK_HEADER.size:pos + _CHUNK_HEADER.size + plen]) != crc:
                 break
-            chunks.append(self._adopt_chunk(pos, n, base, over_count))
+            chunks.append(self._adopt_chunk(pos, n, base, over_count, plen, None))
             index.append({"off": pos, "n": n, "base": base, "over": over_count})
             pos += _CHUNK_HEADER.size + plen
         self.index = index
@@ -521,6 +526,9 @@ class StoredRun:
             for name, view in c.views.items():
                 view.release()
                 setattr(c, name, empty)
+            if c.pending is not None:
+                c.pending[0].release()
+                c.pending = None
         self._adopted = []
         self._mv.release()
 
@@ -543,45 +551,66 @@ class StoredRun:
 
 #: a chunk's column slots, in section payload order.
 _COLUMNS = ("kind", "cseq_off", "cpc", "pdelta", "ppc", "tid")
+#: the slots an unchecked section fills only once it passes its check.
+_CHECKED_SLOTS = (*_COLUMNS, "over")
 
 
 class _StoredChunk(_Chunk):
     """A chunk section adopted from a spill file, its rows checked."""
 
-    __slots__ = ("where", "views")
+    __slots__ = ("where", "views", "pending")
 
 
 class _UncheckedChunk(_StoredChunk):
-    """A stored section whose rows are not checked yet.
+    """A stored section whose payload and rows are not checked yet.
 
-    The file is untrusted bytes, and a section whose rows are out of
+    The file is untrusted bytes: a payload that no longer matches its
+    CRC holds arbitrary rows, and a section whose rows are out of
     consumer-seq order would make every bisect over its ``cseq_off``
-    column answer wrongly.  Checking every row at open would make
-    opening O(rows), so the column slots start unset: the first read of
-    any column, by any reader, lands in :meth:`__getattr__`, which runs
-    :meth:`check`.  That fills the slots and turns the chunk into a
-    plain :class:`_StoredChunk`, whose attribute reads skip the
-    ``__getattr__`` hook (CPython does not specialize them while a class
-    defines one).  :meth:`decoded`, the slice walk's usual first read,
-    checks the list it decodes from instead of building a second one.
+    column answer wrongly.  Checking every section at open would make
+    opening O(rows), so ``pending`` holds the payload, its expected CRC
+    and its overflow-entry count, and the column and ``over`` slots
+    start unset: the first read of any of them, by any reader, lands in
+    :meth:`__getattr__`, which runs :meth:`check`.  That fills the
+    slots and turns the chunk into a plain :class:`_StoredChunk`, whose
+    attribute reads skip the ``__getattr__`` hook (CPython does not
+    specialize them while a class defines one).  :meth:`decoded`, the
+    slice walk's usual first read, checks the list it decodes from
+    instead of building a second one.
     """
 
     __slots__ = ()
 
     def __getattr__(self, name: str):
-        if name not in _COLUMNS:
+        if name not in _CHECKED_SLOTS:
             raise AttributeError(name)
         self.check()
         return getattr(self, name)
 
     def check(self, offs: list[int] | None = None) -> None:
-        """Raise :class:`LakeFormatError` unless the section's rows
-        (``offs``: its ``cseq_off`` column as a list) are in consumer-seq
-        order; otherwise expose its column views."""
+        """Raise :class:`LakeFormatError` unless the section's payload
+        matches its CRC and its rows (``offs``: its ``cseq_off`` column
+        as a list) are in consumer-seq order; otherwise parse its
+        overflow entries and expose its column views."""
+        payload, crc, over_count = self.pending
+        if crc is not None and zlib.crc32(payload) != crc:
+            raise LakeFormatError(f"{self.where} fails its CRC check")
         if offs is None:
             offs = self.views["cseq_off"].tolist()
         if offs != sorted(offs):
             raise _out_of_order(self)
+        over = None
+        if over_count:
+            q = _pad8(_columns_len(self.n))
+            over = {
+                (row, tag): value
+                for row, tag, value in _OVER_ENTRY.iter_unpack(
+                    bytes(payload[q:q + _OVER_ENTRY.size * over_count])
+                )
+            }
+        payload.release()
+        self.pending = None
+        self.over = over
         for name, view in self.views.items():
             setattr(self, name, view)
         self.__class__ = _StoredChunk

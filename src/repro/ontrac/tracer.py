@@ -34,11 +34,17 @@ Overhead model: every observed instruction costs ``stub_cycles``
 (DBT dispatch + inline stubs) plus ``cycles_per_byte`` for each stored
 byte, charged to the machine's overhead counter.
 
-Host implementation: like the paper's DBT, the tracer runs a stub per
-static instruction, translated on the pc's first execution with that
-pc's static facts bound in; stubs stage rows that are sealed into the
-packed store a chunk at a time (see :meth:`OnlineTracer._install_stubs`
-and :meth:`OnlineTracer._seal`).
+Host implementation: like the paper's DBT, the tracer is translated
+into the code it traces.  :meth:`OnlineTracer.attach` instruments the
+machine (:meth:`~repro.vm.machine.Machine.instrument`): each static
+instruction gets a stub with that pc's static facts and operand shape
+bound in, and the VM's step for the pc calls it with the thread, the
+sequence number and the memory address; the tracer receives no
+``InstrEvent``.  Stubs stage rows that are
+sealed into the packed store a chunk at a time (see
+:meth:`OnlineTracer._translator` and :meth:`OnlineTracer._seal`).  The
+class-level :meth:`OnlineTracer.on_instruction` is the event-driven
+reference the stubs are tested against.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from itertools import count
 from ..isa.cfg import build_cfgs
 from ..isa.instructions import Opcode
 from ..isa.program import Program
+from ..vm.dispatch import access_shape
 from ..vm.events import Hook, InstrEvent
 from ..vm.machine import Machine
 from .control_dep import ControlDependenceTracker
@@ -81,11 +88,22 @@ _C_CONTROL = KIND_CODES[DepKind.CONTROL]
 _C_BRANCH = KIND_CODES[DepKind.BRANCH]
 _C_WAR = KIND_CODES[DepKind.WAR]
 _C_WAW = KIND_CODES[DepKind.WAW]
+_B_INSTR = RECORD_BYTES[DepKind.INSTR]
+_B_BRANCH = RECORD_BYTES[DepKind.BRANCH]
 _B_REG = RECORD_BYTES[DepKind.REG]
 _B_MEM = RECORD_BYTES[DepKind.MEM]
 _B_SUMMARY = RECORD_BYTES[DepKind.SUMMARY]
 _B_WAR = RECORD_BYTES[DepKind.WAR]
 _B_WAW = RECORD_BYTES[DepKind.WAW]
+
+# Opcode facts the translation reads once per pc, from tables and module
+# constants: loading an ``Opcode`` member costs ~0.2 us on CPython 3.11.
+#: the call-depth step of each opcode: +1 for calls, -1 for returns.
+_DEPTH_STEP = {op: 0 for op in Opcode} | {Opcode.CALL: 1, Opcode.ICALL: 1, Opcode.RET: -1}
+#: conditional branches, which open control-dependence regions.
+_BRANCHES = frozenset({Opcode.BR, Opcode.BRZ})
+_SPAWN = Opcode.SPAWN
+_IN = Opcode.IN
 
 
 @dataclass
@@ -159,11 +177,12 @@ _NODE = "n"
 _SUMMARY = "s"
 
 
-def _summarize(tid: int, ev: InstrEvent, last_reg: dict, last_mem: dict) -> tuple:
-    """Last-writer entry of an untraced instruction: the traced
-    ancestors of every input it reads, so chains are not broken."""
+def _summarize(tid: int, regs, addrs, last_reg: dict, last_mem: dict) -> tuple:
+    """Last-writer entry of an untraced instruction reading registers
+    ``regs`` and memory cells ``addrs``: the traced ancestors of every
+    input it reads, so chains are not broken."""
     ancestors: set[tuple[int, int]] = set()
-    for reg, _ in ev.reg_reads:
+    for reg in regs:
         producer = last_reg.get((tid, reg))
         if producer is None:
             continue
@@ -171,7 +190,7 @@ def _summarize(tid: int, ev: InstrEvent, last_reg: dict, last_mem: dict) -> tupl
             ancestors.add((producer[1], producer[2]))
         else:
             ancestors.update(producer[1])
-    for addr, _ in ev.mem_reads:
+    for addr in addrs:
         producer = last_mem.get(addr)
         if producer is None:
             continue
@@ -228,17 +247,13 @@ class OnlineTracer(Hook):
         # reference hook keeps its own in ``self._control``).
         self._regions: defaultdict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
         self._depths: dict[int, int] = {}
-        self._stubs: list | None = None
-        self._install_stubs()
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, machine: Machine) -> "OnlineTracer":
+        """Translate the tracer into ``machine``'s steps: each executed
+        instruction calls its pc's stub, and no event reaches the tracer."""
         self.machine = machine
-        # Stubs bind the machine's cycle counters: reinstall the table
-        # so none translated before the machine was known survives.
-        if self._stubs is not None:
-            self._install_stubs()
-        machine.hooks.subscribe(self)
+        machine.instrument(self._translator())
         return self
 
     def finish_spill(self) -> str | None:
@@ -274,8 +289,8 @@ class OnlineTracer(Hook):
         """Write the staged rows into the buffer with one bulk
         :meth:`~PackedTraceBuffer.extend_rows` and count their kinds.
 
-        The stubs call this once a chunk's worth of rows is staged; the
-        run's end, :meth:`dependence_graph`, :meth:`finish_spill` and the
+        The stubs call this once a chunk's worth of rows is staged;
+        :meth:`dependence_graph`, :meth:`finish_spill` and the
         :attr:`buffer` / :attr:`stats` accessors call it too, so no
         reader sees a partial store.  ``extend_rows`` is exact, which
         makes the store's state independent of when sealing happens.
@@ -311,9 +326,6 @@ class OnlineTracer(Hook):
         if elided:
             skipped["redundant_load"] = skipped.get("redundant_load", 0) + elided
 
-    def on_run_end(self) -> None:
-        self._seal()
-
     def _emit_packed(
         self,
         kind: DepKind,
@@ -337,24 +349,24 @@ class OnlineTracer(Hook):
         return b
 
     # -- per-pc tracing stubs ----------------------------------------------------
-    def _install_stubs(self) -> None:
-        """Dispatch each event to a tracing stub translated for its pc.
+    def _translator(self):
+        """The translation step :meth:`attach` hands to
+        :meth:`Machine.instrument <repro.vm.machine.Machine.instrument>`:
+        ``translate(pc)`` returns static instruction ``pc``'s stub, which
+        the machine's step for that pc calls as ``stub(tid, seq, addr)``.
 
-        The table starts filled with a translate trampoline, as a DBT's
-        code cache does: the first execution of a pc translates its stub
-        (``translate``), stores it in the table and runs it.  The
-        instance attribute ``on_instruction`` shadows the class-level
-        :meth:`on_instruction`, which stays the reference the stubs are
-        held to (the differential suite checks records, stats, buffer
-        stats and graphs bit for bit).  Stubs read the config flags and
-        the machine when the table is installed; the reference re-reads
-        them every event.
+        The class-level :meth:`on_instruction` stays the reference the
+        stubs are held to (the differential suite checks records, stats,
+        buffer stats and graphs bit for bit).  Stubs read the config
+        flags and the machine when they are translated; the reference
+        re-reads them every event.
         """
         cfg = self.config
         code = self.program.code
         leaders = self._leaders
         control = self._control is not None
         ipdoms = self._control.ipdom_pc if control else None
+        ipdom_targets = set(ipdoms.values()) if control else set()
         naive = cfg.naive
         sel = cfg.selective_functions
         infer_intra = not naive and cfg.infer_intra_block
@@ -391,43 +403,48 @@ class OnlineTracer(Hook):
             """The stub of static instruction ``pc``.
 
             Everything static about the pc is decided here and bound
-            into the stub: whether it leads a block or is a call/ret,
-            the branch's immediate post-dominator, whether its function
-            is traced, whether it is a LOAD/POP eligible for
-            redundant-load elision, SPAWN.  The stub walks the
-            control-dependence regions inline (regions are
-            ``(branch_seq, branch_pc, ipdom_pc, depth)`` tuples, the
-            fields of :class:`~repro.ontrac.control_dep.Region`) and
-            stages its rows as ``code, cseq, cpc, pseq, ppc, tid`` runs;
-            modeled bytes are summed once per instruction.
+            into the stub: its :func:`~repro.vm.dispatch.access_shape`
+            (registers read and written, whether ``addr`` is a memory
+            cell it reads or writes), whether it leads a block or is a
+            call/ret, the branch's immediate post-dominator, whether its
+            function is traced, whether it is a LOAD/POP eligible for
+            redundant-load elision, SPAWN (whose ``addr`` is the child
+            tid).  The stub walks the control-dependence regions inline
+            (regions are ``(branch_seq, branch_pc, ipdom_pc, depth)``
+            tuples, the fields of
+            :class:`~repro.ontrac.control_dep.Region`) and stages its
+            rows as ``code, cseq, cpc, pseq, ppc, tid`` runs; modeled
+            bytes are summed once per instruction.
             """
             instr = code[pc]
             op = instr.opcode
+            reads, writes, mem_read, mem_write = access_shape(instr)
             leader = pc in leaders
-            callret = op is Opcode.CALL or op is Opcode.ICALL or op is Opcode.RET
+            depth_step = _DEPTH_STEP[op]
+            callret = depth_step != 0
             traced = sel is None or instr.function in sel
-            elide = elide_loads and (op is Opcode.LOAD or op is Opcode.POP)
-            spawn = op is Opcode.SPAWN
-            is_in = op is Opcode.IN
-            branch = control and (op is Opcode.BR or op is Opcode.BRZ)
+            elide = elide_loads and mem_read  # LOAD and POP
+            spawn = op == _SPAWN
+            filter_input = input_forward_slice and op != _IN
+            branch = control and op in _BRANCHES
             ipdom = ipdoms.get(pc, -1) if branch else -1
-            depth_step = (
-                1 if op is Opcode.CALL or op is Opcode.ICALL else -1 if op is Opcode.RET else 0
-            )
-            walk_always = branch or (control and depth_step != 0)
+            walk_always = branch or (control and callret)
+            # A region closes at its branch's ipdom or when its invocation
+            # returns, and returns close theirs at once (below), so at any
+            # other pc the innermost open region is the control parent.
+            walk = walk_always or pc in ipdom_targets
             naive_row = naive and traced
             branch_row = branch and traced
-            node_bytes = (RECORD_BYTES[DepKind.INSTR] if naive_row else 0) + (
-                RECORD_BYTES[DepKind.BRANCH] if branch_row else 0
-            )
+            node_bytes = (_B_INSTR if naive_row else 0) + (_B_BRANCH if branch_row else 0)
+            defines = bool(writes) or mem_write
+            war_read = record_war_waw and mem_read
+            war_write = record_war_waw and mem_write
             # this pc's redundant-load cache: the last (address, producer seq).
             load_addr = load_pseq = None
 
-            def stub(ev):
+            def stub(tid, seq, addr):
                 nonlocal load_addr, load_pseq
                 stats.instructions += 1
-                tid = ev.tid
-                seq = ev.seq
                 b = node_bytes
 
                 # --- dynamic block (inference region) instance ---------------
@@ -471,7 +488,10 @@ class OnlineTracer(Hook):
                 parent = None
                 if control:
                     stack = regions[tid]
-                    if stack or walk_always:
+                    if not walk:
+                        if stack:
+                            parent = stack[-1]
+                    elif stack or walk_always:
                         depth = depths.get(tid, 0)
                         while stack:
                             top = stack[-1]
@@ -488,21 +508,22 @@ class OnlineTracer(Hook):
                                 stack.pop()
                             stack.append((seq, pc, ipdom, depth))
                         elif depth_step:
-                            depths[tid] = depth + depth_step
+                            depth += depth_step
+                            depths[tid] = depth
+                            while stack and stack[-1][3] > depth:  # a return's
+                                stack.pop()
 
                 # --- input-derived flag --------------------------------------
                 derived = True
-                if input_forward_slice and not is_in:
+                if filter_input:
                     derived = False
-                    for reg, _ in ev.reg_reads:
+                    for reg in reads:
                         if (tid, reg) in derived_reg:
                             derived = True
                             break
                     else:
-                        for addr, _ in ev.mem_reads:
-                            if addr in derived_mem:
-                                derived = True
-                                break
+                        if mem_read and addr in derived_mem:
+                            derived = True
                 store = traced and derived
                 if traced and not derived:
                     skipped["input_filter"] = skipped.get("input_filter", 0) + 1
@@ -511,11 +532,8 @@ class OnlineTracer(Hook):
                     stage((_C_INSTR, seq, pc, -1, -1, tid))
 
                 # --- register dependences ------------------------------------
-                reg_reads = ev.reg_reads
-                if reg_reads and store:
-                    if len(reg_reads) > 1:
-                        reg_reads = dict(reg_reads).items()  # first read of each reg
-                    for reg, _ in reg_reads:
+                if store:
+                    for reg in reads:
                         producer = last_reg.get((tid, reg))
                         if producer is None:
                             continue
@@ -531,31 +549,28 @@ class OnlineTracer(Hook):
                             stage((_C_REG, seq, pc, pseq, ppc, tid))
                             b += _B_REG
 
-                # --- memory dependences --------------------------------------
-                mem_reads = ev.mem_reads
-                if mem_reads:
-                    for addr, _ in mem_reads:
-                        producer = last_mem.get(addr)
-                        if record_war_waw:
-                            readers = last_readers.setdefault(addr, [])
-                            if len(readers) < 8:
-                                readers.append((seq, pc, tid))
-                        if producer is None or not store:
-                            continue
+                # --- memory dependence ---------------------------------------
+                if mem_read:
+                    producer = last_mem.get(addr)
+                    if war_read:
+                        readers = last_readers.setdefault(addr, [])
+                        if len(readers) < 8:
+                            readers.append((seq, pc, tid))
+                    if producer is not None and store:
                         if producer[0] == _SUMMARY:
                             for pseq, ppc in producer[1]:
                                 stage((_C_SUMMARY, seq, pc, pseq, ppc, tid))
                                 b += _B_SUMMARY
-                            continue
-                        pseq = producer[1]
-                        if elide:
-                            if addr == load_addr and pseq == load_pseq:
+                        else:
+                            pseq = producer[1]
+                            if elide and addr == load_addr and pseq == load_pseq:
                                 stage((_C_IMEM, seq, pc, pseq, producer[2], tid))
-                                continue
-                            load_addr = addr
-                            load_pseq = pseq
-                        stage((_C_MEM, seq, pc, pseq, producer[2], tid))
-                        b += _B_MEM
+                            else:
+                                if elide:
+                                    load_addr = addr
+                                    load_pseq = pseq
+                                stage((_C_MEM, seq, pc, pseq, producer[2], tid))
+                                b += _B_MEM
 
                 # --- control dependence rows ---------------------------------
                 if parent is not None and store:
@@ -564,34 +579,33 @@ class OnlineTracer(Hook):
                     stage((_C_BRANCH, seq, pc, -1, -1, tid))
 
                 # --- WAR/WAW (multithreaded slicing extension) ---------------
-                mem_writes = ev.mem_writes
-                if record_war_waw and mem_writes:
-                    for addr, _ in mem_writes:
-                        prev_writer = last_mem.get(addr)
-                        if prev_writer is not None and prev_writer[0] == _NODE:
-                            if prev_writer[4] != tid:
-                                stage((_C_WAW, seq, pc, prev_writer[1], prev_writer[2], tid))
-                                b += _B_WAW
-                        for rseq, rpc, rtid in last_readers.pop(addr, ()):
-                            if rtid != tid:
-                                stage((_C_WAR, seq, pc, rseq, rpc, tid))
-                                b += _B_WAR
+                if war_write:
+                    prev_writer = last_mem.get(addr)
+                    if prev_writer is not None and prev_writer[0] == _NODE:
+                        if prev_writer[4] != tid:
+                            stage((_C_WAW, seq, pc, prev_writer[1], prev_writer[2], tid))
+                            b += _B_WAW
+                    for rseq, rpc, rtid in last_readers.pop(addr, ()):
+                        if rtid != tid:
+                            stage((_C_WAR, seq, pc, rseq, rpc, tid))
+                            b += _B_WAR
 
                 # --- last-writer metadata ------------------------------------
-                reg_writes = ev.reg_writes
-                if reg_writes or mem_writes:
+                if defines:
                     if traced:
                         entry = (_NODE, seq, pc, instance, tid)
                     else:
-                        entry = _summarize(tid, ev, last_reg, last_mem)
-                    for reg, _ in reg_writes:
+                        entry = _summarize(
+                            tid, reads, (addr,) if mem_read else (), last_reg, last_mem
+                        )
+                    for reg in writes:
                         last_reg[(tid, reg)] = entry
                         if input_forward_slice:
                             if derived:
                                 derived_reg.add((tid, reg))
                             else:
                                 derived_reg.discard((tid, reg))
-                    for addr, _ in mem_writes:
+                    if mem_write:
                         last_mem[addr] = entry
                         if input_forward_slice:
                             if derived:
@@ -600,10 +614,9 @@ class OnlineTracer(Hook):
                                 derived_mem.discard(addr)
                     if spawn:
                         # The child's r0 is defined by the spawn's argument flow.
-                        child = reg_writes[0][1]
-                        last_reg[(child, 0)] = entry
+                        last_reg[(addr, 0)] = entry
                         if input_forward_slice and derived:
-                            derived_reg.add((child, 0))
+                            derived_reg.add((addr, 0))
 
                 if b:
                     stats.stored_bytes += b
@@ -614,20 +627,7 @@ class OnlineTracer(Hook):
 
             return stub
 
-        stubs: list = []
-
-        def trampoline(ev):
-            pc = ev.pc
-            stub = stubs[pc] = translate(pc)
-            stub(ev)
-
-        stubs.extend([trampoline] * len(code))
-
-        def on_instruction(ev):
-            stubs[ev.pc](ev)
-
-        self._stubs = stubs
-        self.on_instruction = on_instruction
+        return translate
 
     def _bump_instance(self, tid: int) -> None:
         self._block_instance[tid] = next(self._instances)
@@ -803,7 +803,10 @@ class OnlineTracer(Hook):
         if traced:
             entry = (_NODE, seq, pc, instance, tid)
         else:
-            entry = _summarize(tid, ev, self._last_reg, self._last_mem)
+            entry = _summarize(
+                tid, [reg for reg, _ in ev.reg_reads], [addr for addr, _ in ev.mem_reads],
+                self._last_reg, self._last_mem,
+            )
 
         for reg, _ in ev.reg_writes:
             self._last_reg[(tid, reg)] = entry

@@ -7,8 +7,10 @@ Design constraints, in priority order:
    slicing and fault-avoidance technique in this repo leans on that.
 2. **Observability** — with hooks subscribed, every executed instruction
    publishes an :class:`repro.vm.events.InstrEvent` with resolved
-   register/memory reads and writes.  With no hooks, no event objects
-   are built (the "native run" baseline).
+   register/memory reads and writes.  An analysis that instruments the
+   machine (:meth:`Machine.instrument`) gets a call to its pc's stub
+   instead, at the same point and with no event object.  With neither,
+   no event objects are built (the "native run" baseline).
 3. **Interventions** — predicate switching and value replacement
    (§3.1) perturb execution through a :class:`Intervention` object that
    can flip branch outcomes and rewrite defined values at chosen dynamic
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..isa.instructions import Instruction, Opcode
 from ..isa.program import Program
@@ -115,6 +118,8 @@ class Machine:
         self.barriers: dict[int, Barrier] = {}
         self._joiners: dict[int, list[int]] = {}  # target tid -> waiting tids
         self._occurrences: dict[int, int] = {}  # instr index -> executions
+        #: the instrumenting analysis's per-pc stubs (see instrument).
+        self._stubs: list[Callable[[int, int, int], None]] | None = None
         entry = program.entry_function
         self.threads: list[ThreadContext] = [ThreadContext.create(0, entry.entry, tuple(args))]
         # One step per static instruction: a compiled closure for the hot
@@ -122,6 +127,24 @@ class Machine:
         self._dispatch = compile_program(self)
 
     # -- tool API -------------------------------------------------------
+    def instrument(self, translate: Callable[[int], Callable[[int, int, int], None]]) -> None:
+        """Translate an analysis into the machine's step table.
+
+        ``translate(pc)`` returns the analysis's stub for static
+        instruction ``pc``, specialized on what the pc fixes
+        (:func:`~repro.vm.dispatch.access_shape` gives its register and
+        memory sides).  Every completed execution of ``pc`` then calls
+        ``stub(tid, seq, addr)`` where it would publish its
+        ``InstrEvent``, before the event is built for any hook: ``addr``
+        is the memory cell a LOAD, STORE, PUSH or POP touches, the child
+        tid for SPAWN and 0 otherwise.  The analysis receives no
+        events.  One analysis per machine, instrumented before it runs.
+        """
+        if self._stubs is not None:
+            raise VMError("machine is already instrumented")
+        self._stubs = [translate(pc) for pc in range(len(self.program.code))]
+        self._dispatch = compile_program(self)
+
     def add_overhead(self, cycles: int) -> None:
         """Charge tool overhead cycles (instrumentation, tracing, logging)."""
         self.cycles.overhead += cycles
@@ -236,7 +259,8 @@ class Machine:
         op = instr.opcode
         ops = instr.operands
         regs = thread.regs
-        trace = self.hooks.active
+        trace = self.hooks.active  # build the event's value tuples
+        observed = trace or self._stubs is not None
         intervention = self.intervention
 
         reg_reads: tuple = ()
@@ -246,6 +270,7 @@ class Machine:
         channel: int | None = None
         io_value: int | None = None
         input_index = -1
+        addr = 0  # a stub's dynamic operand: the child tid for SPAWN
         next_pc = pc + 1
 
         if intervention is not None:
@@ -293,8 +318,8 @@ class Machine:
             if fn is None:
                 # Emit the event first so DIFT policies can attribute the
                 # wild target before the machine reports the crash.
-                if trace:
-                    self._emit(thread, pc, instr, reg_reads)
+                if observed:
+                    self._emit(thread, pc, instr, addr, reg_reads)
                 raise ProgramFailure("bad_icall", f"indirect call to invalid target {fid}")
             thread.frames.append(Frame(pc + 1, fn.name))
             next_pc = fn.entry
@@ -332,7 +357,7 @@ class Machine:
             arg = regs[ops[2]]
             fn = self.program.function_by_id(ops[1])
             assert fn is not None
-            tid = len(self.threads)
+            tid = addr = len(self.threads)
             child = ThreadContext.create(tid, fn.entry, (arg,))
             self.threads.append(child)
             if trace:
@@ -411,9 +436,9 @@ class Machine:
             self._op_counts[op] += 1
         if intervention is not None:
             self._occurrences[pc] = occurrence + 1
-        if trace:
+        if observed:
             self._emit(
-                thread, pc, instr, reg_reads, reg_writes, callee, alloc, channel, io_value,
+                thread, pc, instr, addr, reg_reads, reg_writes, callee, alloc, channel, io_value,
                 input_index,
             )
         self.seq += 1
@@ -424,6 +449,7 @@ class Machine:
         thread: ThreadContext,
         pc: int,
         instr: Instruction,
+        addr: int,
         reg_reads: tuple,
         reg_writes: tuple = (),
         callee: int | None = None,
@@ -432,22 +458,27 @@ class Machine:
         io_value: int | None = None,
         input_index: int = -1,
     ) -> None:
-        ev = InstrEvent(
-            seq=self.seq,
-            tid=thread.tid,
-            pc=pc,
-            instr=instr,
-            reg_reads=reg_reads,
-            reg_writes=reg_writes,
-            callee=callee,
-            alloc=alloc,
-            channel=channel,
-            io_value=io_value,
-            input_index=input_index,
-        )
+        """A cold instruction's event point, as in the compiled steps:
+        the instrumenting analysis's stub, then the hooks' event."""
+        if self._stubs is not None:
+            self._stubs[pc](thread.tid, self.seq, addr)
         if self._tel:
             self._events_published += 1
-        self.hooks.instruction(ev)
+        if self.hooks.hooks:
+            ev = InstrEvent(
+                seq=self.seq,
+                tid=thread.tid,
+                pc=pc,
+                instr=instr,
+                reg_reads=reg_reads,
+                reg_writes=reg_writes,
+                callee=callee,
+                alloc=alloc,
+                channel=channel,
+                io_value=io_value,
+                input_index=input_index,
+            )
+            self.hooks.instruction(ev)
 
     def _publish_telemetry(self, result: RunResult) -> None:
         """Dump this run's VM metrics into the telemetry registry."""

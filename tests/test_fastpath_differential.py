@@ -11,11 +11,16 @@ DIFT taint state.
 - Plain runs pair the VM's compiled dispatch table with the test-side
   spec oracle (``tests/vm_oracle.py``), once without hooks and once
   with every ``InstrEvent`` recorded.
-- Traced runs pair ONTRAC's per-pc tracing stubs into the packed store,
-  queried through the slicing API (indexed engine, pruning, cross-thread
-  edges), with the class-level ``OnlineTracer.on_instruction`` (see
+- Traced runs pair ONTRAC's per-pc tracing stubs, translated into the
+  machine's steps (``Machine.instrument``) and storing into the packed
+  store, queried through the slicing API (indexed engine, pruning,
+  cross-thread edges), with the class-level
+  ``OnlineTracer.on_instruction`` subscribed as a hook (see
   :class:`ReferenceTracer`), queried through the test-side dict oracle
-  (``tests/ddg_oracle.py``) over the stored records.
+  (``tests/ddg_oracle.py``) over the stored records.  The same pairing
+  runs with other hooks, an intervention, a failing run and telemetry
+  on the machine, and a stub-recording analysis holds each pc's static
+  ``access_shape`` to the events the VM publishes.
 - DIFT runs pair the array kernel under function summaries with the
   reference kernel without them, each named by explicit engine
   arguments.  The three-way tests below run every (kernel, summaries)
@@ -30,9 +35,16 @@ from functools import partial
 import pytest
 
 from repro.dift import BoolTaintPolicy, DIFTEngine, SinkRule
+from repro.isa.instructions import Opcode
 from repro.lang import compile_source
 from repro.ontrac import OnlineTracer, OntracConfig
-from repro.vm import Hook
+from repro.races import SyncRecognizer
+from repro.reduction import CheckpointingLogger
+from repro.runner import ProgramRunner
+from repro.slicing.implicit import PredicateSwitcher
+from repro.telemetry import Telemetry
+from repro.vm import Hook, VMError
+from repro.vm.dispatch import access_shape
 from repro.workloads import (
     GeneratorConfig,
     build_server,
@@ -99,13 +111,15 @@ def _ddg_state(ddg):
 
 
 class ReferenceTracer(OnlineTracer):
-    """ONTRAC's reference side: the class-level ``on_instruction`` stays
-    the hook (no tracing stubs) and the dependence graph is the dict
-    oracle over the stored records, so queries take its BFS instead of
-    the indexed engine."""
+    """ONTRAC's reference side: the class-level ``on_instruction`` is
+    subscribed as a hook (the machine is not instrumented) and the
+    dependence graph is the dict oracle over the stored records, so
+    queries take its BFS instead of the indexed engine."""
 
-    def _install_stubs(self):
-        pass
+    def attach(self, machine):
+        self.machine = machine
+        machine.hooks.subscribe(self)
+        return self
 
     def dependence_graph(self):
         return OracleDDG.of(self.buffer)
@@ -142,7 +156,10 @@ def _plain_state(runner, oracle=False, log_events=False):
 
 
 def _traced_state(runner, tracer_cls, config=None):
-    m, tracer, res = _run_traced(runner, tracer_cls, config)
+    return _traced_observables(*_run_traced(runner, tracer_cls, config))
+
+
+def _traced_observables(m, tracer, res):
     stats = tracer.stats
     bstats = tracer.buffer.stats
     records = tuple(
@@ -205,15 +222,189 @@ def assert_traced_differential(make_runner, state_fn=_traced_state, **kwargs):
 
 
 def test_reference_tracer_keeps_class_hook():
-    # Guards the comparison itself: the fast side must dispatch to the
-    # per-pc stubs and the reference side to the class method.
-    runner = SPEC[0].runner()
-    _, fast, _ = _run_traced(runner, OnlineTracer)
-    assert "on_instruction" in vars(fast)
-    assert any(stub.__name__ == "stub" for stub in fast._stubs)  # translated
-    _, ref, _ = _run_traced(SPEC[0].runner(), ReferenceTracer)
+    # Guards the comparison itself: the fast side must run fused into the
+    # machine's steps, receiving no event, and the reference side must be
+    # the class method subscribed as a hook.
+    class Tripwire(OnlineTracer):
+        def on_instruction(self, ev):
+            raise AssertionError("the fused tracer received an InstrEvent")
+
+    # Hot and cold opcodes, threads and locks, a failing ICALL.
+    for runner in (SPEC[0].runner(), RACES[0].runner(), _bad_icall_runner()):
+        m, fast, res = _run_traced(runner, Tripwire)
+        assert not m.hooks.hooks and res.instructions > 0
+        # the failing ICALL reaches the tracer without completing
+        assert fast.stats.instructions == res.instructions + (res.failure is not None)
+        for step, stub in zip(m._dispatch, m._stubs):
+            assert stub.__name__ == "stub"
+            if step != m._execute:  # each hot step calls its own pc's stub
+                assert stub in [cell.cell_contents for cell in step.__closure__]
+    m, ref, _ = _run_traced(SPEC[0].runner(), ReferenceTracer)
+    assert m._stubs is None and m.hooks.hooks == [ref]
     assert "on_instruction" not in vars(ref)
-    assert ref._stubs is None
+
+
+# --- the static operand shape against the published events -----------------
+class StubLog:
+    """A translation-time analysis whose stubs record every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def translate(self, pc):
+        calls = self.calls
+
+        def stub(tid, seq, addr):
+            calls.append((seq, tid, pc, addr))
+
+        return stub
+
+
+def _generated_runner(seed):
+    return generate(seed, GeneratorConfig(use_inputs=True)).runner()
+
+
+SHAPE_RUNNERS = (
+    [pytest.param(w.runner, id=w.name) for w in SPEC + CALLS + RACES]
+    + [pytest.param(partial(b.runner, failing=True), id=b.name) for b in BUGGY]
+    + [pytest.param(partial(_generated_runner, seed), id=f"gen{seed}") for seed in GEN_SEEDS]
+)
+
+
+@pytest.mark.parametrize("make_runner", SHAPE_RUNNERS)
+def test_access_shape_matches_published_events(make_runner):
+    # A stub is specialized on its pc's static shape, so the shape must be
+    # exactly the register and memory sides of the event the same step
+    # publishes, and the stub's addr the event's one memory address (the
+    # child tid for SPAWN).
+    runner = make_runner()
+    m = runner.machine()
+    log = m.hooks.subscribe(EventLog())
+    stubs = StubLog()
+    m.instrument(stubs.translate)
+    m.run(max_instructions=runner.max_instructions)
+    code = runner.program.code
+    assert log.events and len(stubs.calls) == len(log.events)
+    for event, call in zip(log.events, stubs.calls):
+        seq, tid, pc, reads, writes, mem_reads, mem_writes = event[:7]
+        instr = code[pc]
+        assert access_shape(instr) == (
+            tuple(dict.fromkeys(reg for reg, _ in reads)),
+            tuple(dict.fromkeys(reg for reg, _ in writes)),
+            bool(mem_reads),
+            bool(mem_writes),
+        ), instr
+        cells = mem_reads + mem_writes
+        assert len(cells) <= 1, instr
+        addr = cells[0][0] if cells else writes[0][1] if instr.opcode is Opcode.SPAWN else 0
+        assert call == (seq, tid, pc, addr), instr
+
+
+def test_machine_takes_one_instrumenting_analysis():
+    m = SPEC[0].runner().machine()
+    m.instrument(StubLog().translate)
+    with pytest.raises(VMError, match="already instrumented"):
+        m.instrument(StubLog().translate)
+
+
+# --- the fused tracer in company ---------------------------------------------
+# Other hooks, an intervention, a failing run and telemetry on the same
+# machine as the tracer: the fused side must match the reference hook in
+# its rows, stats and cycles, and leave what the other hooks see unchanged.
+def _company_state(make_runner, tracer_cls, company, config=None):
+    runner = make_runner()
+    m = runner.machine()
+    tracer = None
+
+    def attach():
+        nonlocal tracer
+        tracer = tracer_cls(runner.program, config).attach(m)
+
+    observed = company(m, attach)
+    res = m.run(max_instructions=runner.max_instructions)
+    return _traced_observables(m, tracer, res) + (observed(), m._stubs is not None)
+
+
+def _event_logs(m, attach):
+    first = m.hooks.subscribe(EventLog())
+    attach()
+    second = m.hooks.subscribe(EventLog())
+    return lambda: (first.events, second.events)
+
+
+def _logger_and_recognizer(m, attach):
+    # E9's machine: tracer, checkpointing logger, flag-sync recognizer.
+    attach()
+    logger = CheckpointingLogger(checkpoint_interval=64).attach(m)
+    recognizer = m.hooks.subscribe(SyncRecognizer())
+
+    def observed():
+        log = logger.finalize()
+        checkpoints = [(cp.seq, cp.segment_index) for cp in log.checkpoints]
+        return (log.schedule, log.inputs, log.syncs, checkpoints, log.final_seq,
+                recognizer.flag_syncs)
+
+    return observed
+
+
+def _predicate_switch(m, attach):
+    branch = next(i.index for i in m.program.code if i.opcode in (Opcode.BR, Opcode.BRZ))
+    m.intervention = switcher = PredicateSwitcher(branch, occurrence=0)
+    attach()
+    return lambda: switcher.fired
+
+
+def _published_count(m, attach):
+    attach()
+    return lambda: m.telemetry.registry.counter("vm.events.published").value
+
+
+VULNERABLE = compile_source(
+    "fn safe(x) { out(1, 1); }\n"
+    "fn admin(x) { out(2, 1); }\n"
+    "fn main() {\n"
+    "    var fp = alloc(1);\n"
+    "    fp[0] = in(0);\n"
+    "    icall(fp[0], 0);\n"
+    "}\n"
+).program
+
+
+def _bad_icall_runner():
+    return ProgramRunner(VULNERABLE, inputs={0: [99]})
+
+
+def _telemetry_runner():
+    runner = SPEC[0].runner()
+    runner.telemetry = Telemetry.on()
+    return runner
+
+
+COMPANY = {
+    "event-logs-matmul": (SPEC[0].runner, _event_logs, None),
+    "event-logs-server": (lambda: _server_runner(), _event_logs, None),
+    **{
+        f"logger-recognizer-{k.name}": (
+            k.runner, _logger_and_recognizer, OntracConfig(record_war_waw=True))
+        for k in RACES
+    },
+    **{
+        f"predicate-switch-{b.name}": (partial(b.runner, failing=True), _predicate_switch, None)
+        for b in BUGGY
+        if any(i.opcode in (Opcode.BR, Opcode.BRZ) for i in b.runner(failing=True).program.code)
+    },
+    "bad-icall": (_bad_icall_runner, _event_logs, None),
+    "telemetry": (_telemetry_runner, _published_count, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPANY))
+def test_fused_tracer_in_company(case):
+    make_runner, company, config = COMPANY[case]
+    fast = _company_state(make_runner, OnlineTracer, company, config)
+    ref = _company_state(make_runner, ReferenceTracer, company, config)
+    assert fast[-1] and not ref[-1]  # fused, even with telemetry on
+    assert fast[:-1] == ref[:-1]
 
 
 # --- SPEC-like suite --------------------------------------------------------

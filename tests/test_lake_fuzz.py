@@ -7,7 +7,9 @@ truncation at every section boundary, random bit flips, CRC-valid
 garbage footers and CRC-valid footers with a broken schema.  The
 footer faults that once escaped as ``KeyError``/``IndexError``/
 ``TypeError`` (or, for ``head > n``, opened silently) are kept as named
-regression inputs.
+regression inputs, as are footer-named sections whose rows are out of
+order, whose payload no longer matches its CRC, or whose header
+disagrees with the footer (each once opened, or answered, silently).
 """
 
 import copy
@@ -187,17 +189,19 @@ def swap_interior_rows(data: bytearray, meta: dict) -> None:
     _CHUNK_HEADER.pack_into(data, off, magic, n, base, over, plen, crc)
 
 
-def test_footer_out_of_order_rows_raise_lake_format_error(spill, tmp_path):
-    # The footer names the section, so the open checks only its
-    # boundaries; every reader that then touches the section must fail
-    # rather than answer from the misordered column.
-    raw, footer = spill
+def _last_live_section(raw, footer):
+    """The footer entry of the last live section and its last row's seq."""
     meta = footer["chunks"][footer["live"][-1]["id"]]
     seq = meta["base"] + memoryview(raw)[
         meta["off"] + _CHUNK_HEADER.size + (meta["n"] + 3) // 4 * 4:
     ][:4 * meta["n"]].cast("I")[-1]
-    data = bytearray(raw)
-    swap_interior_rows(data, meta)
+    return meta, seq
+
+
+def assert_every_reader_rejects(tmp_path, raw, data, seq, match):
+    """``data`` (``raw`` with one footer-named section damaged) opens,
+    but every reader that touches the section raises; ``raw`` answers
+    the same queries."""
     path = tmp_path / "case.rlk"
     path.write_bytes(bytes(data))
     with open_spill(str(path)) as run:
@@ -212,9 +216,11 @@ def test_footer_out_of_order_rows_raise_lake_format_error(spill, tmp_path):
             "edge_count": lambda: ddg.edge_count,
             "edge_diff": lambda: edge_signatures(run),
             "slice": lambda: backward_slice(ddg, seq),
+            # parsed from the payload, so only after the same check
+            "overflow_entries": lambda: run.buffer._chunks[-1].over,
         }
         for name, query in queries.items():
-            with pytest.raises(LakeFormatError, match="out of order"):
+            with pytest.raises(LakeFormatError, match=match):
                 query()
     # Control: the unedited file answers the same queries.
     path.write_bytes(raw)
@@ -222,6 +228,44 @@ def test_footer_out_of_order_rows_raise_lake_format_error(spill, tmp_path):
         ddg = run.ddg()
         assert ddg.has_node(seq) and ddg.producers(seq) and edge_signatures(run)
         assert seq in backward_slice(ddg, seq).seqs
+
+
+def test_footer_out_of_order_rows_raise_lake_format_error(spill, tmp_path):
+    # The footer names the section, so the open checks only its
+    # boundaries; every reader that then touches the section must fail
+    # rather than answer from the misordered column.
+    raw, footer = spill
+    meta, seq = _last_live_section(raw, footer)
+    data = bytearray(raw)
+    swap_interior_rows(data, meta)
+    assert_every_reader_rejects(tmp_path, raw, data, seq, "out of order")
+
+
+def test_footer_section_with_stale_crc_raises_lake_format_error(spill, tmp_path):
+    # One row's kind byte rewritten, the section CRC left stale: the
+    # open trusts the footer, so the first read of the section must
+    # check the payload against its CRC rather than answer from it.
+    raw, footer = spill
+    meta, seq = _last_live_section(raw, footer)
+    data = bytearray(raw)
+    data[meta["off"] + _CHUNK_HEADER.size + meta["n"] - 1] = 0xFF
+    assert_every_reader_rejects(tmp_path, raw, data, seq, "CRC")
+
+
+def test_footer_section_header_disagreeing_with_footer_is_rejected(spill, tmp_path):
+    # A section header whose row count, base or payload length differs
+    # from the footer entry naming it fails the open itself.
+    raw, footer = spill
+    meta, _ = _last_live_section(raw, footer)
+    for field in (1, 2, 4):  # n, base, payload length
+        data = bytearray(raw)
+        header = list(_CHUNK_HEADER.unpack_from(data, meta["off"]))
+        header[field] += 1
+        _CHUNK_HEADER.pack_into(data, meta["off"], *header)
+        path = tmp_path / "case.rlk"
+        path.write_bytes(bytes(data))
+        with pytest.raises(LakeFormatError, match="disagrees"):
+            open_spill(str(path))
 
 
 def test_recovered_out_of_order_rows_raise_lake_format_error(spill, tmp_path):

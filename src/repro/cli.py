@@ -269,12 +269,27 @@ def cmd_experiments(args) -> int:
     return 0
 
 
+def _run_front_door(server_cls, config, banner: str, farewell: str) -> int:
+    """Start a daemon or router, print ``banner`` (its ``{address}``
+    filled in), serve until a ``shutdown`` request or Ctrl-C."""
+    try:
+        server = server_cls(config).start()
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # Printed after bind so an ephemeral --port 0 shows the real port.
+    print(banner.format(address=config.address()), flush=True)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    print(farewell, flush=True)
+    return 0
+
+
 def cmd_serve(args) -> int:
     from .service import AsyncAnalysisServer, ServiceConfig
 
-    if (args.socket is None) == (args.port is None):
-        print("error: serve needs exactly one of --socket or --port", file=sys.stderr)
-        return 2
     config = ServiceConfig(
         socket_path=args.socket,
         host=args.host,
@@ -289,28 +304,17 @@ def cmd_serve(args) -> int:
         obs_dir=args.obs_dir,
         sample_interval_s=args.sample_interval,
     )
-    server = AsyncAnalysisServer(config)
-    server.start()
-    # Printed after bind so an ephemeral --port 0 shows the real port.
-    print(f"serving on {config.address()} "
-          f"(workers={config.workers}, capacity={config.queue_capacity})",
-          flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    print("service stopped", flush=True)
-    return 0
+    return _run_front_door(
+        AsyncAnalysisServer, config,
+        f"serving on {{address}} (workers={config.workers}, "
+        f"capacity={config.queue_capacity})",
+        "service stopped",
+    )
 
 
 def cmd_route(args) -> int:
     from .service import RouterConfig, RouterServer
 
-    if (args.socket is None) == (args.port is None):
-        print("error: route needs exactly one of --socket or --port", file=sys.stderr)
-        return 2
     config = RouterConfig(
         backends=list(args.backends),
         socket_path=args.socket,
@@ -324,19 +328,12 @@ def cmd_route(args) -> int:
         observe=not args.no_observe,
         obs_dir=args.obs_dir,
     )
-    router = RouterServer(config)
-    router.start()
-    print(f"routing on {config.address()} "
-          f"({len(config.backends)} backends, vnodes={config.vnodes})",
-          flush=True)
-    try:
-        router.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        router.stop()
-    print("router stopped", flush=True)
-    return 0
+    return _run_front_door(
+        RouterServer, config,
+        f"routing on {{address}} ({len(config.backends)} backends, "
+        f"vnodes={config.vnodes})",
+        "router stopped",
+    )
 
 
 def cmd_submit(args) -> int:

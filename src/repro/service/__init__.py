@@ -19,12 +19,14 @@ require:
 * :mod:`pool` — the sharded worker-process pool: affinity routing by
   program hash with idle-steal, per-job deadlines with cancellation,
   crash detection and bounded respawn/backoff with one retry.
-* :mod:`server` — the daemon configuration and the transport-free
-  :class:`~repro.service.server.ServiceCore` (admission -> cache ->
-  pool dispatch, introspection).
-* :mod:`aserver` — the daemon itself, :mod:`asyncio`-based: one event
-  loop, coroutine per connection, streamed ``partial`` result frames
-  (``repro serve``).
+* :mod:`server` — the front door the daemon and the router share:
+  :mod:`asyncio` listener (refusing a Unix socket a live server still
+  answers), event-loop thread behind a sync facade, coroutine per
+  connection, the ``stats`` / ``health`` / ``metrics`` / ``shutdown``
+  verbs and the exactly-once ``partial`` relay cursor.
+* :mod:`aserver` — the daemon itself: its configuration and the job
+  pipeline (admission -> cache -> pool dispatch, streamed ``partial``
+  result frames) behind the shared front door (``repro serve``).
 * :mod:`client` — the blocking client (``repro submit``).
 * :mod:`router` — the scale-out tier: consistent-hash sharding of job
   requests across N daemons by program identity, health mark-down/up,
@@ -37,7 +39,7 @@ and ``HEALTH`` requests expose the same snapshot over the wire.
 """
 
 from .admission import AdmissionController, AdmissionDecision
-from .aserver import AsyncAnalysisServer
+from .aserver import AsyncAnalysisServer, ServiceConfig
 from .cache import ResultCache
 from .client import (
     ServiceClient,
@@ -73,7 +75,6 @@ from .protocol import (
     send_frame,
 )
 from .router import HashRing, RouterConfig, RouterServer, routing_key
-from .server import ServiceConfig, ServiceCore
 
 __all__ = [
     "AdmissionController",
@@ -92,7 +93,6 @@ __all__ = [
     "ServiceObservability",
     "ServiceClient",
     "ServiceConfig",
-    "ServiceCore",
     "ServiceError",
     "ServiceProtocolError",
     "STATUS_DEGRADED",

@@ -1,14 +1,12 @@
-"""The analysis daemon's front door: coroutine per connection, streamed results.
+"""The analysis daemon: admission -> cache -> pool behind the shared front door.
 
-:class:`AsyncAnalysisServer` is the DIFT-as-a-service daemon.  It owns
-a listening socket (Unix-domain by default, TCP when given a port) and
-wraps one :class:`~repro.service.server.ServiceCore` (admission ->
-cache -> pool).  The accept side is one event loop: a coroutine per
-connection reads length-prefixed frames through a
-:class:`~repro.service.protocol.FrameAssembler`, control requests
-(``stats`` / ``health`` / ``metrics`` / ``shutdown``) answer inline
-from live state, and job requests hand off to the blocking
-:class:`~repro.service.pool.WorkerPool` and *await* completion without
+:class:`AsyncAnalysisServer` is the DIFT-as-a-service daemon.  The
+listener, the event-loop thread and its sync facade, the per-connection
+frame loop and the ``stats`` / ``health`` / ``metrics`` / ``shutdown``
+verbs are the shared :class:`~repro.service.server.FrameServer`'s; the
+daemon adds the job pipeline.  Every job request runs admission, probes
+the result cache, and on a miss hands off to the blocking
+:class:`~repro.service.pool.WorkerPool` and *awaits* completion without
 holding a thread.  The completion path is callback-shaped —
 ``Job.done_cb`` pokes an :class:`asyncio.Event` through
 ``loop.call_soon_threadsafe`` — so hundreds of concurrent waiters cost
@@ -25,209 +23,112 @@ cacheable result, so :class:`~repro.service.client.ServiceClient` and
 the result cache work unchanged — and reassembling every op
 (:func:`~repro.service.protocol.reassemble`) reproduces its ``result``
 byte for byte.  Partial ``seq`` numbers restart at 1 on a crash-retry;
-because re-execution is deterministic the replayed prefix is identical,
-so the relay drops ``seq <= last-seen`` and the client observes an
-exactly-once op stream.  A streamed exchange may legitimately carry
-*zero* partial frames (cache hit, rejection) — consumers key off
-``status`` alone.
+the shared exactly-once cursor drops the replayed prefix.  A streamed
+exchange may legitimately carry *zero* partial frames (cache hit,
+rejection) — consumers key off ``status`` alone.
 
-The event loop runs in a daemon thread behind a synchronous
-``start()`` / ``stop()`` / ``serve_forever()`` / context-manager
-facade, which is how the CLI, the tests and the experiments drive it.
+Every stage stamps ``service.*`` telemetry into the daemon's live
+:class:`~repro.telemetry.MetricsRegistry`; ``stats`` serializes the
+same snapshot a ``--report`` run would.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import os
-import threading
+import time
+from dataclasses import dataclass, field
 
-from ..telemetry import MetricsRegistry
+from ..telemetry import LATENCY_BUCKETS_S, MetricsRegistry
 from ..telemetry.obs import new_trace_id, wall_now_us
+from .admission import ACTION_ADMIT, AdmissionController
+from .cache import ResultCache
+from .jobs import JobSpec, cache_key, resolve_spec
+from .pool import Job, WorkerPool
 from .protocol import (
-    ProtocolError,
+    STATUS_DEGRADED,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_PARTIAL,
-    FrameAssembler,
-    encode,
+    STATUS_REJECTED,
 )
-from .server import ServiceConfig, ServiceCore
+from .server import DEFAULT_DEADLINE_S, FrameServer, ListenConfig
 
-#: read granularity for the per-connection frame loop.
-_READ_BYTES = 1 << 16
+#: extra seconds the daemon waits past a job's deadline before
+#: declaring the pool lost (belt and braces: the pool itself enforces
+#: deadlines).
+_GRACE_S = 10.0
 
 
-class AsyncAnalysisServer:
+@dataclass
+class ServiceConfig(ListenConfig):
+    """Daemon configuration (CLI flags map 1:1 onto these fields)."""
+
+    workers: int = 2
+    queue_capacity: int = 8
+    default_deadline_s: float = DEFAULT_DEADLINE_S
+    cache_entries: int = 256
+    max_retries: int = 1
+    respawn_limit: int = 3
+    #: shed fidelity before jobs under overload (``--no-degrade`` clears).
+    degrade: bool = True
+    #: admit the test-only "chaos" job kind (crash/hang injection).
+    allow_chaos: bool = False
+
+
+@dataclass
+class PreparedJob:
+    """An admitted, cache-missed job ready for pool submission."""
+
+    spec: JobSpec
+    key: str
+    degraded: bool
+    reason: str
+    deadline_s: float
+    t0: float = field(default=0.0)
+
+    @property
+    def grace_deadline_s(self) -> float:
+        """How long the daemon may wait before declaring the job lost."""
+        return self.deadline_s + _GRACE_S
+
+
+class AsyncAnalysisServer(FrameServer):
     """Event-loop analysis daemon; see the module docstring."""
 
+    prefix = "aserver"
+    summary_prefix = "service"
+
     def __init__(self, config: ServiceConfig, registry: MetricsRegistry | None = None):
-        if (config.socket_path is None) == (config.port is None):
-            raise ValueError("configure exactly one of socket_path or port")
-        self.config = config
-        self.core = ServiceCore(config, registry=registry)
-        self.registry = self.core.registry
-        self.admission = self.core.admission
-        self.cache = self.core.cache
-        self.obs = self.core.obs
-        self.pool = self.core.pool
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._running = False
-        self._shutdown_requested = threading.Event()
-
-    # -- sync facade ---------------------------------------------------------
-    def start(self) -> "AsyncAnalysisServer":
-        """Spin up the event loop in a daemon thread; returns once bound."""
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._run_loop, name="aserver-loop", daemon=True
+        super().__init__(config, registry)
+        self.admission = AdmissionController(
+            config.queue_capacity, degrade=config.degrade
         )
-        self._thread.start()
-        if not self._ready.wait(timeout=15.0):
-            self._running = False
-            raise RuntimeError("async server failed to start in time")
-        if self._startup_error is not None:
-            self._running = False
-            raise self._startup_error
-        return self
+        self.cache = ResultCache(config.cache_entries, registry=self.registry)
+        self.pool = WorkerPool(
+            workers=config.workers,
+            registry=self.registry,
+            max_retries=config.max_retries,
+            respawn_limit=config.respawn_limit,
+            obs=self.obs,
+        )
 
-    def serve_forever(self) -> None:
-        """Block until :meth:`stop` or a ``shutdown`` request."""
-        if not self._running:
-            self.start()
-        try:
-            while self._running and not self._shutdown_requested.wait(timeout=0.2):
-                pass
-        finally:
-            self.stop()
-
-    def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain handlers, stop the pool."""
-        if not self._running:
-            return
-        self._running = False
-        loop = self._loop
-        if loop is not None and self._stop_event is not None:
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        if self.config.socket_path:
-            with contextlib.suppress(OSError):
-                os.unlink(self.config.socket_path)
-
-    def __enter__(self) -> "AsyncAnalysisServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # surface bind errors to start()
-            self._startup_error = exc
-        finally:
-            self._ready.set()
-
-    # -- event loop ----------------------------------------------------------
-    async def _amain(self) -> None:
-        config = self.config
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        if config.port is not None:
-            server = await asyncio.start_server(
-                self._handle_connection, config.host, config.port
-            )
-            if config.port == 0:  # ephemeral: record what the OS picked
-                config.port = server.sockets[0].getsockname()[1]
-        else:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(config.socket_path)
-            server = await asyncio.start_unix_server(
-                self._handle_connection, path=config.socket_path
-            )
-        self.core.start()
+    # -- lifecycle -----------------------------------------------------------
+    async def _on_start(self) -> None:
+        # After bind, so ``server.start`` records the resolved address.
+        self.obs.event(
+            "server.start", address=self.config.address(),
+            workers=self.config.workers, capacity=self.config.queue_capacity,
+        )
+        self.pool.start()
+        self.registry.gauge("service.workers").set(self.config.workers)
         self.registry.gauge("aserver.enabled").set(1)
-        self._ready.set()
-        try:
-            async with server:
-                await self._stop_event.wait()
-        finally:
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-            self.core.stop()
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        registry = self.registry
-        registry.counter("aserver.connections").inc()
-        # All connection tasks live on the one loop thread, so the task
-        # set's size *is* the live-connection gauge.
-        registry.gauge("aserver.active_connections").set(len(self._conn_tasks))
-        registry.gauge("aserver.peak_connections").set_max(len(self._conn_tasks))
-        assembler = FrameAssembler()
-        try:
-            while True:
-                request = assembler.next_frame()
-                if request is None:
-                    data = await reader.read(_READ_BYTES)
-                    if not data:
-                        if assembler.pending_bytes:
-                            raise ProtocolError("connection closed mid-frame")
-                        return  # client closed cleanly
-                    assembler.feed(data)
-                    continue
-                await self._serve_request(request, writer)
-                if isinstance(request, dict) and request.get("kind") == "shutdown":
-                    self._shutdown_requested.set()
-                    return
-        except ProtocolError as exc:
-            with contextlib.suppress(OSError, ConnectionError):
-                writer.write(encode({"status": STATUS_ERROR, "error": str(exc)}))
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            registry.gauge("aserver.active_connections").set(len(self._conn_tasks))
-            with contextlib.suppress(OSError, ConnectionError):
-                writer.close()
+    async def _on_stop(self) -> None:
+        self.pool.stop()
+        self.obs.event("server.stop")
 
-    async def _serve_request(self, request, writer: asyncio.StreamWriter) -> None:
-        if not isinstance(request, dict):
-            raise ProtocolError("request must be a JSON object")
-        self.registry.counter("aserver.requests").inc()
-        kind = request.get("kind")
-        if kind == "stats":
-            response = {"status": STATUS_OK, "stats": self.core.stats()}
-        elif kind == "health":
-            response = {"status": STATUS_OK, "health": self.core.health()}
-        elif kind == "metrics":
-            response = {
-                "status": STATUS_OK,
-                "metrics": self.core.metrics(dump=bool(request.get("dump"))),
-            }
-        elif kind == "shutdown":
-            response = {"status": STATUS_OK, "shutting_down": True}
-        else:
-            response = await self._dispatch_job(request, writer)
-        writer.write(encode(response))
-        await writer.drain()
-
-    async def _dispatch_job(self, request: dict, writer: asyncio.StreamWriter) -> dict:
+    # -- job requests --------------------------------------------------------
+    async def _dispatch(self, request: dict, writer: asyncio.StreamWriter) -> dict:
         w0 = wall_now_us()
         want_trace = bool(request.get("trace")) and self.obs.enabled
         trace_id = ""
@@ -253,7 +154,7 @@ class AsyncAnalysisServer:
         writer: asyncio.StreamWriter,
     ) -> tuple[dict, list]:
         loop = asyncio.get_running_loop()
-        response, prepared = self.core.prepare(request, trace_id)
+        response, prepared = self.prepare(request, trace_id)
         if response is not None:
             return response, []
 
@@ -274,35 +175,26 @@ class AsyncAnalysisServer:
             def partial_cb(seq: int, op: dict) -> None:
                 loop.call_soon_threadsafe(queue.put_nowait, (seq, op))
 
-        job = self.core.make_job(
-            prepared, done_cb, trace_id, partial_cb=partial_cb
-        )
+        job = self.make_job(prepared, done_cb, trace_id, partial_cb=partial_cb)
         self.pool.submit(job)
 
         if stream:
-            lost = await self._relay_partials(queue, writer, prepared.grace_deadline_s)
+            relay = self.partial_relay(writer)
+            lost = await self._relay_partials(queue, relay, prepared.grace_deadline_s)
             if lost:
-                return self.core.lost_response(), []
+                return self.lost_response(), []
         else:
             try:
                 await asyncio.wait_for(done.wait(), timeout=prepared.grace_deadline_s)
             except asyncio.TimeoutError:
-                return self.core.lost_response(), []
-        return self.core.finish(prepared, job), job.worker_events
+                return self.lost_response(), []
+        return self.finish(prepared, job), job.worker_events
 
-    async def _relay_partials(
-        self, queue: asyncio.Queue, writer: asyncio.StreamWriter, budget_s: float,
-    ) -> bool:
-        """Forward partial frames until the done sentinel; True if lost.
-
-        ``seq`` restarts per pool attempt; deterministic re-execution
-        makes a crash-retry replay the identical prefix, so dropping
-        ``seq <= last_seq`` turns at-least-once delivery into the
-        exactly-once stream the protocol promises.
-        """
+    @staticmethod
+    async def _relay_partials(queue: asyncio.Queue, relay, budget_s: float) -> bool:
+        """Forward partial frames until the done sentinel; True if lost."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + budget_s
-        last_seq = 0
         while True:
             remaining = deadline - loop.time()
             if remaining <= 0:
@@ -314,23 +206,123 @@ class AsyncAnalysisServer:
             if item is None:
                 return False  # job finished; terminal frame follows
             seq, op = item
-            if seq <= last_seq:
-                self.registry.counter("aserver.stream.duplicates_dropped").inc()
-                continue
-            last_seq = seq
-            self.registry.counter("aserver.stream.frames").inc()
-            writer.write(encode({"status": STATUS_PARTIAL, "seq": seq, "op": op}))
-            await writer.drain()
+            await relay({"status": STATUS_PARTIAL, "seq": seq, "op": op})
+
+    # -- job pipeline --------------------------------------------------------
+    def prepare(self, request: dict, trace_id: str = "") -> tuple[dict | None, PreparedJob | None]:
+        """Admission + cache probe; (response, None) or (None, prepared)."""
+        registry = self.registry
+        registry.counter("service.jobs.received").inc()
+        t0 = time.monotonic()
+        spec = resolve_spec(request, allow_chaos=self.config.allow_chaos)
+
+        a0 = wall_now_us()
+        depth = self.pool.depth()
+        decision = self.admission.decide(depth, spec.kind, spec.fidelity)
+        self.obs.event(
+            "admission", action=decision.action, job_kind=spec.kind, depth=depth,
+            requested=spec.fidelity, resolved=decision.fidelity,
+            reason=decision.reason, trace_id=trace_id,
+        )
+        if trace_id:
+            self.obs.span_at(
+                "server.admission", a0, wall_now_us() - a0,
+                trace_id=trace_id, action=decision.action, depth=depth,
+                fidelity=decision.fidelity,
+            )
+        if decision.action != ACTION_ADMIT:
+            registry.counter("service.jobs.rejected").inc()
+            return {
+                "status": STATUS_REJECTED,
+                "reason": decision.reason,
+                "retry_after_s": 0.5,
+            }, None
+        degraded = decision.degraded
+        spec.fidelity = decision.fidelity
+        if degraded:
+            registry.counter("service.jobs.degraded").inc()
+        registry.counter("service.jobs.admitted").inc()
+
+        key = cache_key(spec)
+        if spec.cache:
+            cached = self.cache.get(key)
+            if cached is not None:
+                if trace_id:
+                    self.obs.instant_at(
+                        "server.cache_hit", wall_now_us(), trace_id=trace_id
+                    )
+                return self.job_response(
+                    cached, degraded, decision.reason, cached=True, t0=t0
+                ), None
+
+        deadline = spec.deadline_s or self.config.default_deadline_s
+        return None, PreparedJob(spec, key, degraded, decision.reason, deadline, t0)
+
+    def make_job(
+        self, prepared: PreparedJob, done_cb, trace_id: str = "", partial_cb=None,
+    ) -> Job:
+        """Build the pool job; ``partial_cb`` set means a streamed job."""
+        job = Job(prepared.spec, prepared.key, deadline_s=prepared.deadline_s)
+        job.degraded = prepared.degraded
+        job.degrade_reason = prepared.reason
+        if trace_id:
+            job.trace_id = trace_id
+            job.payload["_trace"] = trace_id
+        if partial_cb is not None:
+            job.stream = True
+            job.partial_cb = partial_cb
+        job.done_cb = done_cb
+        return job
+
+    def finish(self, prepared: PreparedJob, job: Job) -> dict:
+        """Fold a completed job into its response (caching on success)."""
+        if job.status == STATUS_OK:
+            if prepared.spec.cache and job.result is not None:
+                self.cache.put(prepared.key, job.result)
+            return self.job_response(
+                job.result, prepared.degraded, prepared.reason, t0=prepared.t0
+            )
+        return {"status": job.status, "error": job.error}
+
+    def lost_response(self) -> dict:
+        """A job the pool never finished (the never-hang guarantee fired
+        past deadline + grace)."""
+        self.registry.counter("service.jobs.lost").inc()
+        return {"status": STATUS_ERROR, "error": "job lost by the pool"}
+
+    def job_response(
+        self, result: dict, degraded: bool, reason: str, cached: bool = False,
+        t0: float = 0.0,
+    ) -> dict:
+        response = {
+            "status": STATUS_DEGRADED if degraded else STATUS_OK,
+            "result": result,
+            "cached": cached,
+        }
+        if degraded:
+            response["reason"] = reason
+        if t0:
+            self.registry.histogram(
+                "service.latency.respond_s", LATENCY_BUCKETS_S
+            ).observe(time.monotonic() - t0)
+        return response
 
     # -- introspection -------------------------------------------------------
     def health(self) -> dict:
-        return self.core.health()
+        return {
+            "ok": self.pool.alive_workers() > 0,
+            "address": self.config.address(),
+            "uptime_s": round(time.monotonic() - self._started_at, 3),
+            "workers_alive": self.pool.alive_workers(),
+            "queue_depth": self.pool.depth(),
+            "queue_capacity": self.config.queue_capacity,
+            "degrade_enabled": self.admission.degrade_enabled,
+        }
 
     def stats(self) -> dict:
-        return self.core.stats()
+        stats = super().stats()
+        stats["pool"] = self.pool.stats()
+        return stats
 
-    def metrics(self, dump: bool = False) -> dict:
-        return self.core.metrics(dump=dump)
 
-
-__all__ = ["AsyncAnalysisServer"]
+__all__ = ["AsyncAnalysisServer", "PreparedJob", "ServiceConfig"]

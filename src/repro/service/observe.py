@@ -1,8 +1,9 @@
 """Per-daemon observability: trace spans, flight ring, metrics sampler.
 
-One :class:`ServiceObservability` is owned by one daemon's
-:class:`~repro.service.server.ServiceCore` and shared (by reference)
-with its :class:`~repro.service.pool.WorkerPool`.  It bundles the three
+One :class:`ServiceObservability` is owned by one front door (a daemon
+or a router, :class:`~repro.service.server.FrameServer`) and, in a
+daemon, shared (by reference) with its
+:class:`~repro.service.pool.WorkerPool`.  It bundles the three
 tentpole pieces behind a single seam:
 
 * a :class:`~repro.telemetry.obs.WallSpanTracer` holding the service

@@ -44,8 +44,14 @@ counted as pressure signals too.  All of it lands in ``router.*``
 metrics so :func:`~repro.telemetry.obs.latency_summary` renders the
 router's own p50/p95/p99 + shed/reject rates.
 
-Like the async daemon, the event loop runs in a daemon thread behind a
-synchronous start/stop facade for the CLI (``repro route``) and tests.
+The listener, the event-loop thread and its sync facade (``repro
+route``, tests), the per-connection frame loop, the control verbs and
+the exactly-once relay cursor are the shared
+:class:`~repro.service.server.FrameServer`'s, as for the daemon.  The
+router adds ``drain`` / ``undrain``, the startup probes and health
+loop, relay and reroute, and a drain before every stop: new jobs are
+rejected while in-flight relays finish (bounded), whether the stop
+came from :meth:`RouterServer.stop` or a ``shutdown`` request.
 """
 
 from __future__ import annotations
@@ -54,18 +60,14 @@ import asyncio
 import contextlib
 import hashlib
 import json
-import os
-import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..telemetry import LATENCY_BUCKETS_S, MetricsRegistry
-from ..telemetry.obs import latency_summary, render_prometheus
 from .cache import ResultCache
 from .client import _parse_address
 from .jobs import CHAOS_KIND, JobSpec, cache_key, program_key, resolve_spec
-from .observe import NULL_OBSERVABILITY, ServiceObservability
 from .protocol import (
     ProtocolError,
     RESULT_STATUSES,
@@ -76,14 +78,11 @@ from .protocol import (
     FrameAssembler,
     encode,
 )
-from .server import DEFAULT_DEADLINE_S
+from .server import DEFAULT_DEADLINE_S, FrameServer, ListenConfig, read_frame
 
 #: extra seconds past a job deadline before the router declares a
 #: backend unresponsive (the backend's own grace is 10s; stay outside).
 _GRACE_S = 15.0
-
-#: read granularity for both the client and backend frame loops.
-_READ_BYTES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +175,11 @@ def routing_key(spec: JobSpec) -> str:
 # Router configuration and backend bookkeeping
 # ---------------------------------------------------------------------------
 @dataclass
-class RouterConfig:
+class RouterConfig(ListenConfig):
     """Router tier configuration (CLI flags map 1:1 onto these fields)."""
 
     #: backend daemon addresses (unix:///path, tcp://host:port, host:port).
     backends: list[str] = field(default_factory=list)
-    socket_path: str | None = None
-    host: str = "127.0.0.1"
-    port: int | None = None
     #: virtual nodes per backend on the hash ring.
     vnodes: int = 64
     health_interval_s: float = 0.5
@@ -194,15 +190,6 @@ class RouterConfig:
     retries: int = 1
     cache_entries: int = 256
     default_deadline_s: float = DEFAULT_DEADLINE_S
-    #: flight recorder and metrics sampler (``--no-observe`` clears).
-    observe: bool = True
-    obs_dir: str | None = None
-    sample_interval_s: float = 1.0
-
-    def address(self) -> str:
-        if self.port is not None:
-            return f"tcp://{self.host}:{self.port}"
-        return f"unix://{self.socket_path}"
 
 
 class BackendState:
@@ -244,143 +231,47 @@ class BackendState:
         }
 
 
-class RouterServer:
+class RouterServer(FrameServer):
     """The consistent-hash router tier; see the module docstring."""
 
+    prefix = "router"
+    summary_prefix = "router"
+
     def __init__(self, config: RouterConfig, registry: MetricsRegistry | None = None):
-        if (config.socket_path is None) == (config.port is None):
-            raise ValueError("configure exactly one of socket_path or port")
+        super().__init__(config, registry)
         if not config.backends:
             raise ValueError("router needs at least one backend address")
-        self.config = config
-        self.registry = registry if registry is not None else MetricsRegistry(enabled=True)
-        if config.observe:
-            self.obs = ServiceObservability(
-                self.registry,
-                dump_dir=config.obs_dir,
-                sample_interval_s=config.sample_interval_s,
-            )
-        else:
-            self.obs = NULL_OBSERVABILITY
         self.cache = ResultCache(config.cache_entries)
         self.ring = HashRing(config.backends, vnodes=config.vnodes)
         self.backends: dict[str, BackendState] = {
             address: BackendState(address) for address in config.backends
         }
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._running = False
         self._draining = False
-        self._shutdown_requested = threading.Event()
-        self._started_at = 0.0
+        self._health_task: asyncio.Task | None = None
 
-    # -- sync facade ---------------------------------------------------------
-    def start(self) -> "RouterServer":
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._run_loop, name="router-loop", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=15.0):
-            self._running = False
-            raise RuntimeError("router failed to start in time")
-        if self._startup_error is not None:
-            self._running = False
-            raise self._startup_error
-        return self
-
-    def serve_forever(self) -> None:
-        if not self._running:
-            self.start()
-        try:
-            while self._running and not self._shutdown_requested.wait(timeout=0.2):
-                pass
-        finally:
-            self.stop()
-
-    def stop(self, drain_timeout_s: float = 10.0) -> None:
-        """Drain, then shut down: new jobs are rejected while in-flight
-        relays finish (bounded), then the loop exits."""
-        if not self._running:
-            return
-        self._running = False
-        loop = self._loop
-        if loop is not None:
-            def begin_drain():
-                self._draining = True
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(begin_drain)
-            deadline = time.monotonic() + drain_timeout_s
-            while time.monotonic() < deadline:
-                if sum(b.in_flight for b in self.backends.values()) == 0:
-                    break
-                time.sleep(0.05)
-            if self._stop_event is not None:
-                with contextlib.suppress(RuntimeError):
-                    loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        if self.config.socket_path:
-            with contextlib.suppress(OSError):
-                os.unlink(self.config.socket_path)
-
-    def __enter__(self) -> "RouterServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:
-            self._startup_error = exc
-        finally:
-            self._ready.set()
-
-    # -- event loop ----------------------------------------------------------
-    async def _amain(self) -> None:
+    # -- lifecycle -----------------------------------------------------------
+    async def _on_start(self) -> None:
         config = self.config
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._started_at = time.monotonic()
-        if config.port is not None:
-            server = await asyncio.start_server(
-                self._handle_connection, config.host, config.port
-            )
-            if config.port == 0:
-                config.port = server.sockets[0].getsockname()[1]
-        else:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(config.socket_path)
-            server = await asyncio.start_unix_server(
-                self._handle_connection, path=config.socket_path
-            )
-        self.obs.start()
         self.obs.event(
             "router.start", address=config.address(),
             backends=list(config.backends), vnodes=config.vnodes,
         )
         self.registry.gauge("router.backends.total").set(len(self.backends))
         await asyncio.gather(*(self._probe(b) for b in self.backends.values()))
-        health_task = asyncio.ensure_future(self._health_loop())
-        self._ready.set()
-        try:
-            async with server:
-                await self._stop_event.wait()
-        finally:
-            health_task.cancel()
-            for task in list(self._conn_tasks):
-                task.cancel()
-            pending = [health_task, *self._conn_tasks]
-            await asyncio.gather(*pending, return_exceptions=True)
-            self.obs.event("router.stop")
-            self.obs.stop()
+        self._health_task = asyncio.ensure_future(self._health_loop())
+
+    async def _drain(self, timeout_s: float) -> None:
+        """Reject new jobs while in-flight relays finish (bounded)."""
+        self._draining = True
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout_s
+        while any(b.in_flight for b in self.backends.values()) and loop.time() < deadline:
+            await asyncio.sleep(0.05)
+
+    async def _on_stop(self) -> None:
+        self._health_task.cancel()
+        await asyncio.gather(self._health_task, return_exceptions=True)
+        self.obs.event("router.stop")
 
     # -- health probing ------------------------------------------------------
     async def _health_loop(self) -> None:
@@ -392,7 +283,7 @@ class RouterServer:
     async def _probe(self, backend: BackendState) -> None:
         try:
             response = await asyncio.wait_for(
-                self._roundtrip(backend.address, {"kind": "health"}),
+                self._exchange(backend.address, {"kind": "health"}),
                 timeout=self.config.health_timeout_s,
             )
             body = (response or {}).get("health") or {}
@@ -452,90 +343,29 @@ class RouterServer:
             return await asyncio.open_unix_connection(target)
         return await asyncio.open_connection(target[0], target[1])
 
-    async def _roundtrip(self, address: str, payload: dict) -> dict:
-        """One control-verb exchange with a backend (no partials)."""
+    async def _exchange(self, address: str, request: dict, relay=None) -> dict:
+        """Forward one request to a backend and return its terminal frame,
+        passing any ``partial`` frames before it to ``relay``."""
         reader, writer = await self._open_backend(address)
         try:
-            writer.write(encode(payload))
+            writer.write(encode(request))
             await writer.drain()
-            return await self._read_frame(reader, FrameAssembler(), address)
+            assembler = FrameAssembler()
+            while True:
+                frame = await read_frame(reader, assembler)
+                if frame is None:
+                    raise ProtocolError(f"backend {address} closed mid-exchange")
+                if relay is not None and isinstance(frame, dict) \
+                        and frame.get("status") == STATUS_PARTIAL:
+                    await relay(frame)
+                    continue
+                return frame
         finally:
             writer.close()
             with contextlib.suppress(OSError, ConnectionError):
                 await writer.wait_closed()
 
-    @staticmethod
-    async def _read_frame(reader, assembler: FrameAssembler, address: str):
-        while True:
-            frame = assembler.next_frame()
-            if frame is not None:
-                return frame
-            data = await reader.read(_READ_BYTES)
-            if not data:
-                raise ProtocolError(f"backend {address} closed mid-exchange")
-            assembler.feed(data)
-
-    # -- client connections --------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        registry = self.registry
-        registry.counter("router.connections").inc()
-        registry.gauge("router.active_connections").set(len(self._conn_tasks))
-        registry.gauge("router.peak_connections").set_max(len(self._conn_tasks))
-        assembler = FrameAssembler()
-        try:
-            while True:
-                request = assembler.next_frame()
-                if request is None:
-                    data = await reader.read(_READ_BYTES)
-                    if not data:
-                        if assembler.pending_bytes:
-                            raise ProtocolError("connection closed mid-frame")
-                        return
-                    assembler.feed(data)
-                    continue
-                await self._serve_request(request, writer)
-                if isinstance(request, dict) and request.get("kind") == "shutdown":
-                    self._shutdown_requested.set()
-                    return
-        except ProtocolError as exc:
-            with contextlib.suppress(OSError, ConnectionError):
-                writer.write(encode({"status": STATUS_ERROR, "error": str(exc)}))
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            registry.gauge("router.active_connections").set(len(self._conn_tasks))
-            with contextlib.suppress(OSError, ConnectionError):
-                writer.close()
-
-    async def _serve_request(self, request, writer: asyncio.StreamWriter) -> None:
-        if not isinstance(request, dict):
-            raise ProtocolError("request must be a JSON object")
-        self.registry.counter("router.requests").inc()
-        kind = request.get("kind")
-        if kind == "stats":
-            response = {"status": STATUS_OK, "stats": self.stats()}
-        elif kind == "health":
-            response = {"status": STATUS_OK, "health": self.health()}
-        elif kind == "metrics":
-            response = {
-                "status": STATUS_OK,
-                "metrics": self.metrics(dump=bool(request.get("dump"))),
-            }
-        elif kind == "shutdown":
-            response = {"status": STATUS_OK, "shutting_down": True}
-        elif kind in ("drain", "undrain"):
-            response = self._set_drain(request, draining=(kind == "drain"))
-        else:
-            response = await self._dispatch_job(request, writer)
-        writer.write(encode(response))
-        await writer.drain()
-
+    # -- client requests -----------------------------------------------------
     def _set_drain(self, request: dict, draining: bool) -> dict:
         address = request.get("backend")
         backend = self.backends.get(address) if isinstance(address, str) else None
@@ -560,7 +390,10 @@ class RouterServer:
         }
 
     # -- job relay -----------------------------------------------------------
-    async def _dispatch_job(self, request: dict, writer: asyncio.StreamWriter) -> dict:
+    async def _dispatch(self, request: dict, writer: asyncio.StreamWriter) -> dict:
+        kind = request.get("kind")
+        if kind in ("drain", "undrain"):
+            return self._set_drain(request, draining=(kind == "drain"))
         registry = self.registry
         registry.counter("router.jobs.received").inc()
         loop = asyncio.get_running_loop()
@@ -614,20 +447,10 @@ class RouterServer:
         deadline = loop.time() + budget_s
         excluded: set[str] = set()
         attempts_left = self.config.retries
-        # Monotone relay cursor shared across attempts: a replacement
-        # backend replays partials from seq 1; only seq > last_seq is
-        # forwarded, so crash-retries stay exactly-once for the client.
-        state = {"last_seq": 0}
-
-        async def relay(frame: dict) -> None:
-            seq = int(frame.get("seq") or 0)
-            if seq <= state["last_seq"]:
-                registry.counter("router.stream.duplicates_dropped").inc()
-                return
-            state["last_seq"] = seq
-            registry.counter("router.stream.frames").inc()
-            writer.write(encode(frame))
-            await writer.drain()
+        # One relay cursor across attempts: a replacement backend replays
+        # partials from seq 1, and only seq > last-forwarded reaches the
+        # client.
+        relay = self.partial_relay(writer)
 
         while True:
             unroutable = {
@@ -656,7 +479,7 @@ class RouterServer:
             # job budget.  The probe loop notices in bounded time; the
             # moment it marks the backend down we abandon the exchange
             # and reroute like any other mid-job transport failure.
-            exchange = asyncio.ensure_future(self._exchange(backend, request, relay))
+            exchange = asyncio.ensure_future(self._exchange(address, request, relay))
             marked_down = asyncio.ensure_future(backend.down.wait())
             try:
                 await asyncio.wait(
@@ -711,25 +534,6 @@ class RouterServer:
                 registry.counter("router.backpressure.signals").inc()
             return response
 
-    async def _exchange(self, backend: BackendState, request: dict, relay) -> dict:
-        """One job exchange: forward the request, relay partials, return
-        the terminal frame."""
-        reader, bwriter = await self._open_backend(backend.address)
-        try:
-            bwriter.write(encode(request))
-            await bwriter.drain()
-            assembler = FrameAssembler()
-            while True:
-                frame = await self._read_frame(reader, assembler, backend.address)
-                if isinstance(frame, dict) and frame.get("status") == STATUS_PARTIAL:
-                    await relay(frame)
-                    continue
-                return frame
-        finally:
-            bwriter.close()
-            with contextlib.suppress(OSError, ConnectionError):
-                await bwriter.wait_closed()
-
     # -- introspection -------------------------------------------------------
     def health(self) -> dict:
         routable = sum(1 for b in self.backends.values() if b.routable())
@@ -744,26 +548,6 @@ class RouterServer:
             "backends_routable": routable,
             "backends": {a: b.snapshot() for a, b in self.backends.items()},
         }
-
-    def stats(self) -> dict:
-        return {
-            "health": self.health(),
-            "cache": {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "entries": len(self.cache),
-            },
-            "metrics": self.registry.as_dict(),
-        }
-
-    def metrics(self, dump: bool = False) -> dict:
-        payload = {
-            "json": self.registry.as_dict(),
-            "prometheus": render_prometheus(self.registry),
-            "summary": latency_summary(self.registry, prefix="router"),
-        }
-        payload.update(self.obs.metrics_payload(dump=dump))
-        return payload
 
 
 __all__ = [

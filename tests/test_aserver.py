@@ -10,15 +10,20 @@ stream-op fold) are unit-tested first; the integration layers stand up
 real :class:`AsyncAnalysisServer` daemons on Unix/TCP sockets.
 """
 
+import errno
 import json
+import os
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
 from repro.service import (
+    AsyncAnalysisServer,
     ServiceClient,
+    ServiceConfig,
     ServiceError,
     ServiceProtocolError,
     wait_until_ready,
@@ -38,6 +43,16 @@ from repro.service.protocol import (
 
 def canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def wait_stopped(path: str, timeout_s: float = 15.0) -> None:
+    """Wait until the server on ``path`` has stopped: unlinking its
+    socket is the last step of a stop."""
+    deadline = time.monotonic() + timeout_s
+    while os.path.exists(path):
+        if time.monotonic() > deadline:
+            pytest.fail(f"{path} still exists {timeout_s}s after shutdown")
+        time.sleep(0.05)
 
 
 def stream_exchange(address: str, request: dict) -> tuple[list, dict]:
@@ -259,6 +274,51 @@ class TestAsyncServer:
             assert client.shutdown()["shutting_down"] is True
         waiter.join(timeout=15.0)
         assert not waiter.is_alive()
+
+    def test_shutdown_verb_stops_a_started_server(self, server_factory):
+        """``shutdown`` stops a ``start()``ed daemon (no ``serve_forever``)
+        exactly as ``stop()`` would, and a later ``stop()`` is a no-op."""
+        server = server_factory(workers=1)
+        path = server.config.socket_path
+        with ServiceClient(path) as client:
+            assert client.shutdown()["shutting_down"] is True
+        wait_stopped(path)
+        assert server.pool.alive_workers() == 0
+        t0 = time.monotonic()
+        server.stop()
+        assert time.monotonic() - t0 < 1.0
+
+    def test_second_daemon_refuses_a_live_socket(self, server_factory, tmp_path):
+        """A second daemon on a live daemon's path must fail to start,
+        not take the socket over (and later unlink it) from under it."""
+        first = server_factory(workers=1)
+        path = first.config.socket_path
+        second = AsyncAnalysisServer(ServiceConfig(
+            socket_path=path, workers=1, obs_dir=str(tmp_path / "obs"),
+        ))
+        try:
+            with pytest.raises(OSError) as excinfo:
+                second.start()
+        finally:
+            second.stop()
+        assert excinfo.value.errno == errno.EADDRINUSE
+        assert path in str(excinfo.value)
+        assert os.path.exists(path)
+        assert wait_until_ready(path)["ok"]
+        with ServiceClient(path) as client:
+            assert client.submit("trace", workload="rle", fidelity="log",
+                                 cache=False)["status"] == "ok"
+
+    def test_restart_over_a_stale_socket_file(self, server_factory, tmp_path):
+        """A socket file nobody listens on (what a SIGKILLed daemon
+        leaves) refuses the probe's connect and is reclaimed."""
+        path = str(tmp_path / "stale.sock")
+        dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        dead.bind(path)
+        dead.close()
+        assert os.path.exists(path)
+        server_factory(socket_path=path, workers=1)
+        assert wait_until_ready(path)["ok"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ Three layers, cheapest first:
   kill-one-real-backend-mid-burst run asserting zero hung clients.
 """
 
+import errno
 import os
 import random
 import socket
+import struct
 import threading
 import time
 
@@ -37,7 +39,7 @@ from repro.service import (
 )
 from repro.service.protocol import ProtocolError, STATUS_PARTIAL
 
-from tests.test_aserver import canonical
+from tests.test_aserver import canonical, wait_stopped
 
 
 def _proc_stat(pid: int) -> list[str] | None:
@@ -413,6 +415,61 @@ class TestRouterIntegration:
             e["kind"] for e in router.obs.flight.snapshot()
         ]
 
+    def test_shutdown_verb_drains_and_stops_a_started_router(
+        self, server_factory, router_factory
+    ):
+        """``shutdown`` stops a ``start()``ed router exactly as ``stop()``
+        would: the in-flight job drains to its answer first, then the
+        router stops; a later ``stop()`` is a no-op."""
+        backend = server_factory(workers=1, allow_chaos=True)
+        backend_path = backend.config.socket_path
+        router = router_factory([backend_path])
+        path = router.config.socket_path
+        results = []
+
+        def slow_job():
+            with ServiceClient(path, timeout_s=30.0) as client:
+                results.append(client.submit(
+                    "chaos", params={"mode": "hang", "sleep_s": 1.0}, cache=False,
+                ))
+
+        job = threading.Thread(target=slow_job, daemon=True)
+        job.start()
+        deadline = time.monotonic() + 10.0
+        while router.backends[backend_path].in_flight == 0:
+            assert time.monotonic() < deadline, "the job never reached the backend"
+            time.sleep(0.01)
+        with ServiceClient(path) as client:
+            assert client.shutdown()["shutting_down"] is True
+        job.join(timeout=15.0)
+        assert not job.is_alive()
+        assert results[0]["status"] == "ok", results
+        wait_stopped(path)
+        assert "router.stop" in [e["kind"] for e in router.obs.flight.snapshot()]
+        t0 = time.monotonic()
+        router.stop()
+        assert time.monotonic() - t0 < 1.0
+
+    def test_second_router_refuses_a_live_socket(
+        self, server_factory, router_factory, tmp_path
+    ):
+        backend = server_factory(workers=1)
+        first = router_factory([backend.config.socket_path])
+        path = first.config.socket_path
+        second = RouterServer(RouterConfig(
+            backends=[backend.config.socket_path], socket_path=path,
+            obs_dir=str(tmp_path / "obs"),
+        ))
+        try:
+            with pytest.raises(OSError) as excinfo:
+                second.start()
+        finally:
+            second.stop(drain_timeout_s=2.0)
+        assert excinfo.value.errno == errno.EADDRINUSE
+        assert path in str(excinfo.value)
+        assert os.path.exists(path)
+        assert wait_until_ready(path)["role"] == "router"
+
 
 # ---------------------------------------------------------------------------
 # Chaos: crash-reroute, back-pressure, hangs, kill-mid-burst
@@ -601,3 +658,82 @@ class TestRouterChaos:
             time.sleep(0.1)
         alive = [pid for pid in orphans if _alive(pid)]
         assert not alive, f"workers {alive} outlived their killed daemon by 10 s"
+
+
+# ---------------------------------------------------------------------------
+# The observable surface
+# ---------------------------------------------------------------------------
+#: Metric keys (per registry section) and traced-job span names after
+#: :func:`surface_exchange` against a daemon, then against a router in
+#: front of it.  CI greps ``aserver.requests``; perfbench reads
+#: ``router.latency.total_s`` and ``service.latency.*``; renaming any of
+#: these breaks a reader outside the test suite.
+DAEMON_METRIC_KEYS = {
+    "counters": [
+        "aserver.connections", "aserver.requests", "aserver.stream.frames",
+        "service.jobs.admitted", "service.jobs.completed",
+        "service.jobs.received", "service.stream.partials",
+    ],
+    "gauges": [
+        "aserver.active_connections", "aserver.enabled",
+        "aserver.peak_connections", "service.queue.depth",
+        "service.queue.depth.peak", "service.workers",
+    ],
+    "histograms": [
+        "service.latency.exec_s", "service.latency.queue_s",
+        "service.latency.respond_s", "service.latency.total_s",
+    ],
+}
+ROUTER_METRIC_KEYS = {
+    "counters": [
+        "router.backend.markups", "router.connections", "router.jobs.completed",
+        "router.jobs.received", "router.requests", "router.stream.frames",
+    ],
+    "gauges": [
+        "router.active_connections", "router.backends.healthy",
+        "router.backends.total", "router.peak_connections",
+    ],
+    "histograms": ["router.latency.total_s"],
+}
+TRACED_JOB_SPANS = [
+    "client.request", "pool.exec", "pool.queue", "server.admission",
+    "server.handle", "t0 segment", "vm.run", "worker.execute",
+]
+
+
+def metric_keys(registry) -> dict:
+    snapshot = registry.as_dict()
+    return {section: sorted(snapshot[section])
+            for section in ("counters", "gauges", "histograms")}
+
+
+def surface_exchange(path: str) -> list[str]:
+    """``health``, ``stats``, one traced ``trace`` job, one streamed
+    ``slice`` and one malformed frame; returns the traced job's sorted
+    span names."""
+    with ServiceClient(path) as client:
+        assert client.health()["ok"]
+        client.stats()
+        response, trace = client.submit_traced("trace", workload="hashloop",
+                                               cache=False)
+        assert response["status"] == "ok", response
+        streamed, ops = client.submit_stream("slice", workload="sort", cache=False)
+        assert streamed["status"] == "ok" and ops
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30.0)
+        sock.connect(path)
+        sock.sendall(struct.pack(">I", 8) + b"not json")
+        assert recv_frame(sock)["status"] == "error"
+    return sorted({e["name"] for e in trace["traceEvents"]})
+
+
+class TestObservableSurface:
+    def test_metric_keys_and_span_names_are_pinned(
+        self, server_factory, router_factory
+    ):
+        daemon = server_factory(workers=1)
+        router = router_factory([daemon.config.socket_path])
+        assert surface_exchange(daemon.config.socket_path) == TRACED_JOB_SPANS
+        assert surface_exchange(router.config.socket_path) == TRACED_JOB_SPANS
+        assert metric_keys(daemon.registry) == DAEMON_METRIC_KEYS
+        assert metric_keys(router.registry) == ROUTER_METRIC_KEYS

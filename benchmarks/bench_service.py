@@ -8,7 +8,8 @@ subsystem promises:
   1-worker and a 4-worker daemon.  Job execution is process-per-worker,
   so with >=2 usable CPUs the 4-worker daemon must clear >=1.5x the
   1-worker throughput; on one CPU the workers time-share a core and the
-  ratio is only recorded (same gating as ``bench_parallel``).
+  ratio is only recorded (the same gating as the experiment fan-out
+  in ``bench_parallel``).
 * **Overload** — a burst of 2.5x the admission capacity against one
   worker.  The invariant asserted is the paper's logging/replay split
   as live policy: every request gets an answer (zero hangs, zero

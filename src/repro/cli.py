@@ -37,7 +37,7 @@ from .dift.policy import BoolTaintPolicy, PCTaintPolicy
 from .lang import CompileError, compile_source
 from .ontrac import OnlineTracer, OntracConfig
 from .runner import ProgramRunner
-from .slicing import backward_slice
+from .slicing import backward_slice, last_instance_of_line
 from .telemetry import NULL_TELEMETRY, Telemetry, build_report
 from .vm import Machine
 
@@ -167,11 +167,7 @@ def cmd_slice(args) -> int:
     if not pcs:
         print(f"error: no code generated for line {args.line}", file=sys.stderr)
         return 2
-    criterion = None
-    for pc in sorted(pcs, reverse=True):
-        criterion = ddg.last_instance_of_pc(pc)
-        if criterion is not None:
-            break
+    criterion = last_instance_of_line(ddg, pcs)
     if criterion is None:
         print(f"error: line {args.line} never executed in the window", file=sys.stderr)
         return 2
@@ -209,22 +205,8 @@ def cmd_attack(args) -> int:
     policy = PCTaintPolicy() if args.policy == "pc" else BoolTaintPolicy()
     sinks = [SinkRule(kind="icall"), SinkRule(kind="out", channels=None)] \
         if args.out_sink else [SinkRule(kind="icall")]
-    if args.parallel_helper:
-        from .multicore.parallel import ParallelHelperDIFT
-
-        engine = ParallelHelperDIFT(
-            policy, sinks=sinks, batch_size=args.batch_size
-        ).attach(machine)
-    else:
-        engine = DIFTEngine(policy, sinks=sinks).attach(machine)
+    engine = DIFTEngine(policy, sinks=sinks).attach(machine)
     result = machine.run(max_instructions=args.max_instructions)
-    if args.parallel_helper:
-        # Detection is asynchronous on the worker: the guest has already
-        # finished by the time the helper's verdict lands (the paper's
-        # helper-core lag), but alerts and taint are the inline engine's.
-        report = engine.finish()
-        if report.attack is not None:
-            print(f"helper core flagged the run: {report.attack}", file=sys.stderr)
     if telemetry.enabled:
         engine.publish_telemetry(telemetry.registry)
     _write_outputs(
@@ -604,13 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--policy", choices=("bool", "pc"), default="pc")
     p_attack.add_argument("--out-sink", action="store_true",
                           help="also treat output channels as sinks")
-    p_attack.add_argument("--parallel-helper", action="store_true",
-                          help="run the DIFT engine in a real worker process "
-                               "over the shared-memory ring (asynchronous "
-                               "detection, identical alerts/taint)")
-    p_attack.add_argument("--batch-size", type=int, default=None,
-                          help="ring messages per flush for --parallel-helper "
-                               "(default: 256)")
     p_attack.set_defaults(func=cmd_attack)
 
     p_exp = sub.add_parser("experiments", help="run declared experiments")

@@ -11,7 +11,7 @@
   telemetry-enabled machine, whose span stamps read the cycle clock
   mid-run;
 * batched — the one :class:`~repro.dift.kernel.RecordEncoder` packs
-  events into micro-batches of ring records that the kernel (array, or
+  events into micro-batches of packed records that the kernel (array, or
   any kernel under function summaries) propagates at flush points.
   Every read of :attr:`~DIFTEngine.shadow`, :attr:`~DIFTEngine.stats`
   or :attr:`~DIFTEngine.alerts` drains the pending records first.
@@ -135,7 +135,7 @@ class DIFTEngine(Hook):
         register = kern.register_template
         self._encoder = RecordEncoder(
             lambda ev: register(ev.pc, ev.instr, ev.reg_reads, ev.reg_writes, ev.channel),
-            kern.wide.__setitem__,
+            kern.wide,
             self._flush,
             self.kernel_batch * RECORD_SIZE,
             markers=self._summaries,

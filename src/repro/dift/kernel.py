@@ -4,15 +4,15 @@ The paper's helper core works because propagation consumes a *compact
 stream* instead of re-executing the app (§2.1); the DIFT-coprocessor
 line (PAPERS.md, arXiv 1812.01541) keeps one producer-side encoding in
 front of a dedicated tag engine.  This module is that seam in software.
-Each instruction event becomes a packed 24-byte record (:data:`RECORD`,
-the ring's wire format), and propagation consumes batches of records
-through a kernel interface:
+Each instruction event becomes a packed 24-byte record (:data:`RECORD`),
+and propagation consumes batches of records through a kernel
+interface:
 
 * :class:`RecordEncoder` — the one producer: packs ``InstrEvent``s into
   records, owning skip runs, the summary-mode call markers, wide
   payloads, clamped-sink fixups and the GENERIC-record cache.  The
-  inline engine's micro-batcher, the parallel helper's ring producer
-  and :class:`RecordStreamCapture` all run it.
+  inline engine's micro-batcher and :class:`RecordStreamCapture` both
+  run it.
 * :class:`PropagationKernel` — owns the shadow, stats and alerts and
   the one copy of the per-record taint rules, :meth:`~PropagationKernel.step`.
   Per-event consumers (lineage, the reference kernel without
@@ -53,7 +53,6 @@ from .policy import BoolTaintPolicy, COPY_OPS, PCTaintPolicy, TaintPolicy
 from .shadow import ShadowState
 
 #: one packed record: kind u8, tid u16, pc u32, a i64, b i64, pad -> 24 B.
-#: (Canonical here; :mod:`repro.multicore.parallel` re-exports it.)
 RECORD = struct.Struct("<BHIqqx")
 RECORD_SIZE = RECORD.size
 
@@ -90,8 +89,8 @@ _WIDE = _I64_MIN
 REG_SHIFT = 6
 
 #: batches smaller than this skip the numpy machinery entirely — the
-#: unbatched worker drains 1-record chunks where fixed decode cost
-#: would dominate.
+#: flush after a raise-capable sink and the end-of-run drain can be a
+#: few records, where fixed decode cost would dominate.
 SMALL_BATCH = 48
 
 #: fixpoint iteration cap; non-convergence selects the whole batch
@@ -155,10 +154,10 @@ def _fit(v: int) -> int:
     return v
 
 
-def wide_record(kind: int, tid: int, pc: int, seq: int, payload, put) -> bytes:
-    """Pack a record whose operands overflow the i64 fields: ``put(seq,
-    payload)`` hands the true payload to the consumer's side table."""
-    put(seq, payload)
+def wide_record(kind: int, tid: int, pc: int, seq: int, payload, wide: dict) -> bytes:
+    """Pack a record whose operands overflow the i64 fields: the true
+    payload goes to the consumer's side table ``wide``, keyed by seq."""
+    wide[seq] = payload
     return RECORD.pack(kind, tid, pc, 0, _WIDE)
 
 
@@ -271,21 +270,21 @@ class RecordEncoder:
       region and RET's inside it; ICALL cuts the run and puts its
       ``K_CALL(a=1)`` marker just before its own sink record;
     * wide payloads — an address or ALLOC block past the i64 fields
-      goes to ``put_wide(seq, payload)`` (see :func:`wide_record`);
+      goes to the side table ``wide`` by seq (see :func:`wide_record`);
     * clamped sinks — a sink value past the i64 fields is clamped on the
       wire and the true value parked in :attr:`fixups` by seq;
     * GENERIC records — cached per (pc, tid), their payload is static.
 
     ``register(ev) -> (kind, may_raise)`` classifies a pc the first time
-    it runs, registering or shipping its template before any record can
-    reference it.  ``flush()`` consumes :attr:`batch` once it holds
+    it runs, registering its template before any record can reference
+    it.  ``flush()`` consumes :attr:`batch` once it holds
     ``flush_bytes`` and right after a ``may_raise`` sink record, so an
     ``AttackDetected`` escapes from that instruction's own dispatch.  A
     skip run is never open at either point; :meth:`cut` closes the
     pending one when a consumer drains mid-run or at the stream's end.
     """
 
-    def __init__(self, register, put_wide, flush, flush_bytes: int, markers: bool = False):
+    def __init__(self, register, wide: dict, flush, flush_bytes: int, markers: bool = False):
         self.batch = batch = bytearray()
         #: seq -> true value of a clamped sink payload.
         self.fixups: dict[int, int] = {}
@@ -366,13 +365,13 @@ class RecordEncoder:
                 try:
                     extend(pack(LOAD, tid, pc, addr, 0))
                 except struct.error:
-                    extend(wide_record(LOAD, tid, pc, ev.seq, addr, put_wide))
+                    extend(wide_record(LOAD, tid, pc, ev.seq, addr, wide))
             elif kind == STORE:
                 addr = ev.mem_writes[0][0]
                 try:
                     extend(pack(STORE, tid, pc, addr, 0))
                 except struct.error:
-                    extend(wide_record(STORE, tid, pc, ev.seq, addr, put_wide))
+                    extend(wide_record(STORE, tid, pc, ev.seq, addr, wide))
             elif kind == SINK:
                 value = ev.reg_reads[0][1]
                 io = ev.io_value
@@ -393,7 +392,7 @@ class RecordEncoder:
                 if base + size <= _I64_MAX:
                     extend(pack(ALLOC, tid, pc, base, size))
                 else:
-                    extend(wide_record(ALLOC, tid, pc, ev.seq, ev.alloc, put_wide))
+                    extend(wide_record(ALLOC, tid, pc, ev.seq, ev.alloc, wide))
             else:  # K_SPAWN
                 extend(pack(SPAWN, tid, pc, ev.reg_writes[0][1], 0))
             if len(batch) >= flush_bytes:
@@ -479,8 +478,8 @@ class PropagationKernel:
     one ``InstrEvent``; :meth:`propagate_batch` consumes the packed
     record stream batch by batch.  Producers register each pc's static
     operand template (:meth:`register_template`) strictly before the
-    first record referencing it, or install a :attr:`template_provider`
-    callback that does so on demand (the worker's side-pipe recv).
+    first record referencing it, and put each wide record's payload in
+    :attr:`wide` before the record; a missing one raises ``KeyError``.
 
     Sources: ``in`` instructions on ``source_channels`` (None = all).
     Data flows propagate labels register<->register and through memory
@@ -514,12 +513,8 @@ class PropagationKernel:
         self.templates: dict[int, InstrEvent] = {}
         #: pc -> tuple of statically-matching SinkRules (K_SINK pcs).
         self.rules_for_pc: dict[int, tuple] = {}
-        #: called with an unregistered pc; must register it (or raise).
-        self.template_provider = None
         #: seq -> true payload of a wide record (see :data:`_WIDE`).
         self.wide: dict[int, object] = {}
-        #: called with a seq missing from :attr:`wide`; must deliver it.
-        self.wide_provider = None
         #: global dynamic instruction number of the next record.
         self.seq = 0
         #: effects of a batch that raised (stats were applied; the
@@ -656,22 +651,6 @@ class PropagationKernel:
             may_raise = any(r.action == "raise" for r in matched)
         return kind, may_raise
 
-    def _resolve_template(self, pc: int) -> InstrEvent:
-        provider = self.template_provider
-        while pc not in self.templates:
-            if provider is None:
-                raise KeyError(f"no template registered for pc {pc}")
-            provider(pc)
-        return self.templates[pc]
-
-    def _wide_payload(self, seq: int):
-        wide = self.wide
-        while seq not in wide:
-            if self.wide_provider is None:
-                raise KeyError(f"no wide payload for the record at seq {seq}")
-            self.wide_provider(seq)
-        return wide.pop(seq)
-
     # -- the batch interface -------------------------------------------------
     def propagate_batch(self, records: bytes) -> BatchEffects:
         """Propagate one batch of packed records; returns its effects."""
@@ -689,7 +668,8 @@ class PropagationKernel:
         t0 = stats.tainted_instructions
         seq = self.seq
         n_records = len(records) // RECORD_SIZE
-        templates_get = self.templates.get
+        templates = self.templates
+        wide_payloads = self.wide
         step = self.step
         io_none = _IO_NONE
         wide = _WIDE
@@ -709,9 +689,7 @@ class PropagationKernel:
                     # Call-boundary markers: zero-weight stream metadata
                     # consumed by the summary layer; plain no-ops here.
                     continue
-                ev = templates_get(pc)
-                if ev is None:
-                    ev = self._resolve_template(pc)
+                ev = templates[pc]
                 ev.seq = seq
                 seq += 1
                 ev.tid = tid
@@ -719,11 +697,11 @@ class PropagationKernel:
                     pass
                 elif kind == LOAD:
                     if b == wide:
-                        a = self._wide_payload(ev.seq)
+                        a = wide_payloads.pop(ev.seq)
                     ev.mem_reads = ((a, 0),)
                 elif kind == STORE:
                     if b == wide:
-                        a = self._wide_payload(ev.seq)
+                        a = wide_payloads.pop(ev.seq)
                     ev.mem_writes = ((a, 0),)
                 elif kind == SINK:
                     ev.reg_reads = ((ev.reg_reads[0][0], a),)
@@ -732,7 +710,7 @@ class PropagationKernel:
                     ev.io_value = a
                     ev.input_index = b
                 elif kind == ALLOC:
-                    ev.alloc = self._wide_payload(ev.seq) if b == wide else (a, b)
+                    ev.alloc = wide_payloads.pop(ev.seq) if b == wide else (a, b)
                 else:  # K_SPAWN
                     ev.reg_writes = ((ev.reg_writes[0][0], a),)
                 step(ev)
@@ -937,8 +915,7 @@ class ArrayKernel(PropagationKernel):
             self._grow(max_pc + 1)
         unknown = valid & (self._t_kind[pc] < 0)
         if unknown.any():
-            for p in np.unique(pc[unknown]).tolist():
-                self._resolve_template(p)
+            raise KeyError(f"no template registered for pc {int(pc[unknown][0])}")
         if self._t_extra[pc][valid].any():
             # A pc with >3 effective read regs (none in the current ISA,
             # but soundness first): replay the whole batch per-record.
@@ -1288,8 +1265,8 @@ class RecordStreamCapture(Hook):
     """Capture a run's packed record stream (bench/test aid).
 
     Attach to a machine like an engine; after the run, :attr:`chunks`
-    holds the packed record bytes (skip-compressed, same wire format
-    the ring ships), :attr:`templates` the per-pc operand templates in
+    holds the packed record bytes (skip-compressed, the format the
+    kernels consume), :attr:`templates` the per-pc operand templates in
     first-use order, :attr:`fixups` the seq -> true-value patches for
     clamped sink payloads and :attr:`wide` the seq -> payload side
     table of wide records.  :meth:`prime` registers the templates and
@@ -1307,7 +1284,7 @@ class RecordStreamCapture(Hook):
         self.wide: dict[int, object] = {}
         self._encoder = RecordEncoder(
             self._register,
-            self.wide.__setitem__,
+            self.wide,
             self._flush,
             flush_records * RECORD_SIZE,
             markers=markers,

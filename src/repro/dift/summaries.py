@@ -287,7 +287,6 @@ class SummaryKernel:
         self.sinks = inner.sinks
         self.source_channels = inner.source_channels
         self.propagate_addresses = inner.propagate_addresses
-        self._provider = None
         # per-run counters (the cache keeps cumulative ones)
         self.learned = 0
         self.hits = 0
@@ -333,15 +332,6 @@ class SummaryKernel:
         # exit path (apply / fallback / settle) recomputes from the
         # frame itself.
         self._seq = value
-
-    @property
-    def template_provider(self):
-        return self._provider
-
-    @template_provider.setter
-    def template_provider(self, fn) -> None:
-        self._provider = fn
-        self.inner.template_provider = fn
 
     @property
     def templates(self):
@@ -391,11 +381,8 @@ class SummaryKernel:
 
     def _resolve_fp(self, pc: int) -> tuple:
         info = self._fp.get(pc)
-        while info is None:
-            if self._provider is None:
-                raise KeyError(f"no template registered for pc {pc}")
-            self._provider(pc)
-            info = self._fp.get(pc)
+        if info is None:
+            raise KeyError(f"no template registered for pc {pc}")
         return info
 
     # -- the batch interface --------------------------------------------

@@ -1294,241 +1294,6 @@ def run_lake(scale: int = 1) -> ExperimentResult:
 
 
 @experiment(
-    "parallel",
-    claim=(
-        "out-of-process DIFT helper cuts application-core overhead >=1.5x "
-        "with identical observables; end-to-end wall clock is worker-bound"
-    ),
-    commentary=(
-        "The one experiment whose currency *is* wall-clock: a real worker "
-        "process consumes the shared-memory ring and runs the same "
-        "propagation kernel, with every workload's alerts, taint sets and stats "
-        "asserted identical to the inline run. The host-independent claim "
-        "is the app-core CPU row — `time.process_time` never counts the "
-        "worker, so offloading cuts the application core's DIFT cost "
-        ">=1.5x regardless of CPU count. The per-workload wall rows are "
-        "host-dependent: on a single usable CPU the parent and worker "
-        "time-share one core and parity is the ceiling, which "
-        "`usable_cpus` records and `projected_multicore_speedup` "
-        "extrapolates past. Batching is the lever (batch_size=1 is ~2x "
-        "slower than inline; >=256 amortizes the ring publishes) — see "
-        "README 'Parallel helper' and benchmarks/bench_parallel.py."
-    ),
-)
-def run_parallel(scale: int = 2, repeats: int = 2, batch_size: int = 256) -> ExperimentResult:
-    """Wall-clock cost of a DIFT-heavy pass over the workload suite with
-    the inline engine vs :class:`~repro.multicore.parallel.ParallelHelperDIFT`.
-
-    Where :func:`run_e4` *models* the helper core in cycles, this
-    experiment *runs* it: a real worker process consumes the
-    shared-memory ring and runs the same taint rules.  Every
-    workload's alerts, taint sets and stats are asserted equal between
-    the two runs, so the speedup column can never hide a semantic
-    difference.  Per-side times are the min over ``repeats`` passes.
-
-    Three timelines are reported.  *Wall clock* (the per-workload rows)
-    is host-dependent: with a single usable CPU the parent and worker
-    time-share one core, so parity is the ceiling.  *Application-core
-    CPU* (``time.process_time``, which never counts the worker's cycles)
-    measures what the paper actually claims — how much of the main
-    core's time DIFT still consumes once propagation is offloaded — and
-    is host-independent.  ``projected_multicore_speedup`` extrapolates
-    the >=2-CPU end-to-end case from the measured split (app-core CPU
-    vs worker busy time overlap there instead of serializing), and
-    ``usable_cpus`` records which regime produced the wall numbers.
-
-    The inline comparator runs the per-event reference kernel
-    (:meth:`~repro.dift.kernel.PropagationKernel.step` per event): the
-    offload claim is about where per-record propagation happens, so its
-    baseline does that work inline.  Two kernel A/B views accompany it:
-    ``app_core_speedup_vs_array_inline`` re-times the inline side with
-    the default (array) batch kernel — near-parity there means on-core
-    batched propagation rivals offloading, which is the PR 8 kernel
-    working as intended — and ``worker_kernel_lift`` re-times the
-    *worker* pinned to the reference kernel, isolating what the array
-    kernel buys the offloaded pipeline end to end.
-    """
-
-    from ..multicore.parallel import ParallelHelperDIFT
-
-    result = ExperimentResult(
-        headers=["workload", "inline s", "parallel s", "speedup", "identical"],
-    )
-    workloads = suite(scale)
-    sinks = lambda: [SinkRule(kind="out", action="record")]  # noqa: E731
-
-    INF = float("inf")
-    best_bare = {w.name: INF for w in workloads}
-    best_inline = {w.name: INF for w in workloads}
-    best_inline_cpu = {w.name: INF for w in workloads}
-    best_array_cpu = {w.name: INF for w in workloads}
-    best_parallel = {w.name: INF for w in workloads}
-    best_parent_cpu = {w.name: INF for w in workloads}
-    engines, helpers = {}, {}
-    for _ in range(repeats):
-        for w in workloads:
-            # Uninstrumented baseline: application-core CPU with no DIFT.
-            runner = w.runner()
-            m = runner.machine()
-            c0 = time.process_time()
-            m.run(max_instructions=runner.max_instructions)
-            best_bare[w.name] = min(best_bare[w.name], time.process_time() - c0)
-
-            # Offload comparator: per-event inline propagation.  The
-            # offload claim is about *where* per-record propagation
-            # runs, so its baseline does that work inline (the paper's
-            # main-core software DIFT); the batched array kernel's own
-            # inline cost is measured separately below and reported
-            # ungated.
-            runner = w.runner()
-            m = runner.machine()
-            engine = DIFTEngine(BoolTaintPolicy(), sinks=sinks(), kernel="reference").attach(m)
-            t0 = time.perf_counter()
-            c0 = time.process_time()
-            m.run(max_instructions=runner.max_instructions)
-            elapsed = time.perf_counter() - t0
-            best_inline_cpu[w.name] = min(
-                best_inline_cpu[w.name], time.process_time() - c0
-            )
-            if elapsed < best_inline[w.name]:
-                best_inline[w.name] = elapsed
-                engines[w.name] = engine
-
-            runner = w.runner()
-            m = runner.machine()
-            DIFTEngine(BoolTaintPolicy(), sinks=sinks()).attach(m)
-            c0 = time.process_time()
-            m.run(max_instructions=runner.max_instructions)
-            best_array_cpu[w.name] = min(
-                best_array_cpu[w.name], time.process_time() - c0
-            )
-
-            m = runner.machine()
-            helper = ParallelHelperDIFT(BoolTaintPolicy(), sinks=sinks(), batch_size=batch_size)
-            helper.attach(m)
-            t0 = time.perf_counter()
-            c0 = time.process_time()
-            m.run(max_instructions=runner.max_instructions)
-            helper.finish()
-            elapsed = time.perf_counter() - t0
-            # process_time excludes the worker's CPU, so this is the
-            # application core's true cost even when both time-share one
-            # CPU (the wall clock above cannot make that distinction).
-            best_parent_cpu[w.name] = min(
-                best_parent_cpu[w.name], time.process_time() - c0
-            )
-            if elapsed < best_parallel[w.name]:
-                best_parallel[w.name] = elapsed
-                helpers[w.name] = helper
-
-    all_identical = True
-    worker_busy_total = 0.0
-    for w in workloads:
-        engine, helper = engines[w.name], helpers[w.name]
-        identical = (
-            engine.alerts == helper.alerts
-            and engine.stats == helper.stats
-            and engine.shadow.regs == helper.shadow.regs
-            and engine.shadow.mem_items() == helper.shadow.mem_items()
-        )
-        all_identical = all_identical and identical
-        worker_busy_total += helper.report().worker_busy_s
-        result.rows.append(
-            [
-                w.name,
-                best_inline[w.name],
-                best_parallel[w.name],
-                best_inline[w.name] / best_parallel[w.name],
-                identical,
-            ]
-        )
-    bare_total = sum(best_bare.values())
-    inline_total = sum(best_inline.values())
-    inline_cpu_total = sum(best_inline_cpu.values())
-    parallel_total = sum(best_parallel.values())
-    parent_cpu_total = sum(best_parent_cpu.values())
-    result.rows.append(
-        ["suite pass", inline_total, parallel_total, inline_total / parallel_total, ""]
-    )
-    array_cpu_total = sum(best_array_cpu.values())
-    result.rows.append(
-        [
-            "app-core CPU",
-            inline_cpu_total,
-            parent_cpu_total,
-            inline_cpu_total / parent_cpu_total,
-            "",
-        ]
-    )
-    # Informational, ungated: the PR 8 array kernel makes *inline* DIFT
-    # cheap enough that on-core batched propagation rivals offloading —
-    # a ratio near (or below) 1.0 here is the kernel working, not the
-    # helper failing.
-    result.rows.append(
-        [
-            "app-core CPU vs array-inline",
-            array_cpu_total,
-            parent_cpu_total,
-            array_cpu_total / parent_cpu_total,
-            "",
-        ]
-    )
-    if not all_identical:
-        result.notes = "OBSERVABLE MISMATCH — parallel helper diverged from inline"
-
-    # Kernel A/B: the same offloaded pass with the worker pinned to the
-    # reference kernel — what the vectorized batch kernel buys the
-    # worker end-to-end (wall clock is worker-bound, so a faster
-    # propagation loop shows up directly).
-    ref_kernel_total = 0.0
-    for w in workloads:
-        runner = w.runner()
-        m = runner.machine()
-        helper = ParallelHelperDIFT(
-            BoolTaintPolicy(), sinks=sinks(), batch_size=batch_size, kernel="reference"
-        )
-        helper.attach(m)
-        t0 = time.perf_counter()
-        m.run(max_instructions=runner.max_instructions)
-        helper.finish()
-        ref_kernel_total += time.perf_counter() - t0
-    worker_kernel_lift = ref_kernel_total / max(parallel_total, 1e-9)
-    result.rows.append(
-        [
-            "worker kernel A/B",
-            ref_kernel_total,
-            parallel_total,
-            worker_kernel_lift,
-            "",
-        ]
-    )
-
-    # Extrapolate the >=2-CPU end-to-end speedup from the measured work
-    # split: parent CPU and worker busy time overlap on a multicore host,
-    # so the wall clock there is their max rather than their sum.
-    cpus = usable_cpus()
-    projected = inline_cpu_total / max(parent_cpu_total, worker_busy_total, 1e-9)
-
-    result.headline = {
-        "suite_speedup": inline_total / parallel_total,
-        "app_core_speedup": inline_cpu_total / parent_cpu_total,
-        "app_core_slowdown_inline": inline_cpu_total / bare_total,
-        "app_core_slowdown_parallel": parent_cpu_total / bare_total,
-        "app_core_speedup_vs_array_inline": array_cpu_total / parent_cpu_total,
-        "projected_multicore_speedup": projected,
-        "worker_kernel_lift": worker_kernel_lift,
-        "usable_cpus": float(cpus),
-        "identical": float(all_identical),
-        "batch_size": float(batch_size),
-    }
-    registry = MetricsRegistry()
-    for w in workloads:
-        helpers[w.name].publish_telemetry(registry)
-    result.metrics = registry.flat()
-    return result
-
-
-@experiment(
     "service",
     claim=(
         "DIFT-as-a-service: worker processes scale throughput, overload "

@@ -25,6 +25,7 @@ from ..slicing.slicer import (
     DynamicSlice,
     backward_slice,
     forward_slice,
+    last_instance_of_line,
 )
 from .format import StoredRun
 
@@ -57,15 +58,11 @@ def resolve_criterion(
                 "line criteria need a manifest with a pc_lines map "
                 "(incomplete/recovered runs: use --seq or --pc)"
             )
-        pcs = {int(p) for p, ln in pc_lines.items() if ln == line}
-        best = None
-        for p in pcs:
-            last = ddg.last_instance_of_pc(p)
-            if last is not None and (best is None or last > best):
-                best = last
-        if best is None:
+        pcs = [int(p) for p, ln in pc_lines.items() if ln == line]
+        last = last_instance_of_line(ddg, pcs)
+        if last is None:
             raise KeyError(f"line {line} has no stored instance in this run")
-        return best
+        return last
     newest = run.buffer.newest_seq
     if newest < 0:
         raise KeyError("run holds no trace rows")

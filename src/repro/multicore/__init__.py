@@ -8,7 +8,6 @@ from .channel import (
     shared_memory_channel,
 )
 from .helper import HelperCoreDIFT, HelperReport
-from .parallel import ParallelHelperDIFT, ParallelReport
 
 __all__ = [
     "ChannelModel",
@@ -17,6 +16,4 @@ __all__ = [
     "shared_memory_channel",
     "HelperCoreDIFT",
     "HelperReport",
-    "ParallelHelperDIFT",
-    "ParallelReport",
 ]

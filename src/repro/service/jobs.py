@@ -39,7 +39,7 @@ from ..dift.policy import BoolTaintPolicy, PCTaintPolicy
 from ..lang import compile_source
 from ..ontrac import OntracConfig
 from ..runner import ProgramRunner
-from ..slicing import backward_slice
+from ..slicing import backward_slice, last_instance_of_line
 from ..workloads.generators import call_heavy
 from ..workloads.spec_like import bfs, fsm, hashloop, matmul, rle, sort
 from .protocol import ProtocolError
@@ -381,10 +381,7 @@ def _execute_slice(payload: dict, telemetry=None, emit=_no_emit) -> dict:
         pcs = compiled.pcs_of_line(int(line))
         if not pcs:
             raise ProtocolError(f"no code generated for line {line}")
-        for pc in sorted(pcs, reverse=True):
-            criterion = ddg.last_instance_of_pc(pc)
-            if criterion is not None:
-                break
+        criterion = last_instance_of_line(ddg, pcs)
         if criterion is None:
             raise ProtocolError(f"line {line} never executed in the window")
     else:

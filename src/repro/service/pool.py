@@ -1,10 +1,9 @@
 """Sharded worker-process pool with deadlines, cancellation and respawn.
 
 One worker = one OS process running :func:`repro.service.jobs.execute_job`
-in a loop over a duplex pipe (the spawn-and-pipe pattern of
-:mod:`repro.multicore.parallel`, minus the shared-memory ring — jobs
-are coarse, so a pipe is plenty).  Each worker is paired with one
-server-side *slot thread* that feeds it jobs and babysits it:
+in a loop over a duplex pipe (jobs are coarse, so a pipe is plenty).
+Each worker is paired with one server-side *slot thread* that feeds
+it jobs and babysits it:
 
 * **Sharding with idle-steal.**  Jobs route to ``hash(program hash) %
   workers``, so repeated queries over the same program land on the

@@ -286,10 +286,17 @@ class RouterServer(FrameServer):
                 self._exchange(backend.address, {"kind": "health"}),
                 timeout=self.config.health_timeout_s,
             )
-            body = (response or {}).get("health") or {}
-            ok = bool(body.get("ok"))
-            if not ok:
-                backend.last_error = "backend reports unhealthy"
+            body = response.get("health") if isinstance(response, dict) else None
+            if isinstance(body, dict):
+                ok = bool(body.get("ok"))
+                if not ok:
+                    backend.last_error = "backend reports unhealthy"
+            else:
+                # Not a health report (``[1]``, ``{"health": 5}``): a failed
+                # probe, where a crash would end the health loop for good.
+                ok = False
+                body = None
+                backend.last_error = "malformed health response"
         except (OSError, ProtocolError, ConnectionError, asyncio.TimeoutError) as exc:
             ok = False
             body = None

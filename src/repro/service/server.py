@@ -246,6 +246,12 @@ class FrameServer:
         try:
             async with server:
                 await self._stop_event.wait()
+                # Stop accepting, then let the accepts already queued
+                # attach their transports: one that runs after close()
+                # fails to attach and leaks its transport unclosed.
+                for sock in server.sockets:
+                    self._loop.remove_reader(sock.fileno())
+                await asyncio.sleep(0)
         finally:
             for task in list(self._conn_tasks):
                 task.cancel()

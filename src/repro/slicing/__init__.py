@@ -24,6 +24,7 @@ from .slicer import (
     backward_slice,
     chop,
     forward_slice,
+    last_instance_of_line,
     slice_at_last_output,
 )
 
@@ -52,5 +53,6 @@ __all__ = [
     "backward_slice",
     "chop",
     "forward_slice",
+    "last_instance_of_line",
     "slice_at_last_output",
 ]

@@ -73,6 +73,18 @@ def forward_slice(
     return DynamicSlice(criterion=criterion, seqs=set(seqs), pcs=set(pcs))
 
 
+def last_instance_of_line(ddg: PackedDDG, pcs) -> int | None:
+    """The last dynamic instance of a source line: the newest node at
+    any of the line's static ``pcs`` (None if none ran in the window).
+
+    A ``while`` line's condition runs after its body's last statement
+    on the same line, so the newest instance need not sit at the
+    highest pc.
+    """
+    found = [seq for pc in pcs if (seq := ddg.last_instance_of_pc(pc)) is not None]
+    return max(found, default=None)
+
+
 def slice_at_last_output(ddg: PackedDDG, out_pc: int, **kw) -> DynamicSlice:
     """Backward slice at the last dynamic instance of static pc ``out_pc``."""
     seq = ddg.last_instance_of_pc(out_pc)

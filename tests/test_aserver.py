@@ -11,12 +11,14 @@ real :class:`AsyncAnalysisServer` daemons on Unix/TCP sockets.
 """
 
 import errno
+import gc
 import json
 import os
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -287,6 +289,39 @@ class TestAsyncServer:
         t0 = time.monotonic()
         server.stop()
         assert time.monotonic() - t0 < 1.0
+
+    def test_stop_closes_every_accepted_transport(self, server_factory):
+        """Connections accepted right before ``stop()`` whose handlers
+        never got to run are still closed: no transport is left for
+        the garbage collector to warn about."""
+        server = server_factory(workers=1)
+        path = server.config.socket_path
+        connected, done = [], threading.Event()
+
+        def connect_in_a_loop():
+            while not done.is_set():
+                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                    try:
+                        sock.connect(path)
+                    except OSError:
+                        continue
+                    connected.append(True)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            connector = threading.Thread(target=connect_in_a_loop, daemon=True)
+            connector.start()
+            time.sleep(0.2)
+            server.stop()
+            done.set()
+            connector.join(timeout=10.0)
+            gc.collect()
+        assert not connector.is_alive()
+        assert connected
+        leaked = [str(w.message) for w in caught
+                  if issubclass(w.category, ResourceWarning)
+                  and "transport" in str(w.message)]
+        assert leaked == []
 
     def test_second_daemon_refuses_a_live_socket(self, server_factory, tmp_path):
         """A second daemon on a live daemon's path must fail to start,

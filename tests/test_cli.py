@@ -210,6 +210,59 @@ class TestServiceVerbs:
         assert response["result"]["fidelity"] == "log"
 
 
+class TestLineCriterion:
+    """``slice --line``, a daemon ``slice`` job and ``lake slice --line``
+    resolve a line to the same dynamic instance: the newest over all of
+    the line's pcs.  On a one-line ``while`` the condition runs after
+    the body, so the newest instance is not at the line's highest pc."""
+
+    LINE = 33  # matmul: while (i < N * N) { sum = ...; i = i + 1; }
+
+    def test_while_line_resolves_alike_everywhere(self, tmp_path, server_factory, capsys):
+        import re
+
+        from repro.lake import TraceLake
+        from repro.service import ServiceClient
+        from repro.workloads import suite
+
+        (matmul,) = [w for w in suite(1) if w.name == "matmul"]
+        source = matmul.compiled.source
+        assert source.splitlines()[self.LINE - 1].strip().startswith("while")
+        path = tmp_path / "matmul.mc"
+        path.write_text(source)
+        inputs = [arg for ch, vals in matmul.inputs.items()
+                  for arg in ("--input", f"{ch}={','.join(map(str, vals))}")]
+
+        assert main(["slice", str(path), *inputs, "--line", str(self.LINE)]) == 0
+        out = capsys.readouterr().out
+        live_seq = int(re.search(r"dynamic instance seq (\d+)", out).group(1))
+        live_lines = [int(n) for n in re.findall(r"^  line +(\d+):", out, re.M)]
+
+        root = str(tmp_path / "lake")
+        assert main(["trace", str(path), *inputs, "--lake", "--lake-root", root]) == 0
+        (run,) = TraceLake(root).runs()
+        capsys.readouterr()
+        assert main(["lake", "slice", run.run_id, "--root", root,
+                     "--line", str(self.LINE)]) == 0
+        out = capsys.readouterr().out
+        lake_seq = int(re.search(r"criterion: seq (\d+)", out).group(1))
+        lake_lines = [int(n) for n in
+                      re.search(r"source lines: (.*)", out).group(1).split(", ")]
+
+        server = server_factory(workers=1)
+        with ServiceClient(server.config.socket_path) as client:
+            response = client.submit(
+                "slice", source=source, cache=False,
+                params={"line": self.LINE, "inputs": {
+                    str(ch): vals for ch, vals in matmul.inputs.items()}},
+            )
+        assert response["status"] == "ok", response
+        job = response["result"]["slice"]
+
+        assert live_seq == lake_seq == job["criterion_seq"]
+        assert live_lines == lake_lines == job["lines"]
+
+
 class TestEntryPoint:
     def test_console_script_points_at_cli_main(self):
         import tomllib

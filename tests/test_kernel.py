@@ -4,8 +4,8 @@ The differential suite proves the kernels agree on whole workloads;
 these tests pin down the boundaries where a vectorized batch could
 plausibly diverge: empty batches, batches split exactly at a sink
 record, an ``AttackDetected`` raised mid-batch, overflow-clamped sink
-payloads, addresses beyond the i64 payload, fallback resolution, and
-an adopted shadow.
+payloads, addresses beyond the i64 payload, multithreaded streams,
+fallback resolution, and an adopted shadow.
 """
 
 import ast
@@ -30,8 +30,10 @@ from repro.dift.kernel import (
 )
 from repro.dift.summaries import SummaryKernel
 from repro.lang import compile_source
+from repro.runner import ProgramRunner
 from repro.vm import Machine, RunStatus
 from repro.vm.errors import AttackDetected
+from repro.workloads import race_kernels
 
 from .test_dift import ATTACK_SRC
 
@@ -351,6 +353,63 @@ def test_wide_addresses_replay_from_capture(name, summaries):
         kern.shadow.peak_locations,
         kern.stats,
     ) == truth[2:]
+
+
+# Two threads spawned with a tainted and a clean argument race on shared
+# cells under a lock, reading input as they go.
+THREADS_SRC = """
+global shared[8];
+fn worker(x) {
+    var i = 0;
+    while (i < 6) {
+        lock(1);
+        shared[i % 8] = shared[(i + 1) % 8] + x + in(0);
+        unlock(1);
+        i = i + 1;
+    }
+    out(shared[x % 8], 1);
+}
+fn main() {
+    var a = spawn(worker, in(0));
+    var b = spawn(worker, 3);
+    join(a);
+    join(b);
+    out(shared[0], 1);
+}
+"""
+
+THREADED = {k.name: k.runner for k in race_kernels()}
+THREADED["tainted-threads"] = lambda: ProgramRunner(
+    compile_source(THREADS_SRC).program, inputs={0: list(range(40))}
+)
+
+
+def threaded_state(case, **engine_kw):
+    runner = THREADED[case]()
+    m = runner.machine()
+    eng = DIFTEngine(BoolTaintPolicy(), sinks=RECORD_SINKS, **engine_kw).attach(m)
+    res = m.run(max_instructions=runner.max_instructions)
+    return (
+        res.status,
+        m.cycles,
+        str(eng.alerts),
+        eng.shadow.mem_items(),
+        dict(eng.shadow.regs),
+        eng.shadow.peak_locations,
+        eng.stats,
+    )
+
+
+# Threads interleave inside one batch: records of several tids share a
+# batch, and a spawn hands the argument's label to the child's r0.
+@pytest.mark.parametrize("summaries", [False, True], ids=["plain", "summaries"])
+@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("case", sorted(THREADED))
+def test_threads_match_per_event_engine(case, name, summaries):
+    truth = threaded_state(case, kernel="reference", summaries=False)
+    if case == "tainted-threads":
+        assert truth[2] != "[]"  # taint crossed the spawn and reached a sink
+    assert threaded_state(case, kernel=name, summaries=summaries, kernel_batch=8) == truth
 
 
 @pytest.fixture

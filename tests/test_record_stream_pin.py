@@ -1,12 +1,12 @@
 """The packed DIFT record stream, pinned by digest.
 
-Three producers pack ``InstrEvent``s into the 24-byte ring records the
-kernels consume: the inline engine's micro-batcher, the
-:class:`RecordStreamCapture` bench aid and the parallel helper's ring
-producer.  The digests below were recorded from the stream each one
-produced before they shared a single encoder; every producer must
-still emit exactly those bytes, templates, clamped-sink fixups and
-wide payloads, with the summary-mode call markers off and on.
+Two producers pack ``InstrEvent``s into the 24-byte records the
+kernels consume: the inline engine's micro-batcher and the
+:class:`RecordStreamCapture` bench aid.  The digests below were
+recorded from the stream each one produced before they shared a
+single encoder; every producer must still emit exactly those bytes,
+templates, clamped-sink fixups and wide payloads, with the
+summary-mode call markers off and on.
 """
 
 import hashlib
@@ -23,7 +23,6 @@ from repro.dift.kernel import (
 )
 from repro.dift.summaries import SummaryKernel
 from repro.lang import compile_source
-from repro.multicore import ParallelHelperDIFT
 from repro.vm import Machine
 from repro.workloads import GeneratorConfig, build_server, generate, suite
 
@@ -140,27 +139,6 @@ def inline_digest(case, markers, monkeypatch):
     return _digest(chunks, templates, eng._encoder.fixups, wide)
 
 
-def parallel_stream_digest(case, markers, monkeypatch):
-    """Digest of the bytes the parallel helper publishes to its ring."""
-    shipped = []
-    publish = ParallelHelperDIFT._publish
-
-    def recording_publish(self):
-        shipped.append(bytes(self._batch))
-        publish(self)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(ParallelHelperDIFT, "_publish", recording_publish)
-        helper = _run(
-            case,
-            lambda m: ParallelHelperDIFT(
-                BoolTaintPolicy(), batch_size=FLUSH, summaries=markers
-            ).attach(m),
-        )
-        helper.finish()
-    return _sha(b"".join(shipped))
-
-
 # (case, markers) -> sha256 prefixes of what RecordStreamCapture held
 # before the producers shared one encoder.  "4f53cda18c2baa0c" is the
 # empty table.
@@ -272,9 +250,3 @@ def test_inline_engine_reproduces_pinned_stream(case, markers, monkeypatch):
         pytest.skip("requires numpy: the reference kernel runs per event")
     assert inline_digest(case, markers, monkeypatch) == PINNED[(case, markers)]
 
-
-@pytest.mark.parametrize("markers", MARKERS, ids=_ids)
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_parallel_helper_reproduces_pinned_stream(case, markers, monkeypatch):
-    pinned = PINNED[(case, markers)]["stream"]
-    assert parallel_stream_digest(case, markers, monkeypatch) == pinned

@@ -192,14 +192,22 @@ class FakeBackend(threading.Thread):
     connection is handed to ``on_job(conn, request)`` and the connection
     closed after it returns.  ``silent=True`` reads the request and then
     never answers anything — the hang variant the router must mark down
-    by probe timeout rather than wait on.
+    by probe timeout rather than wait on.  ``health_answer`` replaces the
+    healthy answer to ``health`` with an arbitrary frame.
     """
 
-    def __init__(self, path: str, on_job=None, silent: bool = False):
+    HEALTHY = {"status": "ok", "health": {
+        "ok": True, "workers_alive": 1, "queue_depth": 0, "queue_capacity": 8,
+    }}
+
+    def __init__(self, path: str, on_job=None, silent: bool = False,
+                 health_answer=HEALTHY):
         super().__init__(daemon=True)
         self.path = path
         self.on_job = on_job
         self.silent = silent
+        self.health_answer = health_answer
+        self.health_requests = 0
         self.job_requests = 0
         self._stopped = False
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -225,10 +233,8 @@ class FakeBackend(threading.Thread):
                     time.sleep(30.0)
                     return
                 if request.get("kind") == "health":
-                    send_frame(conn, {"status": "ok", "health": {
-                        "ok": True, "workers_alive": 1,
-                        "queue_depth": 0, "queue_capacity": 8,
-                    }})
+                    self.health_requests += 1
+                    send_frame(conn, self.health_answer)
                     continue
                 self.job_requests += 1
                 if self.on_job is not None:
@@ -574,6 +580,34 @@ class TestRouterChaos:
                                      fidelity="log",
                                      cache=False)["status"] == "ok"
         hung.stop()
+
+    @pytest.mark.parametrize("answer", [[1], {"status": "ok", "health": 5}],
+                             ids=["list-frame", "non-object-body"])
+    def test_malformed_health_answer_is_a_failed_probe(
+        self, router_factory, tmp_path, answer
+    ):
+        """A health answer that is not a report counts as a failed probe
+        and leaves the probe loop running, so a healthy backend that
+        turns malformed and then disappears is marked down."""
+        odd_path = str(tmp_path / "odd.sock")
+        odd = FakeBackend(odd_path)
+        router = router_factory([odd_path])
+        assert router.health()["backends"][odd_path]["healthy"] is True
+        odd.health_answer = answer
+        seen = odd.health_requests
+        deadline = time.monotonic() + 10.0
+        while odd.health_requests <= seen + 1 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        odd.stop()
+        while time.monotonic() < deadline:
+            if router.registry.flat().get("router.backend.markdowns", 0) >= 1:
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("backend never marked down after malformed health answers")
+        state = router.health()["backends"][odd_path]
+        assert state["healthy"] is False
+        assert state["last_error"]
 
     def test_kill_one_backend_mid_burst_zero_hangs(
         self, router_factory, tmp_path

@@ -4,11 +4,16 @@ harness (smoke-level: full experiments run in benchmarks/)."""
 import pytest
 
 import importlib.util
+import multiprocessing
+import os
 import sys
+import threading
+import time
 from pathlib import Path
 
 from repro.harness import EXPERIMENTS, Experiment, ExperimentResult, experiment
-from repro.harness.experiments import run_e6, run_e7, run_e10, run_e11
+from repro.harness import experiments
+from repro.harness.experiments import run_all, run_e6, run_e7, run_e10, run_e11
 from repro.lang import compile_source
 from repro.ontrac import OntracConfig
 from repro.runner import ProgramRunner
@@ -167,3 +172,59 @@ class TestHarness:
         result = run_e6()
         assert result.headline["sync_aware_livelocks"] == 0
         assert result.headline["naive_livelocks"] >= 1
+
+
+class TestExperimentFanOut:
+    SELECTION = ["E9", "E7", "E10"]
+
+    def test_workers_preserve_selection_order_and_results(self):
+        sequential = run_all(self.SELECTION)
+        fanned = run_all(self.SELECTION, workers=2)
+        assert [r.experiment for r in fanned] == self.SELECTION
+        for seq, fan in zip(sequential, fanned):
+            assert seq.experiment == fan.experiment
+            assert seq.headline == fan.headline
+
+    def test_timeout_falls_back_to_sequential(self, capsys):
+        results = run_all(self.SELECTION, workers=2, timeout_s=1e-6)
+        assert [r.experiment for r in results] == self.SELECTION
+        assert "falling back to sequential" in capsys.readouterr().err
+
+    def test_timeout_stops_workers_before_fallback(self, monkeypatch, capsys):
+        # Two slow stub experiments time out while both run; the
+        # sequential re-run must start with neither worker still alive,
+        # or it would be timed on a host they still load.  A bystander
+        # child started while the pool runs is not the pool's to stop.
+        parent = os.getpid()
+        before = set(multiprocessing.active_children())
+        bystander = multiprocessing.Process(target=time.sleep, args=(30,))
+        alive_at_rerun = []
+
+        def slow():
+            if os.getpid() == parent:
+                alive_at_rerun.append([
+                    p for p in multiprocessing.active_children()
+                    if p not in before and p is not bystander
+                ])
+            else:
+                time.sleep(3.0)
+            return ExperimentResult()
+
+        for name in ("slow-a", "slow-b"):
+            monkeypatch.setitem(
+                experiments.EXPERIMENTS, name, Experiment(name, "claim", "commentary", slow)
+            )
+        starter = threading.Timer(0.2, bystander.start)
+        starter.start()
+        try:
+            t0 = time.perf_counter()
+            run_all(["slow-a", "slow-b"], workers=2, timeout_s=0.6)
+            assert time.perf_counter() - t0 < 2.5
+            assert "falling back to sequential" in capsys.readouterr().err
+            assert alive_at_rerun == [[], []]
+            assert bystander.is_alive()
+        finally:
+            starter.join()
+            if bystander.pid is not None:
+                bystander.terminate()
+                bystander.join()

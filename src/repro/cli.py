@@ -1,5 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
+``run``, ``trace``, ``slice`` and ``attack`` build a
+:class:`~repro.jobs.JobSpec`, run :func:`~repro.jobs.execute_job` in
+process — the executor a daemon runs for ``repro submit`` — and only
+format the result.  ``--naive``, ``--max-instructions`` and
+``--lake-root`` are local settings, not job params.
+
 Commands:
 
 * ``run FILE``          — compile & execute a MiniC program
@@ -32,14 +38,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dift.engine import DIFTEngine, SinkRule
-from .dift.policy import BoolTaintPolicy, PCTaintPolicy
+from .jobs import FIDELITY_DIFT, FIDELITY_FULL, FIDELITY_LOG, JobSpec, execute_job
 from .lang import CompileError, compile_source
-from .ontrac import OnlineTracer, OntracConfig
-from .runner import ProgramRunner
-from .slicing import backward_slice, last_instance_of_line
-from .telemetry import NULL_TELEMETRY, Telemetry, build_report
-from .vm import Machine
+from .telemetry import NULL_TELEMETRY, RunReport, Telemetry
+from .vm import RunStatus
 
 
 def _telemetry(args) -> Telemetry:
@@ -49,10 +51,12 @@ def _telemetry(args) -> Telemetry:
     return NULL_TELEMETRY
 
 
-def _write_outputs(args, telemetry: Telemetry, tool: str, result, extra: dict | None = None) -> None:
-    """Write --report / --trace files for one finished run."""
+def _write_outputs(args, telemetry: Telemetry, tool: str, run: dict,
+                   extra: dict | None = None) -> None:
+    """Write --report / --trace files for one finished job's ``run`` section."""
     if getattr(args, "report", None):
-        report = build_report(tool, result, telemetry.registry, extra=extra)
+        report = RunReport(tool, run["status"], run["instructions"], run["base_cycles"],
+                           run["overhead_cycles"], telemetry.registry.as_dict(), dict(extra or {}))
         report.write(args.report)
         print(f"report written to {args.report}", file=sys.stderr)
     if getattr(args, "trace", None):
@@ -70,159 +74,108 @@ def _parse_inputs(pairs: list[str]) -> dict[int, list[int]]:
     return inputs
 
 
-def _load(path: str):
-    source = Path(path).read_text()
-    return compile_source(source), source
+def _run_job(args, kind: str, fidelity: str = FIDELITY_FULL, **params):
+    """Execute one job over ``args.file`` in process; returns (result,
+    source lines, telemetry)."""
+    source = Path(args.file).read_text()
+    telemetry = _telemetry(args)
+    spec = JobSpec(kind=kind, fidelity=fidelity, source=source,
+                   params={"inputs": _parse_inputs(args.input), **params})
+    result = execute_job(
+        spec, telemetry,
+        lake_root=getattr(args, "lake_root", None),
+        max_instructions=args.max_instructions,
+        naive=getattr(args, "naive", False),
+    )
+    return result, source.splitlines(), telemetry
+
+
+def _source_text(source_lines: list[str], line: int) -> str:
+    return source_lines[line - 1].strip() if 0 < line <= len(source_lines) else "?"
 
 
 def cmd_run(args) -> int:
-    compiled, _ = _load(args.file)
-    telemetry = _telemetry(args)
-    machine = Machine(compiled.program, telemetry=telemetry)
-    for channel, values in _parse_inputs(args.input).items():
-        machine.io.provide(channel, values)
-    result = machine.run(max_instructions=args.max_instructions)
-    print(f"status: {result.status.value}")
-    if result.failure:
-        print(f"failure: {result.failure}")
-    print(f"instructions: {result.instructions}")
-    print(f"cycles: {result.cycles.total}")
-    for channel in sorted(machine.io.outputs):
-        print(f"out[{channel}]: {machine.io.output(channel)}")
-    _write_outputs(args, telemetry, "run", result)
-    return 1 if result.failed else 0
+    result, _, telemetry = _run_job(args, "trace", FIDELITY_LOG)
+    run = result["run"]
+    print(f"status: {run['status']}")
+    if run["failure"]:
+        print(f"failure: {run['failure']}")
+    print(f"instructions: {run['instructions']}")
+    print(f"cycles: {run['total_cycles']}")
+    for channel, values in run["outputs"].items():
+        print(f"out[{channel}]: {values}")
+    _write_outputs(args, telemetry, "run", run)
+    return 1 if run["status"] == RunStatus.FAILED.value else 0
 
 
 def cmd_disasm(args) -> int:
-    compiled, _ = _load(args.file)
+    compiled = compile_source(Path(args.file).read_text())
     sys.stdout.write(compiled.program.disassemble())
     return 0
 
 
 def cmd_trace(args) -> int:
-    compiled, source = _load(args.file)
-    telemetry = _telemetry(args)
-    inputs = _parse_inputs(args.input)
-    runner = ProgramRunner(
-        compiled.program,
-        inputs=inputs,
-        max_instructions=args.max_instructions,
-        telemetry=telemetry,
-    )
-    config = (
-        OntracConfig.unoptimized(buffer_bytes=args.buffer)
-        if args.naive
-        else OntracConfig(buffer_bytes=args.buffer)
-    )
-    pending = None
-    if args.lake:
-        from .lake import TraceLake, input_hash, program_hash
-
-        lake = TraceLake(args.lake_root)
-        pending = lake.begin_run(
-            program=program_hash(source),
-            input_hash=input_hash(inputs),
-            seed=args.seed,
-        )
-        config.spill_path = pending.spill_path
-    machine, tracer, result = runner.run_traced(config)
-    if pending is not None:
-        run_id = pending.finish(
-            tracer=tracer,
-            compiled=compiled,
-            registry=telemetry.registry if telemetry.enabled else None,
-        )
-        print(f"lake run: {run_id}")
-    stats = tracer.stats
-    print(f"status: {result.status.value}")
-    print(f"instructions: {stats.instructions}")
-    print(f"stored bytes: {stats.stored_bytes} ({stats.bytes_per_instruction:.2f} B/instr)")
-    print(f"slowdown (cycle model): {result.cycles.slowdown:.1f}x")
-    print(f"history window: {tracer.buffer.window_instructions()} instructions")
-    if stats.skipped:
+    result, _, telemetry = _run_job(args, "trace", buffer=args.buffer,
+                                    lake=args.lake, seed=args.seed)
+    if "lake_run" in result:
+        print(f"lake run: {result['lake_run']}")
+    run, trace = result["run"], result["trace"]
+    print(f"status: {run['status']}")
+    print(f"instructions: {trace['instructions']}")
+    print(f"stored bytes: {trace['stored_bytes']} "
+          f"({trace['bytes_per_instruction']:.2f} B/instr)")
+    print(f"slowdown (cycle model): {trace['slowdown']:.1f}x")
+    print(f"history window: {trace['window_instructions']} instructions")
+    if trace["optimization_hits"]:
         print("optimization hits:")
-        for reason, count in sorted(stats.skipped.items()):
+        for reason, count in trace["optimization_hits"].items():
             print(f"  {reason}: {count}")
-    ddg_stats = tracer.dependence_graph().stats()
-    print(f"DDG: {ddg_stats}")
-    _write_outputs(
-        args, telemetry, "trace",
-        result, extra={"bytes_per_instruction": stats.bytes_per_instruction},
-    )
+    print(f"DDG: {trace['ddg']}")
+    _write_outputs(args, telemetry, "trace", run,
+                   extra={"bytes_per_instruction": trace["bytes_per_instruction"]})
     return 0
 
 
 def cmd_slice(args) -> int:
-    compiled, source = _load(args.file)
-    telemetry = _telemetry(args)
-    runner = ProgramRunner(
-        compiled.program,
-        inputs=_parse_inputs(args.input),
-        max_instructions=args.max_instructions,
-        telemetry=telemetry,
-    )
-    _, tracer, result = runner.run_traced(OntracConfig(buffer_bytes=args.buffer))
-    ddg = tracer.dependence_graph()
-    pcs = compiled.pcs_of_line(args.line)
-    if not pcs:
-        print(f"error: no code generated for line {args.line}", file=sys.stderr)
-        return 2
-    criterion = last_instance_of_line(ddg, pcs)
-    if criterion is None:
-        print(f"error: line {args.line} never executed in the window", file=sys.stderr)
-        return 2
-    sl = backward_slice(ddg, criterion)
-    # Surface the indexed engine's query counters (slicing.queries, memo
-    # hits, rows scanned) in --report.
-    ddg.publish_telemetry(telemetry.registry)
-    lines = sorted(sl.statement_lines(compiled))
-    print(f"criterion: line {args.line} (dynamic instance seq {criterion})")
-    print(f"slice: {len(sl.seqs)} dynamic instances, {len(lines)} source lines"
-          + (" [TRUNCATED at window edge]" if sl.truncated else ""))
-    source_lines = source.splitlines()
+    result, source_lines, telemetry = _run_job(args, "slice", line=args.line,
+                                               buffer=args.buffer)
+    sl = result["slice"]
+    lines = sl["lines"]
+    print(f"criterion: line {args.line} (dynamic instance seq {sl['criterion_seq']})")
+    print(f"slice: {sl['instances']} dynamic instances, {len(lines)} source lines"
+          + (" [TRUNCATED at window edge]" if sl["truncated"] else ""))
     for line in lines:
-        text = source_lines[line - 1].strip() if line <= len(source_lines) else "?"
-        print(f"  line {line:3d}: {text}")
+        print(f"  line {line:3d}: {_source_text(source_lines, line)}")
     _write_outputs(
-        args, telemetry, "slice", result,
+        args, telemetry, "slice", result["run"],
         extra={
             "criterion_line": args.line,
-            "criterion_seq": criterion,
-            "slice_instances": len(sl.seqs),
+            "criterion_seq": sl["criterion_seq"],
+            "slice_instances": sl["instances"],
             "slice_lines": lines,
-            "truncated": sl.truncated,
+            "truncated": sl["truncated"],
         },
     )
     return 0
 
 
 def cmd_attack(args) -> int:
-    compiled, source = _load(args.file)
-    telemetry = _telemetry(args)
-    machine = Machine(compiled.program, telemetry=telemetry)
-    for channel, values in _parse_inputs(args.input).items():
-        machine.io.provide(channel, values)
-    policy = PCTaintPolicy() if args.policy == "pc" else BoolTaintPolicy()
-    sinks = [SinkRule(kind="icall"), SinkRule(kind="out", channels=None)] \
-        if args.out_sink else [SinkRule(kind="icall")]
-    engine = DIFTEngine(policy, sinks=sinks).attach(machine)
-    result = machine.run(max_instructions=args.max_instructions)
-    if telemetry.enabled:
-        engine.publish_telemetry(telemetry.registry)
+    fidelity = FIDELITY_FULL if args.policy == "pc" else FIDELITY_DIFT
+    result, source_lines, telemetry = _run_job(args, "attack", fidelity,
+                                               out_sink=args.out_sink)
+    run, alerts = result["run"], result["attack"]["alerts"]
     _write_outputs(
-        args, telemetry, "attack", result,
-        extra={"policy": args.policy, "alerts": len(engine.alerts)},
+        args, telemetry, "attack", run,
+        extra={"policy": args.policy, "alerts": len(alerts)},
     )
-    if engine.alerts:
-        alert = engine.alerts[0]
-        print(f"ATTACK DETECTED: {alert}")
-        if args.policy == "pc":
-            line = compiled.line_of(alert.label)
-            source_lines = source.splitlines()
-            text = source_lines[line - 1].strip() if 0 < line <= len(source_lines) else "?"
-            print(f"root cause: line {line}: {text}")
+    if alerts:
+        alert = alerts[0]
+        print(f"ATTACK DETECTED: {alert['message']}")
+        if "root_cause_line" in alert:
+            line = alert["root_cause_line"]
+            print(f"root cause: line {line}: {_source_text(source_lines, line)}")
         return 1
-    print(f"clean: {result.status.value}, output {machine.io.output(1)}")
+    print(f"clean: {run['status']}, output {run['outputs'].get('1', [])}")
     return 0
 
 
@@ -354,48 +307,23 @@ def cmd_submit(args) -> int:
                 )
             elif args.kind == "shutdown":
                 response = client.shutdown()
-            elif args.trace:
-                response, _ = client.submit_traced(
-                    args.kind,
-                    trace_path=args.trace,
-                    workload=args.workload,
-                    scale=args.scale,
-                    source=source,
-                    fidelity=args.fidelity,
-                    params=params or None,
-                    cache=not args.no_cache,
-                    deadline_s=args.deadline,
-                )
-                print(f"chrome trace written to {args.trace} (open in Perfetto)",
-                      file=sys.stderr)
-            elif args.stream:
-                def on_partial(seq: int, op: dict) -> None:
-                    print(f"partial {seq}: {json.dumps(op, sort_keys=True)}",
-                          file=sys.stderr)
-
-                response, ops = client.submit_stream(
-                    args.kind,
-                    on_partial=on_partial,
-                    workload=args.workload,
-                    scale=args.scale,
-                    source=source,
-                    fidelity=args.fidelity,
-                    params=params or None,
-                    cache=not args.no_cache,
-                    deadline_s=args.deadline,
-                )
-                print(f"streamed {len(ops)} partial frames", file=sys.stderr)
             else:
-                response = client.submit(
-                    args.kind,
-                    workload=args.workload,
-                    scale=args.scale,
-                    source=source,
-                    fidelity=args.fidelity,
-                    params=params or None,
-                    cache=not args.no_cache,
-                    deadline_s=args.deadline,
-                )
+                job = dict(workload=args.workload, scale=args.scale, source=source,
+                           fidelity=args.fidelity, params=params or None,
+                           cache=not args.no_cache, deadline_s=args.deadline)
+                if args.trace:
+                    response, _ = client.submit_traced(args.kind, trace_path=args.trace, **job)
+                    print(f"chrome trace written to {args.trace} (open in Perfetto)",
+                          file=sys.stderr)
+                elif args.stream:
+                    def on_partial(seq: int, op: dict) -> None:
+                        print(f"partial {seq}: {json.dumps(op, sort_keys=True)}",
+                              file=sys.stderr)
+
+                    response, ops = client.submit_stream(args.kind, on_partial=on_partial, **job)
+                    print(f"streamed {len(ops)} partial frames", file=sys.stderr)
+                else:
+                    response = client.submit(args.kind, **job)
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

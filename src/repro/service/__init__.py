@@ -7,9 +7,12 @@ production-run ambitions (and HardTaint's always-on argument) actually
 require:
 
 * :mod:`protocol` — length-prefixed framed JSON over a Unix/TCP socket.
-* :mod:`jobs` — job specs (trace / slice / attack / lineage over a
-  named workload or submitted MiniC source), the fidelity ladder, and
-  the pure ``execute`` function worker processes run.
+* :mod:`jobs` — the wire side of a job: admission-time validation
+  (``resolve_spec``, which runs the executors' params parser), the
+  shard and cache keys, and the test-only chaos kind.  The analyses
+  themselves (:class:`~repro.jobs.JobSpec`, the fidelity ladder,
+  :func:`~repro.jobs.execute_job`) live in :mod:`repro.jobs`, which the
+  CLI runs in process and the workers run here.
 * :mod:`admission` — bounded admission with backpressure: overload
   sheds *fidelity* first (full tracing -> DIFT-only -> logging-only,
   the paper's cheap-logging/expensive-replay split) and *jobs* only at
@@ -47,17 +50,7 @@ from .client import (
     ServiceProtocolError,
     wait_until_ready,
 )
-from .jobs import (
-    FIDELITY_LADDER,
-    JOB_KINDS,
-    JobSpec,
-    cache_key,
-    execute_job,
-    execute_job_stream,
-    execute_job_traced,
-    program_key,
-    resolve_spec,
-)
+from .jobs import cache_key, execute_job_traced, program_key, resolve_spec
 from .observe import NULL_OBSERVABILITY, ServiceObservability
 from .pool import WorkerPool
 from .protocol import (
@@ -80,11 +73,8 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AsyncAnalysisServer",
-    "FIDELITY_LADDER",
     "FrameAssembler",
     "HashRing",
-    "JOB_KINDS",
-    "JobSpec",
     "NULL_OBSERVABILITY",
     "ProtocolError",
     "ResultCache",
@@ -104,8 +94,6 @@ __all__ = [
     "WorkerPool",
     "apply_stream_op",
     "cache_key",
-    "execute_job",
-    "execute_job_stream",
     "execute_job_traced",
     "program_key",
     "reassemble",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jobs import FIDELITY_LADDER
+from ..jobs import FIDELITY_LADDER
 
 ACTION_ADMIT = "admit"
 ACTION_REJECT = "reject"

@@ -38,11 +38,12 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 
+from ..jobs import JobSpec
 from ..telemetry import LATENCY_BUCKETS_S, MetricsRegistry
 from ..telemetry.obs import new_trace_id, wall_now_us
 from .admission import ACTION_ADMIT, AdmissionController
 from .cache import ResultCache
-from .jobs import JobSpec, cache_key, resolve_spec
+from .jobs import cache_key, resolve_spec
 from .pool import Job, WorkerPool
 from .protocol import (
     STATUS_DEGRADED,

@@ -70,6 +70,7 @@ class ServiceClient:
     # -- lifecycle -----------------------------------------------------------
     def connect(self) -> "ServiceClient":
         family, target = _parse_address(self.address)
+        sock = None
         try:
             if family == "unix":
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -78,6 +79,8 @@ class ServiceClient:
             else:
                 sock = socket.create_connection(target, timeout=self.timeout_s)
         except OSError as exc:
+            if sock is not None:
+                sock.close()
             raise ServiceError(f"cannot connect to {self.address}: {exc}") from None
         self._sock = sock
         return self

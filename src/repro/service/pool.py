@@ -1,6 +1,6 @@
 """Sharded worker-process pool with deadlines, cancellation and respawn.
 
-One worker = one OS process running :func:`repro.service.jobs.execute_job`
+One worker = one OS process running :func:`repro.service.jobs.run_payload`
 in a loop over a duplex pipe (jobs are coarse, so a pipe is plenty).
 Each worker is paired with one server-side *slot thread* that feeds
 it jobs and babysits it:
@@ -35,15 +35,10 @@ import threading
 import time
 from collections import deque
 
+from ..jobs import JobSpec
 from ..telemetry import LATENCY_BUCKETS_S, NULL_REGISTRY
 from ..telemetry.obs import wall_now_us
-from .jobs import (
-    JobSpec,
-    execute_job,
-    execute_job_stream,
-    execute_job_traced,
-    program_key,
-)
+from .jobs import execute_job_traced, program_key, run_payload
 from .observe import NULL_OBSERVABILITY
 from .protocol import STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT
 
@@ -88,12 +83,9 @@ def _worker_main(conn, daemon_end, daemon_pid: int) -> None:
                     # tracing and streaming are mutually exclusive
                     # (the server never sets both).
                     result = execute_job_traced(payload, trace_id)
-                elif stream:
-                    result = execute_job_stream(
-                        payload, lambda op: conn.send(("partial", op))
-                    )
                 else:
-                    result = execute_job(payload)
+                    emit = (lambda op: conn.send(("partial", op))) if stream else None
+                    result = run_payload(payload, emit=emit)
                 verdict = ("ok", result)
             except Exception as exc:
                 verdict = ("error", f"{type(exc).__name__}: {exc}")

@@ -64,10 +64,11 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from ..jobs import JobSpec
 from ..telemetry import LATENCY_BUCKETS_S, MetricsRegistry
 from .cache import ResultCache
 from .client import _parse_address
-from .jobs import CHAOS_KIND, JobSpec, cache_key, program_key, resolve_spec
+from .jobs import CHAOS_KIND, cache_key, program_key, resolve_spec
 from .protocol import (
     ProtocolError,
     RESULT_STATUSES,

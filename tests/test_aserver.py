@@ -415,5 +415,17 @@ class TestProtocolErrorNormalization:
         with pytest.raises(ServiceProtocolError, match="nested too deeply"):
             client.submit("trace", workload="matmul")
 
+    def test_refused_connect_closes_its_socket(self, tmp_path):
+        """A refused connect used to leak its socket: one per refused
+        poll of ``wait_until_ready``."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ServiceError, match="cannot connect"):
+                ServiceClient(str(tmp_path / "missing.sock")).connect()
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)
+                 and "socket" in str(w.message)]
+        assert not leaks, leaks
+
     def test_typed_error_is_still_a_service_error(self):
         assert issubclass(ServiceProtocolError, ServiceError)

@@ -263,6 +263,72 @@ class TestLineCriterion:
         assert live_lines == lake_lines == job["lines"]
 
 
+class TestEntryPointParity:
+    """``repro trace``/``attack`` in process and the same job through a
+    daemon run one executor, so they report the same facts for the
+    same source and inputs."""
+
+    @staticmethod
+    def submit(server, kind, path, inputs, fidelity="full", **params):
+        from pathlib import Path
+
+        from repro.service import ServiceClient
+
+        with ServiceClient(server.config.socket_path) as client:
+            response = client.submit(
+                kind, source=Path(path).read_text(), fidelity=fidelity,
+                cache=False, params={"inputs": inputs, **params},
+            )
+        assert response["status"] == "ok", response
+        return response["result"]
+
+    @pytest.mark.parametrize("policy,fidelity", [("pc", "full"), ("bool", "dift")])
+    def test_attack_reports_the_same_first_alert(
+        self, vulnerable, server_factory, capsys, policy, fidelity
+    ):
+        import re
+
+        assert main(["attack", vulnerable, "--input", "0=1", "--policy", policy]) == 1
+        out = capsys.readouterr().out
+        seq, pc = map(int, re.search(r"\[seq (\d+)\] .* at pc=(\d+)", out).groups())
+        cause = re.search(r"^root cause: line (\d+):", out, re.M)
+        assert (cause is not None) == (policy == "pc")
+
+        job = self.submit(server_factory(workers=1), "attack", vulnerable,
+                          {"0": [1]}, fidelity=fidelity)
+        first = job["attack"]["alerts"][0]
+        assert (first["seq"], first["pc"]) == (seq, pc)
+        assert first.get("root_cause_line") == (int(cause.group(1)) if cause else None)
+
+    def test_trace_reports_the_same_stored_bytes_and_ddg(self, demo, server_factory, capsys):
+        import ast
+        import re
+
+        assert main(["trace", demo, "--input", "0=3,4"]) == 0
+        out = capsys.readouterr().out
+        stored = int(re.search(r"^stored bytes: (\d+)", out, re.M).group(1))
+        ddg = ast.literal_eval(re.search(r"^DDG: (.*)$", out, re.M).group(1))
+
+        job = self.submit(server_factory(workers=1), "trace", demo, {"0": [3, 4]})
+        assert job["trace"]["stored_bytes"] == stored
+        assert job["trace"]["ddg"] == ddg
+
+    def test_trace_lake_runs_share_one_key(
+        self, demo, server_factory, tmp_path, monkeypatch, capsys
+    ):
+        import re
+
+        # Both entry points record into the default lake root, which
+        # the daemon's forked workers inherit.
+        monkeypatch.setenv("REPRO_LAKE_DIR", str(tmp_path / "lake"))
+        assert main(["trace", demo, "--input", "0=3,4", "--lake"]) == 0
+        first = re.search(r"^lake run: (\S+)$", capsys.readouterr().out, re.M).group(1)
+
+        job = self.submit(server_factory(workers=1), "trace", demo, {"0": [3, 4]},
+                          lake=True)
+        assert job["lake_run"] == f"{first}--r2"
+
+
 class TestEntryPoint:
     def test_console_script_points_at_cli_main(self):
         import tomllib

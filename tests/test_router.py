@@ -29,7 +29,6 @@ from repro.service import (
     RouterConfig,
     RouterServer,
     ServiceClient,
-    execute_job_stream,
     reassemble,
     recv_frame,
     resolve_spec,
@@ -37,6 +36,7 @@ from repro.service import (
     send_frame,
     wait_until_ready,
 )
+from repro.service.jobs import run_payload
 from repro.service.protocol import ProtocolError, STATUS_PARTIAL
 
 from tests.test_aserver import canonical, wait_stopped
@@ -269,7 +269,7 @@ def true_ops(request: dict) -> list:
     """The exact op stream a faithful worker would emit for ``request``."""
     ops = []
     spec = resolve_spec(request, allow_chaos=True)
-    execute_job_stream(spec.payload(), lambda op: ops.append(op))
+    run_payload(spec.payload(), emit=ops.append)
     return ops
 
 

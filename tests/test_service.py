@@ -24,16 +24,15 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
     cache_key,
-    execute_job,
     program_key,
     resolve_spec,
     wait_until_ready,
 )
+from repro.jobs import WORKLOAD_FACTORIES, JobError, JobSpec, execute_job
 from repro.lake import TraceLake, slice_stored
 from repro.ontrac import OntracConfig
 from repro.runner import ProgramRunner
 from repro.slicing import backward_slice
-from repro.service.jobs import WORKLOAD_FACTORIES
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -51,6 +50,11 @@ VULN_SOURCE = (
     "    icall(fp[0], 0);\n"
     "}\n"
 )
+
+
+def run_job(payload: dict, **local) -> dict:
+    """Execute a worker-form payload in process."""
+    return execute_job(JobSpec(**payload), **local)
 
 
 def canonical(obj) -> str:
@@ -240,6 +244,29 @@ class TestJobs:
         assert resolve_spec({"kind": "trace", "workload": "matmul",
                              "params": shallow}).params == shallow
 
+    MALFORMED_PARAMS = [
+        {"inputs": {"x": [1]}},
+        {"inputs": {"0": 5}},
+        {"inputs": {"0": [1.5]}},
+        {"line": "abc"},
+        {"buffer": "big"},
+        {"buffer": -5},
+        {"channel": "z"},
+        {"seed": "z"},
+        {"representation": "nope"},
+    ]
+
+    @pytest.mark.parametrize("params", MALFORMED_PARAMS, ids=canonical)
+    def test_malformed_params_are_refused_at_admission(self, params):
+        # Each used to be admitted and then fail inside the worker with
+        # a bare ValueError or TypeError (or, for [1.5], run truncated).
+        # Admission and execution run one parser.
+        payload = {"kind": "lineage", "workload": "rle", "params": params}
+        with pytest.raises(ProtocolError, match="params"):
+            resolve_spec(payload)
+        with pytest.raises(JobError, match="params"):
+            run_job(payload)
+
     def test_cache_key_separates_fidelity_and_params(self):
         base = {"kind": "trace", "workload": "matmul"}
         full = resolve_spec(dict(base))
@@ -256,9 +283,9 @@ class TestJobs:
 
     def test_execute_trace_fidelities(self):
         base = {"kind": "trace", "workload": "matmul", "scale": 1, "params": {}}
-        full = execute_job(dict(base, fidelity="full"))
-        dift = execute_job(dict(base, fidelity="dift"))
-        log = execute_job(dict(base, fidelity="log"))
+        full = run_job(dict(base, fidelity="full"))
+        dift = run_job(dict(base, fidelity="dift"))
+        log = run_job(dict(base, fidelity="log"))
         assert "trace" in full and full["trace"]["stored_bytes"] > 0
         assert "dift" in dift and "trace" not in dift
         assert set(log) == {"kind", "fidelity", "run"}
@@ -266,7 +293,7 @@ class TestJobs:
         assert full["run"]["outputs"] == dift["run"]["outputs"] == log["run"]["outputs"]
 
     def test_execute_attack_full_names_root_cause(self):
-        result = execute_job(
+        result = run_job(
             {"kind": "attack", "source": VULN_SOURCE, "fidelity": "full",
              "params": {"inputs": {"0": [1]}}}
         )
@@ -274,7 +301,7 @@ class TestJobs:
         assert result["attack"]["alerts"][0]["root_cause_line"] == 5  # fp[0] = in(0)
 
     def test_execute_attack_dift_detects_without_root_cause(self):
-        result = execute_job(
+        result = run_job(
             {"kind": "attack", "source": VULN_SOURCE, "fidelity": "dift",
              "params": {"inputs": {"0": [1]}}}
         )
@@ -282,7 +309,7 @@ class TestJobs:
         assert "root_cause_line" not in result["attack"]["alerts"][0]
 
     def test_execute_slice_default_criterion(self):
-        result = execute_job(
+        result = run_job(
             {"kind": "slice", "workload": "sort", "scale": 1, "fidelity": "full",
              "params": {}}
         )
@@ -293,7 +320,7 @@ class TestJobs:
     def test_slice_default_criterion_is_newest_node(self, workload):
         # The job's default criterion (the buffer's newest seq) is the
         # newest node of the traced window on every suite workload.
-        result = execute_job(
+        result = run_job(
             {"kind": "slice", "workload": workload, "scale": 1, "fidelity": "full",
              "params": {}}
         )
@@ -305,9 +332,10 @@ class TestJobs:
 
     def test_trace_job_spills_to_the_lake_when_asked(self, tmp_path):
         root = str(tmp_path / "lake")
-        result = execute_job(
+        result = run_job(
             {"kind": "trace", "workload": "sort", "scale": 1, "fidelity": "full",
-             "params": {"lake": True, "lake_root": root}}
+             "params": {"lake": True}},
+            lake_root=root,
         )
         lake = TraceLake(root)
         runs = lake.runs()
@@ -325,15 +353,16 @@ class TestJobs:
         assert (a.seqs, a.pcs, a.truncated) == (b.seqs, b.pcs, b.truncated)
 
     def test_trace_job_without_lake_param_leaves_the_root_empty(self, tmp_path):
-        result = execute_job(
+        result = run_job(
             {"kind": "trace", "workload": "sort", "scale": 1, "fidelity": "full",
-             "params": {"lake_root": str(tmp_path)}}
+             "params": {}},
+            lake_root=str(tmp_path),
         )
         assert "lake_run" not in result
         assert list(tmp_path.iterdir()) == []
 
     def test_execute_lineage_reports_outputs(self):
-        result = execute_job(
+        result = run_job(
             {"kind": "lineage", "workload": "rle", "scale": 1, "fidelity": "full",
              "params": {}}
         )
@@ -361,6 +390,20 @@ class TestServiceIntegration:
             )
         assert response["status"] == "ok"
         assert response["result"]["attack"]["alerts"][0]["root_cause_line"] == 5
+
+    def test_client_cannot_pick_where_the_daemon_writes(self, server_factory, tmp_path):
+        """``params.lake_root`` used to open a lake at any path the
+        daemon user could write; it is refused with a typed error."""
+        server = server_factory(workers=1)
+        target = tmp_path / "elsewhere"
+        with ServiceClient(server.config.address()) as client:
+            response = client.submit(
+                "trace", workload="sort", cache=False,
+                params={"lake": True, "lake_root": str(target)},
+            )
+        assert response["status"] == "error"
+        assert "lake_root" in response["error"]
+        assert not target.exists()
 
     def test_tcp_transport(self):
         config = ServiceConfig(port=0, workers=1)  # ephemeral port

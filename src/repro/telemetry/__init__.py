@@ -43,7 +43,7 @@ from .obs import (
     render_prometheus,
     wall_now_us,
 )
-from .report import REPORT_SCHEMA, RunReport, build_report, validate_report
+from .report import REPORT_SCHEMA, RunReport, validate_report
 from .spans import NULL_TRACER, Span, SpanTracer, validate_chrome_trace
 
 
@@ -89,7 +89,6 @@ __all__ = [
     "validate_chrome_trace",
     "RunReport",
     "REPORT_SCHEMA",
-    "build_report",
     "validate_report",
     "Telemetry",
     "NULL_TELEMETRY",

@@ -116,16 +116,3 @@ def validate_report(data: dict) -> None:
     if data["instructions"] < 0 or data["base_cycles"] < 0 or data["overhead_cycles"] < 0:
         raise ValueError("cycle/instruction counts must be non-negative")
 
-
-def build_report(tool: str, result, registry, extra: dict | None = None) -> RunReport:
-    """Assemble a report from a :class:`~repro.vm.machine.RunResult` and
-    a metrics registry (``result.cycles`` is the cost-model truth)."""
-    return RunReport(
-        tool=tool,
-        status=result.status.value,
-        instructions=result.instructions,
-        base_cycles=result.cycles.base,
-        overhead_cycles=result.cycles.overhead,
-        metrics=registry.as_dict(),
-        extra=dict(extra or {}),
-    )

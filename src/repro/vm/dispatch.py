@@ -1,11 +1,12 @@
 """Precompiled instruction dispatch — the VM's interpreter for the hot
 opcodes.
 
-Like a DBT translating each basic block once, this module compiles
+Like a DBT translating each instruction once, this module compiles
 each :class:`~repro.isa.instructions.Instruction` once, at machine
-construction, into a closure with its operands, cost, fall-through pc
-and branch target already bound.  ``Machine._step`` dispatches
-``table[thread.pc](thread)``; nothing decodes an opcode per step.
+construction, into a step closure with its operands, cost,
+fall-through pc and branch target already bound.  ``Machine._step``
+dispatches ``table[thread.pc](thread)``; nothing decodes an opcode per
+step.
 
 The 31 hot opcodes — the ALU (16 three-register ops, ADDI, MULI,
 NOT, NEG, MOV, LI), LOAD/STORE/PUSH/POP, JMP/BR/BRZ, NOP and ASSERT —
@@ -13,25 +14,45 @@ run only here.  The 15 cold opcodes touch the heap, the call stack,
 I/O or the scheduler: their table entry is the bound
 ``Machine._execute`` itself, which handles nothing else.
 
-Each closure performs the instruction's state transitions in a fixed
-order: intervention transforms, occurrence counting, cycle accrual,
-telemetry op counts and then the event point.  The reference they are
-held to is the spec table in ``tests/vm_oracle.py``, which the
-differential suite runs against this module.
+The steps are generated from templates.  ``_FORMS`` holds one source
+per form (alu, ri, unary, li, load, store, push, pop, jmp, br, nop,
+assert): its operands, the step's signature, a body that reads the
+operands, performs the effect and applies the intervention's rewrite,
+the next pc, the stub's address operand and the event's fields.  One
+shared epilogue, ``_EPILOGUE``, follows every body and fixes the order
+in which a completed instruction is accounted:
+
+1. ``thread.pc``, the thread's instruction count, ``cycles.base``;
+2. telemetry's per-opcode count;
+3. the intervention's occurrence count for the pc;
+4. the event point: the instrumenting analysis's stub, telemetry's
+   event count, then the ``InstrEvent`` for the subscribed hooks;
+5. ``m.seq += 1``.
+
+``Machine._execute`` (with ``Machine._emit``) is the one other copy of
+that order, for the cold opcodes.  Each form is compiled once, at
+import, into a factory ``make_<form>`` that a machine calls once per
+pc.  Its source is registered in :mod:`linecache` as
+``<repro.vm.dispatch:<form>>``, so tracebacks and
+:func:`inspect.getsource` show the generated step.  The reference the
+steps are held to is the spec table in ``tests/vm_oracle.py``, which
+the differential suite runs against this module.
 
 Host implementation of the event point: on a machine an analysis has
 instrumented (:meth:`~repro.vm.machine.Machine.instrument`) the
-translation binds that analysis's stub for the pc into the closure,
-and the event point calls ``stub(tid, seq, addr)`` with the one
-dynamic fact the pc's :func:`access_shape` leaves open, the memory
-address.  Then, as on every machine, it builds the exact
-``InstrEvent`` tuples the subscribed hooks observe if there are any.
-A machine nobody instrumented tests only its hook list there.
+translation binds that analysis's stub for the pc into the step, and
+the event point calls ``stub(tid, seq, addr)`` with the one dynamic
+fact the pc's :func:`access_shape` leaves open, the memory address.
+Then, as on every machine, it builds the exact ``InstrEvent`` tuples
+the subscribed hooks observe if there are any.  A machine nobody
+instrumented tests only its hook list there.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+import linecache
+import textwrap
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..isa.instructions import OP_TABLE, SP, Instruction, Opcode
 from .errors import ProgramFailure
@@ -114,8 +135,8 @@ def _operand_shape(op: Opcode) -> tuple:
     )
 
 
-#: the closure form of each hot opcode (the cold ones have none), looked
-#: up once per pc: comparing against ``Opcode`` members one by one costs
+#: the form of each hot opcode (the cold ones have none), looked up
+#: once per pc: comparing against ``Opcode`` members one by one costs
 #: ~0.2 us each on CPython 3.11, and instrumenting recompiles every pc.
 _FORM = {
     **dict.fromkeys(_ALU, "alu"),
@@ -159,6 +180,184 @@ def access_shape(instr: Instruction) -> tuple[tuple[int, ...], tuple[int, ...], 
     return tuple(reads), tuple(writes), mem_read, mem_write
 
 
+class _Form(NamedTuple):
+    """One hot form's source: everything its steps do before the shared
+    epilogue, and the epilogue's per-form expressions."""
+
+    step: str  # the generated step's name
+    operands: str  # the factory's parameters after the shared ones
+    params: str  # the step's parameters
+    body: str  # operand reads, the effect, the intervention's rewrite
+    next_pc: str  # the pc the thread continues at
+    addr: str  # the stub's dynamic operand
+    event: str  # the InstrEvent's fields after (seq, tid, pc, instr)
+    #: ``(op, pc)`` -> the factory's last operand, a value the
+    #: instruction's own operands do not give.
+    extra: Callable[[Opcode, int], object] | None = None
+
+
+_FORMS = {
+    "alu": _Form("step_alu", "d, s1, s2, fn", "thread, _fn=fn", """
+        regs = thread.regs
+        a = regs[s1]
+        b = regs[s2]
+        r = _fn(a, b)
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+            r = iv.transform_def(instr, occ, r)
+        regs[d] = r
+        """, "next_pc", "0", "((s1, a), (s2, b)), ((d, r),)", _alu_fn),
+    "ri": _Form("step_ri", "d, s, imm, add", "thread", """
+        regs = thread.regs
+        a = regs[s]
+        r = a + imm if add else a * imm
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+            r = iv.transform_def(instr, occ, r)
+        regs[d] = r
+        """, "next_pc", "0", "((s, a),), ((d, r),)", lambda op, pc: op is Opcode.ADDI),
+    "unary": _Form("step_un", "d, s, fn", "thread, _fn=fn", """
+        regs = thread.regs
+        a = regs[s]
+        r = _fn(a)
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+            r = iv.transform_def(instr, occ, r)
+        regs[d] = r
+        """, "next_pc", "0", "((s, a),), ((d, r),)", lambda op, pc: _UNARY[op]),
+    "li": _Form("step_li", "d, imm", "thread", """
+        r = imm
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+            r = iv.transform_def(instr, occ, r)
+        thread.regs[d] = r
+        """, "next_pc", "0", "(), ((d, r),)"),
+    "load": _Form("step_load", "d, s, off", "thread", """
+        regs = thread.regs
+        base = regs[s]
+        addr = base + off
+        value = m.memory.load(addr)
+        r = value
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+            r = iv.transform_def(instr, occ, r)
+        regs[d] = r
+        """, "next_pc", "addr", "((s, base),), ((d, r),), ((addr, value),), ()"),
+    "store": _Form("step_store", "src, base_reg, off", "thread", """
+        regs = thread.regs
+        value = regs[src]
+        base = regs[base_reg]
+        addr = base + off
+        m.memory.store(addr, value)
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+        """, "next_pc", "addr", "((src, value), (base_reg, base)), (), (), ((addr, value),)"),
+    "push": _Form("step_push", "src", "thread", """
+        regs = thread.regs
+        value = regs[src]
+        sp = regs[SP] - 1
+        regs[SP] = sp
+        m.memory.store(sp, value)
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+        """, "next_pc", "sp", "((src, value), (SP, sp + 1)), ((SP, sp),), (), ((sp, value),)"),
+    "pop": _Form("step_pop", "d", "thread", """
+        regs = thread.regs
+        sp = regs[SP]
+        value = m.memory.load(sp)
+        regs[SP] = sp + 1
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+            value = iv.transform_def(instr, occ, value)
+        regs[d] = value
+        """, "next_pc", "sp", "((SP, sp),), ((d, value), (SP, sp + 1)), ((sp, value),), ()"),
+    "jmp": _Form("step_jmp", "target", "thread", """
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+        """, "target", "0", ""),
+    "br": _Form("step_br", "src, target, on_nonzero", "thread", """
+        cond = thread.regs[src]
+        natural = (cond != 0) if on_nonzero else (cond == 0)
+        taken = natural
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+            taken = iv.branch_outcome(instr, occ, natural)
+        """, "target if taken else next_pc", "0", "((src, cond),), (), (), (), taken",
+        lambda op, pc: op is Opcode.BR),
+    "nop": _Form("step_nop", "", "thread", """
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+        """, "next_pc", "0", ""),
+    "assert": _Form("step_assert", "src", "thread", """
+        value = thread.regs[src]
+        if value == 0:
+            raise ProgramFailure("assert", f"assertion failed at pc={pc}")
+        iv = m.intervention
+        if iv is not None:
+            occ = m._occurrences.get(pc, 0)
+        """, "next_pc", "0", "((src, value),)"),
+}
+
+#: the event point, written once: what follows every form's body.
+_EPILOGUE = """\
+        thread.pc = {next_pc}
+        thread.instructions += 1
+        cycles.base += cost
+        if tel:
+            op_counts[opi] += 1
+        if iv is not None:
+            m._occurrences[pc] = occ + 1
+        if observed:
+            if stub is not None:
+                stub(thread.tid, m.seq, {addr})
+            if tel:
+                m._events_published += 1
+            if hooks:
+                ev = InstrEvent(m.seq, thread.tid, pc, instr{event})
+                for h in hooks:
+                    h.on_instruction(ev)
+        m.seq += 1
+        return True
+"""
+
+#: the factory parameters every form shares (see _compile_instr).
+_SHARED = "m, pc, instr, cost, cycles, hooks, stub, observed, tel, op_counts, opi, next_pc"
+
+
+def _factory(name: str, form: _Form) -> Callable[..., StepFn]:
+    """Compile ``form`` into ``make_<name>``, registering its source in
+    linecache so tracebacks and ``inspect`` can show the steps."""
+    operands = f", {form.operands}" if form.operands else ""
+    source = (
+        f"def make_{name}({_SHARED}{operands}):\n"
+        f"    def {form.step}({form.params}):\n"
+        + textwrap.indent(textwrap.dedent(form.body).strip("\n"), " " * 8) + "\n"
+        + _EPILOGUE.format(
+            next_pc=form.next_pc, addr=form.addr, event=form.event and f", {form.event}"
+        )
+        + f"    return {form.step}\n"
+    )
+    filename = f"<{__name__}:{name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), globals())
+    return globals()[f"make_{name}"]
+
+
+#: per form: its factory and its extra operand.
+_FACTORIES = {name: (_factory(name, form), form.extra) for name, form in _FORMS.items()}
+
+
 def compile_program(m: "Machine") -> list[StepFn]:
     """One step closure per static instruction, with ``m._stubs[pc]``
     bound in when the machine is instrumented; the cold opcodes get the
@@ -168,425 +367,21 @@ def compile_program(m: "Machine") -> list[StepFn]:
 
 def _compile_instr(m: "Machine", pc: int, instr: Instruction) -> StepFn:
     op = instr.opcode
-    ops = instr.operands
+    form = _FORM.get(op)
+    if form is None:  # the heap, scheduler, call stack and I/O are cold
+        return m._execute
+    make, extra = _FACTORIES[form]
+    operands = instr.operands if extra is None else (*instr.operands, extra(op, pc))
     opi = int(op)
-    cost = m._cost_table[opi]
-    cycles = m.cycles  # mutated in place, never reassigned
     hooks = m.hooks.hooks  # the live subscriber list (same object forever)
     stub = m._stubs[pc] if m._stubs is not None else None
-    # The event point's gate: a plain machine tests only its hook list,
-    # an instrumented one always calls its stub.
-    observed = hooks if stub is None else True
     tel = m._tel
-    op_counts = m._op_counts if tel else None
-    next_pc = pc + 1
-    form = _FORM.get(op)
-
-    # --- three-register ALU --------------------------------------------
-    if form == "alu":
-        fn = _alu_fn(op, pc)
-        d, s1, s2 = ops
-
-        def step_alu(thread, _fn=fn):
-            regs = thread.regs
-            a = regs[s1]
-            b = regs[s2]
-            r = _fn(a, b)
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-                r = iv.transform_def(instr, occ, r)
-            regs[d] = r
-            thread.pc = next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, 0)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(m.seq, thread.tid, pc, instr, ((s1, a), (s2, b)), ((d, r),))
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_alu
-
-    # --- reg/imm ALU and moves ------------------------------------------
-    if form == "ri":
-        d, s, imm = ops
-        add = op is Opcode.ADDI
-
-        def step_ri(thread):
-            regs = thread.regs
-            a = regs[s]
-            r = a + imm if add else a * imm
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-                r = iv.transform_def(instr, occ, r)
-            regs[d] = r
-            thread.pc = next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, 0)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(m.seq, thread.tid, pc, instr, ((s, a),), ((d, r),))
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_ri
-
-    if form == "unary":
-        fn = _UNARY[op]
-        d, s = ops
-
-        def step_un(thread, _fn=fn):
-            regs = thread.regs
-            a = regs[s]
-            r = _fn(a)
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-                r = iv.transform_def(instr, occ, r)
-            regs[d] = r
-            thread.pc = next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, 0)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(m.seq, thread.tid, pc, instr, ((s, a),), ((d, r),))
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_un
-
-    if form == "li":
-        d, imm = ops
-
-        def step_li(thread):
-            r = imm
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-                r = iv.transform_def(instr, occ, r)
-            thread.regs[d] = r
-            thread.pc = next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, 0)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(m.seq, thread.tid, pc, instr, (), ((d, r),))
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_li
-
-    # --- memory -----------------------------------------------------------
-    if form == "load":
-        d, s, off = ops
-
-        def step_load(thread):
-            regs = thread.regs
-            base = regs[s]
-            addr = base + off
-            value = m.memory.load(addr)
-            r = value
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-                r = iv.transform_def(instr, occ, r)
-            regs[d] = r
-            thread.pc = next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, addr)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(
-                        m.seq, thread.tid, pc, instr,
-                        ((s, base),), ((d, r),), ((addr, value),), (),
-                    )
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_load
-
-    if form == "store":
-        src, base_reg, off = ops
-
-        def step_store(thread):
-            regs = thread.regs
-            value = regs[src]
-            base = regs[base_reg]
-            addr = base + off
-            m.memory.store(addr, value)
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-            thread.pc = next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, addr)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(
-                        m.seq, thread.tid, pc, instr,
-                        ((src, value), (base_reg, base)), (), (), ((addr, value),),
-                    )
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_store
-
-    if form == "push":
-        (src,) = ops
-
-        def step_push(thread):
-            regs = thread.regs
-            value = regs[src]
-            sp = regs[SP] - 1
-            regs[SP] = sp
-            m.memory.store(sp, value)
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-            thread.pc = next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, sp)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(
-                        m.seq, thread.tid, pc, instr,
-                        ((src, value), (SP, sp + 1)), ((SP, sp),), (), ((sp, value),),
-                    )
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_push
-
-    if form == "pop":
-        (d,) = ops
-
-        def step_pop(thread):
-            regs = thread.regs
-            sp = regs[SP]
-            value = m.memory.load(sp)
-            regs[SP] = sp + 1
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-                value = iv.transform_def(instr, occ, value)
-            regs[d] = value
-            thread.pc = next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, sp)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(
-                        m.seq, thread.tid, pc, instr,
-                        ((SP, sp),), ((d, value), (SP, sp + 1)), ((sp, value),), (),
-                    )
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_pop
-
-    # --- control -----------------------------------------------------------
-    if form == "jmp":
-        target = ops[0]
-
-        def step_jmp(thread):
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-            thread.pc = target
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, 0)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(m.seq, thread.tid, pc, instr)
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_jmp
-
-    if form == "br":
-        src, target = ops
-        on_nonzero = op is Opcode.BR
-
-        def step_br(thread):
-            cond = thread.regs[src]
-            natural = (cond != 0) if on_nonzero else (cond == 0)
-            taken = natural
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-                taken = iv.branch_outcome(instr, occ, natural)
-            thread.pc = target if taken else next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, 0)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(
-                        m.seq, thread.tid, pc, instr, ((src, cond),), (), (), (), taken
-                    )
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_br
-
-    if form == "nop":
-
-        def step_nop(thread):
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-            thread.pc = next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, 0)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(m.seq, thread.tid, pc, instr)
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_nop
-
-    if form == "assert":
-        (src,) = ops
-
-        def step_assert(thread):
-            value = thread.regs[src]
-            if value == 0:
-                raise ProgramFailure("assert", f"assertion failed at pc={pc}")
-            iv = m.intervention
-            if iv is not None:
-                occ = m._occurrences.get(pc, 0)
-            thread.pc = next_pc
-            thread.instructions += 1
-            cycles.base += cost
-            if tel:
-                op_counts[opi] += 1
-            if iv is not None:
-                m._occurrences[pc] = occ + 1
-            if observed:
-                if stub is not None:
-                    stub(thread.tid, m.seq, 0)
-                if tel:
-                    m._events_published += 1
-                if hooks:
-                    ev = InstrEvent(m.seq, thread.tid, pc, instr, ((src, value),))
-                    for h in hooks:
-                        h.on_instruction(ev)
-            m.seq += 1
-            return True
-
-        return step_assert
-
-    # Everything touching the heap, scheduler, call stack or I/O is cold.
-    return m._execute
+    return make(
+        m, pc, instr, m._cost_table[opi],
+        m.cycles,  # mutated in place, never reassigned
+        hooks, stub,
+        # The event point's gate: a plain machine tests only its hook
+        # list, an instrumented one always calls its stub.
+        hooks if stub is None else True,
+        tel, m._op_counts if tel else None, opi, pc + 1, *operands,
+    )

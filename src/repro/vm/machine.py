@@ -18,7 +18,7 @@ Design constraints, in priority order:
 
 Execution: the machine compiles its program once into a per-pc step
 table (:mod:`repro.vm.dispatch`).  The hot opcodes run only as those
-compiled closures; :meth:`Machine._execute` interprets the cold ones
+generated closures; :meth:`Machine._execute` interprets the cold ones
 (heap, calls, I/O, threads and sync, HALT, FAIL).
 
 Cycle accounting: guest instructions accrue ``cycles.base`` via the
@@ -91,7 +91,7 @@ class Machine:
         args: tuple[int, ...] = (),
         telemetry: Telemetry | None = None,
     ):
-        program.validate()
+        # ``link`` validated the program; a linked program never changes.
         self.program = program
         self.scheduler = scheduler or RoundRobinScheduler()
         self.cost_model = cost_model or CostModel()
@@ -428,6 +428,9 @@ class Machine:
             raise VMError(f"unhandled opcode {op!r}")
 
         # --- bookkeeping ---------------------------------------------------
+        # The one other copy of the order that repro.vm.dispatch's shared
+        # epilogue fixes for the hot steps: pc, instruction and cycle
+        # counts, the op count, the occurrence, the event point, seq.
         if not (op is Opcode.RET and thread.status is ThreadStatus.DONE):
             thread.pc = next_pc
         thread.instructions += 1

@@ -29,7 +29,7 @@ import pytest
 from repro.dift import DIFTEngine, PCTaintPolicy, SinkRule
 from repro.lang import compile_source
 from repro.ontrac import OntracConfig
-from repro.telemetry import Telemetry, build_report
+from repro.telemetry import RunReport, Telemetry
 from repro.vm import Machine
 from repro.workloads.spec_like import matmul, sort
 
@@ -73,7 +73,14 @@ def build_trace_report() -> dict:
     runner = matmul(4).runner()
     runner.telemetry = telemetry
     _, _, result = runner.run_traced(OntracConfig())
-    return normalize_report(build_report("trace", result, telemetry.registry))
+    return normalize_report(RunReport(
+        tool="trace",
+        status=result.status.value,
+        instructions=result.instructions,
+        base_cycles=result.cycles.base,
+        overhead_cycles=result.cycles.overhead,
+        metrics=telemetry.registry.as_dict(),
+    ))
 
 
 def build_dift_report() -> dict:
@@ -86,9 +93,15 @@ def build_dift_report() -> dict:
     ).attach(machine)
     result = machine.run()
     engine.publish_telemetry(telemetry.registry)
-    return normalize_report(
-        build_report("dift", result, telemetry.registry, extra={"alerts": len(engine.alerts)})
-    )
+    return normalize_report(RunReport(
+        tool="dift",
+        status=result.status.value,
+        instructions=result.instructions,
+        base_cycles=result.cycles.base,
+        overhead_cycles=result.cycles.overhead,
+        metrics=telemetry.registry.as_dict(),
+        extra={"alerts": len(engine.alerts)},
+    ))
 
 
 def build_sort_chrome_trace() -> dict:

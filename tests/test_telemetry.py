@@ -15,7 +15,6 @@ from repro.telemetry import (
     RunReport,
     SpanTracer,
     Telemetry,
-    build_report,
     validate_chrome_trace,
     validate_report,
 )
@@ -271,7 +270,14 @@ class TestInstrumentedRuns:
             telemetry = Telemetry.on()
             runner = self._runner(telemetry)
             _, tracer, result = runner.run_traced(OntracConfig())
-            report = build_report("trace", result, telemetry.registry)
+            report = RunReport(
+                tool="trace",
+                status=result.status.value,
+                instructions=result.instructions,
+                base_cycles=result.cycles.base,
+                overhead_cycles=result.cycles.overhead,
+                metrics=telemetry.registry.as_dict(),
+            )
             return (
                 report.to_json(deterministic=True),
                 json.dumps(

@@ -898,3 +898,20 @@ class TestCostAndSnapshot:
         m = Machine(assemble(SIMPLE_SRC))
         snap = take_snapshot(m)
         assert snap.size_cells >= len(m.threads[0].regs)
+
+
+# --- construction ----------------------------------------------------------------
+def test_machines_trust_the_linked_program(monkeypatch):
+    """``link`` validates a program once; building machines from it
+    (plain, instrumented, with telemetry) validates nothing again."""
+    from repro.isa.program import Program
+    from repro.telemetry import Telemetry
+
+    program = assemble(SIMPLE_SRC)
+    calls = []
+    monkeypatch.setattr(Program, "validate", lambda self: calls.append(self))
+    machines = [Machine(program) for _ in range(3)]
+    machines.append(Machine(program, telemetry=Telemetry.on()))
+    machines[0].instrument(lambda pc: lambda tid, seq, addr: None)
+    assert calls == []
+    assert all(m.run().status is RunStatus.HALTED for m in machines)

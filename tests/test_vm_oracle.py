@@ -8,12 +8,16 @@ division and modulo signs, shift bounds, and interventions
 (``transform_def``/``branch_outcome``) against the compiled closures.
 """
 
+import inspect
+import traceback
+
 import pytest
 
 from repro.isa import Instruction, Opcode, OP_TABLE, assemble
 from repro.isa.instructions import Operand
 from repro.isa.program import link
-from repro.vm import Intervention, Machine, VMError
+from repro.vm import Intervention, Machine, ProgramFailure, VMError
+from repro.vm.dispatch import _FORM
 from repro.workloads import GeneratorConfig, generate, suite
 
 from .test_fastpath_differential import EventLog, _vm_state
@@ -52,8 +56,20 @@ def test_dispatch_table_has_one_interpreter_per_opcode():
         if op in HOT:
             assert entry != m._execute, op
             assert entry.__name__.startswith("step_") and entry.__closure__, op
+            # generated from its form's template, which stays readable
+            assert entry.__code__.co_filename == f"<repro.vm.dispatch:{_FORM[op]}>", op
+            assert inspect.getsource(entry).count("m.seq += 1") == 1, op
         else:
             assert entry == m._execute, op
+    # a failing step's traceback shows the template's line
+    pc = list(Opcode).index(Opcode.ASSERT)
+    m.threads[0].pc = pc
+    m.threads[0].regs[1] = 0
+    with pytest.raises(ProgramFailure) as failure:
+        m._dispatch[pc](m.threads[0])
+    frame = traceback.extract_tb(failure.value.__traceback__)[-1]
+    assert frame.filename == "<repro.vm.dispatch:assert>"
+    assert frame.line == 'raise ProgramFailure("assert", f"assertion failed at pc={pc}")'
 
 
 @pytest.mark.parametrize("op", sorted(HOT), ids=lambda op: op.name)

@@ -17,9 +17,8 @@ definitions, register uses, immediates, code labels or function
 references.  All static analyses (CFG construction, intra-block def-use
 inference, control dependence) and the interpreter dispatch off this
 table, so adding an opcode means adding exactly one row here plus one
-handler: a ``_FORM`` entry in :mod:`repro.vm.dispatch` (and a step
-template in ``_FORMS`` if no form fits) for a hot opcode, or an arm of
-``Machine._execute`` for a cold one.
+handler: a ``_FORM`` entry in :mod:`repro.vm.dispatch`, and a step
+template in ``_FORMS`` if no form fits.
 """
 
 from __future__ import annotations

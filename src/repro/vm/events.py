@@ -148,11 +148,8 @@ class HookBus:
     def active(self) -> bool:
         return bool(self.hooks)
 
-    # Dispatch helpers — inlined names for the interpreter loop.
-    def instruction(self, ev: InstrEvent) -> None:
-        for h in self.hooks:
-            h.on_instruction(ev)
-
+    # Dispatch helpers for the named callbacks.  Instruction events go
+    # straight to each hook's on_instruction (repro.vm.dispatch).
     def thread_start(self, tid: int, fid: int, arg: int, parent: int) -> None:
         for h in self.hooks:
             h.on_thread_start(tid, fid, arg, parent)

@@ -17,9 +17,8 @@ Design constraints, in priority order:
    occurrences, without the tools touching interpreter internals.
 
 Execution: the machine compiles its program once into a per-pc step
-table (:mod:`repro.vm.dispatch`).  The hot opcodes run only as those
-generated closures; :meth:`Machine._execute` interprets the cold ones
-(heap, calls, I/O, threads and sync, HALT, FAIL).
+table (:mod:`repro.vm.dispatch`), and every opcode runs only as its
+generated step; the machine itself decodes nothing.
 
 Cycle accounting: guest instructions accrue ``cycles.base`` via the
 cost model; tools add ``cycles.overhead`` through :meth:`Machine.add_overhead`.
@@ -37,12 +36,12 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 from .cost import OPCODE_CLASSES, CostModel, CycleCounters
 from .dispatch import compile_program
 from .errors import FailureInfo, ProgramFailure, VMError
-from .events import HookBus, InstrEvent
+from .events import HookBus
 from .io import IOSystem
 from .memory import Memory
 from .scheduler import RoundRobinScheduler, Scheduler
 from .sync import Barrier, Mutex
-from .threads import Frame, ThreadContext, ThreadStatus
+from .threads import ThreadContext, ThreadStatus
 
 
 class RunStatus(enum.Enum):
@@ -122,8 +121,7 @@ class Machine:
         self._stubs: list[Callable[[int, int, int], None]] | None = None
         entry = program.entry_function
         self.threads: list[ThreadContext] = [ThreadContext.create(0, entry.entry, tuple(args))]
-        # One step per static instruction: a compiled closure for the hot
-        # opcodes, the bound _execute for the cold ones (repro.vm.dispatch).
+        # One generated step per static instruction (repro.vm.dispatch).
         self._dispatch = compile_program(self)
 
     # -- tool API -------------------------------------------------------
@@ -249,240 +247,6 @@ class Machine:
             self._fail(thread, exc)
             return True
 
-    def _execute(self, thread: ThreadContext) -> bool:
-        """Interpret one *cold* instruction: the opcodes that touch the
-        heap, the call stack, I/O or the scheduler.  The hot opcodes run
-        only through their compiled closures (:mod:`repro.vm.dispatch`)
-        and are unhandled here."""
-        pc = thread.pc
-        instr = self.program.code[pc]
-        op = instr.opcode
-        ops = instr.operands
-        regs = thread.regs
-        trace = self.hooks.active  # build the event's value tuples
-        observed = trace or self._stubs is not None
-        intervention = self.intervention
-
-        reg_reads: tuple = ()
-        reg_writes: tuple = ()
-        callee: int | None = None
-        alloc: tuple | None = None
-        channel: int | None = None
-        io_value: int | None = None
-        input_index = -1
-        addr = 0  # a stub's dynamic operand: the child tid for SPAWN
-        next_pc = pc + 1
-
-        if intervention is not None:
-            occurrence = self._occurrences.get(pc, 0)
-        else:
-            occurrence = 0
-
-        def write_reg(reg: int, value: int) -> int:
-            nonlocal reg_writes
-            if intervention is not None:
-                value = intervention.transform_def(instr, occurrence, value)
-            regs[reg] = value
-            if trace:
-                reg_writes = ((reg, value),)
-            return value
-
-        # --- heap --------------------------------------------------------
-        if op is Opcode.ALLOC:
-            size = regs[ops[1]]
-            base = self.memory.alloc(size)
-            if trace:
-                reg_reads = ((ops[1], size),)
-            write_reg(ops[0], base)
-            alloc = (base, size)
-            self.hooks.alloc(thread.tid, base, size, self.seq)
-        elif op is Opcode.FREE:
-            base = regs[ops[0]]
-            if trace:
-                reg_reads = ((ops[0], base),)
-            self.memory.free(base)
-            self.hooks.free(thread.tid, base, self.seq)
-
-        # --- control ------------------------------------------------------
-        elif op is Opcode.CALL:
-            fn = self.program.function_by_id(ops[0])
-            assert fn is not None  # validated at link time
-            thread.frames.append(Frame(pc + 1, fn.name))
-            next_pc = fn.entry
-            callee = ops[0]
-        elif op is Opcode.ICALL:
-            fid = regs[ops[0]]
-            if trace:
-                reg_reads = ((ops[0], fid),)
-            fn = self.program.function_by_id(fid)
-            if fn is None:
-                # Emit the event first so DIFT policies can attribute the
-                # wild target before the machine reports the crash.
-                if observed:
-                    self._emit(thread, pc, instr, addr, reg_reads)
-                raise ProgramFailure("bad_icall", f"indirect call to invalid target {fid}")
-            thread.frames.append(Frame(pc + 1, fn.name))
-            next_pc = fn.entry
-            callee = fid
-        elif op is Opcode.RET:
-            if thread.frames:
-                next_pc = thread.frames.pop().return_pc
-            else:
-                thread.status = ThreadStatus.DONE
-                thread.result = regs[0]
-                self._wake_joiners(thread.tid)
-                self.hooks.thread_exit(thread.tid, thread.result)
-                next_pc = pc  # unused; thread is done
-        elif op is Opcode.HALT:
-            self.halted = True
-
-        # --- I/O --------------------------------------------------------
-        elif op is Opcode.IN:
-            value, input_index = self.io.read(ops[1], self.seq)
-            channel = ops[1]
-            io_value = value
-            write_reg(ops[0], value)
-            self.hooks.input(thread.tid, channel, value, input_index, self.seq)
-        elif op is Opcode.OUT:
-            value = regs[ops[0]]
-            channel = ops[1]
-            io_value = value
-            self.io.write(channel, value)
-            if trace:
-                reg_reads = ((ops[0], value),)
-            self.hooks.output(thread.tid, channel, value, self.seq)
-
-        # --- threads & sync ------------------------------------------------
-        elif op is Opcode.SPAWN:
-            arg = regs[ops[2]]
-            fn = self.program.function_by_id(ops[1])
-            assert fn is not None
-            tid = addr = len(self.threads)
-            child = ThreadContext.create(tid, fn.entry, (arg,))
-            self.threads.append(child)
-            if trace:
-                reg_reads = ((ops[2], arg),)
-            write_reg(ops[0], tid)
-            callee = ops[1]
-            self.hooks.thread_start(tid, ops[1], arg, thread.tid)
-        elif op is Opcode.JOIN:
-            target = regs[ops[0]]
-            if not 0 <= target < len(self.threads):
-                raise ProgramFailure("bad_join", f"join of unknown thread {target}")
-            if not self.threads[target].done:
-                thread.block(f"join {target}")
-                self._joiners.setdefault(target, []).append(thread.tid)
-                return False
-            if trace:
-                reg_reads = ((ops[0], target),)
-            self.hooks.join(thread.tid, target, self.seq)
-        elif op is Opcode.LOCK:
-            lock_id = regs[ops[0]]
-            m = self.mutex(lock_id)
-            if not m.try_acquire(thread.tid):
-                thread.block(f"lock {lock_id}")
-                return False
-            if trace:
-                reg_reads = ((ops[0], lock_id),)
-            self.hooks.lock(thread.tid, lock_id, self.seq)
-        elif op is Opcode.UNLOCK:
-            lock_id = regs[ops[0]]
-            m = self.mutex(lock_id)
-            woken = m.release(thread.tid)
-            if woken is not None:
-                self.threads[woken].wake()
-            if trace:
-                reg_reads = ((ops[0], lock_id),)
-            self.hooks.unlock(thread.tid, lock_id, self.seq)
-        elif op is Opcode.BARINIT:
-            bar_id, parties = regs[ops[0]], regs[ops[1]]
-            if parties < 1:
-                raise ProgramFailure("bad_barrier", f"barrier with {parties} parties")
-            self.barriers[bar_id] = Barrier(bar_id, parties)
-            if trace:
-                reg_reads = ((ops[0], bar_id), (ops[1], parties))
-        elif op is Opcode.BARWAIT:
-            bar_id = regs[ops[0]]
-            bar = self.barriers.get(bar_id)
-            if bar is None:
-                raise ProgramFailure("bad_barrier", f"wait on uninitialized barrier {bar_id}")
-            if thread.tid in bar.released:
-                bar.released.discard(thread.tid)
-            else:
-                release = bar.arrive(thread.tid)
-                if release is None:
-                    thread.block(f"barrier {bar_id}")
-                    return False
-                bar.released.discard(thread.tid)
-                for other in release:
-                    if other != thread.tid:
-                        self.threads[other].wake()
-            if trace:
-                reg_reads = ((ops[0], bar_id),)
-            self.hooks.barrier(thread.tid, bar_id, self.seq)
-
-        # --- diagnostics ---------------------------------------------------
-        elif op is Opcode.FAIL:
-            raise ProgramFailure("fail", f"explicit failure code {ops[0]}")
-        else:  # a hot opcode: only its compiled closure interprets it
-            raise VMError(f"unhandled opcode {op!r}")
-
-        # --- bookkeeping ---------------------------------------------------
-        # The one other copy of the order that repro.vm.dispatch's shared
-        # epilogue fixes for the hot steps: pc, instruction and cycle
-        # counts, the op count, the occurrence, the event point, seq.
-        if not (op is Opcode.RET and thread.status is ThreadStatus.DONE):
-            thread.pc = next_pc
-        thread.instructions += 1
-        self.cycles.base += self._cost_table[op]
-        if self._tel:
-            self._op_counts[op] += 1
-        if intervention is not None:
-            self._occurrences[pc] = occurrence + 1
-        if observed:
-            self._emit(
-                thread, pc, instr, addr, reg_reads, reg_writes, callee, alloc, channel, io_value,
-                input_index,
-            )
-        self.seq += 1
-        return True
-
-    def _emit(
-        self,
-        thread: ThreadContext,
-        pc: int,
-        instr: Instruction,
-        addr: int,
-        reg_reads: tuple,
-        reg_writes: tuple = (),
-        callee: int | None = None,
-        alloc: tuple | None = None,
-        channel: int | None = None,
-        io_value: int | None = None,
-        input_index: int = -1,
-    ) -> None:
-        """A cold instruction's event point, as in the compiled steps:
-        the instrumenting analysis's stub, then the hooks' event."""
-        if self._stubs is not None:
-            self._stubs[pc](thread.tid, self.seq, addr)
-        if self._tel:
-            self._events_published += 1
-        if self.hooks.hooks:
-            ev = InstrEvent(
-                seq=self.seq,
-                tid=thread.tid,
-                pc=pc,
-                instr=instr,
-                reg_reads=reg_reads,
-                reg_writes=reg_writes,
-                callee=callee,
-                alloc=alloc,
-                channel=channel,
-                io_value=io_value,
-                input_index=input_index,
-            )
-            self.hooks.instruction(ev)
-
     def _publish_telemetry(self, result: RunResult) -> None:
         """Dump this run's VM metrics into the telemetry registry."""
         reg = self.telemetry.registry
@@ -507,7 +271,3 @@ class Machine:
             hist.observe(executed)
         for t in self.threads:
             self.telemetry.tracer.name_thread(t.tid, f"guest thread {t.tid}")
-
-    def _wake_joiners(self, tid: int) -> None:
-        for waiter in self._joiners.pop(tid, []):
-            self.threads[waiter].wake()

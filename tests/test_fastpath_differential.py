@@ -237,8 +237,8 @@ def test_reference_tracer_keeps_class_hook():
         assert fast.stats.instructions == res.instructions + (res.failure is not None)
         for step, stub in zip(m._dispatch, m._stubs):
             assert stub.__name__ == "stub"
-            if step != m._execute:  # each hot step calls its own pc's stub
-                assert stub in [cell.cell_contents for cell in step.__closure__]
+            # each step calls its own pc's stub
+            assert stub in [cell.cell_contents for cell in step.__closure__]
     m, ref, _ = _run_traced(SPEC[0].runner(), ReferenceTracer)
     assert m._stubs is None and m.hooks.hooks == [ref]
     assert "on_instruction" not in vars(ref)

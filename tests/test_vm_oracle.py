@@ -1,18 +1,25 @@
 """One interpreter per opcode, held to the spec oracle.
 
-The VM runs its 31 hot opcodes only through the compiled closures of
-:mod:`repro.vm.dispatch`; ``Machine._execute`` handles only the 15 cold
-ones.  These tests keep it that way (an opcode walk over the dispatch
-table) and check the oracle in ``tests/vm_oracle.py`` itself: C-style
-division and modulo signs, shift bounds, and interventions
-(``transform_def``/``branch_outcome``) against the compiled closures.
+The VM runs every opcode only through the generated steps of
+:mod:`repro.vm.dispatch`.  These tests keep it that way (an opcode walk
+over the dispatch table) and check the oracle in ``tests/vm_oracle.py``
+itself: C-style division and modulo signs, shift bounds, and
+interventions (``transform_def``/``branch_outcome``) against the
+generated steps.  ``HOT`` and ``COLD`` split the ISA by what the oracle
+covers: it specifies the 31 hot opcodes; the 15 cold ones (heap, calls,
+I/O, threads, HALT, FAIL) are held instead to digests of their
+observables, recorded below.
 """
 
 import enum
 import hashlib
 import inspect
+import os
+import subprocess
+import sys
 import traceback
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +28,7 @@ from repro.isa.instructions import Operand
 from repro.isa.program import link
 from repro.runner import ProgramRunner
 from repro.telemetry import Telemetry
-from repro.vm import Hook, Intervention, Machine, ProgramFailure, VMError
+from repro.vm import Hook, Intervention, Machine, ProgramFailure
 from repro.vm.dispatch import _FORM
 from repro.vm.scheduler import RandomScheduler
 from repro.workloads import (
@@ -66,14 +73,10 @@ def test_dispatch_table_has_one_interpreter_per_opcode():
     m = _every_opcode_machine()
     for pc, op in enumerate(Opcode):
         entry = m._dispatch[pc]
-        if op in HOT:
-            assert entry != m._execute, op
-            assert entry.__name__.startswith("step_") and entry.__closure__, op
-            # generated from its form's template, which stays readable
-            assert entry.__code__.co_filename == f"<repro.vm.dispatch:{_FORM[op]}>", op
-            assert inspect.getsource(entry).count("m.seq += 1") == 1, op
-        else:
-            assert entry == m._execute, op
+        assert entry.__name__.startswith("step_") and entry.__closure__, op
+        # generated from its form's template, which stays readable
+        assert entry.__code__.co_filename == f"<repro.vm.dispatch:{_FORM[op]}>", op
+        assert inspect.getsource(entry).count("m.seq += 1") == 1, op
     # a failing step's traceback shows the template's line
     pc = list(Opcode).index(Opcode.ASSERT)
     m.threads[0].pc = pc
@@ -85,14 +88,21 @@ def test_dispatch_table_has_one_interpreter_per_opcode():
     assert frame.line == 'raise ProgramFailure("assert", f"assertion failed at pc={pc}")'
 
 
-@pytest.mark.parametrize("op", sorted(HOT), ids=lambda op: op.name)
-def test_execute_rejects_hot_opcodes(op):
-    m = _every_opcode_machine()
-    thread = m.threads[0]
-    thread.pc = list(Opcode).index(op)
-    with pytest.raises(VMError, match="unhandled opcode"):
-        m._execute(thread)
-    assert (thread.pc, thread.instructions, m.seq) == (list(Opcode).index(op), 0, 0)
+def test_importing_the_cli_and_router_compiles_no_form():
+    # Each form compiles on its first use, so a process that builds no
+    # machine (submit, stats, lake, the router) never compiles one.
+    probe = (
+        "import linecache, repro.cli, repro.service.router\n"
+        "from repro.vm import dispatch\n"
+        "print(len(dispatch._FACTORIES),"
+        " sum(str(k).startswith('<repro.vm.dispatch:') for k in linecache.cache))\n"
+    )
+    src = str(Path(inspect.getfile(Machine)).parents[2])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 # --- the oracle's arithmetic ------------------------------------------------
@@ -217,7 +227,8 @@ COLD_SOURCES = {
     "bad-icall": ".func main 0\n    in r1, 0\n    icall r1\n    halt\n.end\n",
     "join-unknown": ".func main 0\n    li r1, 5\n    join r1\n    halt\n.end\n",
     "barrier-uninit": ".func main 0\n    li r1, 9\n    barwait r1\n    halt\n.end\n",
-    "barrier-zero": ".func main 0\n    li r1, 1\n    li r2, 0\n    barinit r1, r2\n    halt\n.end\n",
+    "barrier-zero":
+        ".func main 0\n    li r1, 1\n    li r2, 0\n    barinit r1, r2\n    halt\n.end\n",
     "fail": ".func main 0\n    li r1, 1\n    fail 7\n.end\n",
     "bad-free": ".func main 0\n    li r1, 12345\n    free r1\n    halt\n.end\n",
     "bad-alloc": ".func main 0\n    li r1, 0\n    alloc r2, r1\n    halt\n.end\n",
@@ -325,7 +336,15 @@ COLD_SOURCES = {
     """,
 }
 COLD_INPUTS = {"cold-all": {0: [6, 7]}, "exit": {0: [3]}, "bad-icall": {0: [99]}}
-THREADED_SOURCES = ("cold-all", "deadlock", "halt-live", "counter", "barrier-phases")
+RACES = race_kernels()
+THREADED = ("cold-all", "deadlock", "halt-live", "counter", "barrier-phases",
+            *(k.name for k in RACES), "server")
+
+
+def _randomly_scheduled(make_runner, seed):
+    runner = make_runner()
+    runner.scheduler_factory = lambda: RandomScheduler(seed, min_quantum=1, max_quantum=4)
+    return runner
 
 
 def _cold_programs():
@@ -336,23 +355,12 @@ def _cold_programs():
         programs[f"{b.name}-passing"] = partial(b.runner, failing=False)
     for seed in (3, 7, 11):
         programs[f"gen{seed}"] = generate(seed, GeneratorConfig(use_inputs=True)).runner
-    threaded = {k.name: k.runner for k in race_kernels()}
     for name, src in COLD_SOURCES.items():
-        program = assemble(src)
-        programs[name] = threaded[name] = partial(
-            ProgramRunner, program, inputs=COLD_INPUTS.get(name, {}), max_instructions=20_000)
-    threaded["server"] = programs["server"]
-    programs.update(threaded)
-    for seed, (name, make) in enumerate(sorted(threaded.items())):
-        if name in COLD_SOURCES and name not in THREADED_SOURCES:
-            continue
-
-        def random_q(make=make, seed=seed):
-            runner = make()
-            runner.scheduler_factory = lambda: RandomScheduler(seed, min_quantum=1, max_quantum=4)
-            return runner
-
-        programs[f"{name}@random"] = random_q
+        programs[name] = partial(ProgramRunner, assemble(src), inputs=COLD_INPUTS.get(name, {}),
+                                 max_instructions=20_000)
+    programs.update((k.name, k.runner) for k in RACES)
+    for seed, name in enumerate(THREADED):
+        programs[f"{name}@random"] = partial(_randomly_scheduled, programs[name], seed)
     return programs
 
 
@@ -499,26 +507,26 @@ COLD_DIGESTS = {
     "cold-all/intervention": "df30b7c57da7cc9f",
     "cold-all/stubs": "c6cfdb9c24d759c5",
     "cold-all/telemetry": "e3adfd5b567c63f9",
-    "cold-all@random/hooks": "b10aed5899fbe1e5",
-    "cold-all@random/intervention": "26dc5e6e12ae59b8",
-    "cold-all@random/stubs": "323c604013b85a6d",
-    "cold-all@random/telemetry": "b3eb65f449ea451a",
+    "cold-all@random/hooks": "04d1409f84aa5788",
+    "cold-all@random/intervention": "7143ac038c08e64c",
+    "cold-all@random/stubs": "0629c19f6956bab6",
+    "cold-all@random/telemetry": "493ee823fa482bbb",
     "counter/hooks": "af279dc1f20e314f",
     "counter/intervention": "0b27c851b10c1f39",
     "counter/stubs": "088d55c7d0f94385",
     "counter/telemetry": "f4a3237fefffe9dd",
-    "counter@random/hooks": "888ce172017a0664",
-    "counter@random/intervention": "1a1fa4c32a3eea16",
-    "counter@random/stubs": "01cd369fc5eaf1df",
-    "counter@random/telemetry": "000d6b5f9a2ef15d",
+    "counter@random/hooks": "7f8c99ae2627aff0",
+    "counter@random/intervention": "550a4f97c845f075",
+    "counter@random/stubs": "4fd1f29274d943d1",
+    "counter@random/telemetry": "5e74cd3b2db70aa5",
     "deadlock/hooks": "607da120eea2a1b2",
     "deadlock/intervention": "9a6d2c5bbdbd5891",
     "deadlock/stubs": "d4a7c01a2bcfb84b",
     "deadlock/telemetry": "f2f9b1f29b76243a",
-    "deadlock@random/hooks": "607da120eea2a1b2",
-    "deadlock@random/intervention": "9a6d2c5bbdbd5891",
-    "deadlock@random/stubs": "d4a7c01a2bcfb84b",
-    "deadlock@random/telemetry": "f2f9b1f29b76243a",
+    "deadlock@random/hooks": "a937750b30996dd0",
+    "deadlock@random/intervention": "7787a957beacfadb",
+    "deadlock@random/stubs": "03dfda34e1b01457",
+    "deadlock@random/telemetry": "6297c681d6413a2c",
     "exit/hooks": "b2c2e3665b61038e",
     "exit/intervention": "d2a022d7c20f2849",
     "exit/stubs": "2e407a2feb4cdb4e",
@@ -531,10 +539,10 @@ COLD_DIGESTS = {
     "flag-sync/intervention": "419aa16b2af0e07d",
     "flag-sync/stubs": "d3126af548bddd20",
     "flag-sync/telemetry": "c460e679821e8498",
-    "flag-sync@random/hooks": "b8a8a6aa4c56a599",
-    "flag-sync@random/intervention": "20d40abdca3ee031",
-    "flag-sync@random/stubs": "ef8bebd9ffbab772",
-    "flag-sync@random/telemetry": "3a0847107b1ca47e",
+    "flag-sync@random/hooks": "3db835e0668eda45",
+    "flag-sync@random/intervention": "be129dea0d512abb",
+    "flag-sync@random/stubs": "51ab2de883df40f8",
+    "flag-sync@random/telemetry": "c12cad934f65a28a",
     "fsm/hooks": "a3c6ce43715a7fa9",
     "fsm/intervention": "00519bf94f2d8040",
     "fsm/stubs": "68d963dc9dfc0720",
@@ -555,10 +563,10 @@ COLD_DIGESTS = {
     "halt-live/intervention": "d5ddaae7a9eba845",
     "halt-live/stubs": "4577925e6793e353",
     "halt-live/telemetry": "06bf0b0b2d6be9d6",
-    "halt-live@random/hooks": "2429a9cda2048914",
-    "halt-live@random/intervention": "bb94ac082fc5278a",
-    "halt-live@random/stubs": "88d9a9cc6604d030",
-    "halt-live@random/telemetry": "1928cfd41a4def38",
+    "halt-live@random/hooks": "a939d1d35137038a",
+    "halt-live@random/intervention": "99f168f6e4602982",
+    "halt-live@random/stubs": "bb55336ab6118dbc",
+    "halt-live@random/telemetry": "03a22e85d78527cd",
     "hashloop/hooks": "8b95e14867fbe1c3",
     "hashloop/intervention": "e7b283553577514e",
     "hashloop/stubs": "14bfe20dbf252d40",
@@ -579,10 +587,10 @@ COLD_DIGESTS = {
     "locked-counter/intervention": "fdb99b3fa6e01180",
     "locked-counter/stubs": "c4d4e358dcf3b522",
     "locked-counter/telemetry": "05317d9e1da6d001",
-    "locked-counter@random/hooks": "b806c420b705d0ca",
-    "locked-counter@random/intervention": "f295974bcebe029f",
-    "locked-counter@random/stubs": "8bb56df7a350554c",
-    "locked-counter@random/telemetry": "da7f365ba5684bc8",
+    "locked-counter@random/hooks": "b9fcd4af5a672577",
+    "locked-counter@random/intervention": "fa69ba361c47c25a",
+    "locked-counter@random/stubs": "1108bc73cd2f7558",
+    "locked-counter@random/telemetry": "50f7adafd643d1ac",
     "malformed-request-failing/hooks": "b61bb4e9e440f638",
     "malformed-request-failing/intervention": "d6ab3aa577f9c2f1",
     "malformed-request-failing/stubs": "8cc05d21933946c0",
@@ -599,10 +607,10 @@ COLD_DIGESTS = {
     "mixed/intervention": "afafabff776d275f",
     "mixed/stubs": "46ed1032fb1a485a",
     "mixed/telemetry": "94d443cf3a33a319",
-    "mixed@random/hooks": "f68d0a9173091da2",
-    "mixed@random/intervention": "7c28d0b43d7e3725",
-    "mixed@random/stubs": "09e4b40f7185a241",
-    "mixed@random/telemetry": "076fea60c5a50b4a",
+    "mixed@random/hooks": "4e6ebd560fde59d1",
+    "mixed@random/intervention": "fd73980ab22cb837",
+    "mixed@random/stubs": "be3a574cbd1939d9",
+    "mixed@random/telemetry": "8ab1152710bd5903",
     "omission-init-failing/hooks": "0950a118764115eb",
     "omission-init-failing/intervention": "9da77ccf99a7fe3d",
     "omission-init-failing/stubs": "af00e5b07b9a1f5f",
@@ -631,10 +639,10 @@ COLD_DIGESTS = {
     "server/intervention": "fea5d3b6671c8b6b",
     "server/stubs": "51b8719b6a5c2e81",
     "server/telemetry": "882a0f7493ce9a5d",
-    "server@random/hooks": "4e79d961d4504631",
-    "server@random/intervention": "4836a1d81d32657c",
-    "server@random/stubs": "b0de4ee219511289",
-    "server@random/telemetry": "09b44fe5cfcb15ae",
+    "server@random/hooks": "60c8d44c8e4bd6d7",
+    "server@random/intervention": "12540f840efc2f2f",
+    "server@random/stubs": "b3d2904866634f1e",
+    "server@random/telemetry": "784fdccb0b36e2bc",
     "sort/hooks": "a94dc24b3d91d246",
     "sort/intervention": "5ce262bdd5278e4d",
     "sort/stubs": "8288c2f7ba61d4fa",
@@ -647,10 +655,10 @@ COLD_DIGESTS = {
     "true-race/intervention": "688d13f02d029e8a",
     "true-race/stubs": "de25b8ffd9f2f1e6",
     "true-race/telemetry": "76c3f138cef6dd1d",
-    "true-race@random/hooks": "64ca43e6290908ed",
-    "true-race@random/intervention": "abd9be0ae49ad4af",
-    "true-race@random/stubs": "bd918f9cf6dda619",
-    "true-race@random/telemetry": "c445014010bc3ebf",
+    "true-race@random/hooks": "07fa421dcfcc6881",
+    "true-race@random/intervention": "5c92cc14a703ea17",
+    "true-race@random/stubs": "689650c83ee0998f",
+    "true-race@random/telemetry": "f5840ba689c456cd",
     "wrong-constant-failing/hooks": "e10c499dd177b907",
     "wrong-constant-failing/intervention": "b33071b5298f58d9",
     "wrong-constant-failing/stubs": "873bef83a33cb73e",

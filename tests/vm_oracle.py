@@ -86,8 +86,9 @@ def _oracle_step(m, pc, instr, ops, op, thread):
         m._op_counts[op] += 1
         m._events_published += bool(m.hooks.hooks)
     if m.hooks.hooks:
-        m.hooks.instruction(
-            InstrEvent(m.seq, thread.tid, pc, instr, reads, writes, mreads, mwrites, taken))
+        ev = InstrEvent(m.seq, thread.tid, pc, instr, reads, writes, mreads, mwrites, taken)
+        for h in m.hooks.hooks:
+            h.on_instruction(ev)
     m.seq += 1
     return True
 

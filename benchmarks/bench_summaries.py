@@ -23,19 +23,17 @@ Gated claims:
   demonstrably fired) while still holding identity.
 """
 
-from conftest import report, require_numpy
+from conftest import report
 
 from repro.harness.experiments import run_summaries
 
 
 def test_summary_replay_speedup(benchmark):
-    require_numpy()
     result = benchmark.pedantic(run_summaries, rounds=1, iterations=1)
     report(result)
     # Equivalence is the contract: a fast diverging replay is worthless.
     assert result.headline["identical"] == 1.0
     assert result.headline["reconciled"] == 1.0
-    assert result.headline["numpy_available"] == 1.0
     # The tentpole gates: call-heavy >=5x, suite aggregate >=2x.
     headline = result.headline
     assert headline["callheavy_speedup"] >= headline["target_callheavy_speedup"]

@@ -22,18 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-
-def require_numpy():
-    """Skip (not fail) array-kernel speedup gates on hosts without
-    numpy — the fallback path is correct but cannot beat itself."""
-    from repro.dift.kernel import numpy_available
-
-    if not numpy_available():
-        pytest.skip("numpy unavailable: array kernel falls back to reference")
 
 
 def report(result):

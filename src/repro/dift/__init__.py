@@ -7,10 +7,10 @@ The framework the paper's §3 applications instantiate:
 
 Propagation runs through a pluggable kernel (:mod:`repro.dift.kernel`),
 which owns the one copy of the per-record taint rules:
-:class:`ReferenceKernel` is the pure-python per-record logic,
-:class:`ArrayKernel` the vectorized numpy backend (default when numpy
-is importable and the policy is one of the two scalar-label ones;
-``kernel=`` on the engine selects).
+:class:`ReferenceKernel` replays each record through the generic
+rules, :class:`ArrayKernel` through one loop specialized for the two
+scalar-label policies (the default for them; ``kernel=`` on the engine
+selects).
 """
 
 from .engine import DIFTEngine

@@ -55,11 +55,11 @@ class DIFTEngine(Hook):
     machine's cycle counters unless ``charge_overhead=False``.
 
     ``kernel="reference"`` runs the taint rules per event;
-    ``kernel="array"`` (what ``kernel=None`` resolves to when numpy is
-    importable, see :func:`~repro.dift.kernel.select_kernel`) packs
-    instruction events into micro-batches of ``kernel_batch`` records
-    and propagates them vectorized, with observables proven
-    bit-identical by the differential suite.  ``summaries=True`` wraps
+    ``kernel="array"`` (what ``kernel=None`` resolves to for the two
+    scalar-label policies, see :func:`~repro.dift.kernel.select_kernel`)
+    packs instruction events into micro-batches of ``kernel_batch``
+    records and propagates them through the specialized batch loop,
+    with observables proven bit-identical by the differential suite.  ``summaries=True`` wraps
     either kernel in the function-summary layer for the scalar-label
     policies.
     """
@@ -78,7 +78,7 @@ class DIFTEngine(Hook):
     ):
         self.policy = policy
         #: resolved propagation kernel ("array"|"reference") and why an
-        #: array request fell back ("numpy"|"policy"), if it did.
+        #: array request fell back ("policy"), if it did.
         self.kernel_name, self.kernel_fallback = select_kernel(kernel, policy)
         if kernel_batch < 1:
             raise ValueError("kernel batch size must be >= 1")
@@ -256,8 +256,6 @@ class DIFTEngine(Hook):
             if counters is not None:  # SummaryKernel per-run counters
                 for key, value in counters().items():
                     registry.counter(f"dift.summaries.{key}").inc(value)
-        if self.kernel_fallback == "numpy":
-            registry.counter("dift.kernel.fallback").inc()
 
     def memory_overhead(self, machine: Machine, guest_word_bytes: int = 4) -> float:
         """Shadow bytes / guest data bytes (the paper's "memory overhead")."""

@@ -20,21 +20,18 @@ interface:
   per ``InstrEvent``.  Batch replay calls it per record, on the pc's
   template event.
 * :class:`ReferenceKernel` — replays every record through ``step``.
-* :class:`ArrayKernel` — the vectorized backend: numpy decodes the
-  batch into columns, a conservative *location-key fixpoint* computes
-  an over-approximation of every register/cell that can carry taint,
-  and only the records that can touch that set replay through
-  policy-specialized per-record logic; the provably-untainted bulk is
-  accounted in O(1) (instruction counts, check-cycle overhead, seq
-  advance via prefix sums).  Sink records split the batch at pack time
+* :class:`ArrayKernel` — the batch kernel for the two scalar-label
+  policies: one loop applies the same taint rules to every live record
+  inline, reading each pc's operand shape from one dict instead of
+  building a template event.  Sink records split the batch at pack time
   (the producer flushes after a raise-capable sink), so alert
   seq/ordering and ``AttackDetected`` raise points are byte-identical
   to the reference — proven by the differential suite and the 200-seed
   fuzz.
 
 Kernel selection is :func:`select_kernel` alone, from the caller's
-``kernel=`` argument and what the process can observe: the array
-kernel needs numpy and only specializes the two label-sized policies
+``kernel=`` argument and the policy's type: the array kernel only
+specializes the two label-sized policies
 (:class:`~repro.dift.policy.BoolTaintPolicy`,
 :class:`~repro.dift.policy.PCTaintPolicy`); anything else (the lineage
 set policy) stays on the reference kernel.
@@ -43,7 +40,6 @@ set policy) stays on the reference kernel.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from ..isa.instructions import Opcode
@@ -85,63 +81,13 @@ _IO_NONE = _I64_MIN
 #: the record's seq (:attr:`PropagationKernel.wide`).
 _WIDE = _I64_MIN
 
-#: reg-key shift: key = tid << REG_SHIFT | reg (regs are < 64 per thread).
-REG_SHIFT = 6
-
-#: batches smaller than this skip the numpy machinery entirely — the
-#: flush after a raise-capable sink and the end-of-run drain can be a
-#: few records, where fixed decode cost would dominate.
-SMALL_BATCH = 48
-
-#: fixpoint iteration cap; non-convergence selects the whole batch
-#: (sound, just no bulk skip for that batch).
-MAX_FIXPOINT = 20
-
-#: once this many register keys are live-tainted, the fixpoint's bulk
-#: skip can no longer pay (the register file is small, so nearly every
-#: record selects anyway) and the kernel replays all live records
-#: through the specialized scalar loop instead.
-DENSE_REGS = 8
-
-#: a selection probe that keeps more than this fraction of a batch is
-#: not paying for its fixpoint; skip selection for the next
-#: PROBE_EVERY - 1 batches and replay every live record instead.
-SELECT_PAYOFF = 0.5
-PROBE_EVERY = 8
-
 #: records per inline micro-batch (``DIFTEngine(kernel_batch=)``).
 DEFAULT_KERNEL_BATCH = 2048
 
-_np = None
-#: cached numpy availability (None = not probed yet).
-_numpy_available: bool | None = None
-
 #: times an array-kernel request fell back to the reference kernel in
-#: this process, keyed by reason ("numpy" | "policy").
+#: this process (reason "policy": the policy is not one it specializes).
 kernel_fallbacks: dict[str, int] = {}
 _fallback_warned = False
-
-
-def _numpy():
-    global _np
-    if _np is None:
-        import numpy
-
-        _np = numpy
-    return _np
-
-
-def numpy_available() -> bool:
-    """Whether numpy can be imported (probed once, cached)."""
-    global _numpy_available
-    if _numpy_available is None:
-        try:
-            _numpy()
-        except ImportError:
-            _numpy_available = False
-        else:
-            _numpy_available = True
-    return _numpy_available
 
 
 def _fit(v: int) -> int:
@@ -436,38 +382,34 @@ def select_kernel(explicit: str | None, policy: TaintPolicy) -> tuple[str, str |
     """Resolve the propagation kernel for ``policy``: ``(name, fallback)``.
 
     ``"reference"`` is always honoured.  ``None`` and ``"array"`` get
-    the array kernel when numpy imports and the policy is exactly
+    the array kernel when the policy is exactly
     :class:`~repro.dift.policy.BoolTaintPolicy` or
-    :class:`~repro.dift.policy.PCTaintPolicy` (the array kernel encodes
-    labels as int64 scalars, and a subclass could override the
-    algebra); otherwise they fall back to the reference kernel and
-    ``fallback`` names why (``"numpy"`` or ``"policy"``).  Every
-    fallback counts in :data:`kernel_fallbacks`; an explicit
-    ``"array"`` request that falls back also warns, once per process.
+    :class:`~repro.dift.policy.PCTaintPolicy` (the array kernel
+    specializes their scalar labels, and a subclass could override the
+    algebra); otherwise they fall back to the reference kernel with
+    ``fallback="policy"``.  Every fallback counts in
+    :data:`kernel_fallbacks`; an explicit ``"array"`` request that falls
+    back also warns, once per process.
     """
     if explicit not in (None, "array", "reference"):
         raise ValueError(f"unknown propagation kernel {explicit!r}")
     if explicit == "reference":
         return "reference", None
-    if not numpy_available():
-        reason = "numpy"
-    elif type(policy) not in (BoolTaintPolicy, PCTaintPolicy):
-        reason = "policy"
-    else:
+    if type(policy) in (BoolTaintPolicy, PCTaintPolicy):
         return "array", None
     global _fallback_warned
-    kernel_fallbacks[reason] = kernel_fallbacks.get(reason, 0) + 1
+    kernel_fallbacks["policy"] = kernel_fallbacks.get("policy", 0) + 1
     if explicit == "array" and not _fallback_warned:
         import warnings
 
         warnings.warn(
-            f"array propagation kernel requested but unavailable ({reason}); "
+            "array propagation kernel requested but unavailable (policy); "
             "falling back to the reference kernel",
             RuntimeWarning,
             stacklevel=3,
         )
         _fallback_warned = True
-    return "reference", reason
+    return "reference", "policy"
 
 
 class PropagationKernel:
@@ -756,23 +698,16 @@ class ReferenceKernel(PropagationKernel):
 
 
 class ArrayKernel(PropagationKernel):
-    """Vectorized batch propagation: numpy selection + sparse replay.
+    """Batch propagation specialized for the scalar-label policies.
 
-    Taint propagation is inherently sequential (each record's effect
-    depends on the shadow state its predecessors left), so the kernel
-    splits each batch into a vectorized *screen* and a specialized
-    scalar *replay*:
-
-    * taint-free batches (no live label, no source record — the common
-      warm-up/drain phases) are bulk-accounted in O(1) via prefix sums;
-    * with sparse taint (< :data:`DENSE_REGS` live register keys) a
-      monotone fixpoint over reg/mem location keys computes a sound
-      over-approximation of everything that can carry taint in the
-      batch, and only records touching that set replay;
-    * with dense taint (the small register file saturates, selection
-      would keep ~everything anyway) every live record replays through
-      the policy-specialized scalar loop — one dict lookup per pc, no
-      per-record numpy indexing.
+    One loop walks the packed batch record by record and applies
+    :meth:`~PropagationKernel.step`'s taint rules inline for
+    :class:`~repro.dift.policy.BoolTaintPolicy` and
+    :class:`~repro.dift.policy.PCTaintPolicy`: a skip record advances
+    ``seq`` by its run length, a call marker is skipped, and every live
+    record costs one dict hit on its pc's operand shape instead of a
+    template event and a generic ``step`` call.  The ISA reads at most
+    two registers per instruction, so the shape has two read slots.
 
     Replay order is record order, so alerts, raise points,
     peak-location high-water marks and stats are byte-identical to the
@@ -785,50 +720,8 @@ class ArrayKernel(PropagationKernel):
                 "ArrayKernel specializes BoolTaintPolicy/PCTaintPolicy; "
                 f"got {type(self.policy).__name__} (use ReferenceKernel)"
             )
-        np = _numpy()
-        self._np = np
-        self._rec_dtype = np.dtype(
-            {
-                "names": ["kind", "tid", "pc", "a", "b"],
-                "formats": [np.uint8, np.uint16, np.uint32, np.int64, np.int64],
-                "offsets": [0, 1, 3, 7, 15],
-                "itemsize": RECORD_SIZE,
-            }
-        )
-        self._cap = 0
-        self._t_kind = None  # int16, -1 = unregistered
-        self._t_r0 = None  # int64 read-reg numbers, -1 = none
-        self._t_r1 = None
-        self._t_r2 = None
-        self._t_w = None  # int64 written/cleared reg number, -1 = none
-        self._t_src = None  # bool: IN matching source_channels
-        self._t_extra = None  # bool: >3 read regs -> replay via events
-        #: pc -> (r0, r1, r2, w, is_source, is_copy, sink_rules, channel):
-        #: one dict hit per replayed record instead of six column gathers.
+        #: pc -> (r0, r1, w, is_source, is_copy, sink_rules, channel).
         self._info = {}
-        self._grow(256)
-        self.fixpoint_fallbacks = 0
-        #: batches left before the next selection probe (0 = probe now).
-        self._probe_countdown = 0
-
-    # -- template columns ---------------------------------------------------
-    def _grow(self, need: int) -> None:
-        np = self._np
-        cap = max(need, self._cap * 2, 256)
-        def ext(old, fill, dtype):
-            fresh = np.full(cap, fill, dtype=dtype)
-            if old is not None:
-                fresh[: len(old)] = old
-            return fresh
-
-        self._t_kind = ext(self._t_kind, -1, np.int16)
-        self._t_r0 = ext(self._t_r0, -1, np.int64)
-        self._t_r1 = ext(self._t_r1, -1, np.int64)
-        self._t_r2 = ext(self._t_r2, -1, np.int64)
-        self._t_w = ext(self._t_w, -1, np.int64)
-        self._t_src = ext(self._t_src, False, bool)
-        self._t_extra = ext(self._t_extra, False, bool)
-        self._cap = cap
 
     def register_template(self, pc, instr, reg_reads, reg_writes, channel):
         kind, may_raise = super().register_template(
@@ -836,8 +729,6 @@ class ArrayKernel(PropagationKernel):
         )
         if kind == K_SKIP:
             return kind, may_raise
-        if pc >= self._cap:
-            self._grow(pc + 1)
         if kind == K_GENERIC:
             reads = [r for r, _ in reg_reads]
         elif kind == K_STORE:
@@ -850,212 +741,26 @@ class ArrayKernel(PropagationKernel):
             reads = [reg_reads[0][0]]
         else:  # K_IN, K_ALLOC
             reads = []
-        self._t_kind[pc] = kind
-        for slot, field in zip(range(3), (self._t_r0, self._t_r1, self._t_r2)):
-            field[pc] = reads[slot] if slot < len(reads) else -1
-        self._t_extra[pc] = len(reads) > 3
-        # SINKs write nothing; STOREs write memory, not a register.
-        self._t_w[pc] = reg_writes[0][0] if kind not in (K_SINK, K_STORE) else -1
-        self._t_src[pc] = kind == K_IN and (
-            self.source_channels is None or channel in self.source_channels
-        )
+        if len(reads) > 2:
+            raise ValueError(
+                f"pc {pc}: {instr.opcode.name} reads {len(reads)} registers; "
+                "the batch loop has two read slots"
+            )
+        reads += [-1] * (2 - len(reads))
         self._info[pc] = (
-            reads[0] if len(reads) > 0 else -1,
-            reads[1] if len(reads) > 1 else -1,
-            reads[2] if len(reads) > 2 else -1,
-            int(self._t_w[pc]),
-            bool(self._t_src[pc]),
+            reads[0],
+            reads[1],
+            # SINKs write nothing; STOREs write memory, not a register.
+            reg_writes[0][0] if kind not in (K_SINK, K_STORE) else -1,
+            kind == K_IN
+            and (self.source_channels is None or channel in self.source_channels),
             instr.opcode in COPY_OPS,
             self.rules_for_pc.get(pc, ()),
             channel if channel is not None else -1,
         )
         return kind, may_raise
 
-    # -- tainted-key export -------------------------------------------------
-    def _tainted_keys(self):
-        """Current tainted (reg-key array, mem-addr array), sorted."""
-        np = self._np
-        shadow = self.shadow
-        regs = shadow.regs
-        if regs:
-            t_reg = np.fromiter(
-                ((t << REG_SHIFT) | r for t, r in regs), dtype=np.int64, count=len(regs)
-            )
-            t_reg.sort()
-        else:
-            t_reg = np.empty(0, dtype=np.int64)
-        mem = shadow.mem
-        if mem:
-            try:
-                t_mem = np.fromiter(iter(mem.keys()), dtype=np.int64, count=len(mem))
-            except OverflowError:
-                # Cells beyond the i64 range are reachable only through
-                # wide records, whose batches never reach selection, and
-                # no packed ALLOC range can cover them: leave them out.
-                t_mem = np.fromiter(
-                    (k for k in mem if _I64_MIN <= k <= _I64_MAX), dtype=np.int64
-                )
-            t_mem.sort()
-        else:
-            t_mem = np.empty(0, dtype=np.int64)
-        return t_reg, t_mem
-
-    # -- the batch ----------------------------------------------------------
     def _propagate(self, records: bytes) -> BatchEffects:
-        n = len(records) // RECORD_SIZE
-        if n < SMALL_BATCH:
-            return self._replay_all(records)
-        np = self._np
-        arr = np.frombuffer(records, dtype=self._rec_dtype)
-        kind = arr["kind"]
-        pc = arr["pc"].astype(np.int64)
-        valid = (kind != K_SKIP) & (kind < K_CALL)
-        max_pc = int(pc.max(initial=0))
-        if max_pc >= self._cap:
-            self._grow(max_pc + 1)
-        unknown = valid & (self._t_kind[pc] < 0)
-        if unknown.any():
-            raise KeyError(f"no template registered for pc {int(pc[unknown][0])}")
-        if self._t_extra[pc][valid].any():
-            # A pc with >3 effective read regs (none in the current ISA,
-            # but soundness first): replay the whole batch per-record.
-            self.fixpoint_fallbacks += 1
-            return self._replay_all(records)
-        if ((kind >= K_LOAD) & (kind <= K_ALLOC) & (arr["b"] == _WIDE)).any():
-            # A wide record's operand is not in the columns; these
-            # batches replay per record.
-            return self._replay_all(records)
-
-        a = arr["a"]
-        # Instructions per record: live = 1, skip = run length, call
-        # markers (kind >= K_CALL) = 0 — markers are weightless metadata.
-        w = np.where(valid, 1, np.where(kind == K_SKIP, a, 0))
-        cum = np.cumsum(w)
-        total_instr = int(cum[-1])
-        self.batches += 1
-        self.records_consumed += n
-
-        shadow = self.shadow
-        live_regs = len(shadow.regs)
-        if not live_regs and not len(shadow.mem):
-            if not (valid & self._t_src[pc]).any():
-                # Taint-free screen: no live label anywhere and no
-                # source record in the batch, so nothing can observe or
-                # create taint — the whole batch is bulk-accounted.
-                self.stats.instructions += total_instr
-                self.seq += total_instr
-                return BatchEffects(
-                    records=n,
-                    instructions=total_instr,
-                    overhead=self.check_cycles * total_instr,
-                )
-
-        if self._probe_countdown > 0:
-            # The last probe showed selection not paying for its
-            # fixpoint on this stream; replay every live record.
-            self._probe_countdown -= 1
-            idx = np.nonzero(valid)[0]
-        elif live_regs >= DENSE_REGS:
-            # Taint saturates the register file: selection converges on
-            # ~everything, so skip the fixpoint and replay all records.
-            idx = np.nonzero(valid)[0]
-        else:
-            t_reg, t_mem = self._tainted_keys()
-            producing_base = valid & self._t_src[pc]
-            idx = self._select(
-                np, arr, kind, pc, a, valid, producing_base, t_reg, t_mem
-            )
-            if idx is None:  # fixpoint aborted dense: select everything
-                self._probe_countdown = PROBE_EVERY - 1
-                idx = np.nonzero(valid)[0]
-            else:
-                n_valid = int(valid.sum())
-                if n_valid and len(idx) > SELECT_PAYOFF * n_valid:
-                    self._probe_countdown = PROBE_EVERY - 1
-        seq_at = self.seq + cum - w
-        return self._replay(idx, arr, pc, seq_at, cum, total_instr, n)
-
-    def _select(self, np, arr, kind, pc, a, valid, producing_base, t_reg, t_mem):
-        """Conservative vectorized selection: index of every record that
-        can read, create, write or clear a possibly-tainted key, or
-        ``None`` when the fixpoint saturates the register file early
-        (selection would keep ~everything — caller replays all).
-
-        A monotone fixpoint grows the key set through the batch's
-        producer edges (ignoring kills keeps it a sound
-        over-approximation of every intermediate shadow state)."""
-        b = arr["b"]
-        tid = arr["tid"].astype(np.int64)
-        r0 = self._t_r0[pc]
-        r1 = self._t_r1[pc]
-        r2 = self._t_r2[pc]
-        wr = self._t_w[pc]
-        tshift = tid << REG_SHIFT
-        k0 = np.where(valid & (r0 >= 0), tshift | r0, -1)
-        k1 = np.where(valid & (r1 >= 0), tshift | r1, -1)
-        k2 = np.where(valid & (r2 >= 0), tshift | r2, -1)
-        kw = np.where(valid & (wr >= 0), tshift | wr, -1)
-        is_load = kind == K_LOAD
-        is_store = kind == K_STORE
-        is_spawn = kind == K_SPAWN
-        is_alloc = kind == K_ALLOC
-        k_spawn = np.where(is_spawn, a << REG_SHIFT, -1)
-
-        def in_set(keys, table):
-            if not len(table):
-                return np.zeros(len(keys), dtype=bool)
-            return (keys >= 0) & np.isin(keys, table)
-
-        prod = producing_base
-        for _ in range(MAX_FIXPOINT):
-            prod = (
-                producing_base
-                | in_set(k0, t_reg)
-                | in_set(k1, t_reg)
-                | in_set(k2, t_reg)
-                | (is_load & in_set(a, t_mem))
-            )
-            fresh_reg = np.unique(
-                np.concatenate((kw[prod & (kw >= 0)], k_spawn[prod & is_spawn]))
-            )
-            if len(t_reg) and len(fresh_reg):
-                fresh_reg = fresh_reg[~np.isin(fresh_reg, t_reg)]
-            fresh_mem = np.unique(a[prod & is_store])
-            if len(t_mem) and len(fresh_mem):
-                fresh_mem = fresh_mem[~np.isin(fresh_mem, t_mem)]
-            if not len(fresh_reg) and not len(fresh_mem):
-                break
-            if len(fresh_reg):
-                t_reg = np.sort(np.concatenate((t_reg, fresh_reg)))
-                if len(t_reg) >= 2 * DENSE_REGS:
-                    # The over-approximation saturated the register
-                    # file; no point converging just to select ~all.
-                    return None
-            if len(fresh_mem):
-                t_mem = np.sort(np.concatenate((t_mem, fresh_mem)))
-        else:
-            # Non-convergence: select everything (sound, no bulk skip).
-            self.fixpoint_fallbacks += 1
-            return np.nonzero(valid)[0]
-
-        # Select: records that may read taint (prod), write/clear a
-        # possibly-tainted location, or free a range overlapping one.
-        sel = prod | in_set(kw, t_reg) | in_set(k_spawn, t_reg)
-        sel |= is_store & in_set(a, t_mem)
-        if len(t_mem):
-            alloc_idx = np.nonzero(is_alloc)[0]
-            if len(alloc_idx):
-                lo = np.searchsorted(t_mem, a[alloc_idx])
-                hi = np.searchsorted(t_mem, a[alloc_idx] + b[alloc_idx])
-                sel[alloc_idx] |= hi > lo
-        sel &= valid
-        return np.nonzero(sel)[0]
-
-    def _replay(self, idx, arr, pc, seq_at, cum, total_instr, n_records):
-        """Replay the selected records in order through a specialized
-        scalar loop (exact :meth:`step` semantics for bool/PC labels); the
-        skipped bulk is accounted through the batch prefix sums."""
-        np = self._np
         policy = self.policy
         is_pc = type(policy) is PCTaintPolicy
         shadow = self.shadow
@@ -1067,44 +772,42 @@ class ArrayKernel(PropagationKernel):
         mem_get = mem.get
         mem_pop = mem.pop
         sh_clear = shadow.clear_range
+        wide_pop = self.wide.pop
         alerts_append = self.alerts.append
         describe = policy.describe
         peak = shadow.peak_locations
         check = self.check_cycles
         prop = policy.propagate_cycles
-        GENERIC, LOAD, STORE = K_GENERIC, K_LOAD, K_STORE
-        ALLOC, SPAWN, IN = K_ALLOC, K_SPAWN, K_IN
+        SKIP, GENERIC, LOAD, STORE = K_SKIP, K_GENERIC, K_LOAD, K_STORE
+        ALLOC, SPAWN, IN, CALL_M = K_ALLOC, K_SPAWN, K_IN, K_CALL
         io_none = _IO_NONE
+        wide = _WIDE
         info_get = self._info.__getitem__
-
-        kinds_l = arr["kind"][idx].tolist()
-        tids_l = arr["tid"][idx].tolist()
-        pcs_l = pc[idx].tolist()
-        a_l = arr["a"][idx].tolist()
-        b_l = arr["b"][idx].tolist()
-        seq_l = seq_at[idx].tolist()
-        n_sel = len(kinds_l)
-        self.records_replayed += n_sel
-
+        n_records = len(records) // RECORD_SIZE
+        seq0 = seq = self.seq
+        skipped = 0  # instructions in skip runs
         tainted_n = 0
         sources_n = 0
         sink_checks_n = 0
-        sq = -1
         try:
-            for k, t, p, av, bv, sq in zip(kinds_l, tids_l, pcs_l, a_l, b_l, seq_l):
-                r0, r1, r2, wreg, src, copy, rules, chan_p = info_get(p)
+            for k, t, p, av, bv in RECORD.iter_unpack(records):
+                if k == SKIP:
+                    seq += av
+                    skipped += av
+                    continue
+                if k >= CALL_M:
+                    # Call-boundary markers: zero-weight stream metadata
+                    # consumed by the summary layer; plain no-ops here.
+                    continue
+                sq = seq
+                seq += 1
+                r0, r1, wreg, src, copy, rules, chan_p = info_get(p)
                 if k == GENERIC:
                     lab = regs_get((t, r0)) if r0 >= 0 else None
                     if r1 >= 0:
                         l2 = regs_get((t, r1))
                         if l2 is not None and (lab is None or not is_pc or l2 > lab):
                             lab = l2
-                        if r2 >= 0:
-                            l2 = regs_get((t, r2))
-                            if l2 is not None and (
-                                lab is None or not is_pc or l2 > lab
-                            ):
-                                lab = l2
                     if lab is None:
                         regs_pop((t, wreg), None)
                     else:
@@ -1116,6 +819,8 @@ class ArrayKernel(PropagationKernel):
                         if size > peak:
                             peak = size
                 elif k == LOAD:
+                    if bv == wide:
+                        av = wide_pop(sq)
                     lab = mem_get(av)
                     if r0 >= 0:  # propagate_addresses: address regs join in
                         l2 = regs_get((t, r0))
@@ -1127,12 +832,6 @@ class ArrayKernel(PropagationKernel):
                                 lab is None or not is_pc or l2 > lab
                             ):
                                 lab = l2
-                            if r2 >= 0:
-                                l2 = regs_get((t, r2))
-                                if l2 is not None and (
-                                    lab is None or not is_pc or l2 > lab
-                                ):
-                                    lab = l2
                     if lab is None:
                         regs_pop((t, wreg), None)
                     else:
@@ -1144,17 +843,13 @@ class ArrayKernel(PropagationKernel):
                         if size > peak:
                             peak = size
                 elif k == STORE:
+                    if bv == wide:
+                        av = wide_pop(sq)
                     lab = regs_get((t, r0))
                     if r1 >= 0:  # propagate_addresses
                         l2 = regs_get((t, r1))
                         if l2 is not None and (lab is None or not is_pc or l2 > lab):
                             lab = l2
-                        if r2 >= 0:
-                            l2 = regs_get((t, r2))
-                            if l2 is not None and (
-                                lab is None or not is_pc or l2 > lab
-                            ):
-                                lab = l2
                     if lab is None:
                         mem_pop(av, None)
                     else:
@@ -1176,6 +871,8 @@ class ArrayKernel(PropagationKernel):
                     else:
                         regs_pop((t, wreg), None)
                 elif k == ALLOC:
+                    if bv == wide:
+                        av, bv = wide_pop(sq)
                     sh_clear(av, bv)
                     regs_pop((t, wreg), None)
                 elif k == SPAWN:
@@ -1213,42 +910,34 @@ class ArrayKernel(PropagationKernel):
                                 )
                         tainted_n += 1
         except AttackDetected:
-            # Freeze exactly at the raise point: everything up to the
-            # raising record (replayed or bulk) counts instructions; the
-            # raising record itself adds an instruction and its sink
-            # checks/alert above, but neither taint nor a check cycle —
-            # like the reference.
-            j = bisect_left(seq_l, sq)
-            raise_pos = int(np.searchsorted(seq_at, sq))
-            instr_delta = int(cum[raise_pos])
-            stats.instructions += instr_delta
+            # Freeze exactly at the raise point: the raising record
+            # counts an instruction and its sink checks/alert above, but
+            # neither taint nor a check cycle — like the reference.
+            self.raised_effects = BatchEffects(
+                records=n_records,
+                instructions=seq - seq0,
+                replayed=seq - seq0 - skipped,
+                tainted=tainted_n,
+                overhead=check * (seq - seq0 - 1) + prop * tainted_n,
+                raised=True,
+            )
+            raise
+        finally:
+            stats.instructions += seq - seq0
             stats.tainted_instructions += tainted_n
             stats.sources += sources_n
             stats.sink_checks += sink_checks_n
             shadow.peak_locations = peak
-            self.records_replayed -= n_sel - (j + 1)
-            self.seq += instr_delta
-            self.raised_effects = BatchEffects(
-                records=n_records,
-                instructions=instr_delta,
-                replayed=j + 1,
-                tainted=tainted_n,
-                overhead=check * (instr_delta - 1) + prop * tainted_n,
-                raised=True,
-            )
-            raise
-        stats.instructions += total_instr
-        stats.tainted_instructions += tainted_n
-        stats.sources += sources_n
-        stats.sink_checks += sink_checks_n
-        shadow.peak_locations = peak
-        self.seq += total_instr
+            self.seq = seq
+            self.batches += 1
+            self.records_consumed += n_records
+            self.records_replayed += seq - seq0 - skipped
         return BatchEffects(
             records=n_records,
-            instructions=total_instr,
-            replayed=n_sel,
+            instructions=seq - seq0,
+            replayed=seq - seq0 - skipped,
             tainted=tainted_n,
-            overhead=check * total_instr + prop * tainted_n,
+            overhead=check * (seq - seq0) + prop * tainted_n,
         )
 
 
@@ -1356,20 +1045,17 @@ __all__ = [
     "K_SKIP",
     "K_SPAWN",
     "K_STORE",
-    "MAX_FIXPOINT",
     "PropagationKernel",
     "RECORD",
     "RECORD_SIZE",
     "RecordEncoder",
     "RecordStreamCapture",
     "ReferenceKernel",
-    "SMALL_BATCH",
     "SinkRule",
     "TaintAlert",
     "build_kernel",
     "classify_opcode",
     "kernel_fallbacks",
-    "numpy_available",
     "publish_taint_metrics",
     "select_kernel",
     "wide_record",

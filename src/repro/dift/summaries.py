@@ -173,9 +173,10 @@ class TaintSummary:
 class SummaryCache:
     """Per-configuration store of learned :class:`TaintSummary` objects.
 
-    Lives longer than any single kernel: the service keeps one per
-    (program, fidelity) so summaries learned on one request elide work
-    on every later request for the same program.  Counters here are
+    Can outlive a single kernel: a caller that passes the same cache to
+    several runs of one program (``DIFTEngine(summary_cache=)``) lets
+    summaries learned in one run elide work in the later ones; without
+    one, each :class:`SummaryKernel` makes its own.  Counters here are
     cumulative across every kernel that used the cache; kernels also
     keep per-run copies for telemetry.
     """

@@ -32,7 +32,7 @@ from ..apps.faultloc import SliceBasedFaultLocator, ValueReplacementRanker
 from ..apps.lineage import LineageTracer, verify_against_reference
 from ..apps.security import AttackMonitor, attack_corpus
 from ..dift.engine import DIFTEngine, SinkRule
-from ..dift.kernel import RECORD_SIZE, RecordStreamCapture, build_kernel, numpy_available
+from ..dift.kernel import RECORD_SIZE, RecordStreamCapture, build_kernel
 from ..dift.policy import BoolTaintPolicy
 from ..dift.summaries import SummaryKernel
 from ..multicore import HelperCoreDIFT, hardware_interconnect, shared_memory_channel
@@ -876,7 +876,7 @@ def _same_observables(a, b) -> bool:
 @experiment(
     "kernel",
     claim=(
-        "vectorized batch propagation >=3x reference throughput on the "
+        "specialized batch replay >=3x reference throughput on the "
         "DIFT-heavy suite, observables bit-identical"
     ),
     commentary=(
@@ -884,13 +884,11 @@ def _same_observables(a, b) -> bool:
         "workload's packed record stream (the same 24-byte wire format "
         "the ring ships) is captured once, then replayed through both "
         "propagation kernels. The reference kernel is the per-record "
-        "engine loop, verbatim; the array kernel decodes each batch into "
-        "numpy columns, screens taint-free batches in O(1), probes a "
-        "taint-reachability fixpoint to select the records that can "
-        "touch taint, and replays only those through a tightened scalar "
-        "loop — falling back to whole-batch replay when a probe shows "
-        "selection won't pay (dense register taint). The >=3x gate "
-        "(benchmarks/bench_kernel.py) is on the suite aggregate; "
+        "engine loop, verbatim: each record fills its pc's template event "
+        "and runs the generic taint rules. The array kernel replays every "
+        "live record through one loop specialized for the scalar-label "
+        "policies, reading each pc's operand shape from one dict. The "
+        ">=3x gate (benchmarks/bench_kernel.py) is on the suite aggregate; "
         "per-workload rows vary with taint density. The identity column "
         "is the contract: alerts, stats, shadow taint sets and the "
         "peak-location high-water mark must be bit-identical per "
@@ -900,10 +898,10 @@ def _same_observables(a, b) -> bool:
     ),
 )
 def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
-    """Propagation throughput of the vectorized
-    :class:`~repro.dift.kernel.ArrayKernel` vs the pure-python
-    :class:`~repro.dift.kernel.ReferenceKernel` over identical captured
-    record streams.
+    """Propagation throughput of the specialized batch replay
+    (:class:`~repro.dift.kernel.ArrayKernel`) vs the generic per-record
+    replay (:class:`~repro.dift.kernel.ReferenceKernel`) over identical
+    captured record streams.
 
     Each workload's packed record stream (the ring wire format) is
     captured once; both kernels then consume the very same chunks, so
@@ -911,17 +909,13 @@ def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
     Alerts, stats, shadow taint sets and the peak-location high-water
     mark are asserted identical per workload; the headline speedup is
     aggregate propagation throughput (records/s over the whole suite,
-    min-over-``repeats`` per side).  Without numpy the array side runs
-    the reference kernel (``numpy_available`` records which case ran)
-    and the speedup degenerates to ~1.
+    min-over-``repeats`` per side).
     """
 
     result = ExperimentResult(
         headers=["workload", "records", "ref s", "array s", "speedup", "identical"],
     )
     workloads = suite(scale)
-    numpy_ok = numpy_available()
-    array_name = "array" if numpy_ok else "reference"
 
     all_identical = True
     ref_total = arr_total = 0.0
@@ -929,7 +923,7 @@ def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
     arr_kernels = []
     for w, cap in zip(workloads, _capture_streams(workloads)):
         (ref_kern, best_ref), (arr_kern, best_arr) = _best_passes(
-            cap, repeats, _bool_kernel("reference"), _bool_kernel(array_name)
+            cap, repeats, _bool_kernel("reference"), _bool_kernel("array")
         )
         identical = _same_observables(ref_kern, arr_kern)
         all_identical = all_identical and identical
@@ -951,7 +945,6 @@ def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
         "propagation_speedup": ref_total / arr_total,
         "target_speedup": 3.0,
         "identical": float(all_identical),
-        "numpy_available": float(numpy_ok),
         "reference_records_per_s": total_records / max(ref_total, 1e-9),
         "array_records_per_s": total_records / max(arr_total, 1e-9),
     }
@@ -959,9 +952,6 @@ def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
         "dift.kernel.batches": float(sum(k.batches for k in arr_kernels)),
         "dift.kernel.records": float(sum(k.records_consumed for k in arr_kernels)),
         "dift.kernel.replayed": float(sum(k.records_replayed for k in arr_kernels)),
-        "dift.kernel.fixpoint_fallbacks": float(
-            sum(getattr(k, "fixpoint_fallbacks", 0) for k in arr_kernels)
-        ),
     }
     return result
 
@@ -987,7 +977,7 @@ def run_kernel(scale: int = 2, repeats: int = 5) -> ExperimentResult:
         "instead of thrashing. The base side of every row is the *array* "
         "kernel, not the reference loop — the >=5x call-heavy and >=2x "
         "aggregate gates (benchmarks/bench_summaries.py) are on top of "
-        "the vectorized fast path, and each timed pass pays its own "
+        "the specialized batch replay, and each timed pass pays its own "
         "learning (fresh cache). The call-free spec workloads ride along "
         "to show the marker machinery costs them nothing, the "
         "50%-polymorphic member must show invalidations with identity "
@@ -1003,7 +993,7 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
 
     Each workload's stream is captured once with CALL/RET markers cut
     in (zero-weight records base kernels ignore, so both sides consume
-    the very same bytes).  The base side is the session's batch kernel
+    the very same bytes).  The base side is the array kernel
     alone; the summary side wraps a fresh kernel + fresh cache per
     pass, so every timed pass pays its own learning — the speedup is
     the realistic single-run number, not a warm-cache best case.  The
@@ -1027,10 +1017,7 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
         call_heavy(10, iterations=iters, stmts=64, name="calls-p10"),
         call_heavy(2, iterations=iters, stmts=64, name="calls-p50"),
     ]
-    numpy_ok = numpy_available()
-    kernel_name = "array" if numpy_ok else "reference"
-
-    base_kernel = _bool_kernel(kernel_name)
+    base_kernel = _bool_kernel("array")
 
     def summary_kernel():
         return SummaryKernel(base_kernel())
@@ -1094,7 +1081,6 @@ def run_summaries(scale: int = 1, repeats: int = 3) -> ExperimentResult:
         "summary_hit_rate": (
             counter_totals["hits"] / attempts if attempts else 0.0
         ),
-        "numpy_available": float(numpy_ok),
     }
     result.metrics = {
         f"dift.summaries.{key}": float(value)

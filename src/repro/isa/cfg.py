@@ -121,16 +121,6 @@ class CFG:
         last = self.program.code[self.blocks[bid].end - 1]
         return last if last.spec.is_branch else None
 
-    def to_dot(self) -> str:  # pragma: no cover - debugging aid
-        lines = [f'digraph "{self.function.name}" {{']
-        for block in self.blocks:
-            body = "\\l".join(i.format() for i in self.instructions(block.bid))
-            lines.append(f'  b{block.bid} [shape=box,label="B{block.bid}\\l{body}\\l"];')
-            for s in block.succs:
-                lines.append(f"  b{block.bid} -> b{s};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def build_cfgs(program: Program) -> dict[str, CFG]:
     """CFG for every function in ``program``."""

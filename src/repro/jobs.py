@@ -276,9 +276,9 @@ def _execute_dift_stats(job: _Job) -> dict:
     """DIFT-only middle rung for ``trace``: taint stats, no trace store."""
     machine = job.runner.machine()
     # The engine resolves its own propagation kernel here and in
-    # _execute_attack (array when numpy imports): untraced machines
-    # engage the engine's inline micro-batching, so every job rides the
-    # vectorized kernel with no wiring of its own.
+    # _execute_attack (array for the Bool and PC policies): untraced
+    # machines engage the engine's inline micro-batching, so every job
+    # rides the batch kernel with no wiring of its own.
     engine = DIFTEngine(BoolTaintPolicy(), sinks=[]).attach(machine)
     result = machine.run(max_instructions=job.runner.max_instructions)
     return {

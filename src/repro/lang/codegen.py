@@ -96,9 +96,6 @@ class CompiledProgram:
     def pcs_of_line(self, line: int) -> list[int]:
         return [pc for pc, ln in self.line_map.items() if ln == line]
 
-    def global_addr(self, name: str) -> int:
-        return self.globals[name][0]
-
 
 class _FuncCtx:
     """Per-function emission state."""
@@ -123,12 +120,6 @@ class _FuncCtx:
     def free_temp(self, reg: int) -> None:
         self.live_temps.remove(reg)
         self.free_temps.append(reg)
-
-    def slot_of(self, name: str, line: int) -> int:
-        try:
-            return self.slots[name]
-        except KeyError:
-            raise CompileError(f"undeclared variable {name!r}", line) from None
 
 
 class Compiler:

@@ -36,7 +36,6 @@ from ..telemetry.obs import (
     FlightRecorder,
     MetricsWindow,
     WallSpanTracer,
-    chrome_trace,
     latency_summary,
     new_trace_id,
     render_prometheus,
@@ -136,10 +135,6 @@ class ServiceObservability:
             payload["dump_path"] = self.crash_dump("on-demand")
         return payload
 
-    def session_trace(self) -> dict:
-        """Every span the daemon holds, as one Chrome trace object."""
-        return chrome_trace(self.tracer.chrome_events())
-
 
 class _NullObservability:
     """Disabled seam: every hook is a no-op, every read is empty."""
@@ -171,9 +166,6 @@ class _NullObservability:
 
     def metrics_payload(self, dump: bool = False) -> dict:
         return {}
-
-    def session_trace(self) -> dict:
-        return chrome_trace([])
 
 
 #: Shared disabled instance (stateless, so sharing is safe).

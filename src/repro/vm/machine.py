@@ -153,10 +153,6 @@ class Machine:
             m = self.mutexes[lock_id] = Mutex(lock_id)
         return m
 
-    def occurrence_of(self, instr_index: int) -> int:
-        """How many times instruction ``instr_index`` has executed."""
-        return self._occurrences.get(instr_index, 0)
-
     # -- execution -------------------------------------------------------
     def run(self, max_instructions: int = 10_000_000) -> RunResult:
         """Run until halt/exit/failure/deadlock or the instruction budget."""

@@ -1,6 +1,12 @@
 """Shared fixtures and helpers for the test suite."""
 
+import ast
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +37,22 @@ def runner_for(src, inputs=None, scheduler_factory=None, max_instructions=2_000_
         max_instructions=max_instructions,
     )
     return runner, cp
+
+
+def numpy_modules_loaded_by(child: str) -> list[str]:
+    """Run ``child`` (dedented Python source) in a fresh interpreter with
+    ``src`` on its path; return the first few numpy modules it left in
+    ``sys.modules`` (empty when it never imported numpy)."""
+    probe = textwrap.dedent(child) + (
+        "\nimport sys as _sys\n"
+        "print(sorted(m for m in _sys.modules if m.split('.')[0] == 'numpy')[:5])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
 
 @pytest.fixture

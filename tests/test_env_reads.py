@@ -1,7 +1,7 @@
 """No implementation is chosen from process-wide state.
 
 Every choice in ``src/repro`` is an explicit argument or follows from
-what the code can observe (numpy importable, the policy's type).  The
+what the code can observe (the policy's type).  The
 one environment read left is where run artifacts land
 (``util/artifacts.py``), a deployment path rather than a switch.  This
 test keeps it that way: a new ``os.environ`` or ``os.getenv`` read

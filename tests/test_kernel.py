@@ -1,7 +1,7 @@
 """Edge cases for the batch propagation kernels (reference vs array).
 
 The differential suite proves the kernels agree on whole workloads;
-these tests pin down the boundaries where a vectorized batch could
+these tests pin down the boundaries where a batch kernel could
 plausibly diverge: empty batches, batches split exactly at a sink
 record, an ``AttackDetected`` raised mid-batch, overflow-clamped sink
 payloads, addresses beyond the i64 payload, multithreaded streams,
@@ -9,6 +9,7 @@ fallback resolution, and an adopted shadow.
 """
 
 import ast
+import sys
 import warnings
 from pathlib import Path
 
@@ -22,19 +23,19 @@ from repro.dift.kernel import (
     K_SKIP,
     RECORD,
     RECORD_SIZE,
-    SMALL_BATCH,
     RecordStreamCapture,
     build_kernel,
-    numpy_available,
     select_kernel,
 )
 from repro.dift.summaries import SummaryKernel
+from repro.isa.instructions import Instruction, Opcode
 from repro.lang import compile_source
 from repro.runner import ProgramRunner
 from repro.vm import Machine, RunStatus
 from repro.vm.errors import AttackDetected
 from repro.workloads import race_kernels
 
+from .conftest import numpy_modules_loaded_by
 from .test_dift import ATTACK_SRC
 
 # A stream with a sink in the middle: plenty of propagation on both
@@ -99,6 +100,11 @@ def kernel_state(kern):
     )
 
 
+def live_records(chunk):
+    """Records in a packed chunk that stand for one instruction each."""
+    return sum(k != K_SKIP for k, *_rest in RECORD.iter_unpack(chunk))
+
+
 def record_offsets(chunk, kind):
     """Byte offsets of every record of ``kind`` in a packed chunk."""
     return [
@@ -125,9 +131,10 @@ def test_batch_split_exactly_at_sink_record():
     assert res.status is RunStatus.EXITED
     stream = b"".join(cap.chunks)
     sink_off = record_offsets(stream, K_SINK)[0]
-    # The sink must be interior — records on both sides of each split.
+    # The sink must be interior — records on both sides of each split,
+    # and live ones, so every split batch propagates.
     assert 0 < sink_off < len(stream) - RECORD_SIZE
-    assert len(stream) // RECORD_SIZE > SMALL_BATCH
+    assert live_records(stream[:sink_off]) and live_records(stream[sink_off + RECORD_SIZE :])
 
     splits = {
         "whole": [stream],
@@ -151,18 +158,16 @@ def test_batch_split_exactly_at_sink_record():
 
 
 def test_raise_mid_batch_freezes_state_at_reference_point():
-    # Big enough that the array kernel leaves the small-batch path; run
-    # the machine *without* DIFT so execution sails past the hijacked
-    # icall and the stream keeps going after the sink record.
+    # Run the machine *without* DIFT so execution sails past the
+    # hijacked icall and the stream keeps going after the sink record.
     inputs = {0: [33] + [0] * 32 + [1]}
     src = ATTACK_SRC.replace("alloc(4)", "alloc(32)")
     _, res, cap = capture_stream(src, inputs=inputs)
     assert res.status is RunStatus.EXITED
     stream = b"".join(cap.chunks)
-    n_records = len(stream) // RECORD_SIZE
-    assert n_records > SMALL_BATCH
     sink_off = record_offsets(stream, K_SINK)[0]
-    assert sink_off < len(stream) - RECORD_SIZE  # records follow the sink
+    # Live records follow the sink, so the raise must stop the batch.
+    assert live_records(stream[sink_off + RECORD_SIZE :])
 
     states, effects = {}, {}
     for name in ("reference", "array"):
@@ -300,15 +305,7 @@ def wide_run(**engine_kw):
     return wide_state(m, m.run(), eng)
 
 
-KERNELS = [
-    "reference",
-    pytest.param(
-        "array",
-        marks=pytest.mark.skipif(
-            not numpy_available(), reason="requires numpy"
-        ),
-    ),
-]
+KERNELS = ["reference", "array"]
 
 
 @pytest.mark.parametrize("summaries", [False, True], ids=["plain", "summaries"])
@@ -415,21 +412,19 @@ def test_threads_match_per_event_engine(case, name, summaries):
 @pytest.fixture
 def fresh_resolution(monkeypatch):
     """Isolate :func:`select_kernel`'s process state: a zeroed fallback
-    counter and an unspent warning.  Returns a setter that patches the
-    numpy probe's answer."""
+    counter and an unspent warning.  Returns a setter that, given
+    ``False``, makes ``import numpy`` fail for the rest of the test."""
     monkeypatch.setattr(kernel_module, "kernel_fallbacks", {})
     monkeypatch.setattr(kernel_module, "_fallback_warned", False)
-    return lambda ok: monkeypatch.setattr(kernel_module, "_numpy_available", ok)
+    return lambda ok: ok or monkeypatch.setitem(sys.modules, "numpy", None)
 
 
-#: (numpy importable, policy family) -> what None/"array" resolve to.
+#: policy family -> what None/"array" resolve to, whether or not numpy
+#: is importable: resolution reads only the request and the policy type.
 _RESOLVES = {
-    (True, "bool"): ("array", None),
-    (True, "pc"): ("array", None),
-    (True, "lineage"): ("reference", "policy"),
-    (False, "bool"): ("reference", "numpy"),
-    (False, "pc"): ("reference", "numpy"),
-    (False, "lineage"): ("reference", "numpy"),
+    "bool": ("array", None),
+    "pc": ("array", None),
+    "lineage": ("reference", "policy"),
 }
 _POLICIES = {
     "bool": BoolTaintPolicy,
@@ -446,7 +441,7 @@ def test_kernel_resolution_table(fresh_resolution, policy, numpy_ok, kernel):
     if kernel == "reference":
         expected = ("reference", None)  # always honoured, never counted
     else:
-        expected = _RESOLVES[(numpy_ok, policy)]
+        expected = _RESOLVES[policy]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = select_kernel(kernel, _POLICIES[policy]())
@@ -467,18 +462,20 @@ def test_kernel_batch_must_be_positive():
         DIFTEngine(BoolTaintPolicy(), kernel_batch=0)
 
 
-def test_explicit_array_request_without_numpy_warns_once(fresh_resolution):
-    fresh_resolution(False)
+def test_explicit_array_request_for_wider_policy_warns_once(fresh_resolution):
+    class WiderPolicy(BoolTaintPolicy):
+        """Anything but the two exact scalar policies must demote."""
+
     with pytest.warns(RuntimeWarning, match="falling back to the reference kernel"):
-        eng = DIFTEngine(BoolTaintPolicy(), kernel="array")
+        eng = DIFTEngine(WiderPolicy(), kernel="array")
     assert eng.kernel_name == "reference"
-    assert eng.kernel_fallback == "numpy"
+    assert eng.kernel_fallback == "policy"
     # Counted every time, warned once.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        eng2 = DIFTEngine(BoolTaintPolicy(), kernel="array")
-    assert eng2.kernel_fallback == "numpy"
-    assert kernel_module.kernel_fallbacks == {"numpy": 2}
+        eng2 = DIFTEngine(WiderPolicy(), kernel="array")
+    assert eng2.kernel_fallback == "policy"
+    assert kernel_module.kernel_fallbacks == {"policy": 2}
 
 
 def test_policy_fallback_is_silent_when_implicit(fresh_resolution):
@@ -494,7 +491,6 @@ def test_policy_fallback_is_silent_when_implicit(fresh_resolution):
     assert kernel_module.kernel_fallbacks == {"policy": 1}
 
 
-@pytest.mark.skipif(not numpy_available(), reason="requires numpy")
 def test_adopted_array_shadow_matches_reference():
     _, _, cap = capture_stream(TAINT_SRC, inputs={0: list(range(16))})
     policy = BoolTaintPolicy()
@@ -506,6 +502,35 @@ def test_adopted_array_shadow_matches_reference():
         ref.propagate_batch(chunk)
     assert arr.shadow is adopted  # the caller's store was used in place
     assert kernel_state(arr) == kernel_state(ref)
+
+
+def test_attack_job_and_summaries_monitor_never_import_numpy():
+    """The batch kernel is pure Python on every host: an ``attack`` job
+    and a summaries monitor run in a fresh interpreter load no numpy."""
+    loaded = numpy_modules_loaded_by(f"""
+        from repro.dift import DIFTEngine, PCTaintPolicy, SinkRule
+        from repro.jobs import JobSpec, execute_job
+        from repro.workloads.generators import call_heavy
+
+        result = execute_job(JobSpec(kind="attack", source={ATTACK_SRC!r},
+                                     params={{"inputs": {{"0": [5, 0, 0, 0, 0, 1]}}}}))
+        assert result["attack"]["detected"], result
+        machine = call_heavy(iterations=8).runner().machine()
+        eng = DIFTEngine(PCTaintPolicy(), sinks=[SinkRule(kind="out", action="record")],
+                         summaries=True).attach(machine)
+        machine.run()
+        assert eng.kernel_name == "array" and eng.stats.tainted_instructions
+    """)
+    assert loaded == [], f"numpy imported: {loaded}"
+
+
+def test_register_template_rejects_a_third_read_register():
+    # The ISA reads at most two registers per instruction; a wider shape
+    # must fail loudly rather than drop a taint source.
+    instr = Instruction(Opcode.ADD, (4, 1, 2))
+    kern = build_kernel("array", BoolTaintPolicy())
+    with pytest.raises(ValueError, match="two read slots"):
+        kern.register_template(0, instr, ((1, 0), (2, 0), (3, 0)), ((4, 0),), None)
 
 
 def test_kernel_module_does_not_import_the_engine():

@@ -161,10 +161,8 @@ class TestHelperCoreDIFT:
         assert report.main_cycles == res.cycles.total
 
     def test_runs_the_reference_kernel_without_a_fallback(self, monkeypatch):
-        # The helper propagates per event on the reference kernel, so on
-        # a host without numpy it must not warn, count a fallback or
-        # publish one.
-        monkeypatch.setattr(kernel_module, "_numpy_available", False)
+        # The helper propagates per event on the reference kernel, so it
+        # must not warn, count a fallback or publish one.
         monkeypatch.setattr(kernel_module, "_fallback_warned", False)
         monkeypatch.setattr(kernel_module, "kernel_fallbacks", {})
         registry = MetricsRegistry()

@@ -19,6 +19,8 @@ from repro.ontrac import (
 from repro.runner import ProgramRunner
 from repro.vm import Hook, Machine, RunStatus
 
+from .conftest import numpy_modules_loaded_by
+
 
 def trace_minic(src, inputs=None, config=None, max_instructions=2_000_000):
     cp = compile_source(src)
@@ -429,13 +431,7 @@ def test_trace_slice_and_lake_paths_never_import_numpy(tmp_path):
     """numpy takes ~0.1 s to import; a traced run, a slice and a lake
     spill with a stored-run slice must not pull it in, or every traced
     command and lake query pays for it at start-up."""
-    import os
-    import subprocess
-    import sys
-    import textwrap
-
-    child = textwrap.dedent(f"""
-        import sys
+    loaded = numpy_modules_loaded_by(f"""
         import repro.runner, repro.ontrac, repro.slicing, repro.lake
         from repro.lake import (TraceLake, input_hash, program_hash,
                                 resolve_criterion, slice_stored)
@@ -453,13 +449,5 @@ def test_trace_slice_and_lake_paths_never_import_numpy(tmp_path):
         _, tracer, _ = w.runner().run_traced(OntracConfig(spill_path=pending.spill_path))
         with lake.open(pending.finish(tracer=tracer, compiled=w.compiled)) as stored:
             assert slice_stored(stored, resolve_criterion(stored)).seqs
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
-        print(loaded[:5])
     """)
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
-    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]", f"numpy imported: {out.stdout.strip()}"
+    assert loaded == [], f"numpy imported: {loaded}"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.apps.lineage import BDDManager
 from repro.dift import BoolTaintPolicy, DIFTEngine, ShadowState, SinkRule
-from repro.dift.kernel import numpy_available
 from repro.lang import compile_source
 from repro.ontrac import (
     DepKind,
@@ -460,7 +459,6 @@ class TestKernelDifferentialFuzz:
             res.cycles.overhead,
         )
 
-    @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
     @pytest.mark.parametrize("summaries", [False, True], ids=["plain", "summaries"])
     def test_generated_programs_propagate_identically(self, summaries):
         mismatched = []
@@ -575,33 +573,6 @@ class TestShadowBackendProperties:
         assert shadow.tainted_cells == len(model.mem)
         assert shadow.shadow_bytes == len(model.mem) * shadow.policy.label_bytes
         assert shadow.peak_locations == model.peak
-
-    @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
-    @given(
-        cells=st.lists(st.tuples(wide_cells, labels), max_size=40),
-        regs=st.lists(st.tuples(st.integers(min_value=0, max_value=7), labels), max_size=8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_array_store_matches_dict_backend(self, cells, regs):
-        # The array kernel adopts the dict store in place; the sorted key
-        # columns it probes must agree with the model, leaving out only
-        # the cells no i64 record payload can name.
-        from repro.dift.kernel import REG_SHIFT, build_kernel
-
-        shadow = ShadowState(BoolTaintPolicy())
-        model = _NaiveShadow()
-        for addr, label in cells:
-            shadow.set_cell(addr, label)
-            model.apply("cell", addr, label)
-        for reg, label in regs:
-            shadow.set_reg(0, reg, label)
-            model.apply("reg", reg, label)
-        kernel = build_kernel("array", BoolTaintPolicy(), shadow=shadow)
-        assert kernel.shadow is shadow
-        t_reg, t_mem = kernel._tainted_keys()
-        assert t_reg.tolist() == sorted((t << REG_SHIFT) | r for t, r in model.regs)
-        in_i64 = [a for a in model.mem if -(1 << 63) <= a < (1 << 63)]
-        assert t_mem.tolist() == sorted(in_i64)
 
 
 # --- deterministic rng ------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.dift.kernel import (
     PropagationKernel,
     RecordStreamCapture,
     classify_opcode,
-    numpy_available,
 )
 from repro.dift.summaries import SummaryKernel
 from repro.lang import compile_source
@@ -246,7 +245,5 @@ def test_capture_reproduces_pinned_stream(case, markers):
 @pytest.mark.parametrize("markers", MARKERS, ids=_ids)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_inline_engine_reproduces_pinned_stream(case, markers, monkeypatch):
-    if not markers and not numpy_available():
-        pytest.skip("requires numpy: the reference kernel runs per event")
     assert inline_digest(case, markers, monkeypatch) == PINNED[(case, markers)]
 

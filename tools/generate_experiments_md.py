@@ -44,7 +44,7 @@ unified metrics registry (`repro.telemetry`), the same snapshot
 cycles* from the deterministic cost model — the currency in which the
 paper's slowdowns and ratios are reproduced. Host wall-clock time is
 *not* part of those claims: the fast execution path (the array
-propagation kernel, the default whenever numpy imports) makes the
+propagation kernel, the default for the bool and PC policies) makes the
 simulator itself faster without moving a single modeled number, and
 the differential suite holds each fast implementation to its reference (bit-identical cycle counts, record
 streams and taint sets). Each section's **Wall-clock** line reports how long the
